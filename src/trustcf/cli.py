@@ -18,7 +18,7 @@ from pathlib import Path
 from .canonical import canonical_load, canonical_save
 from .dataset import apply_filters, compute_stats
 from .errors import MissingFile, TrustcfError, UnknownConfiguration
-from .evaluation import EvaluationReport, run_experiment, split_folds
+from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
 from .ingest import (
     ingest_librarything,
     ingest_yelp,
@@ -315,7 +315,7 @@ def cmd_sweep(args) -> int:
     for token in spec.configs:
         name = token.split(";", 1)[0].strip()
         rows = [r for r in report.rows if r.config == name]
-        body = "".join(f"{r.beta:.2f}\t{r.rmse:.6f}\n" for r in rows)
+        body = "".join(f"{r.beta:.2f}\t{format_metric(r.rmse)}\n" for r in rows)
         files[f"rmse_beta_{name.replace('/', '_')}.tsv"] = "beta\trmse\n" + body
     _write_atomic(spec.out, files)
     print(report.to_tsv(), end="")

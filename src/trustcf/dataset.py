@@ -50,6 +50,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of several CSR rows, concatenated in the order of ``rows``.
+
+    Returns ``(row_at, flat)``: entry n is stored at ``flat[n]`` and
+    belongs to ``rows[row_at[n]]``; each row keeps its stored order.
+    """
+    lo = ptr[rows]
+    lengths = ptr[rows + 1] - lo
+    row_at = np.repeat(np.arange(rows.size), lengths)
+    starts = np.cumsum(lengths) - lengths
+    flat = np.arange(row_at.size) + np.repeat(lo - starts, lengths)
+    return row_at, flat
+
+
 class Interner:
     """Bijection between external string ids and dense integer handles."""
 
@@ -183,6 +197,33 @@ class RatingStore:
         lo, hi = self._i_ptr[i], self._i_ptr[i + 1]
         pos = self._i_order[lo:hi]
         return self.user_idx[pos], self.value[pos], pos
+
+    def items_of_many(
+        self, users: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(user_at, items, values) of several users' rows, concatenated.
+
+        Entry n belongs to ``users[user_at[n]]``; items ascend within a row.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if users.size and (users.min() < 0 or users.max() >= self.num_users):
+            raise UnknownUser("user handle out of range")
+        user_at, flat = csr_rows(self._u_ptr, users)
+        return user_at, self.item_idx[flat], self.value[flat]
+
+    def raters_of_many(
+        self, items: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(item_at, users, values, positions) of several items, concatenated.
+
+        Entry n belongs to ``items[item_at[n]]``; users ascend within an item.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        if items.size and (items.min() < 0 or items.max() >= self.num_items):
+            raise IndexError("item handle out of range")
+        item_at, flat = csr_rows(self._i_ptr, items)
+        pos = self._i_order[flat]
+        return item_at, self.user_idx[pos], self.value[pos], pos
 
     def rating_count_of(self, u: int) -> int:
         self._check_user(u)

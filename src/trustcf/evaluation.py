@@ -5,7 +5,17 @@ For each fold the remaining ratings train a model per configuration;
 every held-out (user, item) pair is predicted, and each test user gets a
 top-k list ranked over their own held-out items.  Error metrics pool the
 fold's model-based predictions; ranking metrics are macro-averaged per
-user inside the fold; fold values are then averaged unweighted.
+user inside the fold; fold values are then averaged unweighted.  A
+metric no fold defines (RMSE and MAE of a configuration without a single
+model-based prediction) is NaN in ``summary.json`` and ``-`` in
+``report.tsv``.
+
+Each test user is scored in one batch per fold: the training raters of
+all of the user's held-out items are gathered once, the similarity of
+the user to those candidates is computed once per similarity setting
+(mode and minimum Pearson overlap) and shared by every configuration
+with that setting, and each configuration then predicts all of the
+user's items in one call.
 
 Trust facets are computed on the full dataset before any split, so only
 rating-derived state varies across folds.  Folds are independent and can
@@ -16,14 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import sqrt
+from math import isnan, sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, ItemCategories, RatingStore
 from .errors import EmptyInput, UnknownUser
-from .recommender import InfluenceConfig, PredictionKind, TrainedModel
+from .recommender import InfluenceConfig, PredictionKind, TrainedModel, candidates_of
 from .trust import TrustProfiles, build_profiles
 
 
@@ -84,22 +94,36 @@ class RecommendationList:
         return tuple(entry.item for entry in self.items)
 
 
+def _ranked(
+    u: int, items: np.ndarray, values: np.ndarray, is_model: np.ndarray, k: int
+) -> RecommendationList:
+    """The k best of u's scored items: score descending, ties by ascending item."""
+    order = np.lexsort((items, -values))[:k]
+    return RecommendationList(
+        user=u,
+        items=tuple(
+            RecItem(
+                int(items[n]),
+                float(values[n]),
+                PredictionKind.MODEL if is_model[n] else PredictionKind.FALLBACK,
+            )
+            for n in order
+        ),
+    )
+
+
 def top_k(
     model: TrainedModel,
     u: int,
     candidates: Iterable[int],
     k: int,
-    cache: dict | None = None,
 ) -> RecommendationList:
     """Rank a user's candidate items by predicted rating and keep the top k."""
     if k < 1:
         raise ValueError("k must be positive")
-    scored = []
-    for i in sorted(set(int(c) for c in candidates)):
-        value, kind = model.predict(u, i, cache)
-        scored.append(RecItem(i, value, kind))
-    scored.sort(key=lambda e: (-e.score, e.item))
-    return RecommendationList(user=u, items=tuple(scored[:k]))
+    items = np.unique(np.fromiter((int(c) for c in candidates), dtype=np.int64))
+    values, is_model = model.predict_items(u, items)
+    return _ranked(u, items, values, is_model, k)
 
 
 class AccuracyMetrics(NamedTuple):
@@ -268,6 +292,11 @@ _TSV_COLUMNS = (
 )
 
 
+def format_metric(value: float) -> str:
+    """A metric with six decimals, or ``-`` when it is undefined (NaN)."""
+    return "-" if isnan(value) else f"{value:.6f}"
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     provenance: str
@@ -284,10 +313,7 @@ class EvaluationReport:
             lines.append(
                 "\t".join(
                     [r.config, f"{r.beta:.2f}"]
-                    + [
-                        f"{getattr(r, name):.6f}"
-                        for name in _TSV_COLUMNS[2:]
-                    ]
+                    + [format_metric(getattr(r, name)) for name in _TSV_COLUMNS[2:]]
                 )
             )
         return "\n".join(lines) + "\n"
@@ -367,25 +393,22 @@ def _evaluate_fold(
         order = np.argsort(items)
         items_sorted = items[order]
         actual_sorted = actual[order]
-        pearson_cache: dict = {}
+        cands = candidates_of(train, u, items_sorted)
+        # sigma depends on the user and the similarity settings only
+        sigmas: dict[tuple[str, int], np.ndarray] = {}
         for c, model in enumerate(models):
-            entries = []
-            any_model = False
-            for i, a in zip(items_sorted, actual_sorted):
-                value, kind = model.predict(u, int(i), pearson_cache)
-                entries.append(RecItem(int(i), value, kind))
-                if kind is PredictionKind.MODEL:
-                    any_model = True
-                    err = value - float(a)
-                    sq_err[c] += err * err
-                    abs_err[c] += abs(err)
-                    model_n[c] += 1
-                else:
-                    fallback_n[c] += 1
-            entries.sort(key=lambda e: (-e.score, e.item))
-            rec = RecommendationList(user=u, items=tuple(entries[:k]))
-            if any_model:
+            key = (model.config.similarity_mode, model.config.min_pearson_overlap)
+            if key not in sigmas:
+                sigmas[key] = model.similarity(u, cands.users)
+            values, is_model = model.predict_candidates(cands, sigmas[key])
+            err = values[is_model] - actual_sorted[is_model]
+            sq_err[c] += float(err @ err)
+            abs_err[c] += float(np.abs(err).sum())
+            model_n[c] += err.size
+            fallback_n[c] += values.size - err.size
+            if err.size:
                 covered[c] += 1
+            rec = _ranked(u, items_sorted, values, is_model, k)
             user_metrics = ranking_metrics([rec], {u: relevant}, k)
             precisions[c].append(user_metrics.precision)
             if relevant:
@@ -433,8 +456,9 @@ def _pool_worker(fold: int) -> list[FoldMetrics]:
 
 
 def _mean_defined(values: Iterable[float]) -> float:
-    usable = [v for v in values if not np.isnan(v)]
-    return float(np.mean(usable)) if usable else 0.0
+    """Mean over the defined (non-NaN) values; NaN when there are none."""
+    usable = [v for v in values if not isnan(v)]
+    return float(np.mean(usable)) if usable else float("nan")
 
 
 def run_experiment(

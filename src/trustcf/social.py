@@ -2,8 +2,9 @@
 
 Edges are symmetrized and deduplicated at construction; self-loops are
 dropped.  Adjacency is stored CSR-style with neighbor lists sorted by
-handle, so membership tests are binary searches and set overlaps are
-linear merges.
+handle, so membership tests are binary searches.  Closeness of one user
+to many candidates is computed in one call: u's friends are marked in a
+boolean mask, and the candidates' adjacency rows are looked up in it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .dataset import csr_rows
 from .errors import UnknownUser
 
 
@@ -50,6 +52,18 @@ class SocialGraph:
         self._check(u)
         return self._adj[self._ptr[u]:self._ptr[u + 1]]
 
+    def friends_of_many(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(user_at, friends) of several users, concatenated.
+
+        Entry n is a friend of ``users[user_at[n]]``; friends ascend
+        within a row.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if users.size and (users.min() < 0 or users.max() >= self.num_users):
+            raise UnknownUser("user handle out of range")
+        user_at, flat = csr_rows(self._ptr, users)
+        return user_at, self._adj[flat]
+
     def degree(self, u: int) -> int:
         self._check(u)
         return int(self._ptr[u + 1] - self._ptr[u])
@@ -87,17 +101,53 @@ def rel_direct(g: SocialGraph, u: int, v: int) -> float:
     return 1.0 if g.has_edge(u, v) else 0.0
 
 
+def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Boolean membership of each needle in a sorted unique array."""
+    if haystack.size == 0:
+        return np.zeros(needles.size, dtype=bool)
+    at = np.minimum(np.searchsorted(haystack, needles), haystack.size - 1)
+    return haystack[at] == needles
+
+
+def jaccard_many(g: SocialGraph, u: int, v_arr: np.ndarray) -> np.ndarray:
+    """Friend-set overlap |F_u ∩ F_v| / |F_u ∪ F_v| of u with each v.
+
+    0 where both sets are empty.
+    """
+    v_arr = np.asarray(v_arr, dtype=np.int64)
+    fu = g.friends_of(u)
+    mine = np.zeros(g.num_users, dtype=bool)
+    mine[fu] = True
+    v_at, friends = g.friends_of_many(v_arr)
+    inter = np.bincount(v_at, weights=mine[friends], minlength=v_arr.size)
+    union = fu.size + np.bincount(v_at, minlength=v_arr.size) - inter
+    out = np.zeros(v_arr.size, dtype=np.float64)
+    some = union > 0
+    out[some] = inter[some] / union[some]
+    return out
+
+
 def jaccard(g: SocialGraph, u: int, v: int) -> float:
     """Friend-set overlap |F_u ∩ F_v| / |F_u ∪ F_v|; 0 when both sets are empty."""
     if u == v:
         raise ValueError("relatedness is defined for distinct users")
-    fu = g.friends_of(u)
-    fv = g.friends_of(v)
-    inter = np.intersect1d(fu, fv, assume_unique=True).size
-    union = fu.size + fv.size - inter
-    if union == 0:
-        return 0.0
-    return inter / union
+    return float(jaccard_many(g, u, np.array([v]))[0])
+
+
+def relatedness(g: SocialGraph, u: int, v_arr: np.ndarray, mode: str) -> np.ndarray:
+    """rel(u, v) for each candidate v: 1 for a friend of u.
+
+    A non-friend scores 0 in ``"direct"`` mode and its friend-set overlap
+    with u in ``"intersection"`` mode.
+    """
+    if mode not in ("direct", "intersection"):
+        raise ValueError(f"unknown rel mode {mode!r}")
+    v_arr = np.asarray(v_arr, dtype=np.int64)
+    rel = _in_sorted(g.friends_of(u), v_arr).astype(np.float64)
+    if mode == "intersection":
+        strangers = rel == 0.0
+        rel[strangers] = jaccard_many(g, u, v_arr[strangers])
+    return rel
 
 
 def rel_social_intersection(g: SocialGraph, u: int, v: int) -> float:

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset, RatingStore, ReviewFeedback
-from .errors import AllWeightsZero, WrongProvenance
+from .errors import AllWeightsZero, UnknownUser, WrongProvenance
 from .social import SocialGraph, rel_direct, rel_social_intersection
 
 REL_MODES = ("direct", "intersection", "none")
@@ -108,18 +108,29 @@ class TrustProfiles:
         if self.frev.shape != (len(self.store),):
             raise ValueError("frev must align with the rating store")
         self.frev.setflags(write=False)
+        # (user, item) key of each rating: ascending, like the canonical order
+        keys = self.store.user_idx * self.store.num_items + self.store.item_idx
+        object.__setattr__(self, "_keys", keys)
 
-    def frev_for_item(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rater handles ascending, their review scores) for item i."""
-        users, _, pos = self.store.raters_of(i)
-        return users, self.frev[pos]
+    def frev_at(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Review score of ``users[n]`` for ``items[n]``, for each n."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if users.size and (users.min() < 0 or users.max() >= self.store.num_users):
+            raise UnknownUser("user handle out of range")
+        if items.size and (items.min() < 0 or items.max() >= self.store.num_items):
+            raise IndexError("item handle out of range")
+        out = np.zeros(users.size, dtype=np.float64)
+        if self._keys.size == 0:
+            return out
+        want = users * self.store.num_items + items
+        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
+        hit = self._keys[at] == want
+        out[hit] = self.frev[at[hit]]
+        return out
 
     def frev_of(self, v: int, i: int) -> float:
-        users, values = self.frev_for_item(i)
-        at = np.searchsorted(users, v)
-        if at < users.size and users[at] == v:
-            return float(values[at])
-        return 0.0
+        return float(self.frev_at(np.array([v]), np.array([i]))[0])
 
 
 @dataclass(frozen=True)

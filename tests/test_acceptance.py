@@ -111,7 +111,6 @@ def test_naive_reference_equivalence(capsys):
             model = TrainedModel(d.ratings, profiles, d.social, cfg)
             by_user, by_item, friends = reference.plain_views(d)
             vectors, frev = reference.plain_profiles(profiles)
-            cache: dict = {}
             for _ in range(8):
                 u = int(rng.integers(0, d.ratings.num_users))
                 i = int(rng.integers(0, d.ratings.num_items))
@@ -119,10 +118,10 @@ def test_naive_reference_equivalence(capsys):
                     by_user, by_item, friends, vectors, frev, cfg, u, i)
                 if expect is None:
                     with pytest.raises(UnknownUser):
-                        model.predict(u, i, cache)
+                        model.predict(u, i)
                     continue
                 value, is_model = expect
-                got = model.predict(u, i, cache)
+                got = model.predict(u, i)
                 assert abs(got.value - value) <= 1e-9, (trial, u, i, cfg.name)
                 assert (got.kind is PredictionKind.MODEL) == is_model
                 compared += 1
@@ -154,13 +153,12 @@ def test_similarity_only_degeneracy(capsys):
                     name="weightless", similarity_mode="pearson",
                     facet_weights=FacetWeights(zero, rel_mode="direct"),
                     beta=beta))
-            cache: dict = {}
             for u in range(d.ratings.num_users):
                 if d.ratings.rating_count_of(u) == 0:
                     continue
                 for i in range(d.ratings.num_items):
-                    a = baseline.predict(u, i, cache)
-                    b = blended.predict(u, i, cache)
+                    a = baseline.predict(u, i)
+                    b = blended.predict(u, i)
                     assert abs(a.value - b.value) <= 1e-12
                     assert a.kind is b.kind
 

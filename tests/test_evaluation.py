@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,13 @@ from trustcf import (
     ItemCategories,
     PredictionKind,
     RecItem,
+    RatingStore,
     RecommendationList,
+    SocialGraph,
+    TrainedModel,
+    TrustProfiles,
     accuracy_metrics,
+    build_profiles,
     fold_assignment,
     intra_diversity,
     make_config,
@@ -25,6 +34,7 @@ from trustcf import (
 )
 from trustcf.errors import EmptyInput
 
+import reference
 from conftest import build_tiny, random_dataset
 from test_recommender import micro_model
 
@@ -103,6 +113,17 @@ class TestTopK:
         assert rec.items[0].score >= rec.items[1].score
         if rec.items[0].score == rec.items[1].score:
             assert rec.items[0].item < rec.items[1].item
+
+
+    def test_exact_ties_rank_by_ascending_item(self):
+        # items 2-5 have no raters, so all four fall back to the mean 3.0
+        store = RatingStore(2, 6, [0, 0, 1], [0, 1, 0], [2.0, 4.0, 3.0])
+        profiles = TrustProfiles(store, {}, np.zeros(len(store)))
+        model = TrainedModel(store, profiles, SocialGraph(2, []), make_config("U2UCF"))
+        rec = top_k(model, 0, [5, 3, 4, 2], k=3)
+        assert rec.item_handles() == (2, 3, 4)
+        assert all(e.kind is PredictionKind.FALLBACK for e in rec.items)
+        assert [e.score for e in rec.items] == [3.0, 3.0, 3.0]
 
 
 class TestAccuracyMetrics:
@@ -336,7 +357,8 @@ class TestRunExperiment:
         a, b = report.rows
         for name in ("precision", "recall", "f1", "rmse", "mae", "mrr",
                      "diversity", "user_coverage"):
-            assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-12)
+            assert getattr(a, name) == pytest.approx(
+                getattr(b, name), abs=1e-12, nan_ok=True)
         assert a.model_predictions == b.model_predictions
 
     def test_summary_json_is_valid(self):
@@ -346,3 +368,86 @@ class TestRunExperiment:
         assert payload["num_folds"] == 3
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["config"] == "U2UCF"
+
+    def test_undefined_error_metrics_are_reported_as_undefined(self):
+        """A config with no model prediction has no RMSE or MAE, not 0."""
+        rng = np.random.default_rng(67)
+        d = random_dataset(rng, max_users=30, max_items=20, max_ratings=200)
+        d = dataclasses.replace(d, social=SocialGraph(d.num_users, []))
+        plan = split_folds(d, 3, seed=4)
+        report = run_experiment(
+            d, [make_config("U2USocial"), make_config("U2UCF")], plan, k=3)
+        social, ratings = report.rows
+        assert social.model_predictions == 0
+        assert social.fallback_predictions > 0
+        assert math.isnan(social.rmse) and math.isnan(social.mae)
+        assert ratings.model_predictions > 0 and not math.isnan(ratings.rmse)
+
+        header, first, second = report.to_tsv().splitlines()
+        columns = header.split("\t")
+        fields = dict(zip(columns, first.split("\t")))
+        assert fields["rmse"] == fields["mae"] == "-"
+        assert float(fields["user_coverage"]) == 0.0
+        assert dict(zip(columns, second.split("\t")))["rmse"] != "-"
+        row = json.loads(report.to_summary_json())["rows"][0]
+        assert math.isnan(row["rmse"]) and math.isnan(row["mae"])
+
+
+def _oracle_configs(rng) -> list[InfluenceConfig]:
+    """Every similarity mode, two overlaps for Pearson, several betas."""
+    return [
+        make_config("U2UCF"),
+        make_config("MTR", beta=float(rng.random())),
+        make_config("MTR-S", beta=float(rng.random()), neighbor_count=2),
+        make_config("MTRTrust1", beta=float(rng.random())),
+        make_config("MTRTrust2", beta=float(rng.random())),
+        make_config("U2USocial"),
+        InfluenceConfig(
+            name="overlap3", similarity_mode="pearson",
+            facet_weights=FacetWeights(
+                {"frev": 0.5, "rel": 1.0}, rel_mode="intersection"),
+            beta=float(rng.random()), neighbor_count=3, min_pearson_overlap=3),
+    ]
+
+
+def test_fold_metrics_match_naive_predictions():
+    """Every fold's counts and errors, rebuilt from the naive oracle."""
+    rng = np.random.default_rng(68)
+    checked = 0
+    for _ in range(12):
+        d = random_dataset(rng, max_users=30, max_items=20, max_ratings=250)
+        configs = _oracle_configs(rng)
+        folds = int(rng.integers(2, 6))
+        plan = split_folds(d, folds, seed=int(rng.integers(1 << 30)))
+        report = run_experiment(d, configs, plan, k=3)
+        vectors, frev = reference.plain_profiles(build_profiles(d))
+        store = d.ratings
+        for fold in range(folds):
+            test = plan.test_indices(fold)
+            by_user, by_item, friends = reference.plain_views(d, test)
+            for row, cfg in zip(report.rows, configs):
+                errors = []
+                fallbacks = 0
+                for p in test.tolist():
+                    u, i = int(store.user_idx[p]), int(store.item_idx[p])
+                    got = reference.naive_predict(
+                        by_user, by_item, friends, vectors, frev, cfg, u, i)
+                    if got is None:
+                        continue
+                    value, is_model = got
+                    if is_model:
+                        errors.append(value - float(store.value[p]))
+                    else:
+                        fallbacks += 1
+                m = row.folds[fold]
+                assert m.model_predictions == len(errors), (cfg.name, fold)
+                assert m.fallback_predictions == fallbacks, (cfg.name, fold)
+                if errors:
+                    rmse = math.sqrt(sum(e * e for e in errors) / len(errors))
+                    mae = sum(abs(e) for e in errors) / len(errors)
+                    assert abs(m.rmse - rmse) <= 1e-9
+                    assert abs(m.mae - mae) <= 1e-9
+                    checked += 1
+                else:
+                    assert math.isnan(m.rmse) and math.isnan(m.mae)
+    assert checked > 100

@@ -1,0 +1,123 @@
+"""Batched similarity kernels against the naive loop-based oracle."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from trustcf import RatingStore
+from trustcf.recommender import _centred_pearson, pearson_many
+from trustcf.social import jaccard_many, relatedness
+
+import reference
+from conftest import random_dataset
+
+
+def with_flat_raters(rng, store: RatingStore) -> RatingStore:
+    """The same ratings, except that about a fifth of the users rate all 3.0."""
+    flat = rng.random(store.num_users) < 0.2
+    values = store.value.copy()
+    values[flat[store.user_idx]] = 3.0
+    return RatingStore(
+        store.num_users, store.num_items, store.user_idx, store.item_idx, values)
+
+
+def rows_of(store: RatingStore) -> dict[int, dict[int, float]]:
+    return {
+        u: dict(zip(*(a.tolist() for a in store.items_of(u))))
+        for u in range(store.num_users)
+    }
+
+
+def test_pearson_many_matches_naive_pearson():
+    rng = np.random.default_rng(81)
+    seen = dict(no_overlap=0, below_min=0, zero_variance=0, positive=0)
+    for _ in range(40):
+        d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
+        store = with_flat_raters(rng, d.ratings)
+        by_user = rows_of(store)
+        # one buffer for every user and overlap, visited in random order,
+        # so an entry left behind by one user would corrupt the next one
+        row = np.zeros(store.num_items)
+        for min_overlap in (1, 2, 3, 4):
+            for u in rng.permutation(store.num_users):
+                u = int(u)
+                vs = np.array([v for v in range(store.num_users) if v != u])
+                got = pearson_many(store, u, vs, min_overlap, row)
+                assert not row.any()
+                for v, value in zip(vs.tolist(), got):
+                    want = reference.naive_pearson(by_user[u], by_user[v], min_overlap)
+                    assert abs(value - want) <= 1e-12, (u, v, min_overlap)
+                    common = set(by_user[u]) & set(by_user[v])
+                    if not common:
+                        seen["no_overlap"] += 1
+                    elif len(common) < min_overlap:
+                        seen["below_min"] += 1
+                    elif min(len({by_user[w][i] for i in common}) for w in (u, v)) == 1:
+                        seen["zero_variance"] += 1
+                    elif want > 0:
+                        seen["positive"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_pearson_many_empty_and_repeated_candidates():
+    store = RatingStore(3, 3, [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                        [1.0, 2.0, 3.0, 2.0, 2.0, 3.0])
+    assert pearson_many(store, 0, np.array([], dtype=np.int64)).shape == (0,)
+    got = pearson_many(store, 0, np.array([1, 2, 1]))
+    assert got[0] == got[2] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+    assert got[1] == 0.0  # user 2 rated nothing
+
+
+def test_pearson_many_sign_matches_per_pair_arithmetic():
+    """Neighbors qualify on sigma > 0, so zero correlations must stay zero.
+
+    A correlation that is exactly 0 can round to +-1e-16 depending on the
+    order of summation; the kernel must qualify exactly the candidates
+    that the per-pair arithmetic qualifies.
+    """
+    rng = np.random.default_rng(83)
+    grid = np.arange(1.0, 5.5, 0.5)
+    zeros = 0
+    for n in range(3, 21):
+        others = 400
+        x = rng.choice(grid, size=n)
+        ys = rng.choice(grid, size=(others, n))
+        users = np.repeat(np.arange(others + 1), n)
+        items = np.tile(np.arange(n), others + 1)
+        store = RatingStore(others + 1, n, users, items, np.concatenate([x, ys.ravel()]))
+        got = pearson_many(store, 0, np.arange(1, others + 1), min_overlap=1)
+        for y, value in zip(ys, got):
+            want = _centred_pearson(x, y)
+            assert (value > 0.0) == (want > 0.0), (x, y)
+            assert abs(value - min(max(want, 0.0), 1.0)) <= 1e-12
+            zeros += abs(want) < 1e-12
+    assert zeros > 50
+
+
+def test_jaccard_and_relatedness_match_naive():
+    rng = np.random.default_rng(82)
+    seen = dict(friendless_user=0, friendless_pair=0, overlap=0, friends=0)
+    for _ in range(40):
+        d = random_dataset(rng)
+        g = d.social
+        _, _, friends = reference.plain_views(d)
+        for u in range(g.num_users):
+            vs = np.array([v for v in range(g.num_users) if v != u])
+            jac = jaccard_many(g, u, vs)
+            direct = relatedness(g, u, vs, "direct")
+            inter = relatedness(g, u, vs, "intersection")
+            for n, v in enumerate(vs.tolist()):
+                assert abs(jac[n] - reference.naive_jaccard(friends, u, v)) <= 1e-12
+                assert direct[n] == reference.naive_rel(friends, "direct", u, v)
+                want = reference.naive_rel(friends, "intersection", u, v)
+                assert abs(inter[n] - want) <= 1e-12
+                if not friends[u] and not friends[v]:
+                    seen["friendless_pair"] += 1
+                elif v in friends[u]:
+                    seen["friends"] += 1
+                elif jac[n] > 0:
+                    seen["overlap"] += 1
+            if not friends[u]:
+                seen["friendless_user"] += 1
+    assert min(seen.values()) > 10, seen
