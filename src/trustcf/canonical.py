@@ -144,6 +144,25 @@ def _split(source: str, line_no: int, line: str, n: int) -> list[str]:
     return parts
 
 
+def _bad_value(path: Path, parse, what: str) -> IoFailure:
+    """The error for the first non-blank line whose last field ``parse`` rejects.
+
+    Found by reading the file again, so that loading a good file pays
+    nothing for the line numbers.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            raw = line.split("\t")[-1]
+            try:
+                parse(raw)
+            except ValueError:
+                return IoFailure(f"{path.name}:{line_no}: bad {what} {raw!r}")
+    return IoFailure(f"{path.name}: bad {what}")  # the file changed in between
+
+
 def canonical_load(directory: str | Path) -> Dataset:
     """Read a canonical directory back into a Dataset."""
     directory = Path(directory)
@@ -167,28 +186,26 @@ def canonical_load(directory: str | Path) -> Dataset:
                 if line:
                     yield _split(name, line_no, line, width)
 
-    ratings = []
-    for user, item, raw in rows("ratings.tsv", 3):
-        try:
-            ratings.append((user, item, float(raw)))
-        except ValueError:
-            raise IoFailure(f"ratings.tsv: bad rating value {raw!r}") from None
+    try:
+        ratings = [(user, item, float(raw)) for user, item, raw in rows("ratings.tsv", 3)]
+    except ValueError:
+        raise _bad_value(directory / "ratings.tsv", float, "rating value") from None
 
     friends = [(a, b) for a, b in rows("friends.tsv", 2)]
 
     user_counters: dict[str, dict[str, int]] = {}
-    for user, counter, raw in rows("user_feedback.tsv", 3):
-        try:
+    try:
+        for user, counter, raw in rows("user_feedback.tsv", 3):
             user_counters.setdefault(counter, {})[user] = int(raw)
-        except ValueError:
-            raise IoFailure(f"user_feedback.tsv: bad count {raw!r}") from None
+    except ValueError:
+        raise _bad_value(directory / "user_feedback.tsv", int, "count") from None
 
     review_counters: dict[str, dict[tuple[str, str], int]] = {}
-    for user, item, counter, raw in rows("review_feedback.tsv", 4):
-        try:
+    try:
+        for user, item, counter, raw in rows("review_feedback.tsv", 4):
             review_counters.setdefault(counter, {})[(user, item)] = int(raw)
-        except ValueError:
-            raise IoFailure(f"review_feedback.tsv: bad count {raw!r}") from None
+    except ValueError:
+        raise _bad_value(directory / "review_feedback.tsv", int, "count") from None
 
     categories: dict[str, set[str]] = {}
     extra_items = set()
@@ -198,7 +215,7 @@ def canonical_load(directory: str | Path) -> Dataset:
             categories.setdefault(item, set()).add(tag)
 
     try:
-        return make_dataset(
+        d = make_dataset(
             provenance=provenance,
             ratings=ratings,
             friends=friends,
@@ -210,6 +227,20 @@ def canonical_load(directory: str | Path) -> Dataset:
         )
     except ValueError as exc:
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
+
+    loaded = {
+        "num_users": d.num_users,
+        "num_items": d.num_items,
+        "num_ratings": len(d.ratings),
+    }
+    for key, count in loaded.items():
+        recorded = manifest.get(key)
+        if recorded != str(count):
+            raise IoFailure(
+                f"{directory / 'manifest.txt'}: {key} is {recorded!r}, "
+                f"but the files hold {count}"
+            )
+    return d
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

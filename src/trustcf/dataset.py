@@ -232,6 +232,9 @@ class RatingStore:
     def user_rating_counts(self) -> np.ndarray:
         return np.diff(self._u_ptr)
 
+    def item_rating_counts(self) -> np.ndarray:
+        return np.diff(self._i_ptr)
+
     def mean_of(self, u: int) -> float:
         """Mean of u's ratings; NaN when u has none."""
         self._check_user(u)

@@ -10,12 +10,14 @@ metric no fold defines (RMSE and MAE of a configuration without a single
 model-based prediction) is NaN in ``summary.json`` and ``-`` in
 ``report.tsv``.
 
-Each test user is scored in one batch per fold: the training raters of
-all of the user's held-out items are gathered once, the similarity of
-the user to those candidates is computed once per similarity setting
-(mode and minimum Pearson overlap) and shared by every configuration
-with that setting, and each configuration then predicts all of the
-user's items in one call.
+A fold's test users are scored in blocks of consecutive users, one set
+of numpy calls per block: the training raters of all of the block's
+held-out items are gathered once, the similarity of every (user,
+candidate) pair is computed once per similarity setting (mode and
+minimum Pearson overlap) and shared by every configuration with that
+setting, and each configuration then predicts, ranks and scores all of
+the block's items at once.  Every value is a per-user or per-pair sum,
+so the partition into blocks does not change any result.
 
 Trust facets are computed on the full dataset before any split, so only
 rating-derived state varies across folds.  Folds are independent and can
@@ -31,9 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ItemCategories, RatingStore
+from .dataset import Dataset, ItemCategories, RatingStore, csr_rows
 from .errors import EmptyInput, UnknownUser
-from .recommender import InfluenceConfig, PredictionKind, TrainedModel, candidates_of
+from .recommender import InfluenceConfig, PredictionKind, TrainedModel, block_candidates
 from .trust import TrustProfiles, build_profiles
 
 
@@ -94,22 +96,18 @@ class RecommendationList:
         return tuple(entry.item for entry in self.items)
 
 
-def _ranked(
-    u: int, items: np.ndarray, values: np.ndarray, is_model: np.ndarray, k: int
-) -> RecommendationList:
-    """The k best of u's scored items: score descending, ties by ascending item."""
-    order = np.lexsort((items, -values))[:k]
-    return RecommendationList(
-        user=u,
-        items=tuple(
-            RecItem(
-                int(items[n]),
-                float(values[n]),
-                PredictionKind.MODEL if is_model[n] else PredictionKind.FALLBACK,
-            )
-            for n in order
-        ),
-    )
+def _top_k(
+    list_at: np.ndarray, items: np.ndarray, values: np.ndarray, k: int
+) -> np.ndarray:
+    """Indices of each list's k best entries, by list, then rank.
+
+    Entry n scores ``values[n]`` for item ``items[n]`` of list
+    ``list_at[n]``; the best come first, ties by ascending item.
+    """
+    order = np.lexsort((items, -values, list_at))
+    ranked = list_at[order]
+    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
+    return order[rank < k]
 
 
 def top_k(
@@ -123,12 +121,50 @@ def top_k(
         raise ValueError("k must be positive")
     items = np.unique(np.fromiter((int(c) for c in candidates), dtype=np.int64))
     values, is_model = model.predict_items(u, items)
-    return _ranked(u, items, values, is_model, k)
+    top = _top_k(np.zeros(items.size, dtype=np.int64), items, values, k)
+    return RecommendationList(
+        user=u,
+        items=tuple(
+            RecItem(
+                int(items[n]),
+                float(values[n]),
+                PredictionKind.MODEL if is_model[n] else PredictionKind.FALLBACK,
+            )
+            for n in top
+        ),
+    )
 
 
 class AccuracyMetrics(NamedTuple):
     rmse: float
     mae: float
+
+
+def _error_sums(
+    err: np.ndarray, owner: np.ndarray, num_owners: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-owner sums of squared and of absolute errors, each added in order."""
+    return (
+        np.bincount(owner, weights=err * err, minlength=num_owners),
+        np.bincount(owner, weights=np.abs(err), minlength=num_owners),
+    )
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sum added one value at a time, in order, as a scalar loop adds."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _accuracy(sq_sums: np.ndarray, abs_sums: np.ndarray, count: int) -> AccuracyMetrics:
+    """RMSE and MAE from per-owner error sums over ``count`` predictions.
+
+    Both are NaN when there is no prediction.
+    """
+    if count == 0:
+        return AccuracyMetrics(float("nan"), float("nan"))
+    return AccuracyMetrics(
+        sqrt(_running_sum(sq_sums) / count), _running_sum(abs_sums) / count
+    )
 
 
 def accuracy_metrics(pairs: Sequence[tuple[float, float]]) -> AccuracyMetrics:
@@ -137,10 +173,8 @@ def accuracy_metrics(pairs: Sequence[tuple[float, float]]) -> AccuracyMetrics:
         raise EmptyInput("no predictions to score")
     arr = np.asarray(pairs, dtype=np.float64)
     err = arr[:, 0] - arr[:, 1]
-    return AccuracyMetrics(
-        rmse=float(np.sqrt(np.mean(err * err))),
-        mae=float(np.mean(np.abs(err))),
-    )
+    sq, ab = _error_sums(err, np.zeros(err.size, dtype=np.int64), 1)
+    return _accuracy(sq, ab, err.size)
 
 
 class RankingMetrics(NamedTuple):
@@ -156,6 +190,52 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _list_ranks(list_at: np.ndarray, num_lists: int) -> tuple[np.ndarray, np.ndarray]:
+    """(length of each list, 0-based rank of each entry) of flat lists."""
+    length = np.bincount(list_at, minlength=num_lists)
+    rank = np.arange(list_at.size) - (np.cumsum(length) - length)[list_at]
+    return length, rank
+
+
+class _ListScores(NamedTuple):
+    precision: np.ndarray
+    recall: np.ndarray
+    rr: np.ndarray
+
+
+def _ranking_scores(
+    list_at: np.ndarray, hit: np.ndarray, num_relevant: np.ndarray
+) -> _ListScores:
+    """Precision, recall and reciprocal rank of each ranked list.
+
+    The lists are flat: entry n belongs to list ``list_at[n]``
+    (non-decreasing), entries of a list in rank order, and ``hit[n]``
+    tells whether its item is relevant.  ``num_relevant[l]`` is the size
+    of list l's relevant set.  An empty list defines no value (NaN), and
+    recall also needs a non-empty relevant set.
+    """
+    num_lists = num_relevant.size
+    length, rank = _list_ranks(list_at, num_lists)
+    hits = np.bincount(list_at, weights=hit, minlength=num_lists)
+    listed = length > 0
+    precision = np.full(num_lists, np.nan)
+    precision[listed] = hits[listed] / length[listed]
+    recallable = listed & (num_relevant > 0)
+    recall = np.full(num_lists, np.nan)
+    recall[recallable] = hits[recallable] / num_relevant[recallable]
+    rr = np.where(listed, 0.0, np.nan)
+    found = np.flatnonzero(hit)
+    lists, first = np.unique(list_at[found], return_index=True)
+    rr[lists] = 1.0 / (rank[found[first]] + 1)
+    return _ListScores(precision, recall, rr)
+
+
+def _macro(values: np.ndarray) -> float:
+    """Mean over the lists that define a value (not NaN); 0 when none does."""
+    defined = values[~np.isnan(values)]
+    return float(np.mean(defined)) if defined.size else 0.0
+
+
 def ranking_metrics(
     lists: Iterable[RecommendationList],
     relevance: Mapping[int, frozenset[int] | set[int]],
@@ -167,34 +247,72 @@ def ranking_metrics(
     additionally requires a non-empty relevant set.  F1 is the harmonic
     mean of the two aggregates.
     """
-    precisions: list[float] = []
-    recalls: list[float] = []
-    rranks: list[float] = []
-    for rec in lists:
-        entries = rec.items[:k]
-        if not entries:
-            continue
+    list_at: list[int] = []
+    hit: list[bool] = []
+    num_relevant: list[int] = []
+    for n, rec in enumerate(lists):
         relevant = relevance.get(rec.user, frozenset())
-        hits = sum(1 for e in entries if e.item in relevant)
-        precisions.append(hits / len(entries))
-        if relevant:
-            recalls.append(hits / len(relevant))
-        rr = 0.0
-        for rank, e in enumerate(entries, start=1):
-            if e.item in relevant:
-                rr = 1.0 / rank
-                break
-        rranks.append(rr)
-    precision = float(np.mean(precisions)) if precisions else 0.0
-    recall = float(np.mean(recalls)) if recalls else 0.0
-    mrr = float(np.mean(rranks)) if rranks else 0.0
-    return RankingMetrics(precision, recall, _f1(precision, recall), mrr)
+        entries = rec.items[:k]
+        list_at.extend([n] * len(entries))
+        hit.extend(e.item in relevant for e in entries)
+        num_relevant.append(len(relevant))
+    scores = _ranking_scores(
+        np.array(list_at, dtype=np.int64),
+        np.array(hit, dtype=bool),
+        np.array(num_relevant, dtype=np.int64),
+    )
+    precision = _macro(scores.precision)
+    recall = _macro(scores.recall)
+    return RankingMetrics(precision, recall, _f1(precision, recall), _macro(scores.rr))
 
 
-def _category_cosine(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a or not b:
-        return 0.0
-    return len(a & b) / sqrt(len(a) * len(b))
+class _TagIndex:
+    """Category tags of each item as integer ids, CSR by item.
+
+    ``keys`` holds ``item * num_tags + tag`` for every tag of every item,
+    ascending, so whether an item carries a tag is one binary search.
+    """
+
+    def __init__(self, tag_sets: Sequence[frozenset[str]]):
+        names = sorted(set().union(*tag_sets))
+        ids = {name: t for t, name in enumerate(names)}
+        rows = [sorted(ids[name] for name in tags) for tags in tag_sets]
+        self.counts = np.array([len(row) for row in rows], dtype=np.int64)
+        self.ptr = np.concatenate(([0], np.cumsum(self.counts)))
+        self.tags = np.array([t for row in rows for t in row], dtype=np.int64)
+        self.num_tags = len(names)
+        owner = np.repeat(np.arange(len(rows), dtype=np.int64), self.counts)
+        self.keys = owner * self.num_tags + self.tags
+
+    def shared(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each n."""
+        pair_at, flat = csr_rows(self.ptr, a)
+        want = b[pair_at] * self.num_tags + self.tags[flat]
+        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
+        return np.bincount(pair_at, weights=self.keys[at] == want, minlength=a.size)
+
+
+def _diversities(
+    list_at: np.ndarray, num_lists: int, items: np.ndarray, tags: _TagIndex
+) -> np.ndarray:
+    """Intra-list diversity of each ranked list; NaN for an empty list.
+
+    The lists are flat, as for :func:`_ranking_scores`; ``items[n]``
+    indexes ``tags``.  Each list's position pairs (a, b), a < b, are
+    summed in the order a scalar double loop visits them.
+    """
+    length, rank = _list_ranks(list_at, num_lists)
+    later = length[list_at] - 1 - rank
+    a = np.repeat(np.arange(list_at.size), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    na, nb = tags.counts[items[a]], tags.counts[items[b]]
+    tagged = (na > 0) & (nb > 0)
+    shared = tags.shared(items[a[tagged]], items[b[tagged]])
+    cosine = np.zeros(a.size)
+    cosine[tagged] = shared / np.sqrt(na[tagged] * nb[tagged])
+    total = np.bincount(list_at[a], weights=1.0 - cosine, minlength=num_lists)
+    with np.errstate(invalid="ignore"):
+        return total / (length * (length + 1) / 2.0)
 
 
 def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
@@ -210,20 +328,20 @@ def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
     k = len(rec.items)
     if k == 0:
         return 0.0
-    handles = rec.item_handles()
-    total = 0.0
-    for a in range(k):
-        ca = cats.of(handles[a])
-        for b in range(a, k):
-            if b == a:
-                continue  # self-similarity is 1, contributes nothing
-            total += 1.0 - _category_cosine(ca, cats.of(handles[b]))
-    return total / (k * (k + 1) / 2.0)
+    tags = _TagIndex([cats.of(i) for i in rec.item_handles()])
+    return float(_diversities(np.zeros(k, dtype=np.int64), 1, np.arange(k), tags)[0])
 
 
 class Coverage(NamedTuple):
     value: float
     defined: bool
+
+
+def _coverage(model_counts: np.ndarray) -> Coverage:
+    """Share of users with a model-based prediction, from one count per user."""
+    if model_counts.size == 0:
+        return Coverage(0.0, defined=False)
+    return Coverage(np.count_nonzero(model_counts) / model_counts.size, defined=True)
 
 
 def user_coverage(
@@ -232,14 +350,10 @@ def user_coverage(
 ) -> Coverage:
     """Fraction of test users with at least one model-based prediction."""
     users = set(int(u) for u in test_users)
-    if not users:
-        return Coverage(0.0, defined=False)
-    covered = sum(
-        1
-        for u in users
-        if any(kind is PredictionKind.MODEL for kind in results.get(u, ()))
-    )
-    return Coverage(covered / len(users), defined=True)
+    counts = [
+        sum(kind is PredictionKind.MODEL for kind in results.get(u, ())) for u in users
+    ]
+    return _coverage(np.array(counts, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -348,6 +462,12 @@ def _train_store(d: Dataset, test_mask: np.ndarray) -> RatingStore:
     )
 
 
+# Slots plus candidate entries per block of test users.  A block's
+# arrays grow with it, and every block costs a fixed number of numpy
+# calls; about 2k keeps both small.
+_BLOCK_ENTRIES = 2048
+
+
 def _evaluate_fold(
     d: Dataset,
     profiles: TrustProfiles,
@@ -356,91 +476,92 @@ def _evaluate_fold(
     fold: int,
     k: int,
     tau: float,
+    tags: _TagIndex | None = None,
 ) -> list[FoldMetrics]:
+    """Metrics of one fold per configuration.
+
+    ``tags`` indexes ``d.categories``; :func:`run_experiment` builds it
+    once for all folds.
+    """
+    if tags is None:
+        tags = _TagIndex(d.categories.sets)
     test_mask = plan.assignment == fold
     train = _train_store(d, test_mask)
     models = [TrainedModel(train, profiles, d.social, c) for c in configs]
 
-    test_idx = np.flatnonzero(test_mask)
-    if test_idx.size:
-        test_users = d.ratings.user_idx[test_idx]
-        boundaries = np.flatnonzero(np.diff(test_users)) + 1
-        groups = np.split(test_idx, boundaries)
-    else:
-        groups = []
+    # held-out slots in canonical order: by user, items ascending
+    slot_users = d.ratings.user_idx[test_mask]
+    test_users, user_at = np.unique(slot_users, return_inverse=True)
+    num_test_users = test_users.size
+    trained = train.user_rating_counts()[test_users] > 0
+    skipped = num_test_users - int(np.count_nonzero(trained))
+    kept = trained[user_at]
+    slot_users, user_at = slot_users[kept], user_at[kept]
+    slot_items = d.ratings.item_idx[test_mask][kept]
+    actual = d.ratings.value[test_mask][kept]
+    relevant = actual >= tau
+    num_relevant = np.bincount(user_at, weights=relevant, minlength=num_test_users)
 
+    # per configuration and test user; NaN where the user has no list
     n_cfg = len(configs)
-    sq_err = [0.0] * n_cfg
-    abs_err = [0.0] * n_cfg
-    model_n = [0] * n_cfg
-    fallback_n = [0] * n_cfg
-    precisions: list[list[float]] = [[] for _ in range(n_cfg)]
-    recalls: list[list[float]] = [[] for _ in range(n_cfg)]
-    rranks: list[list[float]] = [[] for _ in range(n_cfg)]
-    diversities: list[list[float]] = [[] for _ in range(n_cfg)]
-    covered = [0] * n_cfg
-    skipped = 0
-    num_test_users = len(groups) if test_idx.size else 0
+    shape = (n_cfg, num_test_users)
+    sq_err, abs_err, model_n = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    precision, recall = np.full(shape, np.nan), np.full(shape, np.nan)
+    rr, diversity = np.full(shape, np.nan), np.full(shape, np.nan)
 
-    for group in groups:
-        u = int(d.ratings.user_idx[group[0]])
-        items = d.ratings.item_idx[group]
-        actual = d.ratings.value[group]
-        if train.rating_count_of(u) == 0:
-            skipped += 1
+    cost = np.bincount(
+        user_at,
+        weights=1 + train.item_rating_counts()[slot_items],
+        minlength=num_test_users,
+    )
+    block_of = ((np.cumsum(cost) - cost) // _BLOCK_ENTRIES)[user_at]
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(block_of)) + 1, [block_of.size]))
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        if s0 == s1:
             continue
-        relevant = frozenset(int(i) for i, a in zip(items, actual) if a >= tau)
-        order = np.argsort(items)
-        items_sorted = items[order]
-        actual_sorted = actual[order]
-        cands = candidates_of(train, u, items_sorted)
-        # sigma depends on the user and the similarity settings only
+        u0, u1 = user_at[s0], user_at[s1 - 1] + 1
+        local = user_at[s0:s1] - u0
+        items = slot_items[s0:s1]
+        hits = relevant[s0:s1]
+        c = block_candidates(train, slot_users[s0:s1], items)
+        # sigma depends on the pairs and the similarity settings only
         sigmas: dict[tuple[str, int], np.ndarray] = {}
-        for c, model in enumerate(models):
+        for n, model in enumerate(models):
             key = (model.config.similarity_mode, model.config.min_pearson_overlap)
             if key not in sigmas:
-                sigmas[key] = model.similarity(u, cands.users)
-            values, is_model = model.predict_candidates(cands, sigmas[key])
-            err = values[is_model] - actual_sorted[is_model]
-            sq_err[c] += float(err @ err)
-            abs_err[c] += float(np.abs(err).sum())
-            model_n[c] += err.size
-            fallback_n[c] += values.size - err.size
-            if err.size:
-                covered[c] += 1
-            rec = _ranked(u, items_sorted, values, is_model, k)
-            user_metrics = ranking_metrics([rec], {u: relevant}, k)
-            precisions[c].append(user_metrics.precision)
-            if relevant:
-                recalls[c].append(user_metrics.recall)
-            rranks[c].append(user_metrics.mrr)
-            diversities[c].append(intra_diversity(rec, d.categories))
+                sigmas[key] = model.similarity(c.pair_users, c.pair_cands)
+            values, is_model = model.predict_candidates(c, sigmas[key])
+            err = (values - actual[s0:s1])[is_model]
+            who = local[is_model]
+            sq_err[n, u0:u1], abs_err[n, u0:u1] = _error_sums(err, who, u1 - u0)
+            model_n[n, u0:u1] = np.bincount(who, minlength=u1 - u0)
+            top = _top_k(local, items, values, k)
+            scores = _ranking_scores(local[top], hits[top], num_relevant[u0:u1])
+            precision[n, u0:u1], recall[n, u0:u1], rr[n, u0:u1] = scores
+            diversity[n, u0:u1] = _diversities(local[top], u1 - u0, items[top], tags)
 
     out = []
-    for c in range(n_cfg):
-        precision = float(np.mean(precisions[c])) if precisions[c] else 0.0
-        recall = float(np.mean(recalls[c])) if recalls[c] else 0.0
-        mrr = float(np.mean(rranks[c])) if rranks[c] else 0.0
-        diversity = float(np.mean(diversities[c])) if diversities[c] else 0.0
-        rmse = sqrt(sq_err[c] / model_n[c]) if model_n[c] else float("nan")
-        mae = abs_err[c] / model_n[c] if model_n[c] else float("nan")
-        cov = covered[c] / num_test_users if num_test_users else float("nan")
+    for n in range(n_cfg):
+        p, r = _macro(precision[n]), _macro(recall[n])
+        predictions = int(model_n[n].sum())
+        accuracy = _accuracy(sq_err[n], abs_err[n], predictions)
+        cov = _coverage(model_n[n])
         out.append(
             FoldMetrics(
                 fold=fold,
-                precision=precision,
-                recall=recall,
-                f1=_f1(precision, recall),
-                rmse=rmse,
-                mae=mae,
-                mrr=mrr,
-                diversity=diversity,
-                user_coverage=cov,
+                precision=p,
+                recall=r,
+                f1=_f1(p, r),
+                rmse=accuracy.rmse,
+                mae=accuracy.mae,
+                mrr=_macro(rr[n]),
+                diversity=_macro(diversity[n]),
+                user_coverage=cov.value if cov.defined else float("nan"),
                 test_users=num_test_users,
-                ranked_users=len(precisions[c]),
-                recall_users=len(recalls[c]),
-                model_predictions=model_n[c],
-                fallback_predictions=fallback_n[c],
+                ranked_users=int(np.count_nonzero(~np.isnan(precision[n]))),
+                recall_users=int(np.count_nonzero(~np.isnan(recall[n]))),
+                model_predictions=predictions,
+                fallback_predictions=slot_items.size - predictions,
                 skipped_users=skipped,
             )
         )
@@ -451,8 +572,8 @@ _POOL_CONTEXT: tuple | None = None
 
 
 def _pool_worker(fold: int) -> list[FoldMetrics]:
-    d, profiles, configs, plan, k, tau = _POOL_CONTEXT
-    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
+    d, profiles, configs, plan, k, tau, tags = _POOL_CONTEXT
+    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau, tags)
 
 
 def _mean_defined(values: Iterable[float]) -> float:
@@ -480,13 +601,17 @@ def run_experiment(
     if len(set(names)) != len(names):
         raise ValueError("duplicate (config, beta) rows requested")
 
+    if k < 1:
+        raise ValueError("k must be positive")
+
     profiles = build_profiles(d)
+    tags = _TagIndex(d.categories.sets)
     folds = list(range(plan.num_folds))
     if workers > 1:
         import multiprocessing as mp
 
         global _POOL_CONTEXT
-        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau)
+        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau, tags)
         try:
             with mp.get_context("fork").Pool(workers) as pool:
                 per_fold = pool.map(_pool_worker, folds)
@@ -494,7 +619,7 @@ def run_experiment(
             _POOL_CONTEXT = None
     else:
         per_fold = [
-            _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
+            _evaluate_fold(d, profiles, configs, plan, fold, k, tau, tags)
             for fold in folds
         ]
 

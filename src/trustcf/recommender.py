@@ -13,16 +13,17 @@ with strictly positive influence, taken in descending influence order
 prediction clipped back into the rating scale.  When no candidate
 qualifies the model falls back to u's training mean.
 
-Scoring is batched per user.  :func:`candidates_of` gathers every
-training rater of a set of target items in one pass over the store's
-item rows; :meth:`TrainedModel.similarity` scores u against all of those
-candidates in one vectorized call (:func:`pearson_many`, or the
-relatedness kernel of :mod:`trustcf.social`); and
-:meth:`TrainedModel.predict_candidates` predicts every item of the batch
-at once.  The single-pair entry points (:func:`pearson`,
-:meth:`TrainedModel.predict`, :meth:`TrainedModel.influence`) are
-one-element calls of the same code.  No result is memoized between
-calls.
+Scoring is batched over blocks of (user, item) slots, any number of
+users at once.  :func:`block_candidates` gathers every training rater of
+the slots' items in one pass over the store's item rows and lists the
+distinct (user, candidate) pairs; :meth:`TrainedModel.similarity` scores
+all of those pairs in one vectorized call (Pearson from the users' side,
+or the relatedness kernel of :mod:`trustcf.social`); and
+:meth:`TrainedModel.predict_candidates` predicts every slot at once.
+The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
+:meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
+:meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
+are blocks of one user.  No result is memoized between calls.
 """
 
 from __future__ import annotations
@@ -84,55 +85,49 @@ def _centred_pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(xd @ yd) / den
 
 
-def pearson_many(
-    train: RatingStore,
-    u: int,
-    v_arr: np.ndarray,
-    min_overlap: int = 2,
-    row: np.ndarray | None = None,
+def _pearson_pairs(
+    train: RatingStore, us: np.ndarray, vs: np.ndarray, min_overlap: int
 ) -> np.ndarray:
-    """Pearson agreement of u with each candidate, clamped into [0, 1].
+    """Pearson agreement of each (us[p], vs[p]) pair, clamped into [0, 1].
 
-    Per candidate, means are taken over the items it co-rated with u
-    only.  Fewer than ``min_overlap`` co-rated items, or zero variance
-    on either side, yields 0.
+    The pairs must be distinct and ascend by (u, v).  Per pair, means
+    are taken over the co-rated items only.  Fewer than ``min_overlap``
+    co-rated items, or zero variance on either side, yields 0.
 
-    u's ratings are scattered into ``row``, a zeroed buffer with one
-    slot per item; every candidate's ratings are gathered through the
-    store's rows and looked up in it, and the per-candidate sums are
-    reduced with ``np.bincount`` in two passes: means first, then sums
-    of centred products.  Only the slots written are cleared again, so
-    one buffer serves any number of calls.  Without ``row`` a fresh
-    buffer is used.
+    Co-rated entries are enumerated from the users' side: every training
+    item of every u, and every rater of that item, kept where (u, rater)
+    is one of the pairs.  A pair's entries so come in ascending item
+    order, and its sums are reduced with ``np.bincount`` in two passes:
+    means first, then sums of centred products.
 
     A candidate qualifies as a neighbor only on strictly positive
     influence, so the sign of a correlation that is 0 up to rounding
-    matters, and summation order decides it.  Such candidates are
-    settled by :func:`_centred_pearson` on their co-rated vectors, the
-    per-pair arithmetic (BLAS dot products) this kernel replaces, so the
-    neighbor sets stay those of a per-pair evaluation.
+    matters, and summation order decides it.  Such pairs are settled by
+    :func:`_centred_pearson` on their co-rated vectors, the per-pair
+    arithmetic (BLAS dot products) of a per-pair evaluation, so the
+    neighbor sets stay those of one.
     """
-    v_arr = np.asarray(v_arr, dtype=np.int64)
-    size = v_arr.size
-    iu, ru = train.items_of(u)
-    v_at, items, y = train.items_of_many(v_arr)
-    if row is None:
-        row = np.zeros(train.num_items, dtype=np.float64)
-    row[iu] = ru
-    x = row[items]
-    row[iu] = 0.0
-    co = x != 0.0  # ratings are at least RATING_MIN, so 0 marks "u did not rate"
-    v_at, x, y = v_at[co], x[co], y[co]
+    size = us.size
+    if size == 0:
+        return np.zeros(0, dtype=np.float64)
+    keys = us * train.num_users + vs
+    users = np.unique(us)
+    u_at, items, x = train.items_of_many(users)
+    i_at, raters, y, _ = train.raters_of_many(items)
+    entry_keys = users[u_at[i_at]] * train.num_users + raters
+    at = np.minimum(np.searchsorted(keys, entry_keys), size - 1)
+    co = keys[at] == entry_keys
+    pair_at, x, y = at[co], x[i_at[co]], y[co]
 
-    n = np.bincount(v_at, minlength=size)
+    n = np.bincount(pair_at, minlength=size)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean_x = np.bincount(v_at, weights=x, minlength=size) / n
-        mean_y = np.bincount(v_at, weights=y, minlength=size) / n
-    xd = x - mean_x[v_at]
-    yd = y - mean_y[v_at]
-    sxy = np.bincount(v_at, weights=xd * yd, minlength=size)
-    sxx = np.bincount(v_at, weights=xd * xd, minlength=size)
-    syy = np.bincount(v_at, weights=yd * yd, minlength=size)
+        mean_x = np.bincount(pair_at, weights=x, minlength=size) / n
+        mean_y = np.bincount(pair_at, weights=y, minlength=size) / n
+    xd = x - mean_x[pair_at]
+    yd = y - mean_y[pair_at]
+    sxy = np.bincount(pair_at, weights=xd * yd, minlength=size)
+    sxx = np.bincount(pair_at, weights=xd * xd, minlength=size)
+    syy = np.bincount(pair_at, weights=yd * yd, minlength=size)
     den = np.sqrt(sxx * syy)
     scored = (n >= min_overlap) & (den != 0.0)
     r = np.zeros(size, dtype=np.float64)
@@ -143,10 +138,34 @@ def pearson_many(
     # Cauchy-Schwarz), the per-pair arithmetic decides the sign.
     slack = 4.0 * (n + 1) * np.finfo(np.float64).eps
     spread = den + RATING_MAX * np.sqrt(n) * (np.sqrt(sxx) + np.sqrt(syy))
-    starts = np.searchsorted(v_at, np.arange(size + 1))
-    for j in np.flatnonzero(scored & (np.abs(sxy) <= slack * spread)):
-        r[j] = _centred_pearson(x[starts[j]:starts[j + 1]], y[starts[j]:starts[j + 1]])
+    near = np.flatnonzero(scored & (np.abs(sxy) <= slack * spread))
+    if near.size:
+        flagged = np.zeros(size, dtype=bool)
+        flagged[near] = True
+        sel = np.flatnonzero(flagged[pair_at])
+        sel = sel[np.argsort(pair_at[sel], kind="stable")]
+        lo = np.searchsorted(pair_at[sel], near)
+        hi = np.searchsorted(pair_at[sel], near, side="right")
+        for j, a, b in zip(near, lo, hi):
+            r[j] = _centred_pearson(x[sel[a:b]], y[sel[a:b]])
     return np.clip(r, 0.0, 1.0)
+
+
+def pearson_many(
+    train: RatingStore, u: int, v_arr: np.ndarray, min_overlap: int = 2
+) -> np.ndarray:
+    """Pearson agreement of u with each candidate, clamped into [0, 1].
+
+    A block of one user for the pair kernel; candidates may repeat and
+    come in any order.
+    """
+    v_arr = np.asarray(v_arr, dtype=np.int64)
+    if v_arr.size and (v_arr.min() < 0 or v_arr.max() >= train.num_users):
+        raise UnknownUser("user handle out of range")
+    train.rating_count_of(u)  # rejects an unknown u
+    cands, inverse = np.unique(v_arr, return_inverse=True)
+    us = np.full(cands.size, u, dtype=np.int64)
+    return _pearson_pairs(train, us, cands, min_overlap)[inverse]
 
 
 def pearson(train: RatingStore, u: int, v: int, min_overlap: int = 2) -> float:
@@ -155,33 +174,56 @@ def pearson(train: RatingStore, u: int, v: int, min_overlap: int = 2) -> float:
 
 
 class Candidates(NamedTuple):
-    """Every training rater of a user's target items, as one flat batch.
+    """Every training rater of a block of (user, item) slots, as one flat batch.
 
-    Entry n is the rating ``ratings[n]``, at canonical position
-    ``positions[n]`` of the training store, that candidate
-    ``users[user_at[n]]`` gave to ``items[item_at[n]]``.  ``users`` holds
-    each candidate once, ascending; entries are grouped by item, with
-    candidates ascending inside an item.  The user is never a candidate.
+    Slot s stands for user ``slot_users[s]`` and item ``slot_items[s]``.
+    Pair p is user ``pair_users[p]`` with one of its candidates,
+    ``pair_cands[p]``; each pair appears once, ascending by (user,
+    candidate).  Entry n is the rating ``ratings[n]``, at canonical
+    position ``positions[n]`` of the training store, that candidate
+    ``pair_cands[pair_at[n]]`` gave to the item of slot ``slot_at[n]``.
+    Entries are grouped by slot, with candidates ascending inside a
+    slot.  No user is its own candidate.
     """
 
-    user: int
-    items: np.ndarray
-    users: np.ndarray
-    item_at: np.ndarray
-    user_at: np.ndarray
+    slot_users: np.ndarray
+    slot_items: np.ndarray
+    pair_users: np.ndarray
+    pair_cands: np.ndarray
+    slot_at: np.ndarray
+    pair_at: np.ndarray
     ratings: np.ndarray
     positions: np.ndarray
 
 
-def candidates_of(train: RatingStore, u: int, items) -> Candidates:
-    """The candidates of u for each of ``items``, from the training store."""
-    items = np.asarray(items, dtype=np.int64)
-    item_at, raters, ratings, positions = train.raters_of_many(items)
-    others = raters != u
-    users, user_at = np.unique(raters[others], return_inverse=True)
+def block_candidates(
+    train: RatingStore, slot_users: np.ndarray, slot_items: np.ndarray
+) -> Candidates:
+    """The candidates of each (user, item) slot, from the training store."""
+    slot_users = np.asarray(slot_users, dtype=np.int64)
+    slot_items = np.asarray(slot_items, dtype=np.int64)
+    slot_at, raters, ratings, positions = train.raters_of_many(slot_items)
+    others = raters != slot_users[slot_at]
+    slot_at = slot_at[others]
+    keys = slot_users[slot_at] * train.num_users + raters[others]
+    pair_keys, pair_at = np.unique(keys, return_inverse=True)
+    pair_users, pair_cands = np.divmod(pair_keys, train.num_users)
     return Candidates(
-        u, items, users, item_at[others], user_at, ratings[others], positions[others]
+        slot_users,
+        slot_items,
+        pair_users,
+        pair_cands,
+        slot_at,
+        pair_at,
+        ratings[others],
+        positions[others],
     )
+
+
+def candidates_of(train: RatingStore, u: int, items) -> Candidates:
+    """The candidates of u for each of ``items``: a block of one user."""
+    items = np.asarray(items, dtype=np.int64)
+    return block_candidates(train, np.full(items.size, u, dtype=np.int64), items)
 
 
 _SIGMA_REL_MODE = {"rel_direct": "direct", "rel_intersection": "intersection"}
@@ -195,10 +237,10 @@ class TrainedModel:
     Weighted facets the profiles do not provide are dropped; if nothing
     remains, influence degenerates to beta * similarity.
 
-    Scoring works on a :class:`Candidates` batch: one user against every
-    rater of any number of items.  :meth:`similarity` depends only on the
-    user, the candidates and the similarity settings, so one result can
-    serve every configuration that shares those settings.
+    Scoring works on a :class:`Candidates` block: any number of users,
+    each against every rater of its items.  :meth:`similarity` depends
+    only on the (user, candidate) pairs and the similarity settings, so
+    one result can serve every configuration that shares those settings.
     """
 
     def __init__(
@@ -231,88 +273,88 @@ class TrainedModel:
         self._frev = (
             profiles.frev_at(train.user_idx, train.item_idx) if self._w_frev > 0 else None
         )
-        # scratch item row of pearson_many, reused across users
-        self._row = (
-            np.zeros(train.num_items, dtype=np.float64)
-            if config.similarity_mode == "pearson"
-            else None
-        )
 
     # -- scoring ---------------------------------------------------------
 
-    def similarity(self, u: int, v_arr: np.ndarray) -> np.ndarray:
-        """The configured similarity sigma(u, v) for each candidate v."""
+    def similarity(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """The configured similarity sigma(u, v) of each (users[p], cands[p]).
+
+        The pairs are distinct and ascend by (u, v), as in
+        :class:`Candidates`.
+        """
         mode = self.config.similarity_mode
         if mode == "pearson":
-            return pearson_many(
-                self.train, u, v_arr, self.config.min_pearson_overlap, self._row
+            return _pearson_pairs(
+                self.train, users, cands, self.config.min_pearson_overlap
             )
-        return relatedness(self.social, u, v_arr, _SIGMA_REL_MODE[mode])
+        return relatedness(self.social, users, cands, _SIGMA_REL_MODE[mode])
 
     def _influence(
         self,
-        u: int,
         users: np.ndarray,
+        cands: np.ndarray,
         sigma: np.ndarray,
-        user_at: np.ndarray,
+        pair_at: np.ndarray,
         frev: np.ndarray | None,
     ) -> np.ndarray:
-        """Influence of candidate ``users[user_at[n]]`` on u, for each entry n.
+        """Influence of candidate ``cands[pair_at[n]]`` on ``users[pair_at[n]]``.
 
-        ``sigma`` holds sigma(u, v) for each of ``users``; ``frev`` holds
-        each entry's review score for its item, needed only when the
-        configuration weighs review feedback.
+        One value per entry n.  ``sigma`` holds sigma of each pair;
+        ``frev`` holds each entry's review score for its item, needed
+        only when the configuration weighs review feedback.
         """
         beta = self.config.beta
         if self._w_total == 0.0:
-            return beta * sigma[user_at]
-        t = self._static[users[user_at]]
+            return beta * sigma[pair_at]
+        t = self._static[cands[pair_at]]
         if self._w_frev > 0:
             t += self._w_frev * frev
         if self._w_rel > 0:
-            rel = relatedness(self.social, u, users, self._rel_mode)
-            t += self._w_rel * rel[user_at]
-        return beta * sigma[user_at] + (1.0 - beta) * (t / self._w_total)
+            rel = relatedness(self.social, users, cands, self._rel_mode)
+            t += self._w_rel * rel[pair_at]
+        return beta * sigma[pair_at] + (1.0 - beta) * (t / self._w_total)
 
     def _neighbors(self, c: Candidates, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(entries, influence) of the neighbors for each of c's items.
+        """(entries, influence) of the neighbors for each of c's slots.
 
         Only strictly positive influence qualifies, and at most
-        ``neighbor_count`` per item survive.  Entries are ordered by item,
-        then influence descending, then ascending user handle.
+        ``neighbor_count`` per slot survive.  Entries are ordered by slot,
+        then influence descending, then ascending candidate handle.
         """
         frev = None if self._frev is None else self._frev[c.positions]
-        infl = self._influence(c.user, c.users, sigma, c.user_at, frev)
+        infl = self._influence(c.pair_users, c.pair_cands, sigma, c.pair_at, frev)
         positive = np.flatnonzero(infl > 0.0)
+        # inside a slot, pairs ascend by candidate handle
         order = positive[
-            np.lexsort((c.user_at[positive], -infl[positive], c.item_at[positive]))
+            np.lexsort((c.pair_at[positive], -infl[positive], c.slot_at[positive]))
         ]
-        item_at = c.item_at[order]
-        rank = np.arange(order.size) - np.searchsorted(item_at, item_at)
+        slot_at = c.slot_at[order]
+        rank = np.arange(order.size) - np.searchsorted(slot_at, slot_at)
         chosen = order[rank < self.config.neighbor_count]
         return chosen, infl[chosen]
 
     def predict_candidates(
         self, c: Candidates, sigma: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(predicted rating, model-based?) for each of c's items.
+        """(predicted rating, model-based?) for each of c's slots.
 
-        ``c`` comes from :func:`candidates_of` on this model's training
-        store, and ``sigma`` is ``self.similarity(c.user, c.users)``.  An
-        item with no neighbor falls back to the user's training mean.
+        ``c`` comes from :func:`block_candidates` on this model's training
+        store, and ``sigma`` is ``self.similarity(c.pair_users,
+        c.pair_cands)``.  A slot with no neighbor falls back to its
+        user's training mean.
         """
         chosen, infl = self._neighbors(c, sigma)
-        item_at = c.item_at[chosen]
-        means = self.train.user_means()[c.users[c.user_at[chosen]]]
-        deviations = c.ratings[chosen] - means
-        size = c.items.size
-        num = np.bincount(item_at, weights=infl * deviations, minlength=size)
-        den = np.bincount(item_at, weights=np.abs(infl), minlength=size)
-        is_model = np.bincount(item_at, minlength=size) > 0
-        mean_u = self.train.mean_of(c.user)
-        values = np.full(size, min(max(mean_u, RATING_MIN), RATING_MAX))
+        slot_at = c.slot_at[chosen]
+        means = self.train.user_means()
+        deviations = c.ratings[chosen] - means[c.pair_cands[c.pair_at[chosen]]]
+        size = c.slot_items.size
+        num = np.bincount(slot_at, weights=infl * deviations, minlength=size)
+        den = np.bincount(slot_at, weights=np.abs(infl), minlength=size)
+        is_model = np.bincount(slot_at, minlength=size) > 0
+        mean_u = means[c.slot_users]
+        values = np.clip(mean_u, RATING_MIN, RATING_MAX)
         values[is_model] = np.clip(
-            mean_u + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
+            mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
         )
         return values, is_model
 
@@ -321,12 +363,12 @@ class TrainedModel:
     def influence(self, u: int, v: int, i: int) -> float:
         """Influence of candidate v on u's prediction for item i."""
         self._check_known(u)
-        users = np.array([v], dtype=np.int64)
-        frev = self.profiles.frev_at(users, np.array([i])) if self._w_frev > 0 else None
-        infl = self._influence(
-            u, users, self.similarity(u, users), np.zeros(1, np.int64), frev
-        )
-        return float(infl[0])
+        if not 0 <= v < self.train.num_users:
+            raise UnknownUser(f"user handle {v} out of range")
+        users, cands = np.array([u]), np.array([v])
+        frev = self.profiles.frev_at(cands, np.array([i])) if self._w_frev > 0 else None
+        sigma = self.similarity(users, cands)
+        return float(self._influence(users, cands, sigma, np.zeros(1, np.int64), frev)[0])
 
     def select_neighbors(self, u: int, i: int) -> list[tuple[int, float]]:
         """Neighbors of u for item i: (candidate, influence), best first.
@@ -336,14 +378,14 @@ class TrainedModel:
         """
         self._check_known(u)
         c = candidates_of(self.train, u, [i])
-        chosen, infl = self._neighbors(c, self.similarity(u, c.users))
-        return [(int(v), float(w)) for v, w in zip(c.users[c.user_at[chosen]], infl)]
+        chosen, infl = self._neighbors(c, self.similarity(c.pair_users, c.pair_cands))
+        return [(int(v), float(w)) for v, w in zip(c.pair_cands[c.pair_at[chosen]], infl)]
 
     def predict_items(self, u: int, items) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) of u for each of ``items``."""
         self._check_known(u)
         c = candidates_of(self.train, u, items)
-        return self.predict_candidates(c, self.similarity(u, c.users))
+        return self.predict_candidates(c, self.similarity(c.pair_users, c.pair_cands))
 
     def predict(self, u: int, i: int) -> Prediction:
         """Predicted rating of u for i, flagged model-based or fallback."""

@@ -2,9 +2,10 @@
 
 Edges are symmetrized and deduplicated at construction; self-loops are
 dropped.  Adjacency is stored CSR-style with neighbor lists sorted by
-handle, so membership tests are binary searches.  Closeness of one user
-to many candidates is computed in one call: u's friends are marked in a
-boolean mask, and the candidates' adjacency rows are looked up in it.
+handle, so membership tests are binary searches.  Closeness is computed
+for many (u, v) pairs in one call: every edge is also kept as a sorted
+key ``u * num_users + v``, and a pair's friendship, or a friend of v
+being a friend of u, is one binary search in those keys.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import UnknownUser
 
 
 class SocialGraph:
-    __slots__ = ("num_users", "_ptr", "_adj")
+    __slots__ = ("num_users", "_ptr", "_adj", "_keys")
 
     def __init__(self, num_users: int, edges: Iterable[tuple[int, int]] = ()):
         self.num_users = int(num_users)
@@ -46,6 +47,9 @@ class SocialGraph:
         self._ptr.setflags(write=False)
         self._adj = dst
         self._adj.setflags(write=False)
+        # src ascends, then dst within src: the keys come out sorted
+        self._keys = src * self.num_users + dst
+        self._keys.setflags(write=False)
 
     def friends_of(self, u: int) -> np.ndarray:
         """Sorted neighbor handles of u (possibly empty)."""
@@ -78,9 +82,15 @@ class SocialGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
         self._check(v)
-        row = self.friends_of(u)
-        at = np.searchsorted(row, v)
-        return bool(at < row.size and row[at] == v)
+        return bool(self.has_edges(np.array([u]), np.array([v]))[0])
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether ``us[n]`` and ``vs[n]`` are friends, for each n."""
+        want = np.asarray(us, dtype=np.int64) * self.num_users + vs
+        if self._keys.size == 0:
+            return np.zeros(want.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
+        return self._keys[at] == want
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (smaller handle, larger handle)."""
@@ -94,34 +104,29 @@ class SocialGraph:
             raise UnknownUser(f"user handle {u} out of range")
 
 
-def rel_direct(g: SocialGraph, u: int, v: int) -> float:
-    """1 when u and v are friends, else 0."""
-    if u == v:
-        raise ValueError("relatedness is defined for distinct users")
-    return 1.0 if g.has_edge(u, v) else 0.0
+def _pairs(g: SocialGraph, u, v_arr) -> tuple[np.ndarray, np.ndarray]:
+    """u and v_arr as aligned handle arrays; u may be one handle or many."""
+    us, vs = np.broadcast_arrays(
+        np.asarray(u, dtype=np.int64), np.asarray(v_arr, dtype=np.int64)
+    )
+    for arr in (us, vs):
+        if arr.size and (arr.min() < 0 or arr.max() >= g.num_users):
+            raise UnknownUser("user handle out of range")
+    return us.ravel(), vs.ravel()
 
 
-def _in_sorted(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Boolean membership of each needle in a sorted unique array."""
-    if haystack.size == 0:
-        return np.zeros(needles.size, dtype=bool)
-    at = np.minimum(np.searchsorted(haystack, needles), haystack.size - 1)
-    return haystack[at] == needles
+def jaccard_many(g: SocialGraph, u, v_arr: np.ndarray) -> np.ndarray:
+    """Friend-set overlap |F_u ∩ F_v| / |F_u ∪ F_v| of each (u, v) pair.
 
-
-def jaccard_many(g: SocialGraph, u: int, v_arr: np.ndarray) -> np.ndarray:
-    """Friend-set overlap |F_u ∩ F_v| / |F_u ∪ F_v| of u with each v.
-
-    0 where both sets are empty.
+    ``u`` is one handle or one per candidate.  0 where both sets are
+    empty.
     """
-    v_arr = np.asarray(v_arr, dtype=np.int64)
-    fu = g.friends_of(u)
-    mine = np.zeros(g.num_users, dtype=bool)
-    mine[fu] = True
-    v_at, friends = g.friends_of_many(v_arr)
-    inter = np.bincount(v_at, weights=mine[friends], minlength=v_arr.size)
-    union = fu.size + np.bincount(v_at, minlength=v_arr.size) - inter
-    out = np.zeros(v_arr.size, dtype=np.float64)
+    us, vs = _pairs(g, u, v_arr)
+    v_at, friends = g.friends_of_many(vs)
+    inter = np.bincount(v_at, weights=g.has_edges(us[v_at], friends), minlength=vs.size)
+    degree = g.degree_array()
+    union = degree[us] + degree[vs] - inter
+    out = np.zeros(vs.size, dtype=np.float64)
     some = union > 0
     out[some] = inter[some] / union[some]
     return out
@@ -134,24 +139,35 @@ def jaccard(g: SocialGraph, u: int, v: int) -> float:
     return float(jaccard_many(g, u, np.array([v]))[0])
 
 
-def relatedness(g: SocialGraph, u: int, v_arr: np.ndarray, mode: str) -> np.ndarray:
-    """rel(u, v) for each candidate v: 1 for a friend of u.
+def relatedness(g: SocialGraph, u, v_arr: np.ndarray, mode: str) -> np.ndarray:
+    """rel(u, v) for each (u, v) pair: 1 for friends.
 
-    A non-friend scores 0 in ``"direct"`` mode and its friend-set overlap
-    with u in ``"intersection"`` mode.
+    ``u`` is one handle or one per candidate.  A non-friend scores 0 in
+    ``"direct"`` mode and its friend-set overlap with u in
+    ``"intersection"`` mode.
     """
     if mode not in ("direct", "intersection"):
         raise ValueError(f"unknown rel mode {mode!r}")
-    v_arr = np.asarray(v_arr, dtype=np.int64)
-    rel = _in_sorted(g.friends_of(u), v_arr).astype(np.float64)
+    us, vs = _pairs(g, u, v_arr)
+    rel = g.has_edges(us, vs).astype(np.float64)
     if mode == "intersection":
         strangers = rel == 0.0
-        rel[strangers] = jaccard_many(g, u, v_arr[strangers])
+        rel[strangers] = jaccard_many(g, us[strangers], vs[strangers])
     return rel
+
+
+def rel_pair(g: SocialGraph, u: int, v: int, mode: str) -> float:
+    """rel(u, v) of two distinct users; see :func:`relatedness`."""
+    if u == v:
+        raise ValueError("relatedness is defined for distinct users")
+    return float(relatedness(g, u, np.array([v]), mode)[0])
+
+
+def rel_direct(g: SocialGraph, u: int, v: int) -> float:
+    """1 when u and v are friends, else 0."""
+    return rel_pair(g, u, v, "direct")
 
 
 def rel_social_intersection(g: SocialGraph, u: int, v: int) -> float:
     """Direct friendship short-circuits to 1; otherwise friend-set overlap."""
-    if g.has_edge(u, v):
-        return 1.0
-    return jaccard(g, u, v)
+    return rel_pair(g, u, v, "intersection")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, RatingStore, ReviewFeedback
 from .errors import AllWeightsZero, UnknownUser, WrongProvenance
-from .social import SocialGraph, rel_direct, rel_social_intersection
+from .social import SocialGraph, rel_pair
 
 REL_MODES = ("direct", "intersection", "none")
 
@@ -206,14 +206,6 @@ def build_profiles(d: Dataset) -> TrustProfiles:
     return build_yelp_profiles(d)
 
 
-def _rel_value(g: SocialGraph, mode: str, u: int, v: int) -> float:
-    if mode == "direct":
-        return rel_direct(g, u, v)
-    if mode == "intersection":
-        return rel_social_intersection(g, u, v)
-    raise ValueError(f"unknown rel mode {mode!r}")
-
-
 def fuse_trust(
     profiles: TrustProfiles,
     graph: SocialGraph,
@@ -234,7 +226,7 @@ def fuse_trust(
     for name in sorted(active):
         w = active[name]
         if name == "rel":
-            value = _rel_value(graph, weights.rel_mode, u, v)
+            value = rel_pair(graph, u, v, weights.rel_mode)
         elif name == "frev":
             value = profiles.frev_of(v, i)
         elif name in profiles.vectors:

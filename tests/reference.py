@@ -1,10 +1,10 @@
 """Deliberately naive reference recommender used as a test oracle.
 
 Everything here is plain dicts, lists and explicit loops: no numpy, no
-shared code with the package internals.  The entry point is
-:func:`naive_predict`, which recomputes facet fusion, influence blending,
-neighbor selection and the mean-centered prediction from first
-principles.
+shared code with the package internals.  :func:`naive_predict`
+recomputes facet fusion, influence blending, neighbor selection and the
+mean-centered prediction from first principles; :func:`naive_fold` and
+:func:`naive_row` rebuild a fold's and a report row's metrics from it.
 """
 
 from __future__ import annotations
@@ -157,3 +157,117 @@ def naive_predict(by_user, by_item, friends, vectors, frev, cfg, u, i):
         den += abs(infl)
     value = mean_u + num / den
     return min(max(value, 1.0), 5.0), True
+
+
+def naive_top_k(scored, k):
+    """The k best (item, value) pairs: value descending, ties by ascending item."""
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]
+
+
+def naive_list_metrics(items, relevant):
+    """(precision, recall or None, reciprocal rank) of one non-empty ranked list."""
+    hits = sum(1 for i in items if i in relevant)
+    recall = hits / len(relevant) if relevant else None
+    rr = 0.0
+    for rank, i in enumerate(items, start=1):
+        if i in relevant:
+            rr = 1.0 / rank
+            break
+    return hits / len(items), recall, rr
+
+
+def naive_diversity(items, tag_sets):
+    """Mean dissimilarity over position pairs a <= b; self-pairs add 0."""
+    k = len(items)
+    if k == 0:
+        return 0.0
+    total = 0.0
+    for a in range(k):
+        for b in range(a + 1, k):
+            ta, tb = tag_sets[items[a]], tag_sets[items[b]]
+            cosine = len(ta & tb) / math.sqrt(len(ta) * len(tb)) if ta and tb else 0.0
+            total += 1.0 - cosine
+    return total / (k * (k + 1) / 2)
+
+
+def _mean_or(values, empty):
+    return sum(values) / len(values) if values else empty
+
+
+def _f1(precision, recall):
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def naive_fold(dataset, vectors, frev, cfg, test_positions, k, tau):
+    """Every FoldMetrics field but ``fold``, for one configuration and fold."""
+    by_user, by_item, friends = plain_views(dataset, test_positions)
+    store = dataset.ratings
+    tag_sets = [dataset.categories.of(i) for i in range(dataset.num_items)]
+    held: dict[int, list[tuple[int, float]]] = {}
+    for p in test_positions:
+        held.setdefault(int(store.user_idx[p]), []).append(
+            (int(store.item_idx[p]), float(store.value[p])))
+    errors, fallbacks, covered, skipped = [], 0, 0, 0
+    precisions, recalls, rrs, diversities = [], [], [], []
+    for u in sorted(held):
+        if u not in by_user:
+            skipped += 1
+            continue
+        scored = []
+        model_here = 0
+        for i, actual in held[u]:
+            value, is_model = naive_predict(
+                by_user, by_item, friends, vectors, frev, cfg, u, i)
+            if is_model:
+                errors.append(value - actual)
+                model_here += 1
+            else:
+                fallbacks += 1
+            scored.append((i, value))
+        covered += model_here > 0
+        top = [i for i, _ in naive_top_k(scored, k)]
+        relevant = {i for i, actual in held[u] if actual >= tau}
+        precision, recall, rr = naive_list_metrics(top, relevant)
+        precisions.append(precision)
+        if recall is not None:
+            recalls.append(recall)
+        rrs.append(rr)
+        diversities.append(naive_diversity(top, tag_sets))
+    precision = _mean_or(precisions, 0.0)
+    recall = _mean_or(recalls, 0.0)
+    nan = float("nan")
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": _f1(precision, recall),
+        "rmse": math.sqrt(_mean_or([e * e for e in errors], nan)),
+        "mae": _mean_or([abs(e) for e in errors], nan),
+        "mrr": _mean_or(rrs, 0.0),
+        "diversity": _mean_or(diversities, 0.0),
+        "user_coverage": covered / len(held) if held else nan,
+        "test_users": len(held),
+        "ranked_users": len(precisions),
+        "recall_users": len(recalls),
+        "model_predictions": len(errors),
+        "fallback_predictions": fallbacks,
+        "skipped_users": skipped,
+    }
+
+
+def naive_row(folds):
+    """Every ReportRow field but the names and ``folds``, from naive_fold dicts."""
+    def mean_defined(name):
+        values = [f[name] for f in folds if not math.isnan(f[name])]
+        return _mean_or(values, float("nan"))
+
+    row = {
+        name: mean_defined(name)
+        for name in ("precision", "recall", "rmse", "mae", "mrr", "diversity",
+                     "user_coverage")
+    }
+    row["f1"] = _f1(row["precision"], row["recall"])
+    row["model_predictions"] = sum(f["model_predictions"] for f in folds)
+    row["fallback_predictions"] = sum(f["fallback_predictions"] for f in folds)
+    return row

@@ -168,6 +168,15 @@ class TestEval:
             "config=MTR")
         assert main(["eval", "--spec", str(spec)]) == 2
 
+    def test_manifest_count_mismatch(self, tmp_path, canonical_dir, capsys):
+        manifest = canonical_dir / "manifest.txt"
+        manifest.write_text(
+            manifest.read_text().replace("num_ratings=13", "num_ratings=99"))
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        assert main(["eval", "--spec", str(spec)]) == 2
+        assert "manifest.txt: num_ratings is '99'" in capsys.readouterr().err
+
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1
 

@@ -33,6 +33,7 @@ from trustcf import (
     user_coverage,
 )
 from trustcf.errors import EmptyInput
+from trustcf.evaluation import FoldMetrics, ReportRow
 
 import reference
 from conftest import build_tiny, random_dataset
@@ -451,3 +452,101 @@ def test_fold_metrics_match_naive_predictions():
                 else:
                     assert math.isnan(m.rmse) and math.isnan(m.mae)
     assert checked > 100
+
+
+def _assert_same_metrics(got, want, where):
+    for name, expected in want.items():
+        value = getattr(got, name)
+        if isinstance(expected, int):
+            assert value == expected, (where, name)
+        elif math.isnan(expected):
+            assert math.isnan(value), (where, name)
+        else:
+            assert abs(value - expected) <= 1e-9, (where, name, value, expected)
+
+
+def test_report_matches_naive_evaluation():
+    """Every ReportRow and FoldMetrics field, rebuilt from the naive oracle."""
+    rng = np.random.default_rng(69)
+    fold_fields = {f.name for f in dataclasses.fields(FoldMetrics)} - {"fold"}
+    row_fields = {f.name for f in dataclasses.fields(ReportRow)} - {
+        "config", "beta", "folds"}
+    seen = dict(skipped=0, recall_less=0, hit=0, tagged_pair=0)
+    for _ in range(20):
+        d = random_dataset(rng, max_users=25, max_items=15, max_ratings=200)
+        configs = [
+            make_config("U2UCF"),
+            make_config("U2USocial"),
+            make_config("MTR", beta=float(rng.random())),
+            make_config("MTRTrust2", beta=float(rng.random()), neighbor_count=2),
+        ]
+        folds = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 6))
+        tau = float(rng.choice([3.0, 4.0, 4.5]))
+        plan = split_folds(d, folds, seed=int(rng.integers(1 << 30)))
+        report = run_experiment(d, configs, plan, k=k, tau=tau)
+        vectors, frev = reference.plain_profiles(build_profiles(d))
+        for row, cfg in zip(report.rows, configs):
+            want_folds = []
+            for fold in range(folds):
+                want = reference.naive_fold(
+                    d, vectors, frev, cfg, plan.test_indices(fold).tolist(), k, tau)
+                assert set(want) == fold_fields
+                m = row.folds[fold]
+                assert m.fold == fold
+                _assert_same_metrics(m, want, (cfg.name, fold))
+                want_folds.append(want)
+                seen["skipped"] += want["skipped_users"]
+                seen["recall_less"] += want["ranked_users"] - want["recall_users"]
+                seen["hit"] += want["mrr"] > 0
+                seen["tagged_pair"] += 0.0 < want["diversity"]
+            want_row = reference.naive_row(want_folds)
+            assert set(want_row) == row_fields
+            _assert_same_metrics(row, want_row, cfg.name)
+    assert min(seen.values()) > 5, seen
+
+
+def test_block_partition_does_not_change_results(monkeypatch):
+    """One user per block, or one block per fold: the same report."""
+    import trustcf.evaluation as evaluation
+
+    rng = np.random.default_rng(70)
+    calls: list[int] = []
+    real = evaluation.block_candidates
+
+    def counting(train, slot_users, slot_items):
+        calls.append(np.unique(slot_users).size)
+        return real(train, slot_users, slot_items)
+
+    monkeypatch.setattr(evaluation, "block_candidates", counting)
+    seen = dict(friendless=0, skipped=0, empty_fold=0)
+    for trial in range(10):
+        d = random_dataset(rng, max_users=25, max_items=15, max_ratings=150)
+        # cut every edge of the first few users
+        lonely = set(range(min(3, d.num_users)))
+        d = dataclasses.replace(d, social=SocialGraph(d.num_users, [
+            (a, b) for a, b in d.social.edges() if a not in lonely and b not in lonely]))
+        folds = int(rng.integers(2, 6)) if trial % 3 else len(d.ratings) + 2
+        plan = split_folds(d, folds, seed=int(rng.integers(1 << 30)))
+        configs = _oracle_configs(rng)
+        default = run_experiment(d, configs, plan, k=3)
+
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 1)
+        calls.clear()
+        single = run_experiment(d, configs, plan, k=3)
+        assert max(calls, default=1) == 1
+        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 10**12)
+        calls.clear()
+        whole = run_experiment(d, configs, plan, k=3)
+        assert len(calls) <= folds
+        monkeypatch.undo()
+        monkeypatch.setattr(evaluation, "block_candidates", counting)
+
+        for other in (single, whole):
+            assert other.to_tsv() == default.to_tsv()
+            assert other.to_summary_json() == default.to_summary_json()
+        folds_seen = default.rows[0].folds
+        seen["skipped"] += sum(m.skipped_users for m in folds_seen)
+        seen["empty_fold"] += sum(m.test_users == 0 for m in folds_seen)
+        seen["friendless"] += bool(lonely & set(d.ratings.user_idx.tolist()))
+    assert min(seen.values()) > 0, seen

@@ -272,6 +272,32 @@ class TestCanonicalFormat:
         with pytest.raises(IoFailure):
             canonical_load(tmp_path / "d")
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("ratings.tsv", "x", "bad rating value 'x'"),
+        ("user_feedback.tsv", "many", "bad count 'many'"),
+        ("review_feedback.tsv", "1.5", "bad count '1.5'"),
+    ])
+    def test_bad_value_names_file_and_line(self, tiny, tmp_path, name, bad, message):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        lines[1] = "\t".join(lines[1].split("\t")[:-1] + [bad])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value) == f"{name}:2: {message}"
+
+    @pytest.mark.parametrize("key", ["num_users", "num_items", "num_ratings"])
+    def test_manifest_counts_must_match(self, tiny, tmp_path, key):
+        canonical_save(tiny, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.txt"
+        text = manifest.read_text()
+        start = text.index(f"{key}=")
+        end = text.index("\n", start)
+        manifest.write_text(text[:start] + f"{key}=99" + text[end:])
+        with pytest.raises(IoFailure, match=f"manifest.txt: {key} is '99'"):
+            canonical_load(tmp_path / "d")
+
     def test_float_ratings_keep_precision(self, tmp_path):
         from trustcf import make_dataset
 

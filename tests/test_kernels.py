@@ -36,15 +36,11 @@ def test_pearson_many_matches_naive_pearson():
         d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
         store = with_flat_raters(rng, d.ratings)
         by_user = rows_of(store)
-        # one buffer for every user and overlap, visited in random order,
-        # so an entry left behind by one user would corrupt the next one
-        row = np.zeros(store.num_items)
         for min_overlap in (1, 2, 3, 4):
             for u in rng.permutation(store.num_users):
                 u = int(u)
                 vs = np.array([v for v in range(store.num_users) if v != u])
-                got = pearson_many(store, u, vs, min_overlap, row)
-                assert not row.any()
+                got = pearson_many(store, u, vs, min_overlap)
                 for v, value in zip(vs.tolist(), got):
                     want = reference.naive_pearson(by_user[u], by_user[v], min_overlap)
                     assert abs(value - want) <= 1e-12, (u, v, min_overlap)
