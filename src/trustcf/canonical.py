@@ -20,14 +20,21 @@ carry no other data.
 
 from __future__ import annotations
 
+import os
+import secrets
+from itertools import repeat
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, IngestWarnings, make_dataset
+# make_dataset stays importable here: perfbench/spans.py traces this name
+from .dataset import RATING_MAX, RATING_MIN, Dataset, build_dataset, make_dataset  # noqa: F401
 from .errors import IoFailure, SchemaVersionMismatch
 
 SCHEMA_VERSION = "1"
+
+_COUNT_MAX = int(np.iinfo(np.int64).max)
 
 _FILES = (
     "ratings.tsv",
@@ -38,51 +45,63 @@ _FILES = (
 )
 
 
-def _format_rating(value: float) -> str:
-    return format(value, "g")
+def _text(lines) -> str:
+    """Lines sorted as strings, each ended by a newline."""
+    lines = sorted(lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def render_canonical(d: Dataset) -> dict[str, str]:
     """Canonical file contents, keyed by file name."""
     users = d.users
     items = d.items
-
-    lines = [
-        f"{users.external(u)}\t{items.external(i)}\t{_format_rating(v)}"
-        for u, i, v in d.ratings.triples()
-    ]
-    ratings = "".join(line + "\n" for line in sorted(lines))
-
-    edge_lines = []
-    for a, b in d.social.edges():
-        ea, eb = users.external(a), users.external(b)
-        if eb < ea:
-            ea, eb = eb, ea
-        edge_lines.append(f"{ea}\t{eb}")
-    friends = "".join(line + "\n" for line in sorted(edge_lines))
-
-    fb_lines = []
-    present = d.feedback.present()
-    for ext in sorted(users):
-        u = users.handle(ext)
-        rows = {name: int(d.feedback.col(name)[u]) for name in present}
-        rows = {name: v for name, v in rows.items() if v}
-        rows.setdefault("review_count", int(d.feedback.col("review_count")[u]))
-        for name in sorted(rows):
-            fb_lines.append(f"{ext}\t{name}\t{rows[name]}")
-    user_feedback = "".join(line + "\n" for line in fb_lines)
-
-    rf_lines = []
     store = d.ratings
+
+    ratings = _text(map(
+        "{}\t{}\t{}".format,
+        users.externals(store.user_idx),
+        items.externals(store.item_idx),
+        map(format, store.value.tolist(), repeat("g")),
+    ))
+
+    # users in the order of their external ids
+    by_id = np.array(sorted(range(d.num_users), key=users.external), dtype=np.int64)
+    rank = np.empty(d.num_users, dtype=np.int64)
+    rank[by_id] = np.arange(d.num_users)
+
+    lo, hi = d.social.edge_array()
+    swap = rank[hi] < rank[lo]
+    friends = _text(map(
+        "{}\t{}".format,
+        users.externals(np.where(swap, hi, lo)),
+        users.externals(np.where(swap, lo, hi)),
+    ))
+
+    # every user gets a review_count row, zero or not
+    names = sorted(set(d.feedback.present()) | {"review_count"})
+    table = np.stack([d.feedback.col(name) for name in names], axis=1)[by_id]
+    shown = table != 0
+    shown[:, names.index("review_count")] = True
+    row, col = np.nonzero(shown)
+    user_feedback = "".join(map(
+        "{}\t{}\t{}\n".format,
+        users.externals(by_id[row]),
+        map(names.__getitem__, col.tolist()),
+        table[row, col].tolist(),
+    ))
+
+    rf_lines: list[str] = []
     for name in d.review_feedback.present():
-        col = d.review_feedback.col(name)
-        for pos in np.flatnonzero(col):
-            rf_lines.append(
-                f"{users.external(int(store.user_idx[pos]))}"
-                f"\t{items.external(int(store.item_idx[pos]))}"
-                f"\t{name}\t{int(col[pos])}"
-            )
-    review_feedback = "".join(line + "\n" for line in sorted(rf_lines))
+        counts = d.review_feedback.col(name)
+        pos = np.flatnonzero(counts)
+        rf_lines += map(
+            "{}\t{}\t{}\t{}".format,
+            users.externals(store.user_idx[pos]),
+            items.externals(store.item_idx[pos]),
+            repeat(name),
+            counts[pos].tolist(),
+        )
+    review_feedback = _text(rf_lines)
 
     cat_lines = []
     for ext in sorted(items):
@@ -110,13 +129,40 @@ def render_canonical(d: Dataset) -> dict[str, str]:
     }
 
 
+def write_atomic(directory: Path, files: Mapping[str, str]) -> None:
+    """Write each file beside its target and rename it into place.
+
+    A reader sees every file either whole and old or whole and new.
+    Raises OSError.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        tmp = directory / f".{name}.{secrets.token_hex(6)}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(content)
+            os.replace(tmp, directory / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
 def canonical_save(d: Dataset, directory: str | Path) -> None:
-    """Write a dataset as a canonical directory (creating it if needed)."""
+    """Write a dataset as a canonical directory (creating it if needed).
+
+    The old manifest is removed first and the new one written last, and
+    each data file is renamed into place whole: a save interrupted over
+    an older directory leaves one that fails to load for its missing
+    manifest, never a mix of old and new files that loads.
+    """
     directory = Path(directory)
+    files = render_canonical(d)
+    manifest = files.pop("manifest.txt")
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        for name, content in render_canonical(d).items():
-            (directory / name).write_text(content, encoding="utf-8")
+        (directory / "manifest.txt").unlink(missing_ok=True)
+        write_atomic(directory, files)
+        write_atomic(directory, {"manifest.txt": manifest})
     except OSError as exc:
         raise IoFailure(f"could not write canonical dataset: {exc}") from None
 
@@ -137,11 +183,53 @@ def _read_manifest(directory: Path) -> dict[str, str]:
     return fields
 
 
-def _split(source: str, line_no: int, line: str, n: int) -> list[str]:
-    parts = line.split("\t")
-    if len(parts) != n:
-        raise IoFailure(f"{source}:{line_no}: expected {n} fields, got {len(parts)}")
-    return parts
+def _columns(path: Path, width: int) -> list[list[str]]:
+    """The ``width`` tab-separated columns of a file's non-blank lines."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    rows = list(filter(None, lines))
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if tabs.count(width - 1) != len(tabs):
+        for line_no, line in enumerate(lines, start=1):
+            got = line.count("\t") + 1
+            if line and got != width:
+                raise IoFailure(f"{path.name}:{line_no}: expected {width} fields, got {got}")
+    # the lines go before the fields come, to keep the peak memory low
+    joined = "\t".join(rows)
+    del lines, rows
+    fields = joined.split("\t") if joined else []
+    del joined
+    return [fields[k::width] for k in range(width)]
+
+
+def _by_name(names: list[str], values: np.ndarray, *ids: list[str]) -> dict[str, tuple]:
+    """Counter rows as (*ids, values) per name, values zero on other names' rows.
+
+    Every name shares the id columns, so the builder looks them up once.
+    """
+    present = sorted(set(names))
+    code = dict(zip(present, range(len(present))))
+    codes = np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
+    return {name: (*ids, np.where(codes == k, values, 0)) for k, name in enumerate(present)}
+
+
+def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
+    """``raw`` as ``kind`` values in [lo, hi]; IoFailure naming the first bad line."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not lo <= value <= hi:  # NaN fails too
+            raise ValueError(text)
+        return value
+
+    dtype = np.float64 if kind is float else np.int64
+    try:
+        values = np.fromiter(map(kind, raw), dtype=dtype, count=len(raw))
+    except (ValueError, OverflowError):
+        raise _bad_value(path, parse, what) from None
+    if values.size and not (values.min() >= lo and values.max() <= hi):
+        raise _bad_value(path, parse, what)
+    return values
 
 
 def _bad_value(path: Path, parse, what: str) -> IoFailure:
@@ -179,51 +267,35 @@ def canonical_load(directory: str | Path) -> Dataset:
         if not (directory / name).is_file():
             raise IoFailure(f"missing canonical file: {directory / name}")
 
-    def rows(name: str, width: int):
-        with open(directory / name, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if line:
-                    yield _split(name, line_no, line, width)
+    path = directory / "ratings.tsv"
+    r_user, r_item, raw = _columns(path, 3)
+    ratings = (r_user, r_item, _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value"))
 
-    try:
-        ratings = [(user, item, float(raw)) for user, item, raw in rows("ratings.tsv", 3)]
-    except ValueError:
-        raise _bad_value(directory / "ratings.tsv", float, "rating value") from None
+    path = directory / "user_feedback.tsv"
+    uc_user, uc_name, raw = _columns(path, 3)
+    user_counters = _by_name(uc_name, _parsed(path, raw, int, 0, _COUNT_MAX, "count"), uc_user)
 
-    friends = [(a, b) for a, b in rows("friends.tsv", 2)]
+    path = directory / "review_feedback.tsv"
+    rc_user, rc_item, rc_name, raw = _columns(path, 4)
+    review_counters = _by_name(
+        rc_name, _parsed(path, raw, int, 0, _COUNT_MAX, "count"), rc_user, rc_item
+    )
 
-    user_counters: dict[str, dict[str, int]] = {}
-    try:
-        for user, counter, raw in rows("user_feedback.tsv", 3):
-            user_counters.setdefault(counter, {})[user] = int(raw)
-    except ValueError:
-        raise _bad_value(directory / "user_feedback.tsv", int, "count") from None
-
-    review_counters: dict[str, dict[tuple[str, str], int]] = {}
-    try:
-        for user, item, counter, raw in rows("review_feedback.tsv", 4):
-            review_counters.setdefault(counter, {})[(user, item)] = int(raw)
-    except ValueError:
-        raise _bad_value(directory / "review_feedback.tsv", int, "count") from None
-
+    cat_items, tags = _columns(directory / "item_categories.tsv", 2)
     categories: dict[str, set[str]] = {}
-    extra_items = set()
-    for item, tag in rows("item_categories.tsv", 2):
-        extra_items.add(item)
+    for item, tag in zip(cat_items, tags):
         if tag:
             categories.setdefault(item, set()).add(tag)
 
     try:
-        d = make_dataset(
+        d = build_dataset(
             provenance=provenance,
             ratings=ratings,
-            friends=friends,
+            friends=tuple(_columns(directory / "friends.tsv", 2)),
             user_counters=user_counters,
             review_counters=review_counters,
             categories=categories,
-            extra_items=extra_items,
-            warnings=IngestWarnings(),
+            extra_items=cat_items,
         )
     except ValueError as exc:
         raise IoFailure(f"inconsistent canonical data: {exc}") from None

@@ -9,13 +9,11 @@ run never leaves a half-written report.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import canonical_load, canonical_save
+from .canonical import canonical_load, canonical_save, write_atomic
 from .dataset import apply_filters, compute_stats
 from .errors import MissingFile, TrustcfError, UnknownConfiguration
 from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
@@ -188,22 +186,6 @@ def _build_config(token: str, beta: float, neighbor_count: int) -> InfluenceConf
         raise UsageError(f"invalid inline config {name!r}: {exc}") from None
 
 
-# -- output staging -----------------------------------------------------------
-
-def _write_atomic(directory: Path, files: dict[str, str]) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(content)
-            os.replace(tmp, directory / name)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
 # -- commands -----------------------------------------------------------------
 
 _YELP_NAMES = {
@@ -291,7 +273,7 @@ def cmd_eval(args) -> int:
     tau = spec.tau if args.tau is None else args.tau
     threads = spec.threads if args.threads is None else args.threads
     report = _run_from_spec(spec, spec.betas, threads, tau)
-    _write_atomic(
+    write_atomic(
         spec.out,
         {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json()},
     )
@@ -317,7 +299,7 @@ def cmd_sweep(args) -> int:
         rows = [r for r in report.rows if r.config == name]
         body = "".join(f"{r.beta:.2f}\t{format_metric(r.rmse)}\n" for r in rows)
         files[f"rmse_beta_{name.replace('/', '_')}.tsv"] = "beta\trmse\n" + body
-    _write_atomic(spec.out, files)
+    write_atomic(spec.out, files)
     print(report.to_tsv(), end="")
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -71,7 +72,7 @@ class Interner:
 
     def __init__(self, ids: Iterable[str] = ()):
         self._ids: list[str] = list(ids)
-        self._index: dict[str, int] = {s: n for n, s in enumerate(self._ids)}
+        self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
         if len(self._index) != len(self._ids):
             raise ValueError("duplicate external ids")
 
@@ -87,8 +88,20 @@ class Interner:
         """Handle for a known id; KeyError if never interned."""
         return self._index[external_id]
 
+    def handles(self, external_ids: Sequence[str]) -> np.ndarray:
+        """Handles of a column of ids; -1 for an id never interned."""
+        return np.fromiter(
+            map(self._index.get, external_ids, repeat(-1)),
+            dtype=np.int64,
+            count=len(external_ids),
+        )
+
     def external(self, handle: int) -> str:
         return self._ids[handle]
+
+    def externals(self, handles: np.ndarray) -> list[str]:
+        """External ids of a column of handles."""
+        return list(map(self._ids.__getitem__, np.asarray(handles).tolist()))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -128,9 +141,10 @@ class RatingStore:
         items: np.ndarray,
         values: np.ndarray,
     ):
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        # copies: the store freezes its arrays, and the caller keeps theirs
+        users = np.array(users, dtype=np.int64)
+        items = np.array(items, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape) or users.ndim != 1:
             raise ValueError("ratings arrays must be 1-d and aligned")
         if users.size:
@@ -138,14 +152,15 @@ class RatingStore:
                 raise ValueError("user handle out of range")
             if items.min() < 0 or items.max() >= num_items:
                 raise ValueError("item handle out of range")
-            if values.min() < RATING_MIN or values.max() > RATING_MAX:
+            # NaN fails both comparisons
+            if not (values.min() >= RATING_MIN and values.max() <= RATING_MAX):
                 raise ValueError(f"ratings must lie in [{RATING_MIN}, {RATING_MAX}]")
 
-        order = np.lexsort((items, users))
-        users, items, values = users[order], items[order], values[order]
-        if users.size > 1:
-            same = (users[1:] == users[:-1]) & (items[1:] == items[:-1])
-            if same.any():
+        keys = users * num_items + items
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            users, items, values, keys = users[order], items[order], values[order], keys[order]
+            if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (user, item) rating pair")
 
         self.num_users = int(num_users)
@@ -156,7 +171,8 @@ class RatingStore:
 
         counts = np.bincount(users, minlength=num_users)
         self._u_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))))
-        i_order = np.lexsort((users, items))
+        # stable, so users ascend within an item as in the canonical order
+        i_order = np.argsort(items, kind="stable")
         self._i_order = _frozen(i_order)
         icounts = np.bincount(items, minlength=num_items)
         self._i_ptr = _frozen(np.concatenate(([0], np.cumsum(icounts))))
@@ -167,19 +183,6 @@ class RatingStore:
         self._user_mean.setflags(write=True)
         self._user_mean[counts == 0] = np.nan
         self._user_mean.setflags(write=False)
-
-    @classmethod
-    def from_triples(
-        cls,
-        num_users: int,
-        num_items: int,
-        triples: Iterable[tuple[int, int, float]],
-    ) -> "RatingStore":
-        rows = list(triples)
-        users = np.fromiter((t[0] for t in rows), dtype=np.int64, count=len(rows))
-        items = np.fromiter((t[1] for t in rows), dtype=np.int64, count=len(rows))
-        values = np.fromiter((t[2] for t in rows), dtype=np.float64, count=len(rows))
-        return cls(num_users, num_items, users, items, values)
 
     def __len__(self) -> int:
         return int(self.user_idx.size)
@@ -398,6 +401,118 @@ class Dataset:
         return len(self.items)
 
 
+def build_dataset(
+    *,
+    provenance: str,
+    ratings: tuple[Sequence[str], Sequence[str], Sequence[float]],
+    friends: tuple[Sequence[str], Sequence[str]] = ((), ()),
+    user_counters: Mapping[str, tuple[Sequence[str], Sequence[int]]] | None = None,
+    review_counters: Mapping[
+        str, tuple[Sequence[str], Sequence[str], Sequence[int]]
+    ] | None = None,
+    categories: Mapping[str, Iterable[str]] | None = None,
+    extra_users: Iterable[str] = (),
+    extra_items: Iterable[str] = (),
+    warnings: IngestWarnings = IngestWarnings(),
+) -> Dataset:
+    """Build a Dataset from columns keyed by external string ids.
+
+    ``ratings`` is (user, item, value) columns with one row per pair and
+    ``friends`` (user, user) columns.  Each user counter maps to (user,
+    value) columns and each review counter to (user, item, value)
+    columns; rows that repeat a key add up, and review counters must
+    refer to pairs that carry a rating.  Ids are interned in sorted
+    order, so two calls with the same content produce handle-identical
+    datasets.
+    """
+    from .social import SocialGraph
+
+    user_counters = user_counters or {}
+    review_counters = review_counters or {}
+    categories = categories or {}
+    r_user, r_item, r_value = ratings
+    user_cols = [r_user, *friends, *(c[0] for c in user_counters.values())]
+
+    # Callers pass one id column for several counters: each distinct
+    # column is read once.  Review counters bring no ids of their own.
+    user_ids = set(extra_users)
+    for col in {id(col): col for col in user_cols}.values():
+        user_ids.update(col)
+    item_ids = set(extra_items).union(categories, r_item)
+    users = Interner(sorted(user_ids))
+    items = Interner(sorted(item_ids))
+    nu, ni = len(users), len(items)
+
+    looked_up: dict[tuple[int, int], np.ndarray] = {}
+    joined: dict[tuple[int, int], np.ndarray] = {}
+
+    def handles(interner: Interner, col: Sequence[str]) -> np.ndarray:
+        key = (id(interner), id(col))
+        if key not in looked_up:
+            looked_up[key] = interner.handles(col)
+        return looked_up[key]
+
+    def positions(rc_user: Sequence[str], rc_item: Sequence[str]) -> np.ndarray:
+        """Store positions of (user, item) rows; -1 where no rating matches."""
+        key = (id(rc_user), id(rc_item))
+        if key not in joined:
+            u, i = handles(users, rc_user), handles(items, rc_item)
+            want = np.where((u < 0) | (i < 0), -1, u * ni + i)
+            at = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
+            found = keys[at] == want if keys.size else np.zeros(want.size, dtype=bool)
+            joined[key] = np.where(found, at, -1)
+        return joined[key]
+
+    store = RatingStore(nu, ni, handles(users, r_user), handles(items, r_item), r_value)
+    # the store's packed keys ascend in its canonical order
+    keys = store.user_idx * ni + store.item_idx
+
+    review_sums = {}
+    for name, (rc_user, rc_item, values) in review_counters.items():
+        pos = positions(rc_user, rc_item)
+        if pos.size and pos.min() < 0:
+            n = int(np.argmin(pos))
+            raise ValueError(
+                f"review counter {name!r} for unrated pair ({rc_user[n]!r}, {rc_item[n]!r})"
+            )
+        review_sums[name] = (pos, values)
+    user_sums = {
+        name: (handles(users, ids), values) for name, (ids, values) in user_counters.items()
+    }
+
+    a, b = friends
+    return Dataset(
+        users=users,
+        items=items,
+        ratings=store,
+        social=SocialGraph(nu, np.column_stack((handles(users, a), handles(users, b)))),
+        feedback=FeedbackTable(nu, _sums(user_sums, nu)),
+        review_feedback=ReviewFeedback(store, _sums(review_sums, len(store))),
+        categories=ItemCategories(
+            ni, {items.handle(i): tags for i, tags in categories.items()}
+        ),
+        provenance=provenance,
+        warnings=warnings,
+    )
+
+
+def _sums(
+    columns: Mapping[str, tuple[np.ndarray, Sequence[int]]], size: int
+) -> dict[str, np.ndarray]:
+    """Per name, ``values[n]`` added up at entry ``at[n]`` of ``size`` zeros."""
+    out = {}
+    for name, (at, values) in columns.items():
+        col = np.zeros(size, dtype=np.int64)
+        np.add.at(col, at, np.asarray(values, dtype=np.int64))
+        out[name] = col
+    return out
+
+
+def _columns(rows: Iterable[tuple], width: int) -> tuple:
+    """Rows of ``width`` fields as ``width`` columns."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
 def make_dataset(
     *,
     provenance: str,
@@ -414,77 +529,23 @@ def make_dataset(
 
     Ids are interned in sorted order so two calls with the same content
     produce handle-identical datasets.  Review counters must refer to
-    pairs that actually carry a rating.
+    pairs that actually carry a rating.  See :func:`build_dataset`.
     """
-    from .social import SocialGraph
-
-    rating_rows = list(ratings)
-    friend_rows = list(friends)
-    user_counters = user_counters or {}
-    review_counters = review_counters or {}
-    categories = categories or {}
-
-    user_ids: set[str] = set(extra_users)
-    item_ids: set[str] = set(extra_items)
-    user_ids.update(u for u, _, _ in rating_rows)
-    item_ids.update(i for _, i, _ in rating_rows)
-    for a, b in friend_rows:
-        user_ids.add(a)
-        user_ids.add(b)
-    for mapping in user_counters.values():
-        user_ids.update(mapping)
-    for mapping in review_counters.values():
-        for u, i in mapping:
-            user_ids.add(u)
-            item_ids.add(i)
-    item_ids.update(categories)
-
-    users = Interner(sorted(user_ids))
-    items = Interner(sorted(item_ids))
-
-    store = RatingStore.from_triples(
-        len(users),
-        len(items),
-        ((users.handle(u), items.handle(i), float(v)) for u, i, v in rating_rows),
-    )
-
-    pair_pos = {
-        (int(u), int(i)): p
-        for p, (u, i) in enumerate(zip(store.user_idx, store.item_idx))
-    }
-    review_cols: dict[str, np.ndarray] = {}
-    for name, mapping in review_counters.items():
-        col = np.zeros(len(store), dtype=np.int64)
-        for (u, i), count in mapping.items():
-            pos = pair_pos.get((users.handle(u), items.handle(i)))
-            if pos is None:
-                raise ValueError(f"review counter {name!r} for unrated pair ({u!r}, {i!r})")
-            col[pos] = count
-        review_cols[name] = col
-
-    user_cols: dict[str, np.ndarray] = {}
-    for name, mapping in user_counters.items():
-        col = np.zeros(len(users), dtype=np.int64)
-        for u, count in mapping.items():
-            col[users.handle(u)] = count
-        user_cols[name] = col
-
-    graph = SocialGraph(
-        len(users),
-        ((users.handle(a), users.handle(b)) for a, b in friend_rows),
-    )
-    cats = ItemCategories(
-        len(items), {items.handle(i): tags for i, tags in categories.items()}
-    )
-    return Dataset(
-        users=users,
-        items=items,
-        ratings=store,
-        social=graph,
-        feedback=FeedbackTable(len(users), user_cols),
-        review_feedback=ReviewFeedback(store, review_cols),
-        categories=cats,
+    return build_dataset(
         provenance=provenance,
+        ratings=_columns(ratings, 3),
+        friends=_columns(friends, 2),
+        user_counters={
+            name: (list(mapping), list(mapping.values()))
+            for name, mapping in (user_counters or {}).items()
+        },
+        review_counters={
+            name: ([u for u, _ in mapping], [i for _, i in mapping], list(mapping.values()))
+            for name, mapping in (review_counters or {}).items()
+        },
+        categories=categories,
+        extra_users=extra_users,
+        extra_items=extra_items,
         warnings=warnings,
     )
 
@@ -529,8 +590,8 @@ def apply_filters(
     item_map = np.full(d.num_items, -1, dtype=np.int64)
     item_map[old_items] = np.arange(old_items.size)
 
-    users = Interner(d.users.external(int(u)) for u in old_users)
-    items = Interner(d.items.external(int(i)) for i in old_items)
+    users = Interner(d.users.externals(old_users))
+    items = Interner(d.items.externals(old_items))
 
     keep = rating_keep & user_keep[store.user_idx]
     new_store = RatingStore(
@@ -552,11 +613,8 @@ def apply_filters(
 
     from .social import SocialGraph
 
-    edges = (
-        (int(user_map[a]), int(user_map[b]))
-        for a, b in d.social.edges()
-        if user_keep[a] and user_keep[b]
-    )
+    a, b = d.social.edge_array()
+    kept = user_keep[a] & user_keep[b]
     cats = {
         int(item_map[i]): d.categories.of(int(i))
         for i in old_items
@@ -566,7 +624,7 @@ def apply_filters(
         users=users,
         items=items,
         ratings=new_store,
-        social=SocialGraph(len(users), edges),
+        social=SocialGraph(len(users), np.column_stack((user_map[a[kept]], user_map[b[kept]]))),
         feedback=FeedbackTable(len(users), user_cols),
         review_feedback=ReviewFeedback(new_store, review_cols),
         categories=ItemCategories(len(items), cats),

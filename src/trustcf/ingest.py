@@ -24,7 +24,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .dataset import Dataset, IngestWarnings, make_dataset
+# make_dataset stays importable here: perfbench/spans.py traces this name
+from .dataset import Dataset, IngestWarnings, build_dataset, make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
 
@@ -34,6 +35,9 @@ def _require(path: Path) -> Path:
     return path
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -41,9 +45,16 @@ def _iter_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(path.name, line_no, f"invalid JSON: {exc}") from None
+                # raw_decode skips json.loads' per-call checks; a line that
+                # fails them is parsed again by json.loads, for its error
+                record, end = _raw_decode(line)
+                if end != len(line):
+                    record = json.loads(line)
+            except json.JSONDecodeError:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(path.name, line_no, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise MalformedRecord(path.name, line_no, "expected a JSON object")
             yield line_no, record
@@ -59,12 +70,75 @@ def _listish(raw) -> list[str]:
 
 
 def _int_field(record: dict, name: str, source: str, line_no: int) -> int:
-    raw = record.get(name, 0)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise MalformedRecord(source, line_no, f"{name} is not an integer") from None
-    return max(value, 0)
+    value = record.get(name, 0)
+    if type(value) is not int:
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise MalformedRecord(source, line_no, f"{name} is not an integer") from None
+    return value if value > 0 else 0
+
+
+def _latest(users: list[str], items: list[str], stamps: list) -> tuple[list[int], int]:
+    """The rows left when each (user, item) pair keeps its latest row.
+
+    The latest row has the largest stamp, and of equal stamps the last
+    one.  Returns the kept row indices and the number of rows dropped.
+    """
+    last = dict(zip(zip(users, items), range(len(users))))
+    dropped = len(users) - len(last)
+    if dropped:
+        # a stable sort keeps rows of equal stamps in file order
+        order = sorted(range(len(users)), key=stamps.__getitem__)
+        pairs = zip(map(users.__getitem__, order), map(items.__getitem__, order))
+        last = dict(zip(pairs, order))
+    return list(last.values()), dropped
+
+
+def _pick(column: list, rows: list[int]) -> list:
+    return list(map(column.__getitem__, rows))
+
+
+def _unsafe(text: str) -> bool:
+    """Whether an id cannot be a canonical TSV field: empty, or holding
+    a tab or a line break."""
+    return not text or "\t" in text or "\n" in text or "\r" in text
+
+
+def _check_ids(ids: set[str], sources) -> None:
+    """Raise MalformedRecord for the first record holding an unsafe id.
+
+    ``sources`` yields ``(file name, line, [(field, value), ...])`` per
+    record; it is read only when ``ids`` hold an unsafe one, so a good
+    dump pays one scan of its distinct ids.
+    """
+    if "" not in ids and not _unsafe("".join(ids)):
+        return
+    for source, line_no, fields in sources:
+        for field, value in fields:
+            if _unsafe(value):
+                raise MalformedRecord(
+                    source, line_no,
+                    f"{field} {value!r} is empty or holds a tab or line break",
+                )
+    bad = sorted(i for i in ids if _unsafe(i))
+    if bad:  # the files changed while being read
+        raise MalformedRecord("input", 0, f"id {bad[0]!r} is empty or holds a tab or line break")
+
+
+def _yelp_id_fields(business_file: Path, review_file: Path, user_file: Path, tip_file: Path):
+    for line_no, r in _iter_json_lines(business_file):
+        tags = [("category", tag) for tag in _listish(r.get("categories"))]
+        yield business_file.name, line_no, [("business_id", str(r.get("business_id")))] + tags
+    for line_no, r in _iter_json_lines(review_file):
+        yield review_file.name, line_no, [
+            ("user_id", str(r.get("user_id"))), ("business_id", str(r.get("business_id")))
+        ]
+    for line_no, r in _iter_json_lines(user_file):
+        friends = [("friend", friend) for friend in _listish(r.get("friends"))]
+        yield user_file.name, line_no, [("user_id", str(r.get("user_id")))] + friends
+    for line_no, r in _iter_json_lines(tip_file):
+        yield tip_file.name, line_no, [("user_id", str(r.get("user_id")))]
 
 
 def ingest_yelp(
@@ -81,122 +155,112 @@ def ingest_yelp(
     counts and the friend graph; tips contribute their count and
     received appreciation per author.
     """
-    business_file = _require(Path(business_file))
-    review_file = _require(Path(review_file))
-    user_file = _require(Path(user_file))
-    tip_file = _require(Path(tip_file))
+    files = [_require(Path(f)) for f in (business_file, review_file, user_file, tip_file)]
+    business_file, review_file, user_file, tip_file = files
 
+    source = business_file.name
     categories: dict[str, list[str]] = {}
     for line_no, record in _iter_json_lines(business_file):
         business = record.get("business_id")
         if not business:
-            raise MalformedRecord(business_file.name, line_no, "missing business_id")
+            raise MalformedRecord(source, line_no, "missing business_id")
         categories[str(business)] = _listish(record.get("categories"))
 
-    # (user, item) -> (sort key, stars, useful, funny, cool)
-    reviews: dict[tuple[str, str], tuple[tuple[str, int], float, int, int, int]] = {}
-    duplicates = 0
+    source = review_file.name
+    r_user: list[str] = []
+    r_item: list[str] = []
+    r_date: list[str] = []
+    r_stars: list[float] = []
+    r_useful: list[int] = []
+    r_funny: list[int] = []
+    r_cool: list[int] = []
     for line_no, record in _iter_json_lines(review_file):
         user = record.get("user_id")
         business = record.get("business_id")
-        stars = record.get("stars")
         if not user or not business:
-            raise MalformedRecord(review_file.name, line_no, "missing user_id or business_id")
+            raise MalformedRecord(source, line_no, "missing user_id or business_id")
         try:
-            rating = float(stars)
+            rating = float(record.get("stars"))
         except (TypeError, ValueError):
-            raise MalformedRecord(review_file.name, line_no, "stars is not numeric") from None
+            raise MalformedRecord(source, line_no, "stars is not numeric") from None
         if not 1.0 <= rating <= 5.0:
-            raise MalformedRecord(review_file.name, line_no, f"stars {rating} outside 1..5")
-        votes = record.get("votes") if isinstance(record.get("votes"), dict) else record
-        useful = _int_field(votes, "useful", review_file.name, line_no)
-        funny = _int_field(votes, "funny", review_file.name, line_no)
-        cool = _int_field(votes, "cool", review_file.name, line_no)
-        key = (str(user), str(business))
-        stamp = (str(record.get("date") or ""), line_no)
-        previous = reviews.get(key)
-        if previous is not None:
-            duplicates += 1
-            if stamp < previous[0]:
-                continue
-        reviews[key] = (stamp, rating, useful, funny, cool)
+            raise MalformedRecord(source, line_no, f"stars {rating} outside 1..5")
+        votes = record.get("votes")
+        if not isinstance(votes, dict):
+            votes = record
+        r_user.append(str(user))
+        r_item.append(str(business))
+        r_date.append(str(record.get("date") or ""))
+        r_stars.append(rating)
+        r_useful.append(_int_field(votes, "useful", source, line_no))
+        r_funny.append(_int_field(votes, "funny", source, line_no))
+        r_cool.append(_int_field(votes, "cool", source, line_no))
 
-    elite_years: dict[str, int] = {}
-    more: dict[str, int] = {}
-    thx: dict[str, int] = {}
-    gw: dict[str, int] = {}
-    fans: dict[str, int] = {}
-    friend_edges: list[tuple[str, str]] = []
-    seen_users: set[str] = set()
+    # a user listed twice keeps the last line's profile and every line's friends
+    source = user_file.name
+    profiles: dict[str, tuple[int, int, int, int, int]] = {}
+    f_user: list[str] = []
+    f_friend: list[str] = []
     for line_no, record in _iter_json_lines(user_file):
         user = record.get("user_id")
         if not user:
-            raise MalformedRecord(user_file.name, line_no, "missing user_id")
+            raise MalformedRecord(source, line_no, "missing user_id")
         user = str(user)
-        seen_users.add(user)
-        elite_years[user] = len(_listish(record.get("elite")))
-        more[user] = _int_field(record, "compliment_more", user_file.name, line_no)
-        thx[user] = _int_field(record, "compliment_note", user_file.name, line_no)
-        gw[user] = _int_field(record, "compliment_writer", user_file.name, line_no)
-        fans[user] = _int_field(record, "fans", user_file.name, line_no)
-        for friend in _listish(record.get("friends")):
-            if friend != user:
-                friend_edges.append((user, friend))
-                seen_users.add(friend)
+        profiles[user] = (
+            len(_listish(record.get("elite"))),
+            _int_field(record, "compliment_more", source, line_no),
+            _int_field(record, "compliment_note", source, line_no),
+            _int_field(record, "compliment_writer", source, line_no),
+            _int_field(record, "fans", source, line_no),
+        )
+        friends = _listish(record.get("friends"))
+        f_friend += friends
+        f_user += [user] * len(friends)  # a self-friend is dropped by the graph
 
-    tip_likes: dict[str, int] = {}
-    tip_count: dict[str, int] = {}
+    source = tip_file.name
+    t_user: list[str] = []
+    t_likes: list[int] = []
     for line_no, record in _iter_json_lines(tip_file):
         user = record.get("user_id")
         if not user:
-            raise MalformedRecord(tip_file.name, line_no, "missing user_id")
-        user = str(user)
+            raise MalformedRecord(source, line_no, "missing user_id")
         name = "likes" if "likes" in record else "compliment_count"
-        tip_likes[user] = tip_likes.get(user, 0) + _int_field(record, name, tip_file.name, line_no)
-        tip_count[user] = tip_count.get(user, 0) + 1
-        seen_users.add(user)
+        t_user.append(str(user))
+        t_likes.append(_int_field(record, name, source, line_no))
 
-    review_useful: dict[str, int] = {}
-    review_funny: dict[str, int] = {}
-    review_cool: dict[str, int] = {}
-    review_count: dict[str, int] = {}
-    useful_map: dict[tuple[str, str], int] = {}
-    funny_map: dict[tuple[str, str], int] = {}
-    cool_map: dict[tuple[str, str], int] = {}
-    rating_rows: list[tuple[str, str, float]] = []
-    for (user, business), (_, rating, useful, funny, cool) in reviews.items():
-        rating_rows.append((user, business, rating))
-        review_useful[user] = review_useful.get(user, 0) + useful
-        review_funny[user] = review_funny.get(user, 0) + funny
-        review_cool[user] = review_cool.get(user, 0) + cool
-        review_count[user] = review_count.get(user, 0) + 1
-        if useful:
-            useful_map[(user, business)] = useful
-        if funny:
-            funny_map[(user, business)] = funny
-        if cool:
-            cool_map[(user, business)] = cool
+    user_ids = set(r_user).union(profiles, f_friend, t_user)
+    item_ids = set(r_item).union(categories)
+    tags = set().union(*categories.values())
+    _check_ids(user_ids | item_ids | tags, _yelp_id_fields(*files))
 
-    return make_dataset(
+    kept, duplicates = _latest(r_user, r_item, r_date)
+    k_user, k_item = _pick(r_user, kept), _pick(r_item, kept)
+    useful, funny, cool = (_pick(col, kept) for col in (r_useful, r_funny, r_cool))
+    p_user = list(profiles)
+    elite, more, thx, gw, fans = [list(col) for col in zip(*profiles.values())] or [[]] * 5
+    return build_dataset(
         provenance="yelp",
-        ratings=rating_rows,
-        friends=friend_edges,
+        ratings=(k_user, k_item, _pick(r_stars, kept)),
+        friends=(f_user, f_friend),
         user_counters={
-            "elite_years": elite_years,
-            "more": more,
-            "thx": thx,
-            "gw": gw,
-            "fans": fans,
-            "tip_likes": tip_likes,
-            "tip_count": tip_count,
-            "review_useful": review_useful,
-            "review_funny": review_funny,
-            "review_cool": review_cool,
-            "review_count": review_count,
+            "elite_years": (p_user, elite),
+            "more": (p_user, more),
+            "thx": (p_user, thx),
+            "gw": (p_user, gw),
+            "fans": (p_user, fans),
+            "tip_likes": (t_user, t_likes),
+            "tip_count": (t_user, [1] * len(t_user)),
+            "review_useful": (k_user, useful),
+            "review_funny": (k_user, funny),
+            "review_cool": (k_user, cool),
+            "review_count": (k_user, [1] * len(kept)),
         },
-        review_counters={"useful": useful_map, "funny": funny_map, "cool": cool_map},
+        review_counters={
+            "useful": (k_user, k_item, useful),
+            "funny": (k_user, k_item, funny),
+            "cool": (k_user, k_item, cool),
+        },
         categories={b: tags for b, tags in categories.items() if tags},
-        extra_users=seen_users,
         extra_items=categories.keys(),
         warnings=IngestWarnings(duplicate_ratings=duplicates),
     )
@@ -219,6 +283,24 @@ def _parse_librarything_line(source: str, line_no: int, line: str) -> dict:
     return record
 
 
+def _iter_librarything(path: Path) -> Iterator[tuple[int, dict]]:
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line:
+                yield line_no, _parse_librarything_line(path.name, line_no, line)
+
+
+def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
+    """A review's stars, or None when they are missing, null or off the 1..5 scale."""
+    stars = record.get("stars")
+    try:
+        rating = float(stars) if stars is not None else 0.0
+    except (TypeError, ValueError):
+        raise MalformedRecord(source, line_no, "stars is not numeric") from None
+    return rating if 1.0 <= rating <= 5.0 else None
+
+
 def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dataset:
     """Read a LibraryThing dump into a Dataset.
 
@@ -229,47 +311,40 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
     review_file = _require(Path(review_file))
     friend_file = _require(Path(friend_file))
 
-    # (user, work) -> (sort key, stars, nhelpful)
-    reviews: dict[tuple[str, str], tuple[tuple[int, int], float, int]] = {}
-    duplicates = 0
+    source = review_file.name
+    r_user: list[str] = []
+    r_item: list[str] = []
+    r_stamp: list[int] = []
+    r_stars: list[float] = []
+    r_help: list[int] = []
     dropped = 0
-    with open(review_file, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_librarything_line(review_file.name, line_no, line)
-            user = record.get("user")
-            work = record.get("work")
-            if user is None or work is None:
-                raise MalformedRecord(review_file.name, line_no, "missing user or work")
-            stars = record.get("stars")
-            try:
-                rating = float(stars) if stars is not None else 0.0
-            except (TypeError, ValueError):
-                raise MalformedRecord(review_file.name, line_no, "stars is not numeric") from None
-            if not 1.0 <= rating <= 5.0:
-                dropped += 1
-                continue
-            nhelpful = record.get("nhelpful") or 0
-            try:
-                nhelpful = max(int(nhelpful), 0)
-            except (TypeError, ValueError):
-                raise MalformedRecord(review_file.name, line_no, "nhelpful is not an integer") from None
-            try:
-                stamp = (int(record.get("unixtime") or 0), line_no)
-            except (TypeError, ValueError):
-                stamp = (0, line_no)
-            key = (str(user), str(work))
-            previous = reviews.get(key)
-            if previous is not None:
-                duplicates += 1
-                if stamp < previous[0]:
-                    continue
-            reviews[key] = (stamp, rating, nhelpful)
+    for line_no, record in _iter_librarything(review_file):
+        user = record.get("user")
+        work = record.get("work")
+        if user is None or work is None:
+            raise MalformedRecord(source, line_no, "missing user or work")
+        rating = _lt_rating(record, source, line_no)
+        if rating is None:
+            dropped += 1
+            continue
+        nhelpful = record.get("nhelpful") or 0
+        try:
+            nhelpful = max(int(nhelpful), 0)
+        except (TypeError, ValueError):
+            raise MalformedRecord(source, line_no, "nhelpful is not an integer") from None
+        try:
+            stamp = int(record.get("unixtime") or 0)
+        except (TypeError, ValueError):
+            stamp = 0
+        r_user.append(str(user))
+        r_item.append(str(work))
+        r_stamp.append(stamp)
+        r_stars.append(rating)
+        r_help.append(nhelpful)
 
-    friend_edges: list[tuple[str, str]] = []
-    friend_users: set[str] = set()
+    # self-loops go in too: the graph drops them, and their user is still interned
+    f_a: list[str] = []
+    f_b: list[str] = []
     with open(friend_file, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.split()
@@ -277,32 +352,27 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
                 continue
             if len(parts) != 2:
                 raise MalformedRecord(friend_file.name, line_no, "expected two user ids")
-            a, b = parts
-            if a != b:
-                friend_edges.append((a, b))
-            friend_users.update(parts)
+            f_a.append(parts[0])
+            f_b.append(parts[1])
 
-    nhelpful_total: dict[str, int] = {}
-    review_count: dict[str, int] = {}
-    nhelpful_map: dict[tuple[str, str], int] = {}
-    rating_rows: list[tuple[str, str, float]] = []
-    for (user, work), (_, rating, nhelpful) in reviews.items():
-        rating_rows.append((user, work, rating))
-        nhelpful_total[user] = nhelpful_total.get(user, 0) + nhelpful
-        review_count[user] = review_count.get(user, 0) + 1
-        if nhelpful:
-            nhelpful_map[(user, work)] = nhelpful
+    def id_fields():
+        for line_no, r in _iter_librarything(review_file):
+            if _lt_rating(r, source, line_no) is not None:
+                yield source, line_no, [("user", str(r.get("user"))), ("work", str(r.get("work")))]
 
-    return make_dataset(
+    _check_ids(set(r_user).union(r_item), id_fields())
+
+    kept, duplicates = _latest(r_user, r_item, r_stamp)
+    k_user, k_item, helpful = (_pick(col, kept) for col in (r_user, r_item, r_help))
+    return build_dataset(
         provenance="librarything",
-        ratings=rating_rows,
-        friends=friend_edges,
+        ratings=(k_user, k_item, _pick(r_stars, kept)),
+        friends=(f_a, f_b),
         user_counters={
-            "nhelpful_total": nhelpful_total,
-            "review_count": review_count,
+            "nhelpful_total": (k_user, helpful),
+            "review_count": (k_user, [1] * len(kept)),
         },
-        review_counters={"nhelpful": nhelpful_map},
-        extra_users=friend_users,
+        review_counters={"nhelpful": (k_user, k_item, helpful)},
         warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
     )
 

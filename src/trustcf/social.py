@@ -22,34 +22,32 @@ class SocialGraph:
     __slots__ = ("num_users", "_ptr", "_adj", "_keys")
 
     def __init__(self, num_users: int, edges: Iterable[tuple[int, int]] = ()):
-        self.num_users = int(num_users)
-        pairs: set[tuple[int, int]] = set()
-        for a, b in edges:
-            a, b = int(a), int(b)
-            if a == b:
-                continue
-            if not (0 <= a < num_users and 0 <= b < num_users):
-                raise ValueError(f"edge ({a}, {b}) references unknown user")
-            pairs.add((a, b) if a < b else (b, a))
-
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            src = np.concatenate([arr[:, 0], arr[:, 1]])
-            dst = np.concatenate([arr[:, 1], arr[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-
-        counts = np.bincount(src, minlength=num_users)
-        self._ptr = np.concatenate(([0], np.cumsum(counts)))
-        self._ptr.setflags(write=False)
-        self._adj = dst
-        self._adj.setflags(write=False)
-        # src ascends, then dst within src: the keys come out sorted
-        self._keys = src * self.num_users + dst
+        """``edges`` is pairs of handles, or an (m, 2) array of them."""
+        self.num_users = n = int(num_users)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        a, b = pairs[:, 0], pairs[:, 1]
+        bad = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(f"edge ({a[at]}, {b[at]}) references unknown user")
+        loop = a == b
+        a, b = a[~loop], b[~loop]
+        # each edge in both directions, sorted by (src, dst), repeats dropped;
+        # not np.unique or np.sort: their first calls load code (numpy.ma,
+        # more sort kernels) that adds to the peak RSS of a whole run
+        keys = np.concatenate((a * n + b, b * n + a))
+        keys = keys[np.argsort(keys, kind="stable")]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self._keys = keys[first]
         self._keys.setflags(write=False)
+        src = self._keys // max(n, 1)
+        self._adj = self._keys - src * n
+        self._adj.setflags(write=False)
+        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        self._ptr.setflags(write=False)
 
     def friends_of(self, u: int) -> np.ndarray:
         """Sorted neighbor handles of u (possibly empty)."""
@@ -92,12 +90,15 @@ class SocialGraph:
         at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
         return self._keys[at] == want
 
+    def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
+        """(smaller, larger) handles of each undirected edge, ascending."""
+        src = np.repeat(np.arange(self.num_users), np.diff(self._ptr))
+        once = src < self._adj
+        return src[once], self._adj[once]
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (smaller handle, larger handle)."""
-        for u in range(self.num_users):
-            for v in self.friends_of(u):
-                if u < v:
-                    yield u, int(v)
+        return zip(*(side.tolist() for side in self.edge_array()))
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.num_users:

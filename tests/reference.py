@@ -5,6 +5,8 @@ shared code with the package internals.  :func:`naive_predict`
 recomputes facet fusion, influence blending, neighbor selection and the
 mean-centered prediction from first principles; :func:`naive_fold` and
 :func:`naive_row` rebuild a fold's and a report row's metrics from it.
+:func:`naive_yelp_canonical` and :func:`naive_librarything_canonical`
+render the canonical files straight from raw dump records.
 """
 
 from __future__ import annotations
@@ -271,3 +273,166 @@ def naive_row(folds):
     row["model_predictions"] = sum(f["model_predictions"] for f in folds)
     row["fallback_predictions"] = sum(f["fallback_predictions"] for f in folds)
     return row
+
+
+# -- ingest -------------------------------------------------------------------
+
+def _naive_listish(raw):
+    if raw is None:
+        return []
+    if isinstance(raw, str):
+        parts = [p.strip() for p in raw.split(",")]
+        return [p for p in parts if p and p != "None"]
+    return [str(p).strip() for p in raw if str(p).strip()]
+
+
+def _naive_count(record, name):
+    return max(int(record.get(name, 0)), 0)
+
+
+def _naive_render(provenance, ratings, edges, user_counts, review_counts,
+                  users, items, tags):
+    """Canonical files from plain structures keyed by external ids.
+
+    ``ratings`` maps (user, item) to a value, ``edges`` is a set of
+    unordered pairs, ``user_counts`` maps user to {counter: value} and
+    ``review_counts`` maps (user, item) to {counter: value}.
+    """
+    def text(lines):
+        return "".join(line + "\n" for line in lines)
+
+    rating_lines = sorted(f"{u}\t{i}\t{format(v, 'g')}" for (u, i), v in ratings.items())
+    friend_lines = sorted(f"{a}\t{b}" for a, b in (sorted(e) for e in edges))
+    feedback_lines = []
+    for u in sorted(users):
+        counts = user_counts.get(u, {})
+        for name in sorted(set(counts) | {"review_count"}):
+            value = counts.get(name, 0)
+            if value or name == "review_count":
+                feedback_lines.append(f"{u}\t{name}\t{value}")
+    review_lines = sorted(
+        f"{u}\t{i}\t{name}\t{value}"
+        for (u, i), counts in review_counts.items()
+        for name, value in counts.items()
+        if value
+    )
+    category_lines = []
+    for i in sorted(items):
+        if tags.get(i):
+            category_lines += [f"{i}\t{t}" for t in sorted(tags[i])]
+        else:
+            category_lines.append(f"{i}\t")
+    manifest = (
+        f"schema_version=1\nprovenance={provenance}\nnum_users={len(users)}\n"
+        f"num_items={len(items)}\nnum_ratings={len(ratings)}\n"
+    )
+    return {
+        "manifest.txt": manifest,
+        "ratings.tsv": text(rating_lines),
+        "friends.tsv": text(friend_lines),
+        "user_feedback.tsv": text(feedback_lines),
+        "review_feedback.tsv": text(review_lines),
+        "item_categories.tsv": text(category_lines),
+    }
+
+
+def _naive_latest(rows):
+    """Per (user, item) key, the row with the largest (stamp, line)."""
+    latest = {}
+    for key, stamp, line, row in rows:
+        if key not in latest or (stamp, line) > latest[key][0]:
+            latest[key] = ((stamp, line), row)
+    return {key: row for key, (_, row) in latest.items()}
+
+
+def naive_yelp_canonical(businesses, reviews, profiles, tips):
+    """(canonical files, duplicate count) of a Yelp dump's records.
+
+    Each argument lists one file's records in line order, one per line.
+    """
+    tags = {}
+    for r in businesses:
+        tags[str(r["business_id"])] = set(_naive_listish(r.get("categories")))
+
+    rows = []
+    for line, r in enumerate(reviews, start=1):
+        votes = r["votes"] if isinstance(r.get("votes"), dict) else r
+        key = (str(r["user_id"]), str(r["business_id"]))
+        rows.append((key, str(r.get("date") or ""), line, (
+            float(r["stars"]),
+            {name: _naive_count(votes, name) for name in ("useful", "funny", "cool")},
+        )))
+    kept = _naive_latest(rows)
+
+    users, edges, user_counts = set(), set(), {}
+    for r in profiles:
+        u = str(r["user_id"])
+        users.add(u)
+        counts = user_counts.setdefault(u, {})
+        counts["elite_years"] = len(_naive_listish(r.get("elite")))
+        counts["more"] = _naive_count(r, "compliment_more")
+        counts["thx"] = _naive_count(r, "compliment_note")
+        counts["gw"] = _naive_count(r, "compliment_writer")
+        counts["fans"] = _naive_count(r, "fans")
+        for friend in _naive_listish(r.get("friends")):
+            users.add(friend)
+            if friend != u:
+                edges.add(frozenset((u, friend)))
+    for r in tips:
+        u = str(r["user_id"])
+        users.add(u)
+        counts = user_counts.setdefault(u, {})
+        likes = _naive_count(r, "likes" if "likes" in r else "compliment_count")
+        counts["tip_likes"] = counts.get("tip_likes", 0) + likes
+        counts["tip_count"] = counts.get("tip_count", 0) + 1
+
+    ratings, review_counts = {}, {}
+    for (u, i), (value, votes) in kept.items():
+        users.add(u)
+        ratings[(u, i)] = value
+        review_counts[(u, i)] = votes
+        counts = user_counts.setdefault(u, {})
+        for name in ("useful", "funny", "cool"):
+            counts["review_" + name] = counts.get("review_" + name, 0) + votes[name]
+        counts["review_count"] = counts.get("review_count", 0) + 1
+    items = set(tags) | {i for _, i in ratings}
+    files = _naive_render("yelp", ratings, edges, user_counts, review_counts,
+                          users, items, tags)
+    return files, len(reviews) - len(kept)
+
+
+def naive_librarything_canonical(reviews, friend_pairs):
+    """(canonical files, duplicates, dropped) of a LibraryThing dump.
+
+    ``reviews`` lists the review file's records in line order, one per
+    line; ``friend_pairs`` lists the friend file's (user, user) lines.
+    """
+    rows, dropped = [], 0
+    for line, r in enumerate(reviews, start=1):
+        stars = r.get("stars")
+        rating = float(stars) if stars is not None else 0.0
+        if not 1.0 <= rating <= 5.0:
+            dropped += 1
+            continue
+        key = (str(r["user"]), str(r["work"]))
+        stamp = int(r.get("unixtime") or 0)
+        rows.append((key, stamp, line, (rating, max(int(r.get("nhelpful") or 0), 0))))
+    kept = _naive_latest(rows)
+
+    users, edges = set(), set()
+    for a, b in friend_pairs:
+        users.update((a, b))
+        if a != b:
+            edges.add(frozenset((a, b)))
+    ratings, review_counts, user_counts = {}, {}, {}
+    for (u, i), (value, helpful) in kept.items():
+        users.add(u)
+        ratings[(u, i)] = value
+        review_counts[(u, i)] = {"nhelpful": helpful}
+        counts = user_counts.setdefault(u, {})
+        counts["nhelpful_total"] = counts.get("nhelpful_total", 0) + helpful
+        counts["review_count"] = counts.get("review_count", 0) + 1
+    items = {i for _, i in ratings}
+    files = _naive_render("librarything", ratings, edges, user_counts, review_counts,
+                          users, items, {})
+    return files, len(rows) - len(kept), dropped

@@ -177,6 +177,17 @@ class TestEval:
         assert main(["eval", "--spec", str(spec)]) == 2
         assert "manifest.txt: num_ratings is '99'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0.5"])
+    def test_bad_rating_value(self, tmp_path, canonical_dir, capsys, bad):
+        ratings = canonical_dir / "ratings.tsv"
+        ratings.write_text(
+            ratings.read_text().replace("alice\tbread\t2\n", f"alice\tbread\t{bad}\n"))
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        assert main(["eval", "--spec", str(spec)]) == 2
+        assert f"ratings.tsv:2: bad rating value '{bad}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1
 
@@ -287,6 +298,23 @@ class TestIngest:
         d = canonical_load(out)
         assert d.provenance == "librarything"
         assert "users: 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("user", ["a\tb", ""])
+    def test_unsafe_id_writes_nothing(self, tmp_path, capsys, user):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "reviews.txt").write_text(
+            "{'work': 'w1', 'user': 'u1', 'stars': 4.0}\n"
+            + repr({"work": "w1", "user": user, "stars": 3.0}) + "\n",
+            encoding="utf-8",
+        )
+        (raw / "edges.txt").write_text("u1 u2\n", encoding="utf-8")
+        out = tmp_path / "canon"
+        rc = main(["ingest", "--source", "librarything", "--in", str(raw),
+                   "--out", str(out), "--min-ratings", "1"])
+        assert rc == 2
+        assert "reviews.txt:2: user" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_directory(self, tmp_path):
         rc = main(["ingest", "--source", "yelp", "--in", str(tmp_path / "nope"),

@@ -74,6 +74,29 @@ class TestRatingStore:
         with pytest.raises(ValueError, match="lie in"):
             RatingStore(1, 1, [0], [0], [5.5])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rating_rejected(self, value):
+        with pytest.raises(ValueError, match="lie in"):
+            RatingStore(2, 1, [0, 1], [0, 0], [3.0, value])
+        with pytest.raises(ValueError, match="lie in"):
+            make_dataset(provenance="synthetic", ratings=[("u", "i", value)])
+
+    def test_input_order_does_not_matter(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            store = random_dataset(rng).ratings
+            shuffled = rng.permutation(len(store))
+            again = RatingStore(store.num_users, store.num_items, store.user_idx[shuffled],
+                                store.item_idx[shuffled], store.value[shuffled])
+            for name in ("user_idx", "item_idx", "value", "_u_ptr", "_i_order", "_i_ptr"):
+                assert np.array_equal(getattr(again, name), getattr(store, name)), name
+            assert np.array_equal(again.user_means(), store.user_means(), equal_nan=True)
+
+    def test_caller_arrays_stay_writable(self):
+        users = np.array([0, 1])
+        RatingStore(2, 1, users, np.array([0, 0]), np.array([3.0, 4.0]))
+        users[0] = 1  # the store keeps copies
+
     def test_means(self):
         d = build_tiny()
         assert d.ratings.mean_of(0) == pytest.approx(3.0)  # alice: 4, 2, 3

@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import random
 
 import numpy as np
 import pytest
 
 from trustcf import canonical_load, canonical_save, ingest_librarything, ingest_yelp
 from trustcf.canonical import datasets_equal, render_canonical
+from trustcf.dataset import (
+    FeedbackTable,
+    IngestWarnings,
+    Interner,
+    RatingStore,
+    ReviewFeedback,
+)
+from trustcf.social import SocialGraph
 from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 from trustcf.ingest import load_category_closure, restaurants_food_closure
 
-from conftest import random_dataset
+import reference
+from conftest import build_tiny, random_dataset
 
 
 def write_lines(path, records):
@@ -187,6 +199,54 @@ class TestLibraryThingIngest:
             ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
 
 
+def yelp_files(directory):
+    return [directory / name for name in ("business.json", "review.json", "user.json", "tip.json")]
+
+
+class TestUnsafeIds:
+    """Ids that could not be written as one canonical TSV field."""
+
+    @pytest.mark.parametrize("name, index, field, bad", [
+        ("review.json", 2, "user_id", "u\t2"),
+        ("review.json", 3, "business_id", "b\n2"),
+        ("business.json", 2, "business_id", "b\r2"),
+        ("user.json", 2, "friends", ["u1", "u\t9"]),
+        ("tip.json", 1, "user_id", "u\t1"),
+        ("business.json", 1, "categories", ["Pizza", "Tab\tbed"]),
+    ])
+    def test_yelp_names_file_and_line(self, yelp_dir, name, index, field, bad):
+        path = yelp_dir / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[index][field] = bad
+        write_lines(path, records)
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == (name, index + 1)
+        assert "tab or line break" in caught.value.reason
+
+    @pytest.mark.parametrize("field, bad", [
+        ("user", "a\tb"), ("user", ""), ("work", ""), ("work", "w\n1"),
+    ])
+    def test_librarything_names_file_and_line(self, lt_dir, field, bad):
+        lines = LT_LINES.splitlines()
+        record = json.loads(lines[1])
+        record[field] = bad
+        lines[1] = json.dumps(record)
+        # the same id on a review that is dropped for its stars counts for nothing
+        lines[0] = json.dumps({"work": bad, "user": bad, "stars": None})
+        (lt_dir / "reviews.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert (caught.value.source, caught.value.line_number) == ("reviews.txt", 2)
+
+    def test_id_on_a_dropped_review_is_not_checked(self, lt_dir):
+        (lt_dir / "reviews.txt").write_text(
+            LT_LINES + json.dumps({"work": "", "user": "a\tb", "stars": 0}) + "\n",
+            encoding="utf-8")
+        d = ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert "a\tb" not in d.users
+
+
 class TestCategoryClosure:
     def test_load_skips_comments_and_blanks(self, tmp_path):
         p = tmp_path / "closure.txt"
@@ -274,8 +334,13 @@ class TestCanonicalFormat:
 
     @pytest.mark.parametrize("name, bad, message", [
         ("ratings.tsv", "x", "bad rating value 'x'"),
+        ("ratings.tsv", "nan", "bad rating value 'nan'"),
+        ("ratings.tsv", "inf", "bad rating value 'inf'"),
+        ("ratings.tsv", "0.5", "bad rating value '0.5'"),
         ("user_feedback.tsv", "many", "bad count 'many'"),
+        ("user_feedback.tsv", "-1", "bad count '-1'"),
         ("review_feedback.tsv", "1.5", "bad count '1.5'"),
+        ("review_feedback.tsv", str(2**63), f"bad count '{2**63}'"),
     ])
     def test_bad_value_names_file_and_line(self, tiny, tmp_path, name, bad, message):
         canonical_save(tiny, tmp_path / "d")
@@ -306,3 +371,184 @@ class TestCanonicalFormat:
         canonical_save(d, tmp_path / "f")
         back = canonical_load(tmp_path / "f")
         assert sorted(back.ratings.triples()) == sorted(d.ratings.triples())
+
+    def test_wrong_field_count_names_line(self, tiny, tmp_path):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / "friends.tsv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1] + "\tx"]) + "\n")
+        with pytest.raises(IoFailure, match="friends.tsv:3: expected 2 fields, got 3"):
+            canonical_load(tmp_path / "d")
+
+    def test_blank_lines_are_skipped(self, tiny, tmp_path):
+        canonical_save(tiny, tmp_path / "d")
+        for name in ("ratings.tsv", "friends.tsv", "review_feedback.tsv"):
+            path = tmp_path / "d" / name
+            path.write_text("\n" + path.read_text().replace("\n", "\n\n", 2))
+        assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
+
+    def test_rendering_orders_by_external_id(self, tiny):
+        """Handles in any order render as when interned sorted."""
+        order = [3, 0, 4, 2, 1]  # new handle n is tiny's user order[n]
+        back = np.argsort(order)
+        store = tiny.ratings
+        ratings = RatingStore(tiny.num_users, tiny.num_items, back[store.user_idx],
+                              store.item_idx, store.value)
+        # the store keeps (user, item) order; map review counters along with it
+        moved = np.lexsort((store.item_idx, back[store.user_idx]))
+        d = dataclasses.replace(
+            tiny,
+            users=Interner(tiny.users.externals(order)),
+            ratings=ratings,
+            social=SocialGraph(tiny.num_users, back[np.column_stack(tiny.social.edge_array())]),
+            feedback=FeedbackTable(tiny.num_users, {
+                name: tiny.feedback.col(name)[order] for name in tiny.feedback.present()}),
+            review_feedback=ReviewFeedback(ratings, {
+                name: tiny.review_feedback.col(name)[moved]
+                for name in tiny.review_feedback.present()}),
+        )
+        assert list(d.users) != sorted(d.users)
+        assert render_canonical(d) == render_canonical(tiny)
+
+    def test_interrupted_save_does_not_load(self, tmp_path, monkeypatch):
+        target = tmp_path / "d"
+        canonical_save(random_dataset(np.random.default_rng(5)), target)
+        real_replace = os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(IoFailure, match="disk full"):
+            canonical_save(build_tiny(), target)
+        monkeypatch.undo()
+        with pytest.raises(IoFailure, match="missing manifest"):
+            canonical_load(target)
+        assert [p.name for p in target.iterdir() if p.name.startswith(".")] == []
+        # a complete save over the wreck loads again
+        canonical_save(build_tiny(), target)
+        assert datasets_equal(canonical_load(target), build_tiny())
+
+
+# -- oracle: raw records rendered by tests/reference.py -----------------------
+
+TAG_POOL = ("Food", "Pizza", "Bars", "Auto Repair", "Café")
+
+
+def random_yelp_dump(rnd):
+    """Raw Yelp records covering every quirk the reader normalizes."""
+    users = [f"u{n}" for n in range(rnd.randint(1, 10))] + ["Ü 7"]
+    items = [f"b{n}" for n in range(rnd.randint(1, 8))]
+
+    def listish(values):
+        form = rnd.randrange(4)
+        if form == 0:
+            return list(values)
+        if form == 1:
+            return ", ".join(list(values) + ["None", " "]) if values else rnd.choice(["None", ""])
+        if form == 2:
+            return [f" {v} " for v in values] + [""]
+        return None if not values else ",".join(values)
+
+    businesses = [
+        {"business_id": b, "categories": listish(rnd.sample(TAG_POOL, rnd.randint(0, 3)))}
+        for b in items + ["b-unrated"]
+        if rnd.random() < 0.85
+    ]
+    dates = ("2012-01-01", "2013-06-30", "", None)
+    reviews = []
+    for _ in range(rnd.randint(0, 25)):
+        record = {"user_id": rnd.choice(users), "business_id": rnd.choice(items),
+                  "stars": rnd.choice((1, 1.5, 2.0, 3, 4.5, 5)), "date": rnd.choice(dates)}
+        votes = {name: rnd.randint(-1, 5) for name in ("useful", "funny", "cool")
+                 if rnd.random() < 0.8}
+        if rnd.random() < 0.5:
+            record["votes"] = votes
+        else:
+            record.update(votes)
+        reviews.append(record)
+    for record in rnd.sample(reviews, min(len(reviews), 6)):
+        # a duplicate pair, its date equal to the first or not, before or after it
+        again = dict(record, stars=rnd.choice((1, 3, 5)),
+                     date=rnd.choice((record["date"],) + dates), useful=rnd.randint(0, 9))
+        reviews.insert(rnd.randint(0, len(reviews)), again)
+
+    profiles = []
+    for u in users + ["u-lurker"]:
+        if rnd.random() < 0.3:
+            continue
+        friends = rnd.sample(users + ["u-friend-only", u], rnd.randint(0, 4))
+        elite = [str(2005 + y) for y in range(rnd.randint(0, 3))]
+        profile = {"user_id": u, "elite": listish(elite), "friends": listish(friends)}
+        for name in ("compliment_more", "compliment_note", "compliment_writer", "fans"):
+            if rnd.random() < 0.8:
+                profile[name] = rnd.randint(-1, 30)
+        profiles.append(profile)
+    tips = []
+    for _ in range(rnd.randint(0, 8)):
+        tip = {"user_id": rnd.choice(users + ["u-tipper"]), "business_id": rnd.choice(items)}
+        if rnd.random() < 0.5:
+            tip["likes"] = rnd.randint(0, 4)
+        elif rnd.random() < 0.8:
+            tip["compliment_count"] = rnd.randint(-1, 4)
+        tips.append(tip)
+    return businesses, reviews, profiles, tips
+
+
+def random_librarything_dump(rnd):
+    users = [f"u{n}" for n in range(rnd.randint(1, 8))]
+    works = [f"w{n}" for n in range(rnd.randint(1, 6))]
+    reviews = []
+    for _ in range(rnd.randint(0, 25)):
+        record = {"user": rnd.choice(users), "work": rnd.choice(works),
+                  "stars": rnd.choice((None, 0, 0.5, 1, 2.5, 4, 5.0, 6)),
+                  "unixtime": rnd.choice((1300000000, 1300000100, None)),
+                  "nhelpful": rnd.choice((0, 1, 3, None, -2))}
+        for key in ("stars", "unixtime", "nhelpful"):
+            if rnd.random() < 0.1:
+                del record[key]
+        reviews.append(record)
+    pairs = [(rnd.choice(users + ["f-only"]), rnd.choice(users)) for _ in range(rnd.randint(0, 8))]
+    return reviews, pairs
+
+
+def write_librarything(directory, reviews, pairs):
+    with open(directory / "reviews.txt", "w", encoding="utf-8") as fh:
+        for n, record in enumerate(reviews):
+            body = json.dumps(record) if n % 2 else repr(record)
+            prefix = f"{record['user']} https://example.invalid/x " if n % 3 else ""
+            fh.write(prefix + body + "\n")
+    with open(directory / "edges.txt", "w", encoding="utf-8") as fh:
+        for n, (a, b) in enumerate(pairs):
+            fh.write(f"{a}{' ' if n % 2 else chr(9)}{b}\n\n")
+
+
+class TestIngestOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_yelp_matches_reference(self, tmp_path, seed):
+        businesses, reviews, profiles, tips = random_yelp_dump(random.Random(seed))
+        files = yelp_files(tmp_path)
+        for path, records in zip(files, (businesses, reviews, profiles, tips)):
+            write_lines(path, records)
+        d = ingest_yelp(*files)
+        expected, duplicates = reference.naive_yelp_canonical(
+            businesses, reviews, profiles, tips)
+        assert render_canonical(d) == expected
+        assert d.warnings == IngestWarnings(duplicate_ratings=duplicates)
+        canonical_save(d, tmp_path / "out")
+        assert render_canonical(canonical_load(tmp_path / "out")) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_librarything_matches_reference(self, tmp_path, seed):
+        reviews, pairs = random_librarything_dump(random.Random(seed))
+        write_librarything(tmp_path, reviews, pairs)
+        d = ingest_librarything(tmp_path / "reviews.txt", tmp_path / "edges.txt")
+        expected, duplicates, dropped = reference.naive_librarything_canonical(reviews, pairs)
+        assert render_canonical(d) == expected
+        assert d.warnings == IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped)
+        canonical_save(d, tmp_path / "out")
+        assert render_canonical(canonical_load(tmp_path / "out")) == expected
