@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import os
 import secrets
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-# make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import RATING_MAX, RATING_MIN, Dataset, build_dataset, make_dataset  # noqa: F401
+from .dataset import RATING_MAX, RATING_MIN, Dataset, Interner, build_dataset
+from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
 from .errors import IoFailure, SchemaVersionMismatch
 
 SCHEMA_VERSION = "1"
@@ -61,7 +61,8 @@ def render_canonical(d: Dataset) -> dict[str, str]:
         "{}\t{}\t{}".format,
         users.externals(store.user_idx),
         items.externals(store.item_idx),
-        map(format, store.value.tolist(), repeat("g")),
+        # shortest text that reads back as the same float, "4" for 4.0
+        map(str.removesuffix, map(repr, store.value.tolist()), repeat(".0")),
     ))
 
     # users in the order of their external ids
@@ -103,14 +104,14 @@ def render_canonical(d: Dataset) -> dict[str, str]:
         )
     review_feedback = _text(rf_lines)
 
-    cat_lines = []
-    for ext in sorted(items):
-        tags = d.categories.of(items.handle(ext))
-        if tags:
-            cat_lines.extend(f"{ext}\t{tag}" for tag in sorted(tags))
-        else:
-            cat_lines.append(f"{ext}\t")
-    item_categories = "".join(line + "\n" for line in cat_lines)
+    # items by external id, each tag by name; an untagged item gets a bare line
+    cats = d.categories
+    tags = list(map(cats.names.__getitem__, cats.tags.tolist()))
+    ptr = cats.ptr.tolist()
+    item_categories = "".join(
+        "".join(f"{ext}\t{tag}\n" for tag in tags[ptr[i]:ptr[i + 1]]) or f"{ext}\t\n"
+        for ext, i in sorted(zip(items, range(d.num_items)))
+    )
 
     manifest = (
         f"schema_version={SCHEMA_VERSION}\n"
@@ -202,15 +203,64 @@ def _columns(path: Path, width: int) -> list[list[str]]:
     return [fields[k::width] for k in range(width)]
 
 
-def _by_name(names: list[str], values: np.ndarray, *ids: list[str]) -> dict[str, tuple]:
-    """Counter rows as (*ids, values) per name, values zero on other names' rows.
+class _Counters(NamedTuple):
+    """The rows of a counter file: ids, counter name and value per row.
 
-    Every name shares the id columns, so the builder looks them up once.
+    ``names`` holds the distinct counter names, sorted, and ``codes`` each
+    row's index among them.
     """
+
+    path: Path
+    ids: list[list[str]]
+    names: list[str]
+    codes: np.ndarray
+    values: np.ndarray
+
+    def by_name(self) -> dict[str, tuple]:
+        """(*ids, values) per name, values zero on other names' rows.
+
+        Every name shares the id columns, so the builder looks them up once.
+        """
+        return {
+            name: (*self.ids, np.where(self.codes == k, self.values, 0))
+            for k, name in enumerate(self.names)
+        }
+
+    def check_repeats(self, loaded, interners: tuple[Interner, ...]) -> None:
+        """Raise IoFailure naming the first line that repeats an earlier line's key.
+
+        ``loaded(name)`` is the counter as built, rows of one key added up;
+        ``interners`` give the id columns' handles.  With as many nonzero
+        entries as rows there is no repeat, and the lookup of every row's
+        key, a tenth of the load of a canonical review_feedback.tsv, is skipped.
+        """
+        if self.values.size == sum(np.count_nonzero(loaded(name)) for name in self.names):
+            return
+        keys = self.codes
+        for interner, ids in zip(interners, self.ids):
+            keys = keys * len(interner) + interner.handles(ids)
+        keys = keys[np.argsort(keys, kind="stable")]
+        if not (keys[1:] == keys[:-1]).any():
+            return
+        seen = set()
+        with open(self.path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                key = line.rstrip("\n").rpartition("\t")[0]
+                if key in seen:
+                    fields = tuple(key.split("\t"))
+                    raise IoFailure(f"{self.path.name}:{line_no}: repeated key {fields}")
+                if key:
+                    seen.add(key)
+        raise IoFailure(f"{self.path.name}: repeated key")  # the file changed in between
+
+
+def _read_counters(path: Path, width: int) -> _Counters:
+    *ids, names, raw = _columns(path, width)
+    values = _parsed(path, raw, int, 0, _COUNT_MAX, "count")
     present = sorted(set(names))
     code = dict(zip(present, range(len(present))))
     codes = np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
-    return {name: (*ids, np.where(codes == k, values, 0)) for k, name in enumerate(present)}
+    return _Counters(path, ids, present, codes, values)
 
 
 def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
@@ -271,34 +321,26 @@ def canonical_load(directory: str | Path) -> Dataset:
     r_user, r_item, raw = _columns(path, 3)
     ratings = (r_user, r_item, _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value"))
 
-    path = directory / "user_feedback.tsv"
-    uc_user, uc_name, raw = _columns(path, 3)
-    user_counters = _by_name(uc_name, _parsed(path, raw, int, 0, _COUNT_MAX, "count"), uc_user)
+    uc = _read_counters(directory / "user_feedback.tsv", 3)
+    rc = _read_counters(directory / "review_feedback.tsv", 4)
 
-    path = directory / "review_feedback.tsv"
-    rc_user, rc_item, rc_name, raw = _columns(path, 4)
-    review_counters = _by_name(
-        rc_name, _parsed(path, raw, int, 0, _COUNT_MAX, "count"), rc_user, rc_item
-    )
-
+    # a bare line names an item without tags
     cat_items, tags = _columns(directory / "item_categories.tsv", 2)
-    categories: dict[str, set[str]] = {}
-    for item, tag in zip(cat_items, tags):
-        if tag:
-            categories.setdefault(item, set()).add(tag)
 
     try:
         d = build_dataset(
             provenance=provenance,
             ratings=ratings,
             friends=tuple(_columns(directory / "friends.tsv", 2)),
-            user_counters=user_counters,
-            review_counters=review_counters,
-            categories=categories,
+            user_counters=uc.by_name(),
+            review_counters=rc.by_name(),
+            categories=(list(compress(cat_items, tags)), list(compress(tags, tags))),
             extra_items=cat_items,
         )
     except ValueError as exc:
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
+    uc.check_repeats(d.feedback.col, (d.users,))
+    rc.check_repeats(d.review_feedback.col, (d.users, d.items))
 
     loaded = {
         "num_users": d.num_users,

@@ -246,7 +246,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _run_from_spec(spec: ExperimentSpec, betas: list[float], threads: int, tau: float) -> EvaluationReport:
+def _run_from_spec(spec: ExperimentSpec, betas: list[float]) -> EvaluationReport:
     dataset = canonical_load(spec.dataset)
     configs = [
         _build_config(token, beta, spec.neighbor_count)
@@ -262,17 +262,25 @@ def _run_from_spec(spec: ExperimentSpec, betas: list[float], threads: int, tau: 
             unique.append(c)
     plan = split_folds(dataset, spec.folds, spec.seed)
     return run_experiment(
-        dataset, unique, plan, k=spec.k, tau=tau, workers=threads
+        dataset, unique, plan, k=spec.k, tau=spec.tau, workers=spec.threads
     )
 
 
-def cmd_eval(args) -> int:
+def _load_spec(args) -> ExperimentSpec:
+    """The spec file, with the seed, tau and threads given on the command line."""
     spec = parse_spec(Path(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
-    tau = spec.tau if args.tau is None else args.tau
-    threads = spec.threads if args.threads is None else args.threads
-    report = _run_from_spec(spec, spec.betas, threads, tau)
+    if args.tau is not None:
+        spec.tau = args.tau
+    if args.threads is not None:
+        spec.threads = args.threads
+    return spec
+
+
+def cmd_eval(args) -> int:
+    spec = _load_spec(args)
+    report = _run_from_spec(spec, spec.betas)
     write_atomic(
         spec.out,
         {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json()},
@@ -282,16 +290,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = parse_spec(Path(args.spec))
-    if args.seed is not None:
-        spec.seed = args.seed
-    tau = spec.tau if args.tau is None else args.tau
-    threads = spec.threads if args.threads is None else args.threads
+    spec = _load_spec(args)
     if args.beta_grid:
         betas = [_parse_beta(b) for b in args.beta_grid.split(",") if b.strip()]
     else:
         betas = [round(0.1 * n, 1) for n in range(11)]
-    report = _run_from_spec(spec, betas, threads, tau)
+    report = _run_from_spec(spec, betas)
 
     files = {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json()}
     for token in spec.configs:
@@ -302,6 +306,13 @@ def cmd_sweep(args) -> int:
     write_atomic(spec.out, files)
     print(report.to_tsv(), end="")
     return EXIT_OK
+
+
+def _add_overrides(command: argparse.ArgumentParser) -> None:
+    """The flags that override the spec file's seed, tau and threads."""
+    command.add_argument("--seed", type=int, default=None)
+    command.add_argument("--tau", type=float, default=None)
+    command.add_argument("--threads", type=int, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -320,21 +331,15 @@ def _build_parser() -> _Parser:
     )
     ingest.set_defaults(func=cmd_ingest)
 
-    shared = dict(spec=("--spec",), seed=("--seed",), tau=("--tau",), threads=("--threads",))
-
     ev = sub.add_parser("eval", help="cross-validate the configs named in a spec file")
-    ev.add_argument(*shared["spec"], required=True, metavar="FILE")
-    ev.add_argument(*shared["seed"], type=int, default=None)
-    ev.add_argument(*shared["tau"], type=float, default=None)
-    ev.add_argument(*shared["threads"], type=int, default=None)
+    ev.add_argument("--spec", required=True, metavar="FILE")
+    _add_overrides(ev)
     ev.set_defaults(func=cmd_eval)
 
     sweep = sub.add_parser("sweep", help="evaluate across a beta grid")
-    sweep.add_argument(*shared["spec"], required=True, metavar="FILE")
+    sweep.add_argument("--spec", required=True, metavar="FILE")
     sweep.add_argument("--beta-grid", metavar="B1,B2,...", default=None)
-    sweep.add_argument(*shared["seed"], type=int, default=None)
-    sweep.add_argument(*shared["tau"], type=float, default=None)
-    sweep.add_argument(*shared["threads"], type=int, default=None)
+    _add_overrides(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +63,29 @@ def csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     starts = np.cumsum(lengths) - lengths
     flat = np.arange(row_at.size) + np.repeat(lo - starts, lengths)
     return row_at, flat
+
+
+def search_keys(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found) of each wanted key in the ascending array ``keys``: where
+    ``found[n]``, ``keys[at[n]] == want[n]``."""
+    if keys.size == 0:
+        return np.zeros(np.shape(want), dtype=np.int64), np.zeros(np.shape(want), dtype=bool)
+    # searching all but the last key gives an index in range, the last for a key above
+    at = np.searchsorted(keys[:-1], want)
+    return at, keys[at] == want
+
+
+def packed_csr(keys: np.ndarray, num_rows: int, num_cols: int) -> tuple[np.ndarray, ...]:
+    """Frozen (keys, ptr, cols) of packed ``row * num_cols + col`` keys, each once:
+    keys ascend, and so do row r's ``cols[ptr[r]:ptr[r + 1]]``.  Not np.unique or
+    np.sort: their first calls load code that raises the peak RSS of a whole run."""
+    keys = keys[np.argsort(keys, kind="stable")]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    rows = keys // max(num_cols, 1)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
+    return _frozen(keys), _frozen(ptr), _frozen(keys - rows * num_cols)
 
 
 class Interner:
@@ -127,6 +150,7 @@ class RatingStore:
         "user_idx",
         "item_idx",
         "value",
+        "_keys",
         "_u_ptr",
         "_i_order",
         "_i_ptr",
@@ -168,6 +192,7 @@ class RatingStore:
         self.user_idx = _frozen(users)
         self.item_idx = _frozen(items)
         self.value = _frozen(values)
+        self._keys = _frozen(keys)
 
         counts = np.bincount(users, minlength=num_users)
         self._u_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))))
@@ -227,6 +252,17 @@ class RatingStore:
         item_at, flat = csr_rows(self._i_ptr, items)
         pos = self._i_order[flat]
         return item_at, self.user_idx[pos], self.value[pos], pos
+
+    def positions(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Canonical position of the rating ``users[n]`` gave ``items[n]``, or -1."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        want = users * self.num_items + items
+        # an item outside [0, num_items) would pack to a neighbouring user's key
+        want[(items < 0) | (items >= self.num_items)] = -1
+        at, found = search_keys(self._keys, want)
+        at[~found] = -1
+        return at
 
     def rating_count_of(self, u: int) -> int:
         self._check_user(u)
@@ -339,31 +375,59 @@ class ReviewFeedback:
         return self._item_max
 
     def total_of(self, u: int, i: int) -> int:
-        users, _, pos = self.store.raters_of(i)
-        at = np.searchsorted(users, u)
-        if at < users.size and users[at] == u:
-            return int(self._totals[pos[at]])
-        return 0
+        if not 0 <= i < self.store.num_items:
+            raise IndexError(f"item handle {i} out of range")
+        at = self.store.positions(np.array([u]), np.array([i]))[0]
+        return int(self._totals[at]) if at >= 0 else 0
 
 
 class ItemCategories:
-    """Category tag sets per item handle; the empty set is permitted."""
+    """Category tags of each item handle, CSR by item; an item may have none.
 
-    __slots__ = ("sets",)
+    A tag's id is its index in ``names``, the distinct tags sorted.  Row
+    i, ``tags[ptr[i]:ptr[i + 1]]``, holds item i's ``sizes[i]`` tag ids
+    ascending; ``keys`` holds every ``item * len(names) + tag``, ascending.
+    """
+
+    __slots__ = ("names", "sizes", "ptr", "tags", "keys")
 
     def __init__(self, num_items: int, tags: Mapping[int, Iterable[str]] | None = None):
-        sets: list[frozenset[str]] = [frozenset()] * num_items
-        for i, cats in (tags or {}).items():
+        tags = tags or {}
+        for i in tags:
             if not 0 <= i < num_items:
                 raise ValueError(f"item handle {i} out of range")
-            sets[i] = frozenset(str(c) for c in cats)
-        self.sets: tuple[frozenset[str], ...] = tuple(sets)
+        items, names = _columns(((i, str(c)) for i, cats in tags.items() for c in cats), 2)
+        self._index(num_items, np.array(items, dtype=np.int64), names)
+
+    @classmethod
+    def from_columns(
+        cls, num_items: int, items: np.ndarray, tags: Sequence[str]
+    ) -> ItemCategories:
+        """Item ``items[n]`` carries tag ``tags[n]``, for each n; repeats count once."""
+        out = cls.__new__(cls)
+        out._index(num_items, items, tags)
+        return out
+
+    def _index(self, num_items: int, items: np.ndarray, tags: Sequence[str]) -> None:
+        self.names = tuple(sorted(set(tags)))
+        ids = dict(zip(self.names, range(len(self.names))))
+        tag_ids = np.fromiter(map(ids.__getitem__, tags), dtype=np.int64, count=len(tags))
+        keys = np.asarray(items, dtype=np.int64) * len(self.names) + tag_ids
+        self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
+        self.sizes = _frozen(np.diff(self.ptr))
 
     def of(self, i: int) -> frozenset[str]:
-        return self.sets[i]
+        row = self.tags[self.ptr[i]:self.ptr[i + 1]]
+        return frozenset(map(self.names.__getitem__, row.tolist()))
+
+    def shared(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each n."""
+        pair_at, flat = csr_rows(self.ptr, a)
+        want = b[pair_at] * len(self.names) + self.tags[flat]
+        return np.bincount(pair_at, weights=search_keys(self.keys, want)[1], minlength=a.size)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return int(self.sizes.size)
 
 
 @dataclass(frozen=True)
@@ -410,27 +474,27 @@ def build_dataset(
     review_counters: Mapping[
         str, tuple[Sequence[str], Sequence[str], Sequence[int]]
     ] | None = None,
-    categories: Mapping[str, Iterable[str]] | None = None,
+    categories: tuple[Sequence[str], Sequence[str]] = ((), ()),
     extra_users: Iterable[str] = (),
     extra_items: Iterable[str] = (),
     warnings: IngestWarnings = IngestWarnings(),
 ) -> Dataset:
     """Build a Dataset from columns keyed by external string ids.
 
-    ``ratings`` is (user, item, value) columns with one row per pair and
-    ``friends`` (user, user) columns.  Each user counter maps to (user,
-    value) columns and each review counter to (user, item, value)
-    columns; rows that repeat a key add up, and review counters must
-    refer to pairs that carry a rating.  Ids are interned in sorted
-    order, so two calls with the same content produce handle-identical
-    datasets.
+    ``ratings`` is (user, item, value) columns with one row per pair,
+    ``friends`` (user, user) columns and ``categories`` (item, tag)
+    columns.  Each user counter maps to (user, value) columns and each
+    review counter to (user, item, value) columns; rows that repeat a
+    key add up, and review counters must refer to pairs that carry a
+    rating.  Ids are interned in sorted order, so two calls with the
+    same content produce handle-identical datasets.
     """
     from .social import SocialGraph
 
     user_counters = user_counters or {}
     review_counters = review_counters or {}
-    categories = categories or {}
     r_user, r_item, r_value = ratings
+    c_item, c_tag = categories
     user_cols = [r_user, *friends, *(c[0] for c in user_counters.values())]
 
     # Callers pass one id column for several counters: each distinct
@@ -438,7 +502,7 @@ def build_dataset(
     user_ids = set(extra_users)
     for col in {id(col): col for col in user_cols}.values():
         user_ids.update(col)
-    item_ids = set(extra_items).union(categories, r_item)
+    item_ids = set(extra_items).union(c_item, r_item)
     users = Interner(sorted(user_ids))
     items = Interner(sorted(item_ids))
     nu, ni = len(users), len(items)
@@ -456,16 +520,10 @@ def build_dataset(
         """Store positions of (user, item) rows; -1 where no rating matches."""
         key = (id(rc_user), id(rc_item))
         if key not in joined:
-            u, i = handles(users, rc_user), handles(items, rc_item)
-            want = np.where((u < 0) | (i < 0), -1, u * ni + i)
-            at = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
-            found = keys[at] == want if keys.size else np.zeros(want.size, dtype=bool)
-            joined[key] = np.where(found, at, -1)
+            joined[key] = store.positions(handles(users, rc_user), handles(items, rc_item))
         return joined[key]
 
     store = RatingStore(nu, ni, handles(users, r_user), handles(items, r_item), r_value)
-    # the store's packed keys ascend in its canonical order
-    keys = store.user_idx * ni + store.item_idx
 
     review_sums = {}
     for name, (rc_user, rc_item, values) in review_counters.items():
@@ -488,9 +546,7 @@ def build_dataset(
         social=SocialGraph(nu, np.column_stack((handles(users, a), handles(users, b)))),
         feedback=FeedbackTable(nu, _sums(user_sums, nu)),
         review_feedback=ReviewFeedback(store, _sums(review_sums, len(store))),
-        categories=ItemCategories(
-            ni, {items.handle(i): tags for i, tags in categories.items()}
-        ),
+        categories=ItemCategories.from_columns(ni, handles(items, c_item), c_tag),
         provenance=provenance,
         warnings=warnings,
     )
@@ -531,6 +587,7 @@ def make_dataset(
     produce handle-identical datasets.  Review counters must refer to
     pairs that actually carry a rating.  See :func:`build_dataset`.
     """
+    categories = categories or {}
     return build_dataset(
         provenance=provenance,
         ratings=_columns(ratings, 3),
@@ -543,9 +600,9 @@ def make_dataset(
             name: ([u for u, _ in mapping], [i for _, i in mapping], list(mapping.values()))
             for name, mapping in (review_counters or {}).items()
         },
-        categories=categories,
+        categories=_columns(((i, str(t)) for i, tags in categories.items() for t in tags), 2),
         extra_users=extra_users,
-        extra_items=extra_items,
+        extra_items=chain(extra_items, categories),
         warnings=warnings,
     )
 
@@ -566,13 +623,12 @@ def apply_filters(
     if min_ratings < 0:
         raise ValueError("min_ratings must be non-negative")
 
+    cats = d.categories
+    owners = np.repeat(np.arange(d.num_items), cats.sizes)  # the item of each tag
     if category_closure is not None:
         closure = frozenset(str(c) for c in category_closure)
-        item_keep = np.fromiter(
-            (bool(d.categories.of(i) & closure) for i in range(d.num_items)),
-            dtype=bool,
-            count=d.num_items,
-        )
+        in_closure = np.array([name in closure for name in cats.names], dtype=bool)
+        item_keep = np.bincount(owners, in_closure[cats.tags], minlength=d.num_items) > 0
     else:
         item_keep = np.ones(d.num_items, dtype=bool)
 
@@ -615,11 +671,7 @@ def apply_filters(
 
     a, b = d.social.edge_array()
     kept = user_keep[a] & user_keep[b]
-    cats = {
-        int(item_map[i]): d.categories.of(int(i))
-        for i in old_items
-        if d.categories.of(int(i))
-    }
+    tagged = item_keep[owners]
     return Dataset(
         users=users,
         items=items,
@@ -627,7 +679,11 @@ def apply_filters(
         social=SocialGraph(len(users), np.column_stack((user_map[a[kept]], user_map[b[kept]]))),
         feedback=FeedbackTable(len(users), user_cols),
         review_feedback=ReviewFeedback(new_store, review_cols),
-        categories=ItemCategories(len(items), cats),
+        categories=ItemCategories.from_columns(
+            len(items),
+            item_map[owners[tagged]],
+            list(map(cats.names.__getitem__, cats.tags[tagged].tolist())),
+        ),
         provenance=d.provenance,
     )
 

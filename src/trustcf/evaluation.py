@@ -33,9 +33,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ItemCategories, RatingStore, csr_rows
+from .dataset import Dataset, ItemCategories, RatingStore
 from .errors import EmptyInput, UnknownUser
-from .recommender import InfluenceConfig, PredictionKind, TrainedModel, block_candidates
+from .recommender import InfluenceConfig, PredictionKind, TrainedModel, best_k, block_candidates
 from .trust import TrustProfiles, build_profiles
 
 
@@ -96,20 +96,6 @@ class RecommendationList:
         return tuple(entry.item for entry in self.items)
 
 
-def _top_k(
-    list_at: np.ndarray, items: np.ndarray, values: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of each list's k best entries, by list, then rank.
-
-    Entry n scores ``values[n]`` for item ``items[n]`` of list
-    ``list_at[n]``; the best come first, ties by ascending item.
-    """
-    order = np.lexsort((items, -values, list_at))
-    ranked = list_at[order]
-    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
-    return order[rank < k]
-
-
 def top_k(
     model: TrainedModel,
     u: int,
@@ -121,7 +107,7 @@ def top_k(
         raise ValueError("k must be positive")
     items = np.unique(np.fromiter((int(c) for c in candidates), dtype=np.int64))
     values, is_model = model.predict_items(u, items)
-    top = _top_k(np.zeros(items.size, dtype=np.int64), items, values, k)
+    top = best_k(np.zeros(items.size, dtype=np.int64), values, items, k)
     return RecommendationList(
         user=u,
         items=tuple(
@@ -266,48 +252,22 @@ def ranking_metrics(
     return RankingMetrics(precision, recall, _f1(precision, recall), _macro(scores.rr))
 
 
-class _TagIndex:
-    """Category tags of each item as integer ids, CSR by item.
-
-    ``keys`` holds ``item * num_tags + tag`` for every tag of every item,
-    ascending, so whether an item carries a tag is one binary search.
-    """
-
-    def __init__(self, tag_sets: Sequence[frozenset[str]]):
-        names = sorted(set().union(*tag_sets))
-        ids = {name: t for t, name in enumerate(names)}
-        rows = [sorted(ids[name] for name in tags) for tags in tag_sets]
-        self.counts = np.array([len(row) for row in rows], dtype=np.int64)
-        self.ptr = np.concatenate(([0], np.cumsum(self.counts)))
-        self.tags = np.array([t for row in rows for t in row], dtype=np.int64)
-        self.num_tags = len(names)
-        owner = np.repeat(np.arange(len(rows), dtype=np.int64), self.counts)
-        self.keys = owner * self.num_tags + self.tags
-
-    def shared(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each n."""
-        pair_at, flat = csr_rows(self.ptr, a)
-        want = b[pair_at] * self.num_tags + self.tags[flat]
-        at = np.minimum(np.searchsorted(self.keys, want), self.keys.size - 1)
-        return np.bincount(pair_at, weights=self.keys[at] == want, minlength=a.size)
-
-
 def _diversities(
-    list_at: np.ndarray, num_lists: int, items: np.ndarray, tags: _TagIndex
+    list_at: np.ndarray, num_lists: int, items: np.ndarray, cats: ItemCategories
 ) -> np.ndarray:
     """Intra-list diversity of each ranked list; NaN for an empty list.
 
-    The lists are flat, as for :func:`_ranking_scores`; ``items[n]``
-    indexes ``tags``.  Each list's position pairs (a, b), a < b, are
-    summed in the order a scalar double loop visits them.
+    The lists are flat, as for :func:`_ranking_scores`; ``items[n]`` is
+    an item handle of ``cats``.  Each list's position pairs (a, b),
+    a < b, are summed in the order a scalar double loop visits them.
     """
     length, rank = _list_ranks(list_at, num_lists)
     later = length[list_at] - 1 - rank
     a = np.repeat(np.arange(list_at.size), later)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
-    na, nb = tags.counts[items[a]], tags.counts[items[b]]
+    na, nb = cats.sizes[items[a]], cats.sizes[items[b]]
     tagged = (na > 0) & (nb > 0)
-    shared = tags.shared(items[a[tagged]], items[b[tagged]])
+    shared = cats.shared(items[a[tagged]], items[b[tagged]])
     cosine = np.zeros(a.size)
     cosine[tagged] = shared / np.sqrt(na[tagged] * nb[tagged])
     total = np.bincount(list_at[a], weights=1.0 - cosine, minlength=num_lists)
@@ -328,8 +288,8 @@ def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
     k = len(rec.items)
     if k == 0:
         return 0.0
-    tags = _TagIndex([cats.of(i) for i in rec.item_handles()])
-    return float(_diversities(np.zeros(k, dtype=np.int64), 1, np.arange(k), tags)[0])
+    items = np.array(rec.item_handles(), dtype=np.int64)
+    return float(_diversities(np.zeros(k, dtype=np.int64), 1, items, cats)[0])
 
 
 class Coverage(NamedTuple):
@@ -476,15 +436,8 @@ def _evaluate_fold(
     fold: int,
     k: int,
     tau: float,
-    tags: _TagIndex | None = None,
 ) -> list[FoldMetrics]:
-    """Metrics of one fold per configuration.
-
-    ``tags`` indexes ``d.categories``; :func:`run_experiment` builds it
-    once for all folds.
-    """
-    if tags is None:
-        tags = _TagIndex(d.categories.sets)
+    """Metrics of one fold per configuration."""
     test_mask = plan.assignment == fold
     train = _train_store(d, test_mask)
     models = [TrainedModel(train, profiles, d.social, c) for c in configs]
@@ -535,10 +488,10 @@ def _evaluate_fold(
             who = local[is_model]
             sq_err[n, u0:u1], abs_err[n, u0:u1] = _error_sums(err, who, u1 - u0)
             model_n[n, u0:u1] = np.bincount(who, minlength=u1 - u0)
-            top = _top_k(local, items, values, k)
+            top = best_k(local, values, items, k)
             scores = _ranking_scores(local[top], hits[top], num_relevant[u0:u1])
             precision[n, u0:u1], recall[n, u0:u1], rr[n, u0:u1] = scores
-            diversity[n, u0:u1] = _diversities(local[top], u1 - u0, items[top], tags)
+            diversity[n, u0:u1] = _diversities(local[top], u1 - u0, items[top], d.categories)
 
     out = []
     for n in range(n_cfg):
@@ -572,8 +525,8 @@ _POOL_CONTEXT: tuple | None = None
 
 
 def _pool_worker(fold: int) -> list[FoldMetrics]:
-    d, profiles, configs, plan, k, tau, tags = _POOL_CONTEXT
-    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau, tags)
+    d, profiles, configs, plan, k, tau = _POOL_CONTEXT
+    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
 
 
 def _mean_defined(values: Iterable[float]) -> float:
@@ -605,13 +558,12 @@ def run_experiment(
         raise ValueError("k must be positive")
 
     profiles = build_profiles(d)
-    tags = _TagIndex(d.categories.sets)
     folds = list(range(plan.num_folds))
     if workers > 1:
         import multiprocessing as mp
 
         global _POOL_CONTEXT
-        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau, tags)
+        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau)
         try:
             with mp.get_context("fork").Pool(workers) as pool:
                 per_fold = pool.map(_pool_worker, folds)
@@ -619,7 +571,7 @@ def run_experiment(
             _POOL_CONTEXT = None
     else:
         per_fold = [
-            _evaluate_fold(d, profiles, configs, plan, fold, k, tau, tags)
+            _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
             for fold in folds
         ]
 

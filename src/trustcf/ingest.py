@@ -22,10 +22,10 @@ import ast
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import Dataset, IngestWarnings, build_dataset, make_dataset  # noqa: F401
+from .dataset import Dataset, IngestWarnings, _columns, build_dataset, make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
 
@@ -260,7 +260,8 @@ def ingest_yelp(
             "funny": (k_user, k_item, funny),
             "cool": (k_user, k_item, cool),
         },
-        categories={b: tags for b, tags in categories.items() if tags},
+        # a business listed twice keeps the last line's tags
+        categories=_columns(((b, tag) for b, tags in categories.items() for tag in tags), 2),
         extra_items=categories.keys(),
         warnings=IngestWarnings(duplicate_ratings=duplicates),
     )
@@ -377,16 +378,15 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
     )
 
 
+def _closure(lines: Iterable[str]) -> frozenset[str]:
+    """Category tags, one per line, '#' comments allowed."""
+    return frozenset(filter(None, (line.split("#", 1)[0].strip() for line in lines)))
+
+
 def load_category_closure(path: str | Path) -> frozenset[str]:
     """Category tags from a text file, one per line, '#' comments allowed."""
-    path = _require(Path(path))
-    tags = set()
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tags.add(line)
-    return frozenset(tags)
+    with open(_require(Path(path)), encoding="utf-8") as handle:
+        return _closure(handle)
 
 
 def restaurants_food_closure() -> frozenset[str]:
@@ -394,9 +394,4 @@ def restaurants_food_closure() -> frozenset[str]:
     text = resources.files("trustcf").joinpath(
         "data/restaurants_food_categories.txt"
     ).read_text(encoding="utf-8")
-    tags = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tags.add(line)
-    return frozenset(tags)
+    return _closure(text.splitlines())

@@ -34,11 +34,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingStore
+from .dataset import RATING_MAX, RATING_MIN, RatingStore, search_keys
 from .errors import UnknownConfiguration, UnknownUser
 from .social import SocialGraph, relatedness
 from .social import jaccard as _jaccard  # noqa: F401  (perfbench/spans.py traces this name)
-from .trust import FacetWeights, TrustProfiles
+from .trust import FacetWeights, Fusion, TrustProfiles
 
 SIMILARITY_MODES = ("pearson", "rel_direct", "rel_intersection")
 
@@ -114,9 +114,7 @@ def _pearson_pairs(
     users = np.unique(us)
     u_at, items, x = train.items_of_many(users)
     i_at, raters, y, _ = train.raters_of_many(items)
-    entry_keys = users[u_at[i_at]] * train.num_users + raters
-    at = np.minimum(np.searchsorted(keys, entry_keys), size - 1)
-    co = keys[at] == entry_keys
+    at, co = search_keys(keys, users[u_at[i_at]] * train.num_users + raters)
     pair_at, x, y = at[co], x[i_at[co]], y[co]
 
     n = np.bincount(pair_at, minlength=size)
@@ -171,6 +169,17 @@ def pearson_many(
 def pearson(train: RatingStore, u: int, v: int, min_overlap: int = 2) -> float:
     """Pearson agreement of u and v; see :func:`pearson_many`."""
     return float(pearson_many(train, u, np.array([v]), min_overlap)[0])
+
+
+def best_k(group_at: np.ndarray, values: np.ndarray, ties: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each group's k highest ``values``, by group, then rank.
+
+    Entry n belongs to group ``group_at[n]``; equal values rank by ascending ``ties``.
+    """
+    order = np.lexsort((ties, -values, group_at))
+    ranked = group_at[order]
+    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
+    return order[rank < k]
 
 
 class Candidates(NamedTuple):
@@ -234,8 +243,8 @@ class TrainedModel:
 
     Trust profiles come from the full dataset; only rating-derived state
     (candidate sets, Pearson similarity, user means) is fold-specific.
-    Weighted facets the profiles do not provide are dropped; if nothing
-    remains, influence degenerates to beta * similarity.
+    Trust is the configuration's :class:`~trustcf.trust.Fusion`; when it
+    is empty, influence degenerates to beta * similarity.
 
     Scoring works on a :class:`Candidates` block: any number of users,
     each against every rater of its items.  :meth:`similarity` depends
@@ -255,24 +264,11 @@ class TrainedModel:
         if train.num_users != profiles.store.num_users:
             raise ValueError("training ratings and profiles disagree on users")
         self.train = train
-        self.profiles = profiles
         self.social = social
         self.config = config
-
-        active = config.facet_weights.active()
-        self._w_rel = active.pop("rel", 0.0)
-        self._w_frev = active.pop("frev", 0.0)
-        unidim = {n: w for n, w in active.items() if n in profiles.vectors}
-        self._w_total = self._w_rel + self._w_frev + sum(unidim.values())
-        static = np.zeros(train.num_users, dtype=np.float64)
-        for name in sorted(unidim):
-            static += unidim[name] * profiles.vectors[name]
-        self._static = static
-        self._rel_mode = config.facet_weights.rel_mode
+        self._fusion = Fusion(profiles, social, config.facet_weights)
         # review score of each training rating, in the store's canonical order
-        self._frev = (
-            profiles.frev_at(train.user_idx, train.item_idx) if self._w_frev > 0 else None
-        )
+        self._frev = self._fusion.frev_at(train.user_idx, train.item_idx)
 
     # -- scoring ---------------------------------------------------------
 
@@ -304,15 +300,10 @@ class TrainedModel:
         only when the configuration weighs review feedback.
         """
         beta = self.config.beta
-        if self._w_total == 0.0:
+        if self._fusion.empty:
             return beta * sigma[pair_at]
-        t = self._static[cands[pair_at]]
-        if self._w_frev > 0:
-            t += self._w_frev * frev
-        if self._w_rel > 0:
-            rel = relatedness(self.social, users, cands, self._rel_mode)
-            t += self._w_rel * rel[pair_at]
-        return beta * sigma[pair_at] + (1.0 - beta) * (t / self._w_total)
+        trust = self._fusion.trust(users, cands, pair_at, frev)
+        return beta * sigma[pair_at] + (1.0 - beta) * trust
 
     def _neighbors(self, c: Candidates, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(entries, influence) of the neighbors for each of c's slots.
@@ -325,12 +316,10 @@ class TrainedModel:
         infl = self._influence(c.pair_users, c.pair_cands, sigma, c.pair_at, frev)
         positive = np.flatnonzero(infl > 0.0)
         # inside a slot, pairs ascend by candidate handle
-        order = positive[
-            np.lexsort((c.pair_at[positive], -infl[positive], c.slot_at[positive]))
-        ]
-        slot_at = c.slot_at[order]
-        rank = np.arange(order.size) - np.searchsorted(slot_at, slot_at)
-        chosen = order[rank < self.config.neighbor_count]
+        top = best_k(
+            c.slot_at[positive], infl[positive], c.pair_at[positive], self.config.neighbor_count
+        )
+        chosen = positive[top]
         return chosen, infl[chosen]
 
     def predict_candidates(
@@ -366,7 +355,7 @@ class TrainedModel:
         if not 0 <= v < self.train.num_users:
             raise UnknownUser(f"user handle {v} out of range")
         users, cands = np.array([u]), np.array([v])
-        frev = self.profiles.frev_at(cands, np.array([i])) if self._w_frev > 0 else None
+        frev = self._fusion.frev_at(cands, np.array([i]))
         sigma = self.similarity(users, cands)
         return float(self._influence(users, cands, sigma, np.zeros(1, np.int64), frev)[0])
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import csr_rows
+from .dataset import csr_rows, packed_csr, search_keys
 from .errors import UnknownUser
 
 
@@ -34,20 +34,8 @@ class SocialGraph:
             raise ValueError(f"edge ({a[at]}, {b[at]}) references unknown user")
         loop = a == b
         a, b = a[~loop], b[~loop]
-        # each edge in both directions, sorted by (src, dst), repeats dropped;
-        # not np.unique or np.sort: their first calls load code (numpy.ma,
-        # more sort kernels) that adds to the peak RSS of a whole run
-        keys = np.concatenate((a * n + b, b * n + a))
-        keys = keys[np.argsort(keys, kind="stable")]
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        self._keys = keys[first]
-        self._keys.setflags(write=False)
-        src = self._keys // max(n, 1)
-        self._adj = self._keys - src * n
-        self._adj.setflags(write=False)
-        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-        self._ptr.setflags(write=False)
+        # each edge in both directions, sorted by (src, dst), repeats dropped
+        self._keys, self._ptr, self._adj = packed_csr(np.concatenate((a * n + b, b * n + a)), n, n)
 
     def friends_of(self, u: int) -> np.ndarray:
         """Sorted neighbor handles of u (possibly empty)."""
@@ -85,10 +73,7 @@ class SocialGraph:
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether ``us[n]`` and ``vs[n]`` are friends, for each n."""
         want = np.asarray(us, dtype=np.int64) * self.num_users + vs
-        if self._keys.size == 0:
-            return np.zeros(want.size, dtype=bool)
-        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
-        return self._keys[at] == want
+        return search_keys(self._keys, want)[1]
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(smaller, larger) handles of each undirected edge, ascending."""

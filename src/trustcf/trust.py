@@ -9,9 +9,9 @@ the full dataset, never per fold:
 * review        feedback(v, i) / max_a feedback(a, i), per item
 
 Zero denominators yield 0, so silent populations produce all-zero facets
-instead of errors.  Fusion is a weighted mean over the facets that carry
-positive weight; facets a profile does not provide are dropped from both
-numerator and denominator.
+instead of errors.  Fusion (:class:`Fusion`) is a weighted mean over the
+facets that carry positive weight; facets a profile does not provide are
+dropped from both numerator and denominator.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, RatingStore, ReviewFeedback
 from .errors import AllWeightsZero, UnknownUser, WrongProvenance
-from .social import SocialGraph, rel_pair
+from .social import SocialGraph, relatedness
 
 REL_MODES = ("direct", "intersection", "none")
 
@@ -108,9 +108,6 @@ class TrustProfiles:
         if self.frev.shape != (len(self.store),):
             raise ValueError("frev must align with the rating store")
         self.frev.setflags(write=False)
-        # (user, item) key of each rating: ascending, like the canonical order
-        keys = self.store.user_idx * self.store.num_items + self.store.item_idx
-        object.__setattr__(self, "_keys", keys)
 
     def frev_at(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Review score of ``users[n]`` for ``items[n]``, for each n."""
@@ -120,13 +117,11 @@ class TrustProfiles:
             raise UnknownUser("user handle out of range")
         if items.size and (items.min() < 0 or items.max() >= self.store.num_items):
             raise IndexError("item handle out of range")
-        out = np.zeros(users.size, dtype=np.float64)
-        if self._keys.size == 0:
-            return out
-        want = users * self.store.num_items + items
-        at = np.minimum(np.searchsorted(self._keys, want), self._keys.size - 1)
-        hit = self._keys[at] == want
-        out[hit] = self.frev[at[hit]]
+        at = self.store.positions(users, items)
+        if self.frev.size == 0:
+            return np.zeros(users.size, dtype=np.float64)
+        out = self.frev[at]  # where there is no rating, at is -1: set to 0 below
+        out[at < 0] = 0.0
         return out
 
     def frev_of(self, v: int, i: int) -> float:
@@ -206,6 +201,46 @@ def build_profiles(d: Dataset) -> TrustProfiles:
     return build_yelp_profiles(d)
 
 
+class Fusion:
+    """Trust fused as the module docstring describes, vectorized over pairs;
+    the per-user facets are blended once, when the fusion is built."""
+
+    def __init__(self, profiles: TrustProfiles, graph: SocialGraph, weights: FacetWeights):
+        self.profiles = profiles
+        self.graph = graph
+        self.rel_mode = weights.rel_mode
+        active = weights.active()
+        self._w_rel = active.pop("rel", 0.0)
+        self._w_frev = active.pop("frev", 0.0)
+        unidim = {n: w for n, w in active.items() if n in profiles.vectors}
+        self._w_total = self._w_rel + self._w_frev + sum(unidim.values())
+        self.empty = self._w_total == 0.0  # no usable facet carries weight
+        self._static = np.zeros(profiles.store.num_users, dtype=np.float64)
+        for name in sorted(unidim):
+            self._static += unidim[name] * profiles.vectors[name]
+
+    def frev_at(self, users: np.ndarray, items: np.ndarray) -> np.ndarray | None:
+        """Review scores of ``users[n]`` for ``items[n]``; None when they carry no weight."""
+        return self.profiles.frev_at(users, items) if self._w_frev > 0 else None
+
+    def trust(
+        self, users: np.ndarray, cands: np.ndarray, pair_at: np.ndarray, frev: np.ndarray | None
+    ) -> np.ndarray:
+        """Trust of ``cands[pair_at[n]]`` from ``users[pair_at[n]]``'s view, for each entry n.
+
+        ``frev`` is each entry's review score, from :meth:`frev_at`.
+        """
+        if self.empty:
+            raise AllWeightsZero("no usable facet carries positive weight")
+        t = self._static[cands[pair_at]]
+        if self._w_frev > 0:
+            t += self._w_frev * frev
+        if self._w_rel > 0:
+            rel = relatedness(self.graph, users, cands, self.rel_mode)
+            t += self._w_rel * rel[pair_at]
+        return t / self._w_total
+
+
 def fuse_trust(
     profiles: TrustProfiles,
     graph: SocialGraph,
@@ -216,25 +251,12 @@ def fuse_trust(
 ) -> float:
     """Weighted mean of v's facet values from u's point of view for item i.
 
-    Only facets with positive weight participate; weighted facets the
-    profiles do not provide are dropped entirely.  Raises AllWeightsZero
-    when nothing is left to fuse.
+    One pair of a :class:`Fusion` built per call, so a call costs
+    O(users x facets).  Raises AllWeightsZero when nothing is left to fuse.
     """
-    active = weights.active()
-    numerator = 0.0
-    denominator = 0.0
-    for name in sorted(active):
-        w = active[name]
-        if name == "rel":
-            value = rel_pair(graph, u, v, weights.rel_mode)
-        elif name == "frev":
-            value = profiles.frev_of(v, i)
-        elif name in profiles.vectors:
-            value = float(profiles.vectors[name][v])
-        else:
-            continue
-        numerator += w * value
-        denominator += w
-    if denominator == 0.0:
-        raise AllWeightsZero("no usable facet carries positive weight")
-    return numerator / denominator
+    if u == v and "rel" in weights.active():
+        raise ValueError("relatedness is defined for distinct users")
+    fusion = Fusion(profiles, graph, weights)
+    users, cands = np.array([u]), np.array([v])
+    frev = fusion.frev_at(cands, np.array([i]))
+    return float(fusion.trust(users, cands, np.zeros(1, dtype=np.int64), frev)[0])

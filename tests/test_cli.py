@@ -188,6 +188,15 @@ class TestEval:
         assert f"ratings.tsv:2: bad rating value '{bad}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_counter_row(self, tmp_path, canonical_dir, capsys):
+        path = canonical_dir / "user_feedback.tsv"
+        path.write_text(path.read_text() + "alice\treview_count\t5\n")
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        assert main(["eval", "--spec", str(spec)]) == 2
+        assert "user_feedback.tsv:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1
 

@@ -7,12 +7,14 @@ import pytest
 
 from trustcf import (
     Interner,
+    ItemCategories,
     RatingStore,
     apply_filters,
     compute_stats,
     make_dataset,
 )
 from trustcf.canonical import datasets_equal
+from trustcf.dataset import search_keys
 from trustcf.errors import UnknownUser
 
 from conftest import build_tiny, random_dataset
@@ -108,6 +110,81 @@ class TestRatingStore:
         store = RatingStore(2, 1, [0], [0], [3.0])
         assert np.isnan(store.mean_of(1))
         assert store.rating_count_of(1) == 0
+
+
+class TestKeySearch:
+    def test_empty_arrays(self):
+        at, found = search_keys(np.zeros(0, dtype=np.int64), np.array([0, 7]))
+        assert at.tolist() == [0, 0] and found.tolist() == [False, False]
+        at, found = search_keys(np.array([3, 8]), np.zeros(0, dtype=np.int64))
+        assert at.size == found.size == 0
+
+    def test_present_and_absent_keys(self):
+        keys = np.array([2, 5, 9])
+        # below, first, between, inner, last, above
+        at, found = search_keys(keys, np.array([1, 2, 4, 5, 9, 10]))
+        assert found.tolist() == [False, True, False, True, True, False]
+        assert at[found].tolist() == [0, 1, 2]
+        assert ((at >= 0) & (at < keys.size)).all()
+
+
+class TestPositions:
+    def test_matches_a_scan_of_the_ratings(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            store = random_dataset(rng).ratings
+            where = {(u, i): n for n, (u, i, _) in enumerate(store.triples())}
+            users, items = np.meshgrid(np.arange(-1, store.num_users + 1),
+                                       np.arange(-1, store.num_items + 1))
+            want = [where.get(pair, -1) for pair in zip(users.ravel().tolist(),
+                                                        items.ravel().tolist())]
+            assert store.positions(users.ravel(), items.ravel()).tolist() == want
+
+    def test_out_of_range_handles_do_not_alias(self):
+        # packed keys 1, 2, 3, 4: (1, -1) packs to (0, 1)'s and (1, 2) to (2, 0)'s
+        store = RatingStore(3, 2, [0, 1, 1, 2], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0])
+        assert store.positions([1, 1], [-1, 2]).tolist() == [-1, -1]
+        assert store.positions([0, 2], [1, 0]).tolist() == [0, 3]  # first and last
+        assert store.positions([-1, 3], [1, 0]).tolist() == [-1, -1]
+
+    def test_empty(self):
+        store = RatingStore(2, 2, [], [], [])
+        assert store.positions([0, 1], [0, 1]).tolist() == [-1, -1]
+        assert store.positions([], []).size == 0
+
+
+class TestItemCategories:
+    def test_of_round_trips_tagged_and_untagged_items(self):
+        cats = ItemCategories(4, {0: {"b", "a"}, 2: ["c", "a", "a"], 3: []})
+        assert [cats.of(i) for i in range(4)] == [
+            frozenset({"a", "b"}), frozenset(), frozenset({"a", "c"}), frozenset()]
+        assert cats.names == ("a", "b", "c")
+        assert cats.sizes.tolist() == [2, 0, 2, 0]
+        assert len(cats) == 4
+
+    def test_columns_build_the_same_index(self):
+        mapping = ItemCategories(3, {0: {"x"}, 2: {"y", "x"}})
+        columns = ItemCategories.from_columns(
+            3, np.array([2, 0, 2, 2]), ["y", "x", "x", "y"])
+        for name in ("names", "sizes", "ptr", "tags", "keys"):
+            assert np.array_equal(getattr(mapping, name), getattr(columns, name)), name
+
+    def test_shared_counts_the_intersection(self):
+        rng = np.random.default_rng(59)
+        pool = [f"t{n}" for n in range(6)]
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            cats = ItemCategories(n, {
+                i: {pool[int(t)] for t in rng.choice(6, size=int(rng.integers(0, 4)))}
+                for i in range(n) if rng.random() < 0.8
+            })
+            a, b = rng.integers(0, n, size=30), rng.integers(0, n, size=30)
+            want = [len(cats.of(x) & cats.of(y)) for x, y in zip(a.tolist(), b.tolist())]
+            assert cats.shared(a, b).tolist() == want
+
+    def test_out_of_range_item_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ItemCategories(2, {2: []})
 
 
 class TestMakeDataset:

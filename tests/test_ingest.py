@@ -16,6 +16,7 @@ from trustcf.dataset import (
     FeedbackTable,
     IngestWarnings,
     Interner,
+    ItemCategories,
     RatingStore,
     ReviewFeedback,
 )
@@ -259,6 +260,13 @@ class TestCategoryClosure:
         assert "Food" in closure
         assert len(closure) > 100
 
+    def test_builtin_closure_is_the_bundled_file(self):
+        from importlib import resources
+
+        bundled = resources.files("trustcf") / "data/restaurants_food_categories.txt"
+        with resources.as_file(bundled) as path:
+            assert restaurants_food_closure() == load_category_closure(path)
+
 
 class TestCanonicalFormat:
     def test_round_trip_tiny(self, tiny, tmp_path):
@@ -372,6 +380,50 @@ class TestCanonicalFormat:
         back = canonical_load(tmp_path / "f")
         assert sorted(back.ratings.triples()) == sorted(d.ratings.triples())
 
+    def test_ratings_keep_every_digit(self, tmp_path):
+        from trustcf import make_dataset
+
+        values = [4.1234567, 1 + 1 / 3, 4 + 1 / 3, 2.5, 4.0]
+        d = make_dataset(provenance="synthetic",
+                         ratings=[("u", f"i{n}", v) for n, v in enumerate(values)])
+        canonical_save(d, tmp_path / "f")
+        assert canonical_load(tmp_path / "f").ratings.value.tolist() == values
+
+    def test_half_star_ratings_render_in_short_form(self):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            d = random_dataset(rng)
+            lines = sorted(
+                f"{d.users.external(u)}\t{d.items.external(i)}\t{v:g}"
+                for u, i, v in d.ratings.triples()
+            )
+            assert render_canonical(d)["ratings.tsv"] == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name, extra", [
+        ("user_feedback.tsv", "alice\treview_count\t5"),
+        ("review_feedback.tsv", "alice\tapple\tuseful\t3"),
+        ("review_feedback.tsv", "alice\tapple\tuseful\t0"),
+    ])
+    def test_repeated_key_names_file_and_line(self, tiny, tmp_path, name, extra):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [extra]) + "\n")
+        key = tuple(extra.split("\t")[:-1])
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value) == f"{name}:{len(lines) + 1}: repeated key {key}"
+
+    @pytest.mark.parametrize("name, extra", [
+        ("user_feedback.tsv", "erin\tfans\t0"),
+        ("review_feedback.tsv", "erin\tbread\tfunny\t0"),
+    ])
+    def test_zero_row_without_repeat_loads(self, tiny, tmp_path, name, extra):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        path.write_text(path.read_text() + extra + "\n")
+        assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
+
     def test_wrong_field_count_names_line(self, tiny, tmp_path):
         canonical_save(tiny, tmp_path / "d")
         path = tmp_path / "d" / "friends.tsv"
@@ -391,14 +443,19 @@ class TestCanonicalFormat:
         """Handles in any order render as when interned sorted."""
         order = [3, 0, 4, 2, 1]  # new handle n is tiny's user order[n]
         back = np.argsort(order)
+        item_order = [2, 0, 3, 1]  # the same for items
+        item_back = np.argsort(item_order)
         store = tiny.ratings
         ratings = RatingStore(tiny.num_users, tiny.num_items, back[store.user_idx],
-                              store.item_idx, store.value)
+                              item_back[store.item_idx], store.value)
         # the store keeps (user, item) order; map review counters along with it
-        moved = np.lexsort((store.item_idx, back[store.user_idx]))
+        moved = np.lexsort((item_back[store.item_idx], back[store.user_idx]))
         d = dataclasses.replace(
             tiny,
             users=Interner(tiny.users.externals(order)),
+            items=Interner(tiny.items.externals(item_order)),
+            categories=ItemCategories(tiny.num_items, {
+                int(item_back[i]): tiny.categories.of(i) for i in range(tiny.num_items)}),
             ratings=ratings,
             social=SocialGraph(tiny.num_users, back[np.column_stack(tiny.social.edge_array())]),
             feedback=FeedbackTable(tiny.num_users, {
@@ -407,7 +464,7 @@ class TestCanonicalFormat:
                 name: tiny.review_feedback.col(name)[moved]
                 for name in tiny.review_feedback.present()}),
         )
-        assert list(d.users) != sorted(d.users)
+        assert list(d.users) != sorted(d.users) and list(d.items) != sorted(d.items)
         assert render_canonical(d) == render_canonical(tiny)
 
     def test_interrupted_save_does_not_load(self, tmp_path, monkeypatch):

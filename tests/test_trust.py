@@ -21,7 +21,10 @@ from trustcf import (
     make_dataset,
 )
 from trustcf.errors import AllWeightsZero, WrongProvenance
+from trustcf.recommender import InfluenceConfig, TrainedModel
+from trustcf.trust import UNIDIMENSIONAL_FACETS
 
+import reference
 from conftest import build_tiny, random_dataset
 
 
@@ -275,3 +278,54 @@ class TestFuseTrust:
             lo = fuse_trust(base, tiny.social, w, 0, v, 0)
             hi = fuse_trust(bumped, tiny.social, w, 0, v, 0)
             assert hi >= lo - 1e-12
+
+
+# every facet fusion understands; yelp profiles lack fendors and fcontr
+_ALL_FACETS = UNIDIMENSIONAL_FACETS + ("frev", "rel")
+
+
+class TestFusion:
+    def test_fuse_trust_is_one_pair_of_the_model(self):
+        """For every facet subset and rel mode, fuse_trust equals the
+        influence of a beta-0 model exactly, and the naive oracle within
+        rounding."""
+        rng = np.random.default_rng(47)
+        for _ in range(2):
+            d = random_dataset(rng)
+            profiles = build_profiles(d)
+            _, _, friends = reference.plain_views(d)
+            vectors, frev = reference.plain_profiles(profiles)
+            raters = np.flatnonzero(d.ratings.user_rating_counts())
+            if raters.size < 2:
+                continue
+            positions = rng.choice(len(d.ratings), size=min(3, len(d.ratings)), replace=False)
+            pairs = []
+            for pos in positions:
+                v, i = int(d.ratings.user_idx[pos]), int(d.ratings.item_idx[pos])
+                pairs.append((int(rng.choice(raters[raters != v])), v, i))
+            for mask in range(2 ** len(_ALL_FACETS)):
+                names = [n for b, n in enumerate(_ALL_FACETS) if mask >> b & 1]
+                for rel_mode in ("direct", "intersection") if "rel" in names else ("none",):
+                    weights = {n: float(rng.uniform(0.1, 1.0)) for n in names}
+                    fw = FacetWeights(weights, rel_mode=rel_mode)
+                    config = InfluenceConfig("probe", "pearson", fw, beta=0.0)
+                    model = TrainedModel(d.ratings, profiles, d.social, config)
+                    for u, v, i in pairs:
+                        want = reference.naive_trust(
+                            vectors, frev, friends, weights, rel_mode, u, v, i)
+                        if want is None:
+                            with pytest.raises(AllWeightsZero):
+                                fuse_trust(profiles, d.social, fw, u, v, i)
+                            assert model.influence(u, v, i) == 0.0
+                            continue
+                        got = fuse_trust(profiles, d.social, fw, u, v, i)
+                        assert got == model.influence(u, v, i), (names, rel_mode)
+                        assert got == pytest.approx(want, abs=1e-12), (names, rel_mode)
+
+    def test_self_pair_rejected_only_when_rel_weighs(self, tiny):
+        profiles = build_yelp_profiles(tiny)
+        with pytest.raises(ValueError, match="distinct users"):
+            fuse_trust(profiles, tiny.social,
+                       FacetWeights({"rel": 1.0, "fb": 1.0}, rel_mode="direct"), 1, 1, 0)
+        w = FacetWeights({"fb": 1.0})
+        assert fuse_trust(profiles, tiny.social, w, 1, 1, 0) == profiles.vectors["fb"][1]
