@@ -11,13 +11,22 @@ model-based prediction) is NaN in ``summary.json`` and ``-`` in
 ``report.tsv``.
 
 A fold's test users are scored in blocks of consecutive users, one set
-of numpy calls per block: the training raters of all of the block's
-held-out items are gathered once, the similarity of every (user,
-candidate) pair is computed once per similarity setting (mode and
-minimum Pearson overlap) and shared by every configuration with that
-setting, and each configuration then predicts, ranks and scores all of
-the block's items at once.  Every value is a per-user or per-pair sum,
-so the partition into blocks does not change any result.
+of numpy calls per block.  Work that beta does not change is shared by
+every configuration:
+
+* per fold: the training store with its user means, and the review
+  score of each training rating, the full data's scores with the
+  held-out ones dropped (the store keeps canonical order);
+* per block: the training raters of all of the block's held-out items,
+  each with its deviation from its training mean; the similarity of
+  every (user, candidate) pair, once per similarity setting (mode and
+  minimum Pearson overlap); the fused trust of every candidate rating,
+  once per facet setting (facet weights and relatedness mode).
+
+Each configuration then only blends the two with its beta, selects
+neighbors, and predicts, ranks and scores all of the block's items at
+once.  Every value is a per-user or per-pair sum, so the partition into
+blocks does not change any result.
 
 Trust facets are computed on the full dataset before any split, so only
 rating-derived state varies across folds.  Folds are independent and can
@@ -440,7 +449,16 @@ def _evaluate_fold(
     """Metrics of one fold per configuration."""
     test_mask = plan.assignment == fold
     train = _train_store(d, test_mask)
+    # review score of each training rating: the store keeps canonical order
+    frev = profiles.frev[~test_mask]
     models = [TrainedModel(train, profiles, d.social, c) for c in configs]
+    # sigma depends on the pairs and the similarity settings only, trust on
+    # the entries and the facet settings only; each config's beta blends them
+    sigma_keys = [(c.similarity_mode, c.min_pearson_overlap) for c in configs]
+    trust_keys = [
+        (tuple(sorted(c.facet_weights.weights.items())), c.facet_weights.rel_mode)
+        for c in configs
+    ]
 
     # held-out slots in canonical order: by user, items ascending
     slot_users = d.ratings.user_idx[test_mask]
@@ -477,13 +495,16 @@ def _evaluate_fold(
         items = slot_items[s0:s1]
         hits = relevant[s0:s1]
         c = block_candidates(train, slot_users[s0:s1], items)
-        # sigma depends on the pairs and the similarity settings only
-        sigmas: dict[tuple[str, int], np.ndarray] = {}
+        c_frev = frev[c.positions]
+        sigmas: dict[tuple, np.ndarray] = {}
+        trusts: dict[tuple, np.ndarray | None] = {}
         for n, model in enumerate(models):
-            key = (model.config.similarity_mode, model.config.min_pearson_overlap)
-            if key not in sigmas:
-                sigmas[key] = model.similarity(c.pair_users, c.pair_cands)
-            values, is_model = model.predict_candidates(c, sigmas[key])
+            s_key, t_key = sigma_keys[n], trust_keys[n]
+            if s_key not in sigmas:
+                sigmas[s_key] = model.similarity(c.pair_users, c.pair_cands)[c.pair_at]
+            if t_key not in trusts:
+                trusts[t_key] = model.trust(c, c_frev)
+            values, is_model = model.predict_candidates(c, sigmas[s_key], trusts[t_key])
             err = (values - actual[s0:s1])[is_model]
             who = local[is_model]
             sq_err[n, u0:u1], abs_err[n, u0:u1] = _error_sums(err, who, u1 - u0)

@@ -18,8 +18,10 @@ users at once.  :func:`block_candidates` gathers every training rater of
 the slots' items in one pass over the store's item rows and lists the
 distinct (user, candidate) pairs; :meth:`TrainedModel.similarity` scores
 all of those pairs in one vectorized call (Pearson from the users' side,
-or the relatedness kernel of :mod:`trustcf.social`); and
-:meth:`TrainedModel.predict_candidates` predicts every slot at once.
+or the relatedness kernel of :mod:`trustcf.social`);
+:meth:`TrainedModel.trust` fuses the trust of every candidate rating; and
+:meth:`TrainedModel.predict_candidates` blends the two with beta and
+predicts every slot at once.
 The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
 :meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
 :meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
@@ -188,11 +190,12 @@ class Candidates(NamedTuple):
     Slot s stands for user ``slot_users[s]`` and item ``slot_items[s]``.
     Pair p is user ``pair_users[p]`` with one of its candidates,
     ``pair_cands[p]``; each pair appears once, ascending by (user,
-    candidate).  Entry n is the rating ``ratings[n]``, at canonical
-    position ``positions[n]`` of the training store, that candidate
-    ``pair_cands[pair_at[n]]`` gave to the item of slot ``slot_at[n]``.
-    Entries are grouped by slot, with candidates ascending inside a
-    slot.  No user is its own candidate.
+    candidate).  Entry n is the rating, at canonical position
+    ``positions[n]`` of the training store, that candidate
+    ``pair_cands[pair_at[n]]`` gave to the item of slot ``slot_at[n]``;
+    ``deviations[n]`` is that rating minus the candidate's training
+    mean.  Entries are grouped by slot, with candidates ascending inside
+    a slot.  No user is its own candidate.
     """
 
     slot_users: np.ndarray
@@ -201,7 +204,7 @@ class Candidates(NamedTuple):
     pair_cands: np.ndarray
     slot_at: np.ndarray
     pair_at: np.ndarray
-    ratings: np.ndarray
+    deviations: np.ndarray
     positions: np.ndarray
 
 
@@ -213,8 +216,8 @@ def block_candidates(
     slot_items = np.asarray(slot_items, dtype=np.int64)
     slot_at, raters, ratings, positions = train.raters_of_many(slot_items)
     others = raters != slot_users[slot_at]
-    slot_at = slot_at[others]
-    keys = slot_users[slot_at] * train.num_users + raters[others]
+    slot_at, raters = slot_at[others], raters[others]
+    keys = slot_users[slot_at] * train.num_users + raters
     pair_keys, pair_at = np.unique(keys, return_inverse=True)
     pair_users, pair_cands = np.divmod(pair_keys, train.num_users)
     return Candidates(
@@ -224,7 +227,7 @@ def block_candidates(
         pair_cands,
         slot_at,
         pair_at,
-        ratings[others],
+        ratings[others] - train.user_means()[raters],
         positions[others],
     )
 
@@ -242,14 +245,18 @@ class TrainedModel:
     """One configuration bound to a training rating store.
 
     Trust profiles come from the full dataset; only rating-derived state
-    (candidate sets, Pearson similarity, user means) is fold-specific.
-    Trust is the configuration's :class:`~trustcf.trust.Fusion`; when it
-    is empty, influence degenerates to beta * similarity.
+    (candidate sets, Pearson similarity, user means, which review scores
+    a candidate can contribute) is fold-specific.  Trust is the
+    configuration's :class:`~trustcf.trust.Fusion`; when it is empty,
+    influence degenerates to beta * similarity.
 
     Scoring works on a :class:`Candidates` block: any number of users,
-    each against every rater of its items.  :meth:`similarity` depends
-    only on the (user, candidate) pairs and the similarity settings, so
-    one result can serve every configuration that shares those settings.
+    each against every rater of its items.  Only the blend, neighbor
+    selection and prediction (:meth:`predict_candidates`) depend on
+    beta.  :meth:`similarity` depends only on the pairs and the
+    similarity settings, and :meth:`trust` only on the entries and the
+    facet weights, so one result of each can serve every configuration
+    that shares those settings.  Building a model is O(facets).
     """
 
     def __init__(
@@ -267,8 +274,6 @@ class TrainedModel:
         self.social = social
         self.config = config
         self._fusion = Fusion(profiles, social, config.facet_weights)
-        # review score of each training rating, in the store's canonical order
-        self._frev = self._fusion.frev_at(train.user_idx, train.item_idx)
 
     # -- scoring ---------------------------------------------------------
 
@@ -285,35 +290,41 @@ class TrainedModel:
             )
         return relatedness(self.social, users, cands, _SIGMA_REL_MODE[mode])
 
-    def _influence(
-        self,
-        users: np.ndarray,
-        cands: np.ndarray,
-        sigma: np.ndarray,
-        pair_at: np.ndarray,
-        frev: np.ndarray | None,
-    ) -> np.ndarray:
-        """Influence of candidate ``cands[pair_at[n]]`` on ``users[pair_at[n]]``.
+    def _review_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Review score of ``users[n]`` for ``items[n]``: 0 unless it is a training rating."""
+        scores = self._fusion.profiles.frev_at(users, items)
+        scores[self.train.positions(users, items) < 0] = 0.0
+        return scores
 
-        One value per entry n.  ``sigma`` holds sigma of each pair;
-        ``frev`` holds each entry's review score for its item, needed
-        only when the configuration weighs review feedback.
+    def trust(self, c: Candidates, frev: np.ndarray | None = None) -> np.ndarray | None:
+        """Fused trust of each of c's entries; None when no usable facet weighs.
+
+        ``frev`` is each entry's review score, looked up from the
+        profiles when not given.
         """
-        beta = self.config.beta
         if self._fusion.empty:
-            return beta * sigma[pair_at]
-        trust = self._fusion.trust(users, cands, pair_at, frev)
-        return beta * sigma[pair_at] + (1.0 - beta) * trust
+            return None
+        if frev is None:
+            frev = self._review_scores(c.pair_cands[c.pair_at], c.slot_items[c.slot_at])
+        return self._fusion.trust(c.pair_users, c.pair_cands, c.pair_at, frev)
 
-    def _neighbors(self, c: Candidates, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _influence(self, sigma: np.ndarray, trust: np.ndarray | None) -> np.ndarray:
+        """beta * sigma + (1 - beta) * trust, per entry; beta * sigma without trust."""
+        beta = self.config.beta
+        if trust is None:
+            return beta * sigma
+        return beta * sigma + (1.0 - beta) * trust
+
+    def _neighbors(
+        self, c: Candidates, sigma: np.ndarray, trust: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(entries, influence) of the neighbors for each of c's slots.
 
         Only strictly positive influence qualifies, and at most
         ``neighbor_count`` per slot survive.  Entries are ordered by slot,
         then influence descending, then ascending candidate handle.
         """
-        frev = None if self._frev is None else self._frev[c.positions]
-        infl = self._influence(c.pair_users, c.pair_cands, sigma, c.pair_at, frev)
+        infl = self._influence(sigma, trust)
         positive = np.flatnonzero(infl > 0.0)
         # inside a slot, pairs ascend by candidate handle
         top = best_k(
@@ -322,25 +333,28 @@ class TrainedModel:
         chosen = positive[top]
         return chosen, infl[chosen]
 
+    def _scores(self, c: Candidates) -> tuple[np.ndarray, np.ndarray | None]:
+        """(sigma, trust) of each of c's entries, computed for this model alone."""
+        return self.similarity(c.pair_users, c.pair_cands)[c.pair_at], self.trust(c)
+
     def predict_candidates(
-        self, c: Candidates, sigma: np.ndarray
+        self, c: Candidates, sigma: np.ndarray, trust: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) for each of c's slots.
 
         ``c`` comes from :func:`block_candidates` on this model's training
-        store, and ``sigma`` is ``self.similarity(c.pair_users,
-        c.pair_cands)``.  A slot with no neighbor falls back to its
-        user's training mean.
+        store; ``sigma`` is each entry's pair's similarity, from
+        :meth:`similarity`, and ``trust`` each entry's trust, from
+        :meth:`trust`.  A slot with no neighbor falls back to its user's
+        training mean.
         """
-        chosen, infl = self._neighbors(c, sigma)
+        chosen, infl = self._neighbors(c, sigma, trust)
         slot_at = c.slot_at[chosen]
-        means = self.train.user_means()
-        deviations = c.ratings[chosen] - means[c.pair_cands[c.pair_at[chosen]]]
         size = c.slot_items.size
-        num = np.bincount(slot_at, weights=infl * deviations, minlength=size)
+        num = np.bincount(slot_at, weights=infl * c.deviations[chosen], minlength=size)
         den = np.bincount(slot_at, weights=np.abs(infl), minlength=size)
         is_model = np.bincount(slot_at, minlength=size) > 0
-        mean_u = means[c.slot_users]
+        mean_u = self.train.user_means()[c.slot_users]
         values = np.clip(mean_u, RATING_MIN, RATING_MAX)
         values[is_model] = np.clip(
             mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
@@ -350,14 +364,20 @@ class TrainedModel:
     # -- public operations -------------------------------------------------
 
     def influence(self, u: int, v: int, i: int) -> float:
-        """Influence of candidate v on u's prediction for item i."""
+        """Influence of candidate v on u's prediction for item i.
+
+        v's review score for i counts only when it is a training rating.
+        """
         self._check_known(u)
         if not 0 <= v < self.train.num_users:
             raise UnknownUser(f"user handle {v} out of range")
-        users, cands = np.array([u]), np.array([v])
-        frev = self._fusion.frev_at(cands, np.array([i]))
+        users, cands, one = np.array([u]), np.array([v]), np.zeros(1, np.int64)
         sigma = self.similarity(users, cands)
-        return float(self._influence(users, cands, sigma, np.zeros(1, np.int64), frev)[0])
+        trust = None
+        if not self._fusion.empty:
+            frev = self._review_scores(cands, np.array([i]))
+            trust = self._fusion.trust(users, cands, one, frev)
+        return float(self._influence(sigma, trust)[0])
 
     def select_neighbors(self, u: int, i: int) -> list[tuple[int, float]]:
         """Neighbors of u for item i: (candidate, influence), best first.
@@ -367,14 +387,14 @@ class TrainedModel:
         """
         self._check_known(u)
         c = candidates_of(self.train, u, [i])
-        chosen, infl = self._neighbors(c, self.similarity(c.pair_users, c.pair_cands))
+        chosen, infl = self._neighbors(c, *self._scores(c))
         return [(int(v), float(w)) for v, w in zip(c.pair_cands[c.pair_at[chosen]], infl)]
 
     def predict_items(self, u: int, items) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) of u for each of ``items``."""
         self._check_known(u)
         c = candidates_of(self.train, u, items)
-        return self.predict_candidates(c, self.similarity(c.pair_users, c.pair_cands))
+        return self.predict_candidates(c, *self._scores(c))
 
     def predict(self, u: int, i: int) -> Prediction:
         """Predicted rating of u for i, flagged model-based or fallback."""

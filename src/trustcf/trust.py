@@ -202,8 +202,13 @@ def build_profiles(d: Dataset) -> TrustProfiles:
 
 
 class Fusion:
-    """Trust fused as the module docstring describes, vectorized over pairs;
-    the per-user facets are blended once, when the fusion is built."""
+    """Trust fused as the module docstring describes, vectorized over pairs.
+
+    Building one is O(facets): the per-user facets are blended for the
+    candidates a call asks about, in sorted facet order, and review
+    scores come with the call, so a caller decides which ratings they
+    belong to (the full data's or a training store's).
+    """
 
     def __init__(self, profiles: TrustProfiles, graph: SocialGraph, weights: FacetWeights):
         self.profiles = profiles
@@ -212,27 +217,24 @@ class Fusion:
         active = weights.active()
         self._w_rel = active.pop("rel", 0.0)
         self._w_frev = active.pop("frev", 0.0)
-        unidim = {n: w for n, w in active.items() if n in profiles.vectors}
-        self._w_total = self._w_rel + self._w_frev + sum(unidim.values())
+        self._unidim = sorted((n, w) for n, w in active.items() if n in profiles.vectors)
+        self._w_total = self._w_rel + self._w_frev + sum(w for _, w in self._unidim)
         self.empty = self._w_total == 0.0  # no usable facet carries weight
-        self._static = np.zeros(profiles.store.num_users, dtype=np.float64)
-        for name in sorted(unidim):
-            self._static += unidim[name] * profiles.vectors[name]
-
-    def frev_at(self, users: np.ndarray, items: np.ndarray) -> np.ndarray | None:
-        """Review scores of ``users[n]`` for ``items[n]``; None when they carry no weight."""
-        return self.profiles.frev_at(users, items) if self._w_frev > 0 else None
 
     def trust(
         self, users: np.ndarray, cands: np.ndarray, pair_at: np.ndarray, frev: np.ndarray | None
     ) -> np.ndarray:
         """Trust of ``cands[pair_at[n]]`` from ``users[pair_at[n]]``'s view, for each entry n.
 
-        ``frev`` is each entry's review score, from :meth:`frev_at`.
+        ``frev`` is each entry's review score; it is read only when
+        review feedback carries weight.
         """
         if self.empty:
             raise AllWeightsZero("no usable facet carries positive weight")
-        t = self._static[cands[pair_at]]
+        static = np.zeros(cands.size, dtype=np.float64)
+        for name, w in self._unidim:
+            static += w * self.profiles.vectors[name][cands]
+        t = static[pair_at]
         if self._w_frev > 0:
             t += self._w_frev * frev
         if self._w_rel > 0:
@@ -251,12 +253,12 @@ def fuse_trust(
 ) -> float:
     """Weighted mean of v's facet values from u's point of view for item i.
 
-    One pair of a :class:`Fusion` built per call, so a call costs
-    O(users x facets).  Raises AllWeightsZero when nothing is left to fuse.
+    One pair of a :class:`Fusion`, so a call costs O(facets) plus one
+    rating search.  Raises AllWeightsZero when nothing is left to fuse.
     """
     if u == v and "rel" in weights.active():
         raise ValueError("relatedness is defined for distinct users")
+    cands = np.array([v])
+    frev = profiles.frev_at(cands, np.array([i])) if "frev" in weights.active() else None
     fusion = Fusion(profiles, graph, weights)
-    users, cands = np.array([u]), np.array([v])
-    frev = fusion.frev_at(cands, np.array([i]))
-    return float(fusion.trust(users, cands, np.zeros(1, dtype=np.int64), frev)[0])
+    return float(fusion.trust(np.array([u]), cands, np.zeros(1, dtype=np.int64), frev)[0])

@@ -12,25 +12,20 @@ import contextlib
 import math
 import os
 import resource
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustcf import (
-    Dataset,
     FacetWeights,
-    FeedbackTable,
     InfluenceConfig,
-    IngestWarnings,
-    Interner,
     ItemCategories,
     PredictionKind,
-    RatingStore,
     RecItem,
     RecommendationList,
-    ReviewFeedback,
-    SocialGraph,
     TrainedModel,
     TrustProfiles,
     accuracy_metrics,
@@ -54,6 +49,10 @@ from trustcf.errors import UnknownUser
 
 import reference
 from conftest import build_tiny, random_dataset
+
+# the benchmark's corpus generator is the one generator of synthetic corpora
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from corpus import synth_corpus  # noqa: E402
 
 GIB = 1024 ** 3
 
@@ -303,65 +302,6 @@ def test_fold_partition_properties(capsys):
             assert sizes.max() - sizes.min() <= 1
             again = fold_assignment(n, f, seed)
             assert (labels == again).all()
-
-
-def synth_corpus(num_users: int, num_items: int, num_ratings: int,
-                 num_edges: int, seed: int) -> Dataset:
-    """A random corpus assembled directly from the core structures."""
-    rng = np.random.default_rng(seed)
-    cells = np.unique(rng.integers(
-        0, num_users * num_items, size=int(num_ratings * 1.02), dtype=np.int64))
-    while cells.size < num_ratings:
-        extra = rng.integers(
-            0, num_users * num_items, size=num_ratings // 10, dtype=np.int64)
-        cells = np.unique(np.concatenate([cells, extra]))
-    rng.shuffle(cells)
-    cells = cells[:num_ratings]
-    store = RatingStore(
-        num_users, num_items,
-        cells // num_items, cells % num_items,
-        rng.choice(np.arange(1.0, 5.5, 0.5), size=num_ratings),
-    )
-
-    a = rng.integers(0, num_users, size=num_edges)
-    b = rng.integers(0, num_users, size=num_edges)
-    keep = a != b
-    social = SocialGraph(num_users, np.column_stack([a[keep], b[keep]]))
-
-    def counter(high):
-        return rng.integers(0, high, size=num_users)
-
-    feedback = FeedbackTable(num_users, {
-        "elite_years": counter(8),
-        "more": counter(30), "thx": counter(30), "gw": counter(30),
-        "fans": counter(50),
-        "review_count": counter(40), "tip_count": counter(15),
-        "tip_likes": counter(25),
-        "review_useful": counter(60), "review_funny": counter(40),
-        "review_cool": counter(40),
-    })
-    review_feedback = ReviewFeedback(store, {
-        name: rng.integers(0, 6, size=num_ratings)
-        for name in ("useful", "funny", "cool")
-    })
-
-    pool = [f"tag{n:02d}" for n in range(20)]
-    tagged = rng.random(num_items) < 0.7
-    tags = {
-        i: {pool[int(t)] for t in rng.integers(0, 20, size=rng.integers(1, 4))}
-        for i in np.flatnonzero(tagged)
-    }
-    return Dataset(
-        users=Interner(f"u{n:06d}" for n in range(num_users)),
-        items=Interner(f"i{n:06d}" for n in range(num_items)),
-        ratings=store,
-        social=social,
-        feedback=feedback,
-        review_feedback=review_feedback,
-        categories=ItemCategories(num_items, tags),
-        provenance="synthetic",
-        warnings=IngestWarnings(),
-    )
 
 
 def test_large_scale_runtime_and_memory(capsys):

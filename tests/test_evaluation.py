@@ -32,6 +32,7 @@ from trustcf import (
     top_k,
     user_coverage,
 )
+from trustcf.cli import _build_config
 from trustcf.errors import EmptyInput
 from trustcf.evaluation import FoldMetrics, ReportRow
 
@@ -504,6 +505,42 @@ def test_report_matches_naive_evaluation():
             assert set(want_row) == row_fields
             _assert_same_metrics(row, want_row, cfg.name)
     assert min(seen.values()) > 5, seen
+
+
+def _comparable(value):
+    """A report row as nested tuples, NaN made equal to NaN; else exact."""
+    if isinstance(value, tuple):
+        return tuple(_comparable(v) for v in value)
+    if isinstance(value, float) and math.isnan(value):
+        return "NaN"
+    return value
+
+
+def test_shared_work_matches_each_config_alone():
+    """Configurations that share sigma, trust or a fold's training side
+    report exactly what each reports when evaluated alone."""
+    rng = np.random.default_rng(71)
+    configs = [
+        make_config("U2UCF"),
+        make_config("MTR", beta=0.0),
+        make_config("MTR", beta=0.3),
+        make_config("MTR", beta=1.0),
+        make_config("MTR-S", beta=0.4),
+        make_config("MTRTrust2", beta=0.4),
+        # MTR's facet weights, with relatedness over shared friends
+        _build_config(
+            "custom;sigma=pearson;relmode=intersection;"
+            "weights=elite:1,lup:1,opleader:1,vis:1,fb:1,frev:1,rel:1", 0.3, 50),
+    ]
+    for _ in range(3):
+        d = random_dataset(rng)
+        plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+        alone = [run_experiment(d, [c], plan, k=3).rows[0] for c in configs]
+        for workers in (1, 2):
+            mixed = run_experiment(d, configs, plan, k=3, workers=workers)
+            for got, want in zip(mixed.rows, alone):
+                assert _comparable(dataclasses.astuple(got)) == _comparable(
+                    dataclasses.astuple(want)), (got.config, got.beta, workers)
 
 
 def test_block_partition_does_not_change_results(monkeypatch):

@@ -146,6 +146,24 @@ class TestInfluence:
         model = TrainedModel(store, profiles, SocialGraph(2, []), config)
         assert model.influence(0, 1, 0) == pytest.approx(0.4 * np.sqrt(3) / 2)
 
+    def test_review_score_is_the_training_side(self, tiny):
+        """A held-out rating contributes no review score, as in prediction."""
+        alice, bob, apple = 0, 1, 0
+        profiles = build_yelp_profiles(tiny)
+        held_out = (tiny.ratings.user_idx == bob) & (tiny.ratings.item_idx == apple)
+        keep = ~held_out
+        train = RatingStore(
+            tiny.num_users, tiny.num_items, tiny.ratings.user_idx[keep],
+            tiny.ratings.item_idx[keep], tiny.ratings.value[keep])
+        config = InfluenceConfig(
+            name="probe", similarity_mode="pearson",
+            facet_weights=FacetWeights({"frev": 1.0}), beta=0.0)
+        full = TrainedModel(tiny.ratings, profiles, tiny.social, config)
+        fold = TrainedModel(train, profiles, tiny.social, config)
+        assert full.influence(alice, bob, apple) == 1.0
+        assert fold.influence(alice, bob, apple) == 0.0
+        assert bob not in [v for v, _ in fold.select_neighbors(alice, apple)]
+
     def test_weight_scale_invariance(self, tiny):
         """Halving every facet weight leaves the fused mean untouched."""
         profiles = build_yelp_profiles(tiny)
