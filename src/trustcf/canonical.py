@@ -28,13 +28,16 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, Dataset, Interner, build_dataset
+from .dataset import PROVENANCES, RATING_MAX, RATING_MIN, REVIEW_COUNTERS, USER_COUNTERS
+from .dataset import Dataset, Interner, build_dataset
 from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
-from .errors import IoFailure, SchemaVersionMismatch
+from .errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 
 SCHEMA_VERSION = "1"
 
 _COUNT_MAX = int(np.iinfo(np.int64).max)
+
+_MANIFEST_KEYS = ("schema_version", "provenance", "num_users", "num_items", "num_ratings")
 
 _FILES = (
     "ratings.tsv",
@@ -43,6 +46,24 @@ _FILES = (
     "review_feedback.tsv",
     "item_categories.tsv",
 )
+
+
+def unsafe_field(text: str) -> bool:
+    """Whether an id or tag cannot be one canonical TSV field: it is empty,
+    or holds a tab or a line break."""
+    return not text or "\t" in text or "\n" in text or "\r" in text
+
+
+def undecodable(path: Path) -> MalformedRecord:
+    """The error for a file that is not UTF-8 text, naming the first line that
+    is not, with lines counted as reading the file as text counts them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return MalformedRecord(path.name, line_no, "not UTF-8 text")
+    return MalformedRecord(path.name, 0, "not UTF-8 text")  # the file changed in between
 
 
 def _text(lines) -> str:
@@ -154,8 +175,13 @@ def canonical_save(d: Dataset, directory: str | Path) -> None:
     The old manifest is removed first and the new one written last, and
     each data file is renamed into place whole: a save interrupted over
     an older directory leaves one that fails to load for its missing
-    manifest, never a mix of old and new files that loads.
+    manifest, never a mix of old and new files that loads.  An unsafe id
+    or tag (see :func:`unsafe_field`) raises IoFailure before any write.
     """
+    for what, names in (("user id", d.users), ("item id", d.items), ("tag", d.categories.names)):
+        bad = next(filter(unsafe_field, names), None)
+        if bad is not None:
+            raise IoFailure(f"cannot save {what} {bad!r}: it is empty or holds a tab or line break")
     directory = Path(directory)
     files = render_canonical(d)
     manifest = files.pop("manifest.txt")
@@ -168,26 +194,39 @@ def canonical_save(d: Dataset, directory: str | Path) -> None:
         raise IoFailure(f"could not write canonical dataset: {exc}") from None
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+
+
 def _read_manifest(directory: Path) -> dict[str, str]:
     path = directory / "manifest.txt"
     if not path.is_file():
         raise IoFailure(f"missing manifest: {path}")
     fields = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    for line_no, line in enumerate(_read(path).split("\n"), start=1):
+        if not line.strip():
             continue
-        if "=" not in line:
-            raise IoFailure(f"malformed manifest line: {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        where = f"{path.name}:{line_no}"
+        if not eq or key not in _MANIFEST_KEYS:
+            raise IoFailure(f"{where}: malformed manifest line {line!r}")
+        if key == "schema_version" and value != SCHEMA_VERSION:
+            raise SchemaVersionMismatch(f"{where}: schema version {value!r}, not {SCHEMA_VERSION}")
+        if key == "provenance" and value not in PROVENANCES:
+            raise IoFailure(f"{where}: unknown provenance {value!r}")
+        fields[key] = value
+    for key in _MANIFEST_KEYS:
+        if key not in fields:
+            raise IoFailure(f"{path.name}: no {key} line")
     return fields
 
 
 def _columns(path: Path, width: int) -> list[list[str]]:
     """The ``width`` tab-separated columns of a file's non-blank lines."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = _read(path).split("\n")
     rows = list(filter(None, lines))
     tabs = list(map(str.count, rows, repeat("\t")))
     if tabs.count(width - 1) != len(tabs):
@@ -216,15 +255,11 @@ class _Counters(NamedTuple):
     codes: np.ndarray
     values: np.ndarray
 
-    def by_name(self) -> dict[str, tuple]:
-        """(*ids, values) per name, values zero on other names' rows.
-
-        Every name shares the id columns, so the builder looks them up once.
-        """
-        return {
-            name: (*self.ids, np.where(self.codes == k, self.values, 0))
-            for k, name in enumerate(self.names)
-        }
+    def table(self) -> tuple:
+        """The counter table ``(*ids, {name: values})``, each name's values
+        zero on the other names' rows."""
+        return (*self.ids, {n: np.where(self.codes == k, self.values, 0)
+                            for k, n in enumerate(self.names)})
 
     def check_repeats(self, loaded, interners: tuple[Interner, ...]) -> None:
         """Raise IoFailure naming the first line that repeats an earlier line's key.
@@ -240,24 +275,16 @@ class _Counters(NamedTuple):
         for interner, ids in zip(interners, self.ids):
             keys = keys * len(interner) + interner.handles(ids)
         keys = keys[np.argsort(keys, kind="stable")]
-        if not (keys[1:] == keys[:-1]).any():
-            return
-        seen = set()
-        with open(self.path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                key = line.rstrip("\n").rpartition("\t")[0]
-                if key in seen:
-                    fields = tuple(key.split("\t"))
-                    raise IoFailure(f"{self.path.name}:{line_no}: repeated key {fields}")
-                if key:
-                    seen.add(key)
-        raise IoFailure(f"{self.path.name}: repeated key")  # the file changed in between
+        if (keys[1:] == keys[:-1]).any():
+            raise _bad_line(self.path, _repeats(), "repeated key")
 
 
-def _read_counters(path: Path, width: int) -> _Counters:
+def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     *ids, names, raw = _columns(path, width)
     values = _parsed(path, raw, int, 0, _COUNT_MAX, "count")
     present = sorted(set(names))
+    if not set(present).issubset(known):
+        raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
     code = dict(zip(present, range(len(present))))
     codes = np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
     return _Counters(path, ids, present, codes, values)
@@ -266,39 +293,40 @@ def _read_counters(path: Path, width: int) -> _Counters:
 def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
     """``raw`` as ``kind`` values in [lo, hi]; IoFailure naming the first bad line."""
 
-    def parse(text: str):
-        value = kind(text)
-        if not lo <= value <= hi:  # NaN fails too
-            raise ValueError(text)
-        return value
+    def bad(fields: list[str]) -> str | None:
+        try:
+            return None if lo <= kind(fields[-1]) <= hi else fields[-1]  # NaN fails
+        except ValueError:
+            return fields[-1]
 
     dtype = np.float64 if kind is float else np.int64
     try:
         values = np.fromiter(map(kind, raw), dtype=dtype, count=len(raw))
     except (ValueError, OverflowError):
-        raise _bad_value(path, parse, what) from None
+        raise _bad_line(path, bad, f"bad {what}") from None
     if values.size and not (values.min() >= lo and values.max() <= hi):
-        raise _bad_value(path, parse, what)
+        raise _bad_line(path, bad, f"bad {what}")
     return values
 
 
-def _bad_value(path: Path, parse, what: str) -> IoFailure:
-    """The error for the first non-blank line whose last field ``parse`` rejects.
-
-    Found by reading the file again, so that loading a good file pays
-    nothing for the line numbers.
-    """
+def _bad_line(path: Path, bad, what: str) -> IoFailure:
+    """The error naming the first non-blank line for which ``bad(fields)`` returns
+    what to show (None for a good line).  The file is read again, so that
+    loading a good file pays nothing for line numbers."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            raw = line.split("\t")[-1]
-            try:
-                parse(raw)
-            except ValueError:
-                return IoFailure(f"{path.name}:{line_no}: bad {what} {raw!r}")
-    return IoFailure(f"{path.name}: bad {what}")  # the file changed in between
+            fields = line.rstrip("\n").split("\t")
+            shown = bad(fields) if fields != [""] else None
+            if shown is not None:
+                return IoFailure(f"{path.name}:{line_no}: {what} {shown!r}")
+    return IoFailure(f"{path.name}: {what}")  # the file changed in between
+
+
+def _repeats():
+    """A ``bad`` for :func:`_bad_line`: the key of a line, all fields but the
+    last, if an earlier line has it (``set.add`` returns None)."""
+    seen = set()
+    return lambda f: tuple(f[:-1]) if tuple(f[:-1]) in seen else seen.add(tuple(f[:-1]))
 
 
 def canonical_load(directory: str | Path) -> Dataset:
@@ -307,12 +335,6 @@ def canonical_load(directory: str | Path) -> Dataset:
     if not directory.is_dir():
         raise IoFailure(f"not a canonical dataset directory: {directory}")
     manifest = _read_manifest(directory)
-    version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema version {version!r} unsupported (expected {SCHEMA_VERSION})"
-        )
-    provenance = manifest.get("provenance", "")
     for name in _FILES:
         if not (directory / name).is_file():
             raise IoFailure(f"missing canonical file: {directory / name}")
@@ -321,23 +343,30 @@ def canonical_load(directory: str | Path) -> Dataset:
     r_user, r_item, raw = _columns(path, 3)
     ratings = (r_user, r_item, _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value"))
 
-    uc = _read_counters(directory / "user_feedback.tsv", 3)
-    rc = _read_counters(directory / "review_feedback.tsv", 4)
+    uc = _read_counters(directory / "user_feedback.tsv", 3, USER_COUNTERS)
+    rc = _read_counters(directory / "review_feedback.tsv", 4, REVIEW_COUNTERS)
 
     # a bare line names an item without tags
     cat_items, tags = _columns(directory / "item_categories.tsv", 2)
 
     try:
         d = build_dataset(
-            provenance=provenance,
+            provenance=manifest["provenance"],
             ratings=ratings,
             friends=tuple(_columns(directory / "friends.tsv", 2)),
-            user_counters=uc.by_name(),
-            review_counters=rc.by_name(),
+            user_counters=[uc.table()],
+            review_counters=[rc.table()],
             categories=(list(compress(cat_items, tags)), list(compress(tags, tags))),
             extra_items=cat_items,
         )
     except ValueError as exc:
+        # the builder rejects a repeated rating pair and a review of an unrated pair
+        rated = set(zip(r_user, r_item))
+        if len(rated) < len(r_user):
+            raise _bad_line(path, _repeats(), "repeated key") from None
+        if not rated.issuperset(zip(*rc.ids)):
+            unrated = lambda f: None if tuple(f[:2]) in rated else tuple(f[:2])  # noqa: E731
+            raise _bad_line(rc.path, unrated, "review of an unrated pair") from None
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
     uc.check_repeats(d.feedback.col, (d.users,))
     rc.check_repeats(d.review_feedback.col, (d.users, d.items))

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import canonical_load, canonical_save, write_atomic
+from .canonical import canonical_load, canonical_save, undecodable, write_atomic
 from .dataset import apply_filters, compute_stats
 from .errors import MissingFile, TrustcfError, UnknownConfiguration
 from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
@@ -67,8 +67,12 @@ class ExperimentSpec:
 def parse_spec(path: Path) -> ExperimentSpec:
     if not path.is_file():
         raise UsageError(f"spec file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(str(undecodable(path))) from None
     values: dict[str, list[str]] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

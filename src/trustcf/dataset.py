@@ -291,82 +291,76 @@ class RatingStore:
             raise UnknownUser(f"user handle {u} out of range")
 
 
-class FeedbackTable:
-    """Per-user non-negative counters; columns absent from the table read 0."""
+class _CounterColumns:
+    """Named non-negative counters, one entry per row; absent ones read 0.  A
+    subclass sets the names allowed (``NAMES``) and its errors' wording."""
 
-    __slots__ = ("num_users", "_cols")
+    __slots__ = ("_size", "_cols")
 
-    def __init__(self, num_users: int, columns: Mapping[str, np.ndarray] | None = None):
-        self.num_users = int(num_users)
+    def __init__(self, size: int, columns: Mapping[str, np.ndarray] | None):
+        self._size = size
         self._cols: dict[str, np.ndarray] = {}
         for name, values in (columns or {}).items():
-            if name not in USER_COUNTERS:
-                raise ValueError(f"unknown user counter {name!r}")
+            self._check(name)
             arr = np.asarray(values, dtype=np.int64)
-            if arr.shape != (num_users,):
-                raise ValueError(f"counter {name!r} must have one entry per user")
+            if arr.shape != (size,):
+                raise ValueError(f"{self.LABEL} {name!r} {self.SHAPE}")
             if arr.size and arr.min() < 0:
-                raise ValueError(f"counter {name!r} must be non-negative")
+                raise ValueError(f"{self.LABEL} {name!r} must be non-negative")
             self._cols[name] = _frozen(arr.copy())
 
+    def _check(self, name: str) -> None:
+        if name not in self.NAMES:
+            raise ValueError(f"unknown {self.KIND} {name!r}")
+
     def col(self, name: str) -> np.ndarray:
-        if name not in USER_COUNTERS:
-            raise ValueError(f"unknown user counter {name!r}")
+        self._check(name)
         got = self._cols.get(name)
         if got is None:
-            got = _frozen(np.zeros(self.num_users, dtype=np.int64))
-            self._cols[name] = got
+            got = self._cols[name] = _frozen(np.zeros(self._size, dtype=np.int64))
         return got
 
     def present(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, c in self._cols.items() if c.any()))
 
 
-class ReviewFeedback:
+class FeedbackTable(_CounterColumns):
+    """Per-user non-negative counters; columns absent from the table read 0."""
+
+    __slots__ = ("num_users",)
+    NAMES, KIND, LABEL = USER_COUNTERS, "user counter", "counter"
+    SHAPE = "must have one entry per user"
+
+    def __init__(self, num_users: int, columns: Mapping[str, np.ndarray] | None = None):
+        self.num_users = int(num_users)
+        super().__init__(self.num_users, columns)
+
+
+class ReviewFeedback(_CounterColumns):
     """Per-review counters aligned with a RatingStore's canonical order.
 
     Entries exist exactly for (user, item) pairs that carry a rating; a
     review with no recorded feedback holds zeros.
     """
 
-    __slots__ = ("store", "_cols", "_totals", "_item_max")
+    __slots__ = ("store", "_totals", "_item_max")
+    NAMES, KIND = REVIEW_COUNTERS, "review counter"
+    LABEL, SHAPE = KIND, "must align with the ratings"
 
     def __init__(self, store: RatingStore, columns: Mapping[str, np.ndarray] | None = None):
         self.store = store
-        n = len(store)
-        self._cols: dict[str, np.ndarray] = {}
-        for name, values in (columns or {}).items():
-            if name not in REVIEW_COUNTERS:
-                raise ValueError(f"unknown review counter {name!r}")
-            arr = np.asarray(values, dtype=np.int64)
-            if arr.shape != (n,):
-                raise ValueError(f"review counter {name!r} must align with the ratings")
-            if arr.size and arr.min() < 0:
-                raise ValueError(f"review counter {name!r} must be non-negative")
-            self._cols[name] = _frozen(arr.copy())
+        super().__init__(len(store), columns)
 
-        totals = np.zeros(n, dtype=np.int64)
+        totals = np.zeros(self._size, dtype=np.int64)
         for arr in self._cols.values():
             totals += arr
         self._totals = _frozen(totals)
 
         # cache: max feedback total per item, 0 for items with no feedback
         item_max = np.zeros(store.num_items, dtype=np.int64)
-        if n:
+        if self._size:
             np.maximum.at(item_max, store.item_idx, totals)
         self._item_max = _frozen(item_max)
-
-    def col(self, name: str) -> np.ndarray:
-        if name not in REVIEW_COUNTERS:
-            raise ValueError(f"unknown review counter {name!r}")
-        got = self._cols.get(name)
-        if got is None:
-            got = _frozen(np.zeros(len(self.store), dtype=np.int64))
-            self._cols[name] = got
-        return got
-
-    def present(self) -> tuple[str, ...]:
-        return tuple(sorted(n for n, c in self._cols.items() if c.any()))
 
     def totals(self) -> np.ndarray:
         return self._totals
@@ -470,10 +464,10 @@ def build_dataset(
     provenance: str,
     ratings: tuple[Sequence[str], Sequence[str], Sequence[float]],
     friends: tuple[Sequence[str], Sequence[str]] = ((), ()),
-    user_counters: Mapping[str, tuple[Sequence[str], Sequence[int]]] | None = None,
-    review_counters: Mapping[
-        str, tuple[Sequence[str], Sequence[str], Sequence[int]]
-    ] | None = None,
+    user_counters: Sequence[tuple[Sequence[str], Mapping[str, Sequence[int]]]] = (),
+    review_counters: Sequence[
+        tuple[Sequence[str], Sequence[str], Mapping[str, Sequence[int]]]
+    ] = (),
     categories: tuple[Sequence[str], Sequence[str]] = ((), ()),
     extra_users: Iterable[str] = (),
     extra_items: Iterable[str] = (),
@@ -483,32 +477,25 @@ def build_dataset(
 
     ``ratings`` is (user, item, value) columns with one row per pair,
     ``friends`` (user, user) columns and ``categories`` (item, tag)
-    columns.  Each user counter maps to (user, value) columns and each
-    review counter to (user, item, value) columns; rows that repeat a
-    key add up, and review counters must refer to pairs that carry a
-    rating.  Ids are interned in sorted order, so two calls with the
-    same content produce handle-identical datasets.
+    columns.  Counters come in tables: ``(users, {name: values})`` per
+    user table, ``(users, items, {name: values})`` per review table.  Rows
+    that repeat a key add up, also across tables, and review rows must
+    refer to pairs that carry a rating.  Each id column is looked up once,
+    however many tables share it, and each review table is joined to the
+    ratings by one :meth:`RatingStore.positions` call.  Ids are interned
+    in sorted order, so two calls with the same content produce
+    handle-identical datasets.
     """
     from .social import SocialGraph
 
-    user_counters = user_counters or {}
-    review_counters = review_counters or {}
     r_user, r_item, r_value = ratings
     c_item, c_tag = categories
-    user_cols = [r_user, *friends, *(c[0] for c in user_counters.values())]
-
-    # Callers pass one id column for several counters: each distinct
-    # column is read once.  Review counters bring no ids of their own.
-    user_ids = set(extra_users)
-    for col in {id(col): col for col in user_cols}.values():
-        user_ids.update(col)
-    item_ids = set(extra_items).union(c_item, r_item)
+    user_ids = set(extra_users).union(r_user, *friends, *(ids for ids, _ in user_counters))
     users = Interner(sorted(user_ids))
-    items = Interner(sorted(item_ids))
+    items = Interner(sorted(set(extra_items).union(c_item, r_item)))
     nu, ni = len(users), len(items)
 
     looked_up: dict[tuple[int, int], np.ndarray] = {}
-    joined: dict[tuple[int, int], np.ndarray] = {}
 
     def handles(interner: Interner, col: Sequence[str]) -> np.ndarray:
         key = (id(interner), id(col))
@@ -516,27 +503,16 @@ def build_dataset(
             looked_up[key] = interner.handles(col)
         return looked_up[key]
 
-    def positions(rc_user: Sequence[str], rc_item: Sequence[str]) -> np.ndarray:
-        """Store positions of (user, item) rows; -1 where no rating matches."""
-        key = (id(rc_user), id(rc_item))
-        if key not in joined:
-            joined[key] = store.positions(handles(users, rc_user), handles(items, rc_item))
-        return joined[key]
-
     store = RatingStore(nu, ni, handles(users, r_user), handles(items, r_item), r_value)
 
-    review_sums = {}
-    for name, (rc_user, rc_item, values) in review_counters.items():
-        pos = positions(rc_user, rc_item)
+    review_sums = []
+    for rc_user, rc_item, counters in review_counters:
+        pos = store.positions(handles(users, rc_user), handles(items, rc_item))
         if pos.size and pos.min() < 0:
             n = int(np.argmin(pos))
-            raise ValueError(
-                f"review counter {name!r} for unrated pair ({rc_user[n]!r}, {rc_item[n]!r})"
-            )
-        review_sums[name] = (pos, values)
-    user_sums = {
-        name: (handles(users, ids), values) for name, (ids, values) in user_counters.items()
-    }
+            raise ValueError(f"review counters for unrated pair ({rc_user[n]!r}, {rc_item[n]!r})")
+        review_sums.append((pos, counters))
+    user_sums = [(handles(users, ids), counters) for ids, counters in user_counters]
 
     a, b = friends
     return Dataset(
@@ -552,15 +528,14 @@ def build_dataset(
     )
 
 
-def _sums(
-    columns: Mapping[str, tuple[np.ndarray, Sequence[int]]], size: int
-) -> dict[str, np.ndarray]:
-    """Per name, ``values[n]`` added up at entry ``at[n]`` of ``size`` zeros."""
-    out = {}
-    for name, (at, values) in columns.items():
-        col = np.zeros(size, dtype=np.int64)
-        np.add.at(col, at, np.asarray(values, dtype=np.int64))
-        out[name] = col
+def _sums(tables: Sequence[tuple[np.ndarray, Mapping]], size: int) -> dict[str, np.ndarray]:
+    """Per counter name, each table's ``values[n]`` added up at entry ``at[n]``
+    of ``size`` zeros."""
+    out: dict[str, np.ndarray] = {}
+    for at, counters in tables:
+        for name, values in counters.items():
+            col = out.setdefault(name, np.zeros(size, dtype=np.int64))
+            np.add.at(col, at, np.asarray(values, dtype=np.int64))
     return out
 
 
@@ -592,14 +567,14 @@ def make_dataset(
         provenance=provenance,
         ratings=_columns(ratings, 3),
         friends=_columns(friends, 2),
-        user_counters={
-            name: (list(mapping), list(mapping.values()))
+        user_counters=[
+            (list(mapping), {name: list(mapping.values())})
             for name, mapping in (user_counters or {}).items()
-        },
-        review_counters={
-            name: ([u for u, _ in mapping], [i for _, i in mapping], list(mapping.values()))
+        ],
+        review_counters=[
+            ([u for u, _ in mapping], [i for _, i in mapping], {name: list(mapping.values())})
             for name, mapping in (review_counters or {}).items()
-        },
+        ],
         categories=_columns(((i, str(t)) for i, tags in categories.items() for t in tags), 2),
         extra_users=extra_users,
         extra_items=chain(extra_items, categories),

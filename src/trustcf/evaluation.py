@@ -587,7 +587,8 @@ def run_experiment(
         _POOL_CONTEXT = (d, profiles, configs, plan, k, tau)
         try:
             with mp.get_context("fork").Pool(workers) as pool:
-                per_fold = pool.map(_pool_worker, folds)
+                # one fold per task: default chunks of 2 folds can leave a worker idle
+                per_fold = pool.map(_pool_worker, folds, chunksize=1)
         finally:
             _POOL_CONTEXT = None
     else:

@@ -24,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
 from .dataset import Dataset, IngestWarnings, _columns, build_dataset, make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
@@ -35,29 +36,45 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _iter_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                # raw_decode skips json.loads' per-call checks; a line that
-                # fails them is parsed again by json.loads, for its error
-                record, end = _raw_decode(line)
-                if end != len(line):
-                    record = json.loads(line)
-            except json.JSONDecodeError:
+    # reads the file itself, not through _lines: a generator less per line of a dump
+    source = path.name
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(path.name, line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise MalformedRecord(path.name, line_no, "expected a JSON object")
-            yield line_no, record
+                    # raw_decode skips json.loads' per-call checks; a line that
+                    # fails them is parsed again by json.loads, for its error
+                    record, end = _raw_decode(line)
+                    if end != len(line):
+                        record = json.loads(line)
+                except json.JSONDecodeError:
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise MalformedRecord(source, line_no, f"invalid JSON: {exc}") from None
+                except RecursionError:
+                    raise MalformedRecord(source, line_no, "JSON nested too deeply") from None
+                if not isinstance(record, dict):
+                    raise MalformedRecord(source, line_no, "expected a JSON object")
+                yield line_no, record
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
 
 
 def _listish(raw) -> list[str]:
@@ -74,7 +91,7 @@ def _int_field(record: dict, name: str, source: str, line_no: int) -> int:
     if type(value) is not int:
         try:
             value = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedRecord(source, line_no, f"{name} is not an integer") from None
     return value if value > 0 else 0
 
@@ -99,12 +116,6 @@ def _pick(column: list, rows: list[int]) -> list:
     return list(map(column.__getitem__, rows))
 
 
-def _unsafe(text: str) -> bool:
-    """Whether an id cannot be a canonical TSV field: empty, or holding
-    a tab or a line break."""
-    return not text or "\t" in text or "\n" in text or "\r" in text
-
-
 def _check_ids(ids: set[str], sources) -> None:
     """Raise MalformedRecord for the first record holding an unsafe id.
 
@@ -112,16 +123,16 @@ def _check_ids(ids: set[str], sources) -> None:
     record; it is read only when ``ids`` hold an unsafe one, so a good
     dump pays one scan of its distinct ids.
     """
-    if "" not in ids and not _unsafe("".join(ids)):
+    if "" not in ids and not unsafe_field("".join(ids)):
         return
     for source, line_no, fields in sources:
         for field, value in fields:
-            if _unsafe(value):
+            if unsafe_field(value):
                 raise MalformedRecord(
                     source, line_no,
                     f"{field} {value!r} is empty or holds a tab or line break",
                 )
-    bad = sorted(i for i in ids if _unsafe(i))
+    bad = sorted(filter(unsafe_field, ids))
     if bad:  # the files changed while being read
         raise MalformedRecord("input", 0, f"id {bad[0]!r} is empty or holds a tab or line break")
 
@@ -236,30 +247,18 @@ def ingest_yelp(
     kept, duplicates = _latest(r_user, r_item, r_date)
     k_user, k_item = _pick(r_user, kept), _pick(r_item, kept)
     useful, funny, cool = (_pick(col, kept) for col in (r_useful, r_funny, r_cool))
-    p_user = list(profiles)
-    elite, more, thx, gw, fans = [list(col) for col in zip(*profiles.values())] or [[]] * 5
     return build_dataset(
         provenance="yelp",
         ratings=(k_user, k_item, _pick(r_stars, kept)),
         friends=(f_user, f_friend),
-        user_counters={
-            "elite_years": (p_user, elite),
-            "more": (p_user, more),
-            "thx": (p_user, thx),
-            "gw": (p_user, gw),
-            "fans": (p_user, fans),
-            "tip_likes": (t_user, t_likes),
-            "tip_count": (t_user, [1] * len(t_user)),
-            "review_useful": (k_user, useful),
-            "review_funny": (k_user, funny),
-            "review_cool": (k_user, cool),
-            "review_count": (k_user, [1] * len(kept)),
-        },
-        review_counters={
-            "useful": (k_user, k_item, useful),
-            "funny": (k_user, k_item, funny),
-            "cool": (k_user, k_item, cool),
-        },
+        user_counters=[
+            (list(profiles), dict(zip(("elite_years", "more", "thx", "gw", "fans"),
+                                      zip(*profiles.values())))),
+            (t_user, {"tip_likes": t_likes, "tip_count": [1] * len(t_user)}),
+            (k_user, {"review_useful": useful, "review_funny": funny, "review_cool": cool,
+                      "review_count": [1] * len(kept)}),
+        ],
+        review_counters=[(k_user, k_item, {"useful": useful, "funny": funny, "cool": cool})],
         # a business listed twice keeps the last line's tags
         categories=_columns(((b, tag) for b, tags in categories.items() for tag in tags), 2),
         extra_items=categories.keys(),
@@ -274,10 +273,10 @@ def _parse_librarything_line(source: str, line_no: int, line: str) -> dict:
     body = line[start:]
     try:
         record = json.loads(body)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         try:
             record = ast.literal_eval(body)
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
             raise MalformedRecord(source, line_no, f"unparseable record: {exc}") from None
     if not isinstance(record, dict):
         raise MalformedRecord(source, line_no, "expected a dict record")
@@ -285,11 +284,10 @@ def _parse_librarything_line(source: str, line_no: int, line: str) -> dict:
 
 
 def _iter_librarything(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if line:
-                yield line_no, _parse_librarything_line(path.name, line_no, line)
+    for line_no, line in _lines(path):
+        line = line.strip()
+        if line:
+            yield line_no, _parse_librarything_line(path.name, line_no, line)
 
 
 def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
@@ -328,14 +326,10 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
         if rating is None:
             dropped += 1
             continue
-        nhelpful = record.get("nhelpful") or 0
-        try:
-            nhelpful = max(int(nhelpful), 0)
-        except (TypeError, ValueError):
-            raise MalformedRecord(source, line_no, "nhelpful is not an integer") from None
+        nhelpful = _int_field(record, "nhelpful", source, line_no) if record.get("nhelpful") else 0
         try:
             stamp = int(record.get("unixtime") or 0)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             stamp = 0
         r_user.append(str(user))
         r_item.append(str(work))
@@ -346,15 +340,14 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
     # self-loops go in too: the graph drops them, and their user is still interned
     f_a: list[str] = []
     f_b: list[str] = []
-    with open(friend_file, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise MalformedRecord(friend_file.name, line_no, "expected two user ids")
-            f_a.append(parts[0])
-            f_b.append(parts[1])
+    for line_no, line in _lines(friend_file):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise MalformedRecord(friend_file.name, line_no, "expected two user ids")
+        f_a.append(parts[0])
+        f_b.append(parts[1])
 
     def id_fields():
         for line_no, r in _iter_librarything(review_file):
@@ -369,11 +362,8 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
         provenance="librarything",
         ratings=(k_user, k_item, _pick(r_stars, kept)),
         friends=(f_a, f_b),
-        user_counters={
-            "nhelpful_total": (k_user, helpful),
-            "review_count": (k_user, [1] * len(kept)),
-        },
-        review_counters={"nhelpful": (k_user, k_item, helpful)},
+        user_counters=[(k_user, {"nhelpful_total": helpful, "review_count": [1] * len(kept)})],
+        review_counters=[(k_user, k_item, {"nhelpful": helpful})],
         warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
     )
 
@@ -385,8 +375,7 @@ def _closure(lines: Iterable[str]) -> frozenset[str]:
 
 def load_category_closure(path: str | Path) -> frozenset[str]:
     """Category tags from a text file, one per line, '#' comments allowed."""
-    with open(_require(Path(path)), encoding="utf-8") as handle:
-        return _closure(handle)
+    return _closure(line for _, line in _lines(_require(Path(path))))
 
 
 def restaurants_food_closure() -> frozenset[str]:

@@ -197,6 +197,27 @@ class TestEval:
         assert "user_feedback.tsv:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", [
+        "manifest.txt", "ratings.tsv", "friends.tsv", "user_feedback.tsv",
+        "review_feedback.tsv", "item_categories.tsv",
+    ])
+    def test_undecodable_file_names_file_and_line(self, tmp_path, canonical_dir, capsys, name):
+        path = canonical_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        assert main(["eval", "--spec", str(spec)]) == 2
+        assert f"{name}:2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_undecodable_spec_is_usage_error(self, tmp_path, canonical_dir, capsys):
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        spec.write_bytes(spec.read_bytes() + b"# \xff\n")
+        assert main(["eval", "--spec", str(spec)]) == 1
+        assert "exp.spec:4: not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1
 
@@ -324,6 +345,31 @@ class TestIngest:
         assert rc == 2
         assert "reviews.txt:2: user" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source, name", [
+        ("yelp", "business.json"), ("yelp", "review.json"), ("yelp", "user.json"),
+        ("yelp", "tip.json"), ("yelp", "closure.txt"),
+        ("librarything", "reviews.txt"), ("librarything", "edges.txt"),
+    ])
+    def test_undecodable_input_names_file_and_line(
+        self, tmp_path, yelp_raw, capsys, source, name
+    ):
+        raw = yelp_raw
+        if source == "librarything":
+            raw = tmp_path / "lt"
+            raw.mkdir()
+            (raw / "reviews.txt").write_text("{'work': 'w1', 'user': 'u1', 'stars': 4.0}\n")
+            (raw / "edges.txt").write_text("u1 u2\n")
+        closure = tmp_path / "closure.txt"
+        closure.write_text("# restaurants\nRestaurants\n")
+        path = closure if name == "closure.txt" else raw / name
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        rc = main(["ingest", "--source", source, "--in", str(raw), "--out", str(tmp_path / "c"),
+                   "--min-ratings", "1", "--category-closure", str(closure)])
+        assert rc == 2
+        assert f"{name}:{line}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_input_directory(self, tmp_path):
         rc = main(["ingest", "--source", "yelp", "--in", str(tmp_path / "nope"),

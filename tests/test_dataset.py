@@ -14,7 +14,7 @@ from trustcf import (
     make_dataset,
 )
 from trustcf.canonical import datasets_equal
-from trustcf.dataset import search_keys
+from trustcf.dataset import build_dataset, search_keys
 from trustcf.errors import UnknownUser
 
 from conftest import build_tiny, random_dataset
@@ -217,6 +217,36 @@ class TestMakeDataset:
     def test_total_of(self, tiny):
         assert tiny.review_feedback.total_of(1, 0) == 6  # bob on apple
         assert tiny.review_feedback.total_of(4, 0) == 0  # erin never rated apple
+
+
+class TestBuildDataset:
+    def test_tables_add_up_and_each_id_column_is_looked_up_once(self, monkeypatch):
+        calls = []
+        real = Interner.handles
+
+        def handles(self, ids):
+            calls.append((id(self), id(ids)))
+            return real(self, ids)
+
+        monkeypatch.setattr(Interner, "handles", handles)
+        users, items = ["a", "b", "a"], ["x", "x", "y"]
+        d = build_dataset(
+            provenance="synthetic",
+            ratings=(users, items, [1.0, 2.0, 3.0]),
+            user_counters=[
+                (users, {"fans": [1, 2, 3], "review_count": [1, 1, 1]}),
+                (["b"], {"fans": [5]}),
+            ],
+            review_counters=[
+                (users, items, {"useful": [1, 0, 2]}),
+                (["a"], ["x"], {"useful": [4]}),
+            ],
+        )
+        assert d.feedback.col("fans").tolist() == [4, 7]
+        assert d.feedback.col("review_count").tolist() == [2, 1]
+        # canonical order: (a, x), (a, y), (b, x)
+        assert d.review_feedback.col("useful").tolist() == [5, 2, 0]
+        assert len(calls) == len(set(calls))
 
 
 class TestApplyFilters:

@@ -21,7 +21,7 @@ from trustcf.dataset import (
     ReviewFeedback,
 )
 from trustcf.social import SocialGraph
-from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch
+from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch, TrustcfError
 from trustcf.ingest import load_category_closure, restaurants_food_closure
 
 import reference
@@ -147,6 +147,19 @@ class TestYelpIngest:
             )
         assert exc.value.line_number == 1
 
+    @pytest.mark.parametrize("line, reason", [
+        ("[" * 100000, "JSON nested too deeply"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "useful": Infinity}',
+         "useful is not an integer"),
+    ], ids=["deep", "infinite"])
+    def test_bad_review_line_names_its_line(self, yelp_dir, line, reason):
+        with open(yelp_dir / "review.json", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == ("review.json", 5)
+        assert caught.value.reason == reason
+
 
 LT_LINES = """\
 u1 https://example.invalid/work/1 {'work': 'w1', 'user': 'u1', 'stars': 4.5, 'unixtime': 1300000000, 'nhelpful': 2, 'comment': "it's fine"}
@@ -198,6 +211,23 @@ class TestLibraryThingIngest:
         (lt_dir / "reviews.txt").write_text("no braces here\n", encoding="utf-8")
         with pytest.raises(MalformedRecord):
             ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+
+    @pytest.mark.parametrize("line", [
+        '{"work": "w1", "user": "u1", "stars": 4, "x": ' + "[" * 100000,
+        "{'work': 'w1', 'user': 'u1', 'stars': 4, 'x': " + "-" * 100000 + "1}",
+        '{"work": "w1", "user": "u1", "stars": 4, "nhelpful": 1e999}',
+    ], ids=["deep-json", "deep-literal", "infinite"])
+    def test_bad_review_line_names_its_line(self, lt_dir, line):
+        (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert (caught.value.source, caught.value.line_number) == ("reviews.txt", 7)
+
+    def test_infinite_unixtime_reads_as_zero(self, lt_dir):
+        (lt_dir / "reviews.txt").write_text(
+            '{"work": "w1", "user": "u1", "stars": 4, "unixtime": Infinity}\n', encoding="utf-8")
+        d = ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert len(d.ratings) == 1
 
 
 def yelp_files(directory):
@@ -400,6 +430,7 @@ class TestCanonicalFormat:
             assert render_canonical(d)["ratings.tsv"] == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("name, extra", [
+        ("ratings.tsv", "alice\tapple\t3"),
         ("user_feedback.tsv", "alice\treview_count\t5"),
         ("review_feedback.tsv", "alice\tapple\tuseful\t3"),
         ("review_feedback.tsv", "alice\tapple\tuseful\t0"),
@@ -413,6 +444,58 @@ class TestCanonicalFormat:
         with pytest.raises(IoFailure) as caught:
             canonical_load(tmp_path / "d")
         assert str(caught.value) == f"{name}:{len(lines) + 1}: repeated key {key}"
+
+    @pytest.mark.parametrize("name, extra, message", [
+        ("user_feedback.tsv", "erin\tcharm\t1", "unknown counter 'charm'"),
+        ("review_feedback.tsv", "erin\tbread\tcharm\t1", "unknown counter 'charm'"),
+        ("review_feedback.tsv", "erin\tapple\tuseful\t1",
+         "review of an unrated pair ('erin', 'apple')"),
+    ])
+    def test_inconsistent_row_names_file_and_line(self, tiny, tmp_path, name, extra, message):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [extra]) + "\n")
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value) == f"{name}:{len(lines) + 1}: {message}"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("provenance=synthetic", "provenance=netflix",
+         "manifest.txt:2: unknown provenance 'netflix'"),
+        ("schema_version=1", "schema_version=", "manifest.txt:1: schema version '', not 1"),
+        ("schema_version=1", "schema", "manifest.txt:1: malformed manifest line 'schema'"),
+        ("schema_version=1", "schema\tversion=1", "manifest.txt:1: malformed manifest line"),
+        ("schema_version=1\n", "", "manifest.txt: no schema_version line"),
+    ])
+    def test_bad_manifest_names_file_and_line(self, tiny, tmp_path, old, new, message):
+        canonical_save(tiny, tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(old, new))
+        with pytest.raises(TrustcfError) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("item, tag, shown", [
+        ("x\ny", "t", "item id 'x\\ny'"),
+        ("x", "a\tb", "tag 'a\\tb'"),
+        ("x", "", "tag ''"),
+    ])
+    def test_save_rejects_a_field_that_would_not_load(self, tiny, tmp_path, item, tag, shown):
+        from trustcf import make_dataset
+
+        target = tmp_path / "d"
+        canonical_save(tiny, target)
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        d = make_dataset(provenance="synthetic", ratings=[("u", item, 3.0)],
+                         categories={item: {tag}})
+        with pytest.raises(IoFailure) as caught:
+            canonical_save(d, target)
+        assert str(caught.value).startswith(f"cannot save {shown}: ")
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        with pytest.raises(IoFailure):
+            canonical_save(d, tmp_path / "new")
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("name, extra", [
         ("user_feedback.tsv", "erin\tfans\t0"),
