@@ -49,9 +49,9 @@ _FILES = (
 
 
 def unsafe_field(text: str) -> bool:
-    """Whether an id or tag cannot be one canonical TSV field: it is empty,
-    or holds a tab or a line break."""
-    return not text or "\t" in text or "\n" in text or "\r" in text
+    """Whether an id or tag cannot be one canonical TSV field: it holds a
+    tab or a line break."""
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 def undecodable(path: Path) -> MalformedRecord:
@@ -175,13 +175,16 @@ def canonical_save(d: Dataset, directory: str | Path) -> None:
     The old manifest is removed first and the new one written last, and
     each data file is renamed into place whole: a save interrupted over
     an older directory leaves one that fails to load for its missing
-    manifest, never a mix of old and new files that loads.  An unsafe id
-    or tag (see :func:`unsafe_field`) raises IoFailure before any write.
+    manifest, never a mix of old and new files that loads.  An id or tag
+    that is not one TSV field (see :func:`unsafe_field`), or an empty tag
+    (it would reload as untagged), raises IoFailure before any write.
     """
     for what, names in (("user id", d.users), ("item id", d.items), ("tag", d.categories.names)):
         bad = next(filter(unsafe_field, names), None)
         if bad is not None:
-            raise IoFailure(f"cannot save {what} {bad!r}: it is empty or holds a tab or line break")
+            raise IoFailure(f"cannot save {what} {bad!r}: it holds a tab or line break")
+    if "" in d.categories.names:
+        raise IoFailure("cannot save tag '': it would read back as an untagged item")
     directory = Path(directory)
     files = render_canonical(d)
     manifest = files.pop("manifest.txt")

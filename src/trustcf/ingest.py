@@ -49,40 +49,38 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _iter_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    # reads the file itself, not through _lines: a generator less per line of a dump
     source = path.name
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    # raw_decode skips json.loads' per-call checks; a line that
-                    # fails them is parsed again by json.loads, for its error
-                    record, end = _raw_decode(line)
-                    if end != len(line):
-                        record = json.loads(line)
-                except json.JSONDecodeError:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise MalformedRecord(source, line_no, f"invalid JSON: {exc}") from None
-                except RecursionError:
-                    raise MalformedRecord(source, line_no, "JSON nested too deeply") from None
-                if not isinstance(record, dict):
-                    raise MalformedRecord(source, line_no, "expected a JSON object")
-                yield line_no, record
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
+    for line_no, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            # raw_decode skips json.loads' per-call checks; a line that
+            # fails them is parsed again by json.loads, for its error
+            record, end = _raw_decode(line)
+            if end != len(line):
+                record = json.loads(line)
+        except ValueError:  # a JSONDecodeError, or an integer too long to convert
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise MalformedRecord(source, line_no, f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise MalformedRecord(source, line_no, "JSON nested too deeply") from None
+        if not isinstance(record, dict):
+            raise MalformedRecord(source, line_no, "expected a JSON object")
+        yield line_no, record
 
 
-def _listish(raw) -> list[str]:
+def _listish(record: dict, name: str, source: str, line_no: int) -> list[str]:
     """Normalize Yelp's sometimes-string, sometimes-list fields."""
+    raw = record.get(name)
     if raw is None:
         return []
     if isinstance(raw, str):
         return [part for part in (p.strip() for p in raw.split(",")) if part and part != "None"]
+    if not isinstance(raw, (list, dict)):
+        raise MalformedRecord(source, line_no, f"{name} is not a list or a string")
     return [str(part).strip() for part in raw if str(part).strip()]
 
 
@@ -127,26 +125,26 @@ def _check_ids(ids: set[str], sources) -> None:
         return
     for source, line_no, fields in sources:
         for field, value in fields:
-            if unsafe_field(value):
+            if not value or unsafe_field(value):
                 raise MalformedRecord(
                     source, line_no,
                     f"{field} {value!r} is empty or holds a tab or line break",
                 )
-    bad = sorted(filter(unsafe_field, ids))
+    bad = sorted(i for i in ids if not i or unsafe_field(i))
     if bad:  # the files changed while being read
         raise MalformedRecord("input", 0, f"id {bad[0]!r} is empty or holds a tab or line break")
 
 
 def _yelp_id_fields(business_file: Path, review_file: Path, user_file: Path, tip_file: Path):
     for line_no, r in _iter_json_lines(business_file):
-        tags = [("category", tag) for tag in _listish(r.get("categories"))]
+        tags = [("category", t) for t in _listish(r, "categories", business_file.name, line_no)]
         yield business_file.name, line_no, [("business_id", str(r.get("business_id")))] + tags
     for line_no, r in _iter_json_lines(review_file):
         yield review_file.name, line_no, [
             ("user_id", str(r.get("user_id"))), ("business_id", str(r.get("business_id")))
         ]
     for line_no, r in _iter_json_lines(user_file):
-        friends = [("friend", friend) for friend in _listish(r.get("friends"))]
+        friends = [("friend", f) for f in _listish(r, "friends", user_file.name, line_no)]
         yield user_file.name, line_no, [("user_id", str(r.get("user_id")))] + friends
     for line_no, r in _iter_json_lines(tip_file):
         yield tip_file.name, line_no, [("user_id", str(r.get("user_id")))]
@@ -175,7 +173,7 @@ def ingest_yelp(
         business = record.get("business_id")
         if not business:
             raise MalformedRecord(source, line_no, "missing business_id")
-        categories[str(business)] = _listish(record.get("categories"))
+        categories[str(business)] = _listish(record, "categories", source, line_no)
 
     source = review_file.name
     r_user: list[str] = []
@@ -192,7 +190,7 @@ def ingest_yelp(
             raise MalformedRecord(source, line_no, "missing user_id or business_id")
         try:
             rating = float(record.get("stars"))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MalformedRecord(source, line_no, "stars is not numeric") from None
         if not 1.0 <= rating <= 5.0:
             raise MalformedRecord(source, line_no, f"stars {rating} outside 1..5")
@@ -218,13 +216,13 @@ def ingest_yelp(
             raise MalformedRecord(source, line_no, "missing user_id")
         user = str(user)
         profiles[user] = (
-            len(_listish(record.get("elite"))),
+            len(_listish(record, "elite", source, line_no)),
             _int_field(record, "compliment_more", source, line_no),
             _int_field(record, "compliment_note", source, line_no),
             _int_field(record, "compliment_writer", source, line_no),
             _int_field(record, "fans", source, line_no),
         )
-        friends = _listish(record.get("friends"))
+        friends = _listish(record, "friends", source, line_no)
         f_friend += friends
         f_user += [user] * len(friends)  # a self-friend is dropped by the graph
 
@@ -273,10 +271,10 @@ def _parse_librarything_line(source: str, line_no: int, line: str) -> dict:
     body = line[start:]
     try:
         record = json.loads(body)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # ValueError covers JSONDecodeError
         try:
             record = ast.literal_eval(body)
-        except (ValueError, SyntaxError, MemoryError, RecursionError) as exc:
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
             raise MalformedRecord(source, line_no, f"unparseable record: {exc}") from None
     if not isinstance(record, dict):
         raise MalformedRecord(source, line_no, "expected a dict record")
@@ -295,7 +293,7 @@ def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
     stars = record.get("stars")
     try:
         rating = float(stars) if stars is not None else 0.0
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(source, line_no, "stars is not numeric") from None
     return rating if 1.0 <= rating <= 5.0 else None
 

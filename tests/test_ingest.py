@@ -67,6 +67,15 @@ def yelp_dir(tmp_path):
     return tmp_path
 
 
+def _int_digits_error(digits: int) -> str:
+    """The message for an integer literal too long to convert."""
+    try:
+        int("1" * digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("integer string conversion is not limited")
+
+
 class TestYelpIngest:
     def test_population(self, yelp_dir):
         d = ingest_yelp(
@@ -151,7 +160,11 @@ class TestYelpIngest:
         ("[" * 100000, "JSON nested too deeply"),
         ('{"user_id": "u1", "business_id": "b1", "stars": 4, "useful": Infinity}',
          "useful is not an integer"),
-    ], ids=["deep", "infinite"])
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "useful": ' + "1" * 5000 + "}",
+         f"invalid JSON: {_int_digits_error(5000)}"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 1' + "0" * 400 + "}",
+         "stars is not numeric"),
+    ], ids=["deep", "infinite", "long-integer", "huge-stars"])
     def test_bad_review_line_names_its_line(self, yelp_dir, line, reason):
         with open(yelp_dir / "review.json", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -159,6 +172,19 @@ class TestYelpIngest:
             ingest_yelp(*yelp_files(yelp_dir))
         assert (caught.value.source, caught.value.line_number) == ("review.json", 5)
         assert caught.value.reason == reason
+
+    @pytest.mark.parametrize("name, record, field", [
+        ("business.json", {"business_id": "b4", "categories": 5}, "categories"),
+        ("user.json", {"user_id": "u4", "friends": 5}, "friends"),
+        ("user.json", {"user_id": "u4", "elite": True}, "elite"),
+    ], ids=["categories", "friends", "elite"])
+    def test_scalar_list_field_names_its_line(self, yelp_dir, name, record, field):
+        with open(yelp_dir / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == (name, 4)
+        assert caught.value.reason == f"{field} is not a list or a string"
 
 
 LT_LINES = """\
@@ -216,7 +242,12 @@ class TestLibraryThingIngest:
         '{"work": "w1", "user": "u1", "stars": 4, "x": ' + "[" * 100000,
         "{'work': 'w1', 'user': 'u1', 'stars': 4, 'x': " + "-" * 100000 + "1}",
         '{"work": "w1", "user": "u1", "stars": 4, "nhelpful": 1e999}',
-    ], ids=["deep-json", "deep-literal", "infinite"])
+        '{"work": "w1", "user": "u1", "stars": 4, "nhelpful": ' + "1" * 5000 + "}",
+        "{'work': 'w1', ['user']: 'u1', 'stars': 4}",
+        '{"work": "w1", "user": "u1", "stars": 1' + "0" * 400 + "}",
+        "{'work': 'w1', 'user': 'u1', 'stars': 1" + "0" * 400 + "}",
+    ], ids=["deep-json", "deep-literal", "infinite", "long-integer", "unhashable-key",
+            "huge-stars-json", "huge-stars-literal"])
     def test_bad_review_line_names_its_line(self, lt_dir, line):
         (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as caught:
@@ -496,6 +527,14 @@ class TestCanonicalFormat:
         with pytest.raises(IoFailure):
             canonical_save(d, tmp_path / "new")
         assert not (tmp_path / "new").exists()
+
+    def test_empty_ids_round_trip(self, tmp_path):
+        from trustcf import make_dataset
+
+        d = make_dataset(provenance="synthetic", ratings=[("", "x", 3.0), ("u", "", 4.0)],
+                         categories={"x": {"t"}})
+        canonical_save(d, tmp_path / "d")
+        assert datasets_equal(canonical_load(tmp_path / "d"), d)
 
     @pytest.mark.parametrize("name, extra", [
         ("user_feedback.tsv", "erin\tfans\t0"),
