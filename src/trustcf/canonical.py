@@ -29,13 +29,11 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dataset import PROVENANCES, RATING_MAX, RATING_MIN, REVIEW_COUNTERS, USER_COUNTERS
-from .dataset import Dataset, Interner, build_dataset
+from .dataset import _INT64_MAX, CounterOverflow, Dataset, Interner, build_dataset
 from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
 from .errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 
 SCHEMA_VERSION = "1"
-
-_COUNT_MAX = int(np.iinfo(np.int64).max)
 
 _MANIFEST_KEYS = ("schema_version", "provenance", "num_users", "num_items", "num_ratings")
 
@@ -204,7 +202,8 @@ def _read(path: Path) -> str:
         raise undecodable(path) from None
 
 
-def _read_manifest(directory: Path) -> dict[str, str]:
+def _read_manifest(directory: Path) -> dict[str, tuple[str, str]]:
+    """Each manifest key's ``file:line`` and value."""
     path = directory / "manifest.txt"
     if not path.is_file():
         raise IoFailure(f"missing manifest: {path}")
@@ -220,7 +219,7 @@ def _read_manifest(directory: Path) -> dict[str, str]:
             raise SchemaVersionMismatch(f"{where}: schema version {value!r}, not {SCHEMA_VERSION}")
         if key == "provenance" and value not in PROVENANCES:
             raise IoFailure(f"{where}: unknown provenance {value!r}")
-        fields[key] = value
+        fields[key] = where, value
     for key in _MANIFEST_KEYS:
         if key not in fields:
             raise IoFailure(f"{path.name}: no {key} line")
@@ -284,7 +283,7 @@ class _Counters(NamedTuple):
 
 def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     *ids, names, raw = _columns(path, width)
-    values = _parsed(path, raw, int, 0, _COUNT_MAX, "count")
+    values = _parsed(path, raw, int, 0, _INT64_MAX, "count")
     present = sorted(set(names))
     if not set(present).issubset(known):
         raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
@@ -354,7 +353,7 @@ def canonical_load(directory: str | Path) -> Dataset:
 
     try:
         d = build_dataset(
-            provenance=manifest["provenance"],
+            provenance=manifest["provenance"][1],
             ratings=ratings,
             friends=tuple(_columns(directory / "friends.tsv", 2)),
             user_counters=[uc.table()],
@@ -370,22 +369,17 @@ def canonical_load(directory: str | Path) -> Dataset:
         if not rated.issuperset(zip(*rc.ids)):
             unrated = lambda f: None if tuple(f[:2]) in rated else tuple(f[:2])  # noqa: E731
             raise _bad_line(rc.path, unrated, "review of an unrated pair") from None
+        if isinstance(exc, CounterOverflow):  # each row fits, so rows of one key add up
+            path = uc.path if exc.name in uc.names else rc.path
+            raise _bad_line(path, _repeats(), "repeated key") from None
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
     uc.check_repeats(d.feedback.col, (d.users,))
     rc.check_repeats(d.review_feedback.col, (d.users, d.items))
 
-    loaded = {
-        "num_users": d.num_users,
-        "num_items": d.num_items,
-        "num_ratings": len(d.ratings),
-    }
-    for key, count in loaded.items():
-        recorded = manifest.get(key)
+    for key, count in zip(_MANIFEST_KEYS[2:], (d.num_users, d.num_items, len(d.ratings))):
+        where, recorded = manifest[key]
         if recorded != str(count):
-            raise IoFailure(
-                f"{directory / 'manifest.txt'}: {key} is {recorded!r}, "
-                f"but the files hold {count}"
-            )
+            raise IoFailure(f"{where}: {key} is {recorded!r}, but the files hold {count}")
     return d
 
 

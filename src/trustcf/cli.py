@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 from .canonical import canonical_load, canonical_save, undecodable, write_atomic
 from .dataset import apply_filters, compute_stats
-from .errors import MissingFile, TrustcfError, UnknownConfiguration
+from .errors import IoFailure, MissingFile, TrustcfError, UnknownConfiguration
 from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
 from .ingest import (
     ingest_librarything,
@@ -65,6 +66,7 @@ class ExperimentSpec:
 
 
 def parse_spec(path: Path) -> ExperimentSpec:
+    """The spec file at ``path``; every UsageError names it."""
     if not path.is_file():
         raise UsageError(f"spec file not found: {path}")
     try:
@@ -83,6 +85,8 @@ def parse_spec(path: Path) -> ExperimentSpec:
             raise UsageError(
                 f"{path}:{line_no}: unknown key {key!r} (known: {', '.join(sorted(_SPEC_KEYS))})"
             )
+        if key in ("dataset", "out") and "\0" in value:
+            raise UsageError(f"{path}:{line_no}: {key} holds a NUL byte")
         values.setdefault(key, []).append(value)
 
     def one(key: str, default=None) -> str | None:
@@ -90,25 +94,29 @@ def parse_spec(path: Path) -> ExperimentSpec:
         if got is None:
             return default
         if len(got) > 1:
-            raise UsageError(f"{path}: key {key!r} given more than once")
+            raise UsageError(f"key {key!r} given more than once")
         return got[0]
 
-    dataset = one("dataset")
-    out = one("out")
-    if dataset is None or out is None:
-        raise UsageError(f"{path}: spec must define both 'dataset' and 'out'")
-    spec = ExperimentSpec(dataset=Path(dataset), out=Path(out))
-    spec.configs = values.get("config", [])
-    if not spec.configs:
-        raise UsageError(f"{path}: spec must name at least one config")
-    if "beta" in values:
-        spec.betas = [_parse_beta(b) for b in values["beta"]]
-    spec.folds = _parse_int(one("folds", "10"), "folds", minimum=2)
-    spec.k = _parse_int(one("k", "10"), "k", minimum=1)
-    spec.neighbor_count = _parse_int(one("n", "50"), "n", minimum=1)
-    spec.seed = _parse_int(one("seed", "17"), "seed", minimum=0)
-    spec.tau = _parse_float(one("tau", "4.0"), "tau")
-    spec.threads = _parse_int(one("threads", "1"), "threads", minimum=1)
+    try:
+        dataset, out = one("dataset"), one("out")
+        if dataset is None or out is None:
+            raise UsageError("spec must define both 'dataset' and 'out'")
+        spec = ExperimentSpec(dataset=Path(dataset), out=Path(out))
+        spec.configs = values.get("config", [])
+        if not spec.configs:
+            raise UsageError("spec must name at least one config")
+        if "beta" in values:
+            spec.betas = [_parse_beta(b) for b in values["beta"]]
+        spec.folds = _parse_int(one("folds", "10"), "folds", minimum=2)
+        spec.k = _parse_int(one("k", "10"), "k", minimum=1)
+        spec.neighbor_count = _parse_int(one("n", "50"), "n", minimum=1)
+        spec.seed = _parse_int(one("seed", "17"), "seed", minimum=0)
+        spec.tau = _parse_float(one("tau", "4.0"), "tau")
+        spec.threads = _parse_int(one("threads", "1"), "threads", minimum=1)
+        for token in spec.configs:  # a bad config fails now, not after the dataset loads
+            _build_config(token, spec.betas[0], spec.neighbor_count)
+    except UsageError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     return spec
 
 
@@ -146,13 +154,11 @@ def _build_config(token: str, beta: float, neighbor_count: int) -> InfluenceConf
             raise UsageError(
                 f"unknown config {token!r}; valid names: {', '.join(config_names())}"
             ) from None
-    parts = token.split(";")
-    name = parts[0].strip()
+    name, *parts = (part.strip() for part in token.split(";"))
     sigma = None
     weights: dict[str, float] = {}
     rel_mode = "none"
-    for part in parts[1:]:
-        part = part.strip()
+    for part in parts:
         if not part:
             continue
         if "=" not in part:
@@ -252,45 +258,40 @@ def cmd_ingest(args) -> int:
 
 def _run_from_spec(spec: ExperimentSpec, betas: list[float]) -> EvaluationReport:
     dataset = canonical_load(spec.dataset)
-    configs = [
-        _build_config(token, beta, spec.neighbor_count)
-        for token in spec.configs
-        for beta in betas
-    ]
     # pure-similarity baselines collapse every beta onto the same row
-    unique, seen = [], set()
-    for c in configs:
-        key = (c.name, c.beta)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
+    unique: dict[tuple[str, float], InfluenceConfig] = {}
+    for token, beta in product(spec.configs, betas):
+        c = _build_config(token, beta, spec.neighbor_count)
+        unique.setdefault((c.name, c.beta), c)
     plan = split_folds(dataset, spec.folds, spec.seed)
     return run_experiment(
-        dataset, unique, plan, k=spec.k, tau=spec.tau, workers=spec.threads
+        dataset, list(unique.values()), plan, k=spec.k, tau=spec.tau, workers=spec.threads
     )
 
 
 def _load_spec(args) -> ExperimentSpec:
     """The spec file, with the seed, tau and threads given on the command line."""
     spec = parse_spec(Path(args.spec))
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.tau is not None:
-        spec.tau = args.tau
-    if args.threads is not None:
-        spec.threads = args.threads
+    for name in ("seed", "tau", "threads"):
+        if getattr(args, name) is not None:
+            setattr(spec, name, getattr(args, name))
     return spec
+
+
+def _write_report(out: Path, report: EvaluationReport, files: dict[str, str]) -> int:
+    """Write the report files and ``files`` to ``out``, then print the report."""
+    files = {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json(), **files}
+    try:
+        write_atomic(out, files)
+    except OSError as exc:
+        raise IoFailure(f"could not write report to {out}: {exc}") from None
+    print(files["report.tsv"], end="")
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     spec = _load_spec(args)
-    report = _run_from_spec(spec, spec.betas)
-    write_atomic(
-        spec.out,
-        {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json()},
-    )
-    print(report.to_tsv(), end="")
-    return EXIT_OK
+    return _write_report(spec.out, _run_from_spec(spec, spec.betas), {})
 
 
 def cmd_sweep(args) -> int:
@@ -301,15 +302,13 @@ def cmd_sweep(args) -> int:
         betas = [round(0.1 * n, 1) for n in range(11)]
     report = _run_from_spec(spec, betas)
 
-    files = {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json()}
+    files = {}
     for token in spec.configs:
         name = token.split(";", 1)[0].strip()
         rows = [r for r in report.rows if r.config == name]
         body = "".join(f"{r.beta:.2f}\t{format_metric(r.rmse)}\n" for r in rows)
         files[f"rmse_beta_{name.replace('/', '_')}.tsv"] = "beta\trmse\n" + body
-    write_atomic(spec.out, files)
-    print(report.to_tsv(), end="")
-    return EXIT_OK
+    return _write_report(spec.out, report, files)
 
 
 def _add_overrides(command: argparse.ArgumentParser) -> None:

@@ -45,6 +45,16 @@ RATING_MAX = 5.0
 
 PROVENANCES = ("yelp", "librarything", "synthetic")
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class CounterOverflow(ValueError):
+    """Row ``row`` of the ``table``-th counter table of its kind takes a counter beyond int64."""
+
+    def __init__(self, name: str, table: int, row: int):
+        super().__init__(f"counter {name!r} does not fit in int64")
+        self.name, self.table, self.row = name, table, row
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -202,12 +212,8 @@ class RatingStore:
         icounts = np.bincount(items, minlength=num_items)
         self._i_ptr = _frozen(np.concatenate(([0], np.cumsum(icounts))))
 
-        with np.errstate(invalid="ignore"):
-            sums = np.bincount(users, weights=values, minlength=num_users)
-            self._user_mean = _frozen(sums / np.where(counts > 0, counts, 1))
-        self._user_mean.setflags(write=True)
-        self._user_mean[counts == 0] = np.nan
-        self._user_mean.setflags(write=False)
+        sums = np.bincount(users, weights=values, minlength=num_users)
+        self._user_mean = _frozen(np.where(counts > 0, sums / np.maximum(counts, 1), np.nan))
 
     def __len__(self) -> int:
         return int(self.user_idx.size)
@@ -351,15 +357,10 @@ class ReviewFeedback(_CounterColumns):
         self.store = store
         super().__init__(len(store), columns)
 
-        totals = np.zeros(self._size, dtype=np.int64)
-        for arr in self._cols.values():
-            totals += arr
-        self._totals = _frozen(totals)
-
+        self._totals = _frozen(sum(self._cols.values(), np.zeros(self._size, dtype=np.int64)))
         # cache: max feedback total per item, 0 for items with no feedback
         item_max = np.zeros(store.num_items, dtype=np.int64)
-        if self._size:
-            np.maximum.at(item_max, store.item_idx, totals)
+        np.maximum.at(item_max, store.item_idx, self._totals)
         self._item_max = _frozen(item_max)
 
     def totals(self) -> np.ndarray:
@@ -530,13 +531,31 @@ def build_dataset(
 
 def _sums(tables: Sequence[tuple[np.ndarray, Mapping]], size: int) -> dict[str, np.ndarray]:
     """Per counter name, each table's ``values[n]`` added up at entry ``at[n]``
-    of ``size`` zeros."""
+    of ``size`` zeros.  Raises CounterOverflow rather than wrap."""
     out: dict[str, np.ndarray] = {}
+    reach: dict[str, int] = {}  # per name, a bound on the magnitude of any total
     for at, counters in tables:
         for name, values in counters.items():
-            col = out.setdefault(name, np.zeros(size, dtype=np.int64))
-            np.add.at(col, at, np.asarray(values, dtype=np.int64))
+            try:
+                arr = np.asarray(values, dtype=np.int64)
+            except OverflowError:  # a value beyond int64, which _overflow raises for
+                _overflow(tables, name)
+            top = max(-int(arr.min(initial=0)), int(arr.max(initial=0)))
+            reach[name] = reach.get(name, 0) + arr.size * top
+            if reach[name] > _INT64_MAX:
+                _overflow(tables, name)
+            np.add.at(out.setdefault(name, np.zeros(size, dtype=np.int64)), at, arr)
     return out
+
+
+def _overflow(tables: Sequence[tuple[np.ndarray, Mapping]], name: str) -> None:
+    """Raise CounterOverflow at the first row that takes a value or a total beyond int64."""
+    totals: dict[int, int] = {}
+    for table, (at, counters) in enumerate(tables):
+        for row, (a, v) in enumerate(zip(at.tolist(), counters.get(name, ()))):
+            totals[a] = total = totals.get(a, 0) + int(v)
+            if max(abs(int(v)), abs(total)) > _INT64_MAX:
+                raise CounterOverflow(name, table, row)
 
 
 def _columns(rows: Iterable[tuple], width: int) -> tuple:
@@ -592,8 +611,11 @@ def apply_filters(
     The item filter runs first: when a closure is given, only items
     tagged with at least one closure category survive.  The user filter
     then runs once over the remaining ratings and keeps users holding at
-    least ``min_ratings`` of them.  Handles are re-interned densely.
-    The operation is idempotent for fixed arguments.
+    least ``min_ratings`` of them.  The kept rows go through
+    :func:`build_dataset`, which re-interns handles densely in sorted id
+    order: a dataset built with unsorted interners filters to sorted
+    handles, and its canonical files are the same.  The operation is
+    idempotent for fixed arguments.
     """
     if min_ratings < 0:
         raise ValueError("min_ratings must be non-negative")
@@ -609,57 +631,27 @@ def apply_filters(
 
     store = d.ratings
     rating_keep = item_keep[store.item_idx]
-    counts = np.bincount(
-        store.user_idx[rating_keep], minlength=d.num_users
-    )
-    user_keep = counts >= min_ratings
-
-    old_users = np.flatnonzero(user_keep)
-    old_items = np.flatnonzero(item_keep)
-    user_map = np.full(d.num_users, -1, dtype=np.int64)
-    user_map[old_users] = np.arange(old_users.size)
-    item_map = np.full(d.num_items, -1, dtype=np.int64)
-    item_map[old_items] = np.arange(old_items.size)
-
-    users = Interner(d.users.externals(old_users))
-    items = Interner(d.items.externals(old_items))
+    user_keep = np.bincount(store.user_idx[rating_keep], minlength=d.num_users) >= min_ratings
 
     keep = rating_keep & user_keep[store.user_idx]
-    new_store = RatingStore(
-        len(users),
-        len(items),
-        user_map[store.user_idx[keep]],
-        item_map[store.item_idx[keep]],
-        store.value[keep],
-    )
-
-    # canonical order is preserved under subsetting, so review columns map 1:1
-    review_cols = {
-        name: d.review_feedback.col(name)[keep]
-        for name in d.review_feedback.present()
-    }
-    user_cols = {
-        name: d.feedback.col(name)[old_users] for name in d.feedback.present()
-    }
-
-    from .social import SocialGraph
-
+    r_user = d.users.externals(store.user_idx[keep])
+    r_item = d.items.externals(store.item_idx[keep])
+    users = d.users.externals(np.flatnonzero(user_keep))
     a, b = d.social.edge_array()
-    kept = user_keep[a] & user_keep[b]
+    friends = user_keep[a] & user_keep[b]
     tagged = item_keep[owners]
-    return Dataset(
-        users=users,
-        items=items,
-        ratings=new_store,
-        social=SocialGraph(len(users), np.column_stack((user_map[a[kept]], user_map[b[kept]]))),
-        feedback=FeedbackTable(len(users), user_cols),
-        review_feedback=ReviewFeedback(new_store, review_cols),
-        categories=ItemCategories.from_columns(
-            len(items),
-            item_map[owners[tagged]],
-            list(map(cats.names.__getitem__, cats.tags[tagged].tolist())),
-        ),
+    tags = list(map(cats.names.__getitem__, cats.tags[tagged].tolist()))
+    fb, rf = d.feedback, d.review_feedback
+    return build_dataset(
         provenance=d.provenance,
+        ratings=(r_user, r_item, store.value[keep]),
+        friends=(d.users.externals(a[friends]), d.users.externals(b[friends])),
+        # every kept user is a row of the user table, so none needs listing again
+        user_counters=[(users, {name: fb.col(name)[user_keep] for name in fb.present()})],
+        # the ratings' own id lists, so the builder looks them up once
+        review_counters=[(r_user, r_item, {name: rf.col(name)[keep] for name in rf.present()})],
+        categories=(d.items.externals(owners[tagged]), tags),
+        extra_items=d.items.externals(np.flatnonzero(item_keep)),
     )
 
 
@@ -741,9 +733,7 @@ def compute_stats(d: Dataset) -> StatsReport:
     friend_sparsity = 1.0 - relations / (nu * nu) if nu else None
 
     per_review = d.review_feedback.totals()
-    per_user_review_fb = np.zeros(nu, dtype=np.int64)
-    if nr:
-        np.add.at(per_user_review_fb, d.ratings.user_idx, per_review)
+    per_user_review_fb = np.bincount(d.ratings.user_idx, weights=per_review, minlength=nu)
 
     rows: list[StatRow] = []
     if d.provenance in ("yelp", "synthetic"):

@@ -21,12 +21,14 @@ from __future__ import annotations
 import ast
 import json
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import Dataset, IngestWarnings, _columns, build_dataset, make_dataset  # noqa: F401
+from .dataset import CounterOverflow, Dataset, IngestWarnings, _columns, build_dataset
+from .dataset import make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
 
@@ -98,7 +100,7 @@ def _latest(users: list[str], items: list[str], stamps: list) -> tuple[list[int]
     """The rows left when each (user, item) pair keeps its latest row.
 
     The latest row has the largest stamp, and of equal stamps the last
-    one.  Returns the kept row indices and the number of rows dropped.
+    one.  Returns the kept row indices in file order and the number dropped.
     """
     last = dict(zip(zip(users, items), range(len(users))))
     dropped = len(users) - len(last)
@@ -107,7 +109,7 @@ def _latest(users: list[str], items: list[str], stamps: list) -> tuple[list[int]
         order = sorted(range(len(users)), key=stamps.__getitem__)
         pairs = zip(map(users.__getitem__, order), map(items.__getitem__, order))
         last = dict(zip(pairs, order))
-    return list(last.values()), dropped
+    return sorted(last.values()), dropped
 
 
 def _pick(column: list, rows: list[int]) -> list:
@@ -245,23 +247,33 @@ def ingest_yelp(
     kept, duplicates = _latest(r_user, r_item, r_date)
     k_user, k_item = _pick(r_user, kept), _pick(r_item, kept)
     useful, funny, cool = (_pick(col, kept) for col in (r_useful, r_funny, r_cool))
-    return build_dataset(
-        provenance="yelp",
-        ratings=(k_user, k_item, _pick(r_stars, kept)),
-        friends=(f_user, f_friend),
-        user_counters=[
-            (list(profiles), dict(zip(("elite_years", "more", "thx", "gw", "fans"),
-                                      zip(*profiles.values())))),
-            (t_user, {"tip_likes": t_likes, "tip_count": [1] * len(t_user)}),
-            (k_user, {"review_useful": useful, "review_funny": funny, "review_cool": cool,
-                      "review_count": [1] * len(kept)}),
-        ],
-        review_counters=[(k_user, k_item, {"useful": useful, "funny": funny, "cool": cool})],
-        # a business listed twice keeps the last line's tags
-        categories=_columns(((b, tag) for b, tags in categories.items() for tag in tags), 2),
-        extra_items=categories.keys(),
-        warnings=IngestWarnings(duplicate_ratings=duplicates),
-    )
+    try:
+        return build_dataset(
+            provenance="yelp",
+            ratings=(k_user, k_item, _pick(r_stars, kept)),
+            friends=(f_user, f_friend),
+            user_counters=[
+                (list(profiles), dict(zip(("elite_years", "more", "thx", "gw", "fans"),
+                                          zip(*profiles.values())))),
+                (t_user, {"tip_likes": t_likes, "tip_count": [1] * len(t_user)}),
+                (k_user, {"review_useful": useful, "review_funny": funny, "review_cool": cool,
+                          "review_count": [1] * len(kept)}),
+            ],
+            review_counters=[(k_user, k_item, {"useful": useful, "funny": funny, "cool": cool})],
+            # a business listed twice keeps the last line's tags
+            categories=_columns(((b, tag) for b, tags in categories.items() for tag in tags), 2),
+            extra_items=categories.keys(),
+            warnings=IngestWarnings(duplicate_ratings=duplicates),
+        )
+    except CounterOverflow as exc:
+        # a row is a kept review, a tip, or a user's profile from its last line
+        if exc.name in ("more", "thx", "gw", "fans"):
+            user = list(profiles)[exc.row]
+            rows = [n for n, r in _iter_json_lines(user_file) if str(r.get("user_id")) == user]
+            raise MalformedRecord(user_file.name, rows[-1], str(exc)) from None
+        path, n = (tip_file, exc.row) if exc.name.startswith("tip_") else (review_file, kept[exc.row])
+        line_no = next(islice(_iter_json_lines(path), n, None))[0]
+        raise MalformedRecord(path.name, line_no, str(exc)) from None
 
 
 def _parse_librarything_line(source: str, line_no: int, line: str) -> dict:
@@ -356,14 +368,18 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
 
     kept, duplicates = _latest(r_user, r_item, r_stamp)
     k_user, k_item, helpful = (_pick(col, kept) for col in (r_user, r_item, r_help))
-    return build_dataset(
-        provenance="librarything",
-        ratings=(k_user, k_item, _pick(r_stars, kept)),
-        friends=(f_a, f_b),
-        user_counters=[(k_user, {"nhelpful_total": helpful, "review_count": [1] * len(kept)})],
-        review_counters=[(k_user, k_item, {"nhelpful": helpful})],
-        warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
-    )
+    try:
+        return build_dataset(
+            provenance="librarything",
+            ratings=(k_user, k_item, _pick(r_stars, kept)),
+            friends=(f_a, f_b),
+            user_counters=[(k_user, {"nhelpful_total": helpful, "review_count": [1] * len(kept)})],
+            review_counters=[(k_user, k_item, {"nhelpful": helpful})],
+            warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
+        )
+    except CounterOverflow as exc:  # each row is a kept review, one per id_fields record
+        line_no = next(islice(id_fields(), kept[exc.row], None))[1]
+        raise MalformedRecord(source, line_no, str(exc)) from None
 
 
 def _closure(lines: Iterable[str]) -> frozenset[str]:

@@ -175,7 +175,7 @@ class TestEval:
         spec = write_spec(
             tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
         assert main(["eval", "--spec", str(spec)]) == 2
-        assert "manifest.txt: num_ratings is '99'" in capsys.readouterr().err
+        assert "manifest.txt:5: num_ratings is '99'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "0.5"])
     def test_bad_rating_value(self, tmp_path, canonical_dir, capsys, bad):
@@ -220,6 +220,41 @@ class TestEval:
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1
+
+    @pytest.mark.parametrize("key, line", [("dataset", 1), ("out", 2)])
+    def test_nul_in_path_is_usage_error(self, tmp_path, canonical_dir, capsys, monkeypatch,
+                                        key, line):
+        import trustcf.cli as cli
+
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        spec.write_text(spec.read_text().replace(f"{key}=", f"{key}=x\0"))
+        # rejected before any evaluation runs
+        monkeypatch.setattr(cli, "run_experiment", None)
+        assert main(["eval", "--spec", str(spec)]) == 1
+        assert f"exp.spec:{line}: {key} holds a NUL byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "folds=x", "k=0", "beta=2", "tau=warm", "config=MTR-XYZ", "config=X;sigma=none",
+    ])
+    def test_bad_spec_value_names_the_spec(self, tmp_path, canonical_dir, capsys,
+                                           monkeypatch, line):
+        import trustcf.cli as cli
+
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, tmp_path / "out", line,
+                          "config=MTR")
+        monkeypatch.setattr(cli, "canonical_load", None)  # rejected before the load
+        assert main(["eval", "--spec", str(spec)]) == 1
+        assert f"usage error: {spec}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_unwritable_report_is_a_data_error(self, tmp_path, canonical_dir, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, out, "config=MTR", "folds=2")
+        assert main([command, "--spec", str(spec)]) == 2
+        assert f"error: could not write report to {out}: " in capsys.readouterr().err
 
     def test_internal_errors_map_to_three(self, tmp_path, canonical_dir, monkeypatch):
         import trustcf.cli as cli

@@ -6,15 +6,27 @@ import numpy as np
 import pytest
 
 from trustcf import (
+    Dataset,
+    FeedbackTable,
     Interner,
     ItemCategories,
     RatingStore,
+    ReviewFeedback,
+    SocialGraph,
     apply_filters,
+    canonical_load,
+    canonical_save,
     compute_stats,
     make_dataset,
 )
 from trustcf.canonical import datasets_equal
-from trustcf.dataset import build_dataset, search_keys
+from trustcf.dataset import (
+    REVIEW_COUNTERS,
+    USER_COUNTERS,
+    CounterOverflow,
+    build_dataset,
+    search_keys,
+)
 from trustcf.errors import UnknownUser
 
 from conftest import build_tiny, random_dataset
@@ -248,6 +260,24 @@ class TestBuildDataset:
         assert d.review_feedback.col("useful").tolist() == [5, 2, 0]
         assert len(calls) == len(set(calls))
 
+    def test_counters_beyond_int64_raise_rather_than_wrap(self):
+        def build(*user_counters):
+            return build_dataset(provenance="synthetic", ratings=(["a"], ["x"], [1.0]),
+                                 user_counters=user_counters)
+
+        # totals that fit, though the quick bound on them does not
+        d = build((["a", "b"], {"fans": [2 ** 62, 2 ** 62]}), (["b"], {"fans": [2 ** 62 - 1]}))
+        assert d.feedback.col("fans").tolist() == [2 ** 62, 2 ** 63 - 1]
+        with pytest.raises(CounterOverflow) as caught:
+            build((["a"], {"fans": [1]}), (["b", "a"], {"fans": [1, 2 ** 63 - 1]}))
+        assert (caught.value.name, caught.value.table, caught.value.row) == ("fans", 1, 1)
+        with pytest.raises(CounterOverflow) as caught:
+            build((["a", "b"], {"fans": [0, 2 ** 64]}))
+        assert (caught.value.table, caught.value.row) == (0, 1)
+        with pytest.raises(CounterOverflow, match="'useful' does not fit in int64"):
+            make_dataset(provenance="synthetic", ratings=[("a", "x", 1.0)],
+                         review_counters={"useful": {("a", "x"): -(2 ** 63)}})
+
 
 class TestApplyFilters:
     def test_no_op_filter_preserves_content(self, tiny):
@@ -290,6 +320,80 @@ class TestApplyFilters:
         assert got.feedback.col("fans")[bob] == 16
         apple = got.items.handle("apple")
         assert got.review_feedback.total_of(bob, apple) == 6
+
+    def test_unsorted_interners_filter_to_sorted_handles(self, tmp_path):
+        users = Interner(["dave", "alice", "erin", "bob", "carol"])
+        items = Interner(["pear", "fig", "apple", "kiwi"])
+        store = RatingStore(5, 4, [0, 0, 1, 1, 1, 2, 3, 3, 4, 4, 4],
+                            [0, 3, 0, 1, 2, 1, 1, 3, 0, 2, 3],
+                            [4, 2, 3, 5, 1, 2, 4, 4, 3, 5, 1])
+        d = Dataset(
+            users=users,
+            items=items,
+            ratings=store,
+            social=SocialGraph(5, [(0, 1), (1, 3), (2, 4), (3, 4)]),
+            feedback=FeedbackTable(5, {"fans": np.array([5, 0, 7, 1, 2])}),
+            review_feedback=ReviewFeedback(store, {"useful": np.arange(len(store)) % 3}),
+            categories=ItemCategories(4, {0: {"fruit", "green"}, 1: {"fruit"}, 3: {"green"}}),
+            provenance="synthetic",
+        )
+        # the same content with sorted interners, as a round trip makes it
+        canonical_save(d, tmp_path / "d")
+        twin = canonical_load(tmp_path / "d")
+        for k, closure in ((0, None), (2, None), (2, {"fruit"}), (1, {"green"})):
+            got = apply_filters(d, k, closure)
+            assert datasets_equal(got, apply_filters(twin, k, closure))
+            assert list(got.users) == sorted(got.users)
+            assert list(got.items) == sorted(got.items)
+
+    def test_kept_values_match_through_ids(self):
+        rng = np.random.default_rng(23)
+        gaps = {"users": 0, "items": 0}  # runs that drop handles below a kept one
+        for _ in range(20):
+            d = random_dataset(rng)
+            closure = {f"tag{n}" for n in rng.choice(8, size=4, replace=False)}
+            k = int(rng.integers(1, 4))
+            got = apply_filters(d, k, closure)
+
+            tags = {i: d.categories.of(d.items.handle(i)) for i in d.items}
+            items = {i for i in d.items if tags[i] & closure}
+            ratings = {(u, i): v for u, i, v in id_triples(d) if i in items}
+            users = {u for u in d.users
+                     if sum(1 for (ru, _) in ratings if ru == u) >= k}
+            ratings = {key: v for key, v in ratings.items() if key[0] in users}
+            assert set(got.users) == users and set(got.items) == items
+            for name, interner, kept in (("users", d.users, users), ("items", d.items, items)):
+                handles = [interner.handle(x) for x in kept]
+                gaps[name] += bool(handles) and len(handles) <= max(handles)
+
+            assert {(u, i): v for u, i, v in id_triples(got)} == ratings
+            for name in USER_COUNTERS:
+                old, new = d.feedback.col(name), got.feedback.col(name)
+                for u in users:
+                    assert new[got.users.handle(u)] == old[d.users.handle(u)]
+            for name in REVIEW_COUNTERS:
+                assert review_counts(got, name) == {
+                    key: n for key, n in review_counts(d, name).items() if key in ratings}
+            edges = {frozenset(e) for e in id_edges(d) if set(e) <= users}
+            assert {frozenset(e) for e in id_edges(got)} == edges
+            for i in items:
+                assert got.categories.of(got.items.handle(i)) == tags[i]
+        assert gaps["users"] and gaps["items"]
+
+
+def id_triples(d):
+    """(user id, item id, value) of every rating."""
+    return [(d.users.external(u), d.items.external(i), v) for u, i, v in d.ratings.triples()]
+
+
+def id_edges(d):
+    return [(d.users.external(a), d.users.external(b)) for a, b in d.social.edges()]
+
+
+def review_counts(d, name):
+    """{(user id, item id): count} of review counter ``name``, per rating."""
+    col = d.review_feedback.col(name)
+    return {(u, i): int(col[n]) for n, (u, i, _) in enumerate(id_triples(d))}
 
 
 class TestComputeStats:

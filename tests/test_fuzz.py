@@ -2,7 +2,9 @@
 
 Each case mutates one input file in one way and runs the command on it.
 Exit 0 is allowed, since a mutation may leave valid input; an exit-2
-message must name one of the inputs.
+message must name one of the inputs, and an exit-1 message, which only
+a mutated experiment spec may cause, must name the spec.  A second pass
+sets one field of one raw record at a time to an odd JSON value.
 """
 
 from __future__ import annotations
@@ -71,21 +73,19 @@ def librarything_dump(directory):
     (directory / "edges.txt").write_text("u1 u2\nu2 u3\n", encoding="utf-8")
 
 
-def eval_argv(case):
-    """Evaluation of the canonical directory ``case``, by a spec beside it."""
-    spec = case.parent / f"{case.name}.spec"
-    spec.write_text(
-        f"dataset={case}\nout={case / 'out'}\nconfig=U2UCF\nconfig=MTR\nfolds=2\nk=2\n",
-        encoding="utf-8",
-    )
-    return ["eval", "--spec", str(spec)]
+SPEC = "exp.spec"
+
+
+def eval_case(directory):
+    """A canonical directory holding a spec that evaluates it, with paths
+    relative to the directory, so that a copy evaluates itself."""
+    canonical_save(random_dataset(np.random.default_rng(11), 12, 10, 60), directory)
+    (directory / SPEC).write_text(
+        "dataset=.\nout=out\nconfig=U2UCF\nconfig=MTR\nfolds=2\nk=2\n", encoding="utf-8")
 
 
 COMMANDS = {
-    "eval": (
-        lambda d: canonical_save(random_dataset(np.random.default_rng(11), 12, 10, 60), d),
-        eval_argv,
-    ),
+    "eval": (eval_case, lambda d: ["eval", "--spec", str(d / SPEC)]),
     "yelp": (yelp_dump, lambda d: [
         "ingest", "--source", "yelp", "--in", str(d), "--out", str(d / "out"),
         "--min-ratings", "1"]),
@@ -96,7 +96,7 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_mutated_input_is_a_data_error(tmp_path, capsys, command):
+def test_mutated_input_is_a_data_error(tmp_path, capsys, monkeypatch, command):
     write, argv = COMMANDS[command]
     clean = tmp_path / "clean"
     clean.mkdir()
@@ -110,8 +110,70 @@ def test_mutated_input_is_a_data_error(tmp_path, capsys, command):
             shutil.copytree(clean, case)
             path = case / name
             path.write_bytes(mutate(path.read_bytes(), kind, rng))
+            monkeypatch.chdir(case)
             code = main(argv(case))
             err = capsys.readouterr().err
-            if code not in (0, 2) or (code == 2 and not any(p in err for p in inputs)):
+            if code == 1:  # a usage error, which only the spec may cause
+                ok = name == SPEC and SPEC in err
+            else:
+                ok = code == 0 or (code == 2 and any(p in err for p in inputs))
+            if not ok:
                 failed.append(f"{name} {kind}: exit {code}, {err.strip()!r}")
+    assert not failed, "\n".join(failed)
+
+
+# every value once in every field of the records below, each record appended to
+# its file so that it replaces the dump's record of the same key: null, a boolean,
+# 0, -1, 2**63, 10**30, a 400-digit integer, an infinite float (json reads 1e999
+# as inf), NaN, a string holding a tab, a list and a dict
+ODD_VALUES = (
+    "null", "true", "0", "-1", str(2 ** 63), str(10 ** 30), str(10 ** 399),
+    "1e999", "NaN", json.dumps("a\tb"), '["x", 1]', '{"k": "v"}',
+)
+YELP_RECORDS = {
+    "business.json": {"business_id": "b1", "categories": ["Restaurants"]},
+    "review.json": {"user_id": "u1", "business_id": "b1", "stars": 4, "date": "2012-01-01",
+                    "useful": 2, "funny": 1, "cool": 0, "votes": None},
+    "user.json": {"user_id": "u1", "elite": ["2010"], "fans": 3, "friends": ["u2"],
+                  "compliment_more": 1, "compliment_note": 2, "compliment_writer": 3},
+    "tip.json": {"user_id": "u1", "business_id": "b1", "likes": 4, "compliment_count": 1},
+}
+LT_RECORD = {"work": "w1", "user": "u1", "stars": 4.0, "nhelpful": 2, "unixtime": 1}
+
+
+def with_value(record: dict, field: str, literal: str) -> str:
+    """``record`` as a JSON line, with ``field`` set to the JSON text ``literal``."""
+    return json.dumps({**record, field: "@"}).replace('"@"', literal) + "\n"
+
+
+def odd_value_cases():
+    """(source, dump writer, file, field, literal) of every case."""
+    for name, record in YELP_RECORDS.items():
+        for field in record:
+            for literal in ODD_VALUES:
+                def write(d, name=name, field=field, literal=literal):
+                    yelp_dump(d)
+                    with open(d / name, "a", encoding="utf-8") as fh:
+                        fh.write(with_value(YELP_RECORDS[name], field, literal))
+                yield "yelp", write, name, field, literal
+    for field in LT_RECORD:
+        for literal in ODD_VALUES:
+            def write(d, field=field, literal=literal):
+                librarything_dump(d)
+                with open(d / "reviews.txt", "a", encoding="utf-8") as fh:
+                    fh.write("u1 " + with_value(LT_RECORD, field, literal))
+            yield "librarything", write, "reviews.txt", field, literal
+
+
+def test_odd_field_values_are_data_errors(tmp_path, capsys):
+    raw = set(YELP_RECORDS) | {"reviews.txt", "edges.txt"}
+    failed = []
+    for n, (command, write, name, field, literal) in enumerate(odd_value_cases()):
+        case = tmp_path / f"case{n}"
+        case.mkdir()
+        write(case)
+        code = main(COMMANDS[command][1](case))
+        err = capsys.readouterr().err
+        if code not in (0, 2) or (code == 2 and not any(p in err for p in raw)):
+            failed.append(f"{name} {field}={literal[:20]}: exit {code}, {err.strip()[:200]!r}")
     assert not failed, "\n".join(failed)

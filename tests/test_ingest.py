@@ -187,6 +187,51 @@ class TestYelpIngest:
         assert caught.value.reason == f"{field} is not a list or a string"
 
 
+class TestCountersBeyondInt64:
+    """A counter that does not fit in int64, alone or added up over a user's
+    rows, is a data error naming the line that takes it there."""
+
+    @pytest.mark.parametrize("name, record, line", [
+        ("review.json", {"user_id": "u3", "business_id": "b1", "stars": 4,
+                         "useful": 99999999999999999999999}, 5),
+        # u1's kept review already has funny 1
+        ("review.json", {"user_id": "u1", "business_id": "b2", "stars": 4,
+                         "funny": 2 ** 63 - 1}, 5),
+        # a user's last line is the profile that counts
+        ("user.json", {"user_id": "u2", "fans": 2 ** 63}, 4),
+        # u1's tips already have 4 likes and a compliment
+        ("tip.json", {"user_id": "u1", "likes": 2 ** 63 - 5}, 4),
+    ], ids=["review-value", "review-sum", "profile", "tip-sum"])
+    def test_yelp(self, yelp_dir, name, record, line):
+        with open(yelp_dir / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == (name, line)
+        assert caught.value.reason.endswith("does not fit in int64")
+
+    @pytest.mark.parametrize("name, record", [
+        ("review.json", {"user_id": "u1", "business_id": "b1", "stars": 3,
+                         "date": "2010-01-01", "useful": 2 ** 63}),
+        ("user.json", {"user_id": "u3", "fans": 2 ** 63}),
+    ], ids=["older-review", "earlier-profile"])
+    def test_replaced_record_is_not_counted(self, yelp_dir, name, record):
+        path = yelp_dir / name
+        path.write_text(json.dumps(record) + "\n" + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+        ingest_yelp(*yelp_files(yelp_dir))
+
+    @pytest.mark.parametrize("nhelpful", [2 ** 63, 2 ** 63 - 2], ids=["value", "sum"])
+    def test_librarything(self, lt_dir, nhelpful):
+        # u1's kept review of w1 already has nhelpful 2
+        line = json.dumps({"work": "w4", "user": "u1", "stars": 4, "nhelpful": nhelpful})
+        (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert (caught.value.source, caught.value.line_number) == ("reviews.txt", 7)
+        assert caught.value.reason.endswith("does not fit in int64")
+
+
 LT_LINES = """\
 u1 https://example.invalid/work/1 {'work': 'w1', 'user': 'u1', 'stars': 4.5, 'unixtime': 1300000000, 'nhelpful': 2, 'comment': "it's fine"}
 {"work": "w1", "user": "u2", "stars": 3.0, "unixtime": 1300000010, "nhelpful": 0}
@@ -429,7 +474,7 @@ class TestCanonicalFormat:
         start = text.index(f"{key}=")
         end = text.index("\n", start)
         manifest.write_text(text[:start] + f"{key}=99" + text[end:])
-        with pytest.raises(IoFailure, match=f"manifest.txt: {key} is '99'"):
+        with pytest.raises(IoFailure, match=rf"manifest.txt:\d: {key} is '99'"):
             canonical_load(tmp_path / "d")
 
     def test_float_ratings_keep_precision(self, tmp_path):
@@ -465,6 +510,9 @@ class TestCanonicalFormat:
         ("user_feedback.tsv", "alice\treview_count\t5"),
         ("review_feedback.tsv", "alice\tapple\tuseful\t3"),
         ("review_feedback.tsv", "alice\tapple\tuseful\t0"),
+        # rows that add up beyond int64: alice's fans are 8, her apple review's useful 2
+        ("user_feedback.tsv", f"alice\tfans\t{2 ** 63 - 8}"),
+        ("review_feedback.tsv", f"alice\tapple\tuseful\t{2 ** 63 - 2}"),
     ])
     def test_repeated_key_names_file_and_line(self, tiny, tmp_path, name, extra):
         canonical_save(tiny, tmp_path / "d")
@@ -498,6 +546,10 @@ class TestCanonicalFormat:
         ("schema_version=1", "schema", "manifest.txt:1: malformed manifest line 'schema'"),
         ("schema_version=1", "schema\tversion=1", "manifest.txt:1: malformed manifest line"),
         ("schema_version=1\n", "", "manifest.txt: no schema_version line"),
+        ("num_users=5", "num_users=3", "manifest.txt:3: num_users is '3', but the files hold 5"),
+        ("num_items=4", "num_items=9", "manifest.txt:4: num_items is '9', but the files hold 4"),
+        ("num_ratings=13", "num_ratings=1",
+         "manifest.txt:5: num_ratings is '1', but the files hold 13"),
     ])
     def test_bad_manifest_names_file_and_line(self, tiny, tmp_path, old, new, message):
         canonical_save(tiny, tmp_path / "d")
