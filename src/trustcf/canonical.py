@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import secrets
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -331,6 +331,13 @@ def _repeats():
     return lambda f: tuple(f[:-1]) if tuple(f[:-1]) in seen else seen.add(tuple(f[:-1]))
 
 
+def _nth(row: int):
+    """A ``bad`` for :func:`_bad_line`: the fields of the ``row``-th
+    non-blank line, counted from 0."""
+    rows = count()
+    return lambda f: tuple(f) if next(rows) == row else None
+
+
 def canonical_load(directory: str | Path) -> Dataset:
     """Read a canonical directory back into a Dataset."""
     directory = Path(directory)
@@ -369,8 +376,11 @@ def canonical_load(directory: str | Path) -> Dataset:
         if not rated.issuperset(zip(*rc.ids)):
             unrated = lambda f: None if tuple(f[:2]) in rated else tuple(f[:2])  # noqa: E731
             raise _bad_line(rc.path, unrated, "review of an unrated pair") from None
-        if isinstance(exc, CounterOverflow):  # each row fits, so rows of one key add up
+        if isinstance(exc, CounterOverflow):
             path = uc.path if exc.name in uc.names else rc.path
+            if len(exc.group) > 1:  # each counter's rows fit, but the counters' sum does not
+                raise _bad_line(path, _nth(exc.row), str(exc)) from None
+            # each row fits, so rows of one key add up
             raise _bad_line(path, _repeats(), "repeated key") from None
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
     uc.check_repeats(d.feedback.col, (d.users,))

@@ -40,6 +40,13 @@ USER_COUNTERS = (
 # Per-review counters, keyed by (user, item) pairs that carry a rating.
 REVIEW_COUNTERS = ("useful", "funny", "cool", "nhelpful")
 
+# User counters read added up, by the trust facets and the statistics.  A
+# review's counters are read added up too (ReviewFeedback.totals).  The
+# builder rejects a dataset where one of these sums does not fit in int64.
+COMPLIMENTS = ("more", "thx", "gw")
+CONTRIBUTIONS = ("review_count", "tip_count")
+RECEIVED_FEEDBACK = ("review_useful", "review_funny", "review_cool", "tip_likes")
+
 RATING_MIN = 1.0
 RATING_MAX = 5.0
 
@@ -49,11 +56,13 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class CounterOverflow(ValueError):
-    """Row ``row`` of the ``table``-th counter table of its kind takes a counter beyond int64."""
+    """Row ``row`` of the ``table``-th counter table of its kind takes counter
+    ``name``, or the sum of the counters ``group`` it is read in, beyond int64."""
 
-    def __init__(self, name: str, table: int, row: int):
-        super().__init__(f"counter {name!r} does not fit in int64")
-        self.name, self.table, self.row = name, table, row
+    def __init__(self, name: str, table: int, row: int, group: tuple[str, ...] = ()):
+        what = f"the sum {'+'.join(group)}" if len(group) > 1 else f"counter {name!r}"
+        super().__init__(f"{what} does not fit in int64")
+        self.name, self.table, self.row, self.group = name, table, row, group
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -196,7 +205,27 @@ class RatingStore:
             users, items, values, keys = users[order], items[order], values[order], keys[order]
             if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (user, item) rating pair")
+        # stable, so users ascend within an item as in the canonical order
+        self._index(num_users, num_items, users, items, values, keys,
+                    np.argsort(items, kind="stable"))
 
+    def subset(self, keep: np.ndarray) -> RatingStore:
+        """The ratings at the canonical positions where ``keep`` holds.
+
+        Both views come from this store's by masking, with no sort, so
+        the result equals a store built from the kept triples.
+        """
+        i_order = self._i_order[keep[self._i_order]]
+        out = RatingStore.__new__(RatingStore)
+        out._index(
+            self.num_users, self.num_items, self.user_idx[keep], self.item_idx[keep],
+            self.value[keep], self._keys[keep], (np.cumsum(keep) - 1)[i_order],
+        )
+        return out
+
+    def _index(self, num_users, num_items, users, items, values, keys, i_order) -> None:
+        """Set the views of ratings in canonical order; ``i_order`` lists
+        their positions by item, users ascending within an item."""
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.user_idx = _frozen(users)
@@ -206,8 +235,6 @@ class RatingStore:
 
         counts = np.bincount(users, minlength=num_users)
         self._u_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))))
-        # stable, so users ascend within an item as in the canonical order
-        i_order = np.argsort(items, kind="stable")
         self._i_order = _frozen(i_order)
         icounts = np.bincount(items, minlength=num_items)
         self._i_ptr = _frozen(np.concatenate(([0], np.cumsum(icounts))))
@@ -235,7 +262,7 @@ class RatingStore:
     def items_of_many(
         self, users: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(user_at, items, values) of several users' rows, concatenated.
+        """(user_at, items, canonical positions) of several users' rows, concatenated.
 
         Entry n belongs to ``users[user_at[n]]``; items ascend within a row.
         """
@@ -243,7 +270,7 @@ class RatingStore:
         if users.size and (users.min() < 0 or users.max() >= self.num_users):
             raise UnknownUser("user handle out of range")
         user_at, flat = csr_rows(self._u_ptr, users)
-        return user_at, self.item_idx[flat], self.value[flat]
+        return user_at, self.item_idx[flat], flat
 
     def raters_of_many(
         self, items: np.ndarray
@@ -329,6 +356,11 @@ class _CounterColumns:
     def present(self) -> tuple[str, ...]:
         return tuple(sorted(n for n, c in self._cols.items() if c.any()))
 
+    def total(self, names: Sequence[str]) -> np.ndarray:
+        """The counters ``names`` added up, per entry."""
+        present = (col for name, col in self._cols.items() if name in names)
+        return sum(present, np.zeros(self._size, dtype=np.int64))
+
 
 class FeedbackTable(_CounterColumns):
     """Per-user non-negative counters; columns absent from the table read 0."""
@@ -357,7 +389,7 @@ class ReviewFeedback(_CounterColumns):
         self.store = store
         super().__init__(len(store), columns)
 
-        self._totals = _frozen(sum(self._cols.values(), np.zeros(self._size, dtype=np.int64)))
+        self._totals = _frozen(self.total(REVIEW_COUNTERS))
         # cache: max feedback total per item, 0 for items with no feedback
         item_max = np.zeros(store.num_items, dtype=np.int64)
         np.maximum.at(item_max, store.item_idx, self._totals)
@@ -521,17 +553,22 @@ def build_dataset(
         items=items,
         ratings=store,
         social=SocialGraph(nu, np.column_stack((handles(users, a), handles(users, b)))),
-        feedback=FeedbackTable(nu, _sums(user_sums, nu)),
-        review_feedback=ReviewFeedback(store, _sums(review_sums, len(store))),
+        feedback=FeedbackTable(
+            nu, _sums(user_sums, nu, (COMPLIMENTS, CONTRIBUTIONS, RECEIVED_FEEDBACK))
+        ),
+        review_feedback=ReviewFeedback(store, _sums(review_sums, len(store), (REVIEW_COUNTERS,))),
         categories=ItemCategories.from_columns(ni, handles(items, c_item), c_tag),
         provenance=provenance,
         warnings=warnings,
     )
 
 
-def _sums(tables: Sequence[tuple[np.ndarray, Mapping]], size: int) -> dict[str, np.ndarray]:
+def _sums(
+    tables: Sequence[tuple[np.ndarray, Mapping]], size: int, groups: Sequence[tuple[str, ...]]
+) -> dict[str, np.ndarray]:
     """Per counter name, each table's ``values[n]`` added up at entry ``at[n]``
-    of ``size`` zeros.  Raises CounterOverflow rather than wrap."""
+    of ``size`` zeros.  Raises CounterOverflow rather than wrap, also where
+    the counters of one of ``groups`` add up beyond int64 at an entry."""
     out: dict[str, np.ndarray] = {}
     reach: dict[str, int] = {}  # per name, a bound on the magnitude of any total
     for at, counters in tables:
@@ -545,17 +582,30 @@ def _sums(tables: Sequence[tuple[np.ndarray, Mapping]], size: int) -> dict[str, 
             if reach[name] > _INT64_MAX:
                 _overflow(tables, name)
             np.add.at(out.setdefault(name, np.zeros(size, dtype=np.int64)), at, arr)
+    for group in groups:
+        # the counters' largest values bound any entry's total
+        if sum(int(out[name].max(initial=0)) for name in group if name in out) > _INT64_MAX:
+            _overflow(tables, *group)
     return out
 
 
-def _overflow(tables: Sequence[tuple[np.ndarray, Mapping]], name: str) -> None:
-    """Raise CounterOverflow at the first row that takes a value or a total beyond int64."""
+def _overflow(tables: Sequence[tuple[np.ndarray, Mapping]], *names: str) -> None:
+    """Raise CounterOverflow when a value, or the total of the counters ``names``
+    at an entry, goes beyond int64; return if none does.  It names the largest
+    value the entry has taken by then, the last of equals: that row's own
+    value, or the outlier among the rows of a sum."""
     totals: dict[int, int] = {}
+    largest: dict[int, tuple[int, str, int, int]] = {}  # per entry: (|value|, name, table, row)
     for table, (at, counters) in enumerate(tables):
-        for row, (a, v) in enumerate(zip(at.tolist(), counters.get(name, ()))):
-            totals[a] = total = totals.get(a, 0) + int(v)
-            if max(abs(int(v)), abs(total)) > _INT64_MAX:
-                raise CounterOverflow(name, table, row)
+        cols = [(name, counters[name]) for name in names if name in counters]
+        for row, a in enumerate(at.tolist()):
+            for name, values in cols:
+                v = int(values[row])
+                totals[a] = total = totals.get(a, 0) + v
+                if abs(v) >= largest.get(a, (0,))[0]:
+                    largest[a] = (abs(v), name, table, row)
+                if max(abs(v), abs(total)) > _INT64_MAX:
+                    raise CounterOverflow(*largest[a][1:], names)
 
 
 def _columns(rows: Iterable[tuple], width: int) -> tuple:
@@ -738,7 +788,7 @@ def compute_stats(d: Dataset) -> StatsReport:
     rows: list[StatRow] = []
     if d.provenance in ("yelp", "synthetic"):
         fb = d.feedback
-        compliments = fb.col("more") + fb.col("thx") + fb.col("gw")
+        compliments = fb.total(COMPLIMENTS)
         rows += [
             _stat_row("elite years per user profile", fb.col("elite_years")),
             _stat_row("compliments (more+thx+gw) per user profile", compliments),

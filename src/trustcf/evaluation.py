@@ -14,14 +14,20 @@ A fold's test users are scored in blocks of consecutive users, one set
 of numpy calls per block.  Work that beta does not change is shared by
 every configuration:
 
-* per fold: the training store with its user means, and the review
-  score of each training rating, the full data's scores with the
-  held-out ones dropped (the store keeps canonical order);
+* per run: the co-rating index (:class:`~trustcf.recommender.CoRatings`)
+  of the full data, when some configuration uses Pearson; see
+  :func:`_corating_index` for the pairs it keeps;
+* per fold: the training store with its user means, masked out of the
+  full store; the review score of each training rating, the full data's
+  scores with the held-out ones dropped (the store keeps canonical
+  order); and the Pearson correlation of every indexed pair over its
+  entries with neither rating held out, once per minimum overlap;
 * per block: the training raters of all of the block's held-out items,
   each with its deviation from its training mean; the similarity of
   every (user, candidate) pair, once per similarity setting (mode and
-  minimum Pearson overlap); the fused trust of every candidate rating,
-  once per facet setting (facet weights and relatedness mode).
+  minimum Pearson overlap), Pearson looked up in the fold's
+  correlations; the fused trust of every candidate rating, once per
+  facet setting (facet weights and relatedness mode).
 
 Each configuration then only blends the two with its beta, selects
 neighbors, and predicts, ranks and scores all of the block's items at
@@ -42,9 +48,16 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ItemCategories, RatingStore
+from .dataset import Dataset, ItemCategories
 from .errors import EmptyInput, UnknownUser
-from .recommender import InfluenceConfig, PredictionKind, TrainedModel, best_k, block_candidates
+from .recommender import (
+    CoRatings,
+    InfluenceConfig,
+    PredictionKind,
+    TrainedModel,
+    best_k,
+    block_candidates,
+)
 from .trust import TrustProfiles, build_profiles
 
 
@@ -420,15 +433,19 @@ class EvaluationReport:
         raise KeyError(f"no report row for {config!r}")
 
 
-def _train_store(d: Dataset, test_mask: np.ndarray) -> RatingStore:
-    keep = ~test_mask
-    return RatingStore(
-        d.num_users,
-        d.num_items,
-        d.ratings.user_idx[keep],
-        d.ratings.item_idx[keep],
-        d.ratings.value[keep],
-    )
+def _corating_index(d: Dataset, configs: Sequence[InfluenceConfig]) -> CoRatings | None:
+    """The co-rating index the Pearson configurations of a run share; None
+    when no configuration uses Pearson.
+
+    A pair (u, v) is scored only for a held-out item of u that v rated,
+    so its training overlap is at most its full overlap minus 1: pairs
+    co-rating fewer than the smallest minimum overlap plus 1 items in the
+    full data score 0 in every fold.
+    """
+    overlaps = [c.min_pearson_overlap for c in configs if c.similarity_mode == "pearson"]
+    if not overlaps:
+        return None
+    return CoRatings(d.ratings, np.arange(d.num_users), min(overlaps) + 1)
 
 
 # Slots plus candidate entries per block of test users.  A block's
@@ -445,10 +462,14 @@ def _evaluate_fold(
     fold: int,
     k: int,
     tau: float,
+    corating: CoRatings | None = None,
 ) -> list[FoldMetrics]:
-    """Metrics of one fold per configuration."""
+    """Metrics of one fold per configuration.
+
+    ``corating`` is the run's :func:`_corating_index`, built here when not given.
+    """
     test_mask = plan.assignment == fold
-    train = _train_store(d, test_mask)
+    train = d.ratings.subset(~test_mask)
     # review score of each training rating: the store keeps canonical order
     frev = profiles.frev[~test_mask]
     models = [TrainedModel(train, profiles, d.social, c) for c in configs]
@@ -459,6 +480,13 @@ def _evaluate_fold(
         (tuple(sorted(c.facet_weights.weights.items())), c.facet_weights.rel_mode)
         for c in configs
     ]
+    if corating is None:
+        corating = _corating_index(d, configs)
+    # sigma of every indexed pair, per minimum overlap; a pair not indexed scores 0
+    pearson = {
+        m: corating.pearson(m, test_mask)
+        for m in {c.min_pearson_overlap for c in configs if c.similarity_mode == "pearson"}
+    }
 
     # held-out slots in canonical order: by user, items ascending
     slot_users = d.ratings.user_idx[test_mask]
@@ -501,7 +529,12 @@ def _evaluate_fold(
         for n, model in enumerate(models):
             s_key, t_key = sigma_keys[n], trust_keys[n]
             if s_key not in sigmas:
-                sigmas[s_key] = model.similarity(c.pair_users, c.pair_cands)[c.pair_at]
+                mode, overlap = s_key
+                if mode == "pearson":
+                    pair_sigma = corating.of(pearson[overlap], c.pair_users, c.pair_cands)
+                else:
+                    pair_sigma = model.similarity(c.pair_users, c.pair_cands)
+                sigmas[s_key] = pair_sigma[c.pair_at]
             if t_key not in trusts:
                 trusts[t_key] = model.trust(c, c_frev)
             values, is_model = model.predict_candidates(c, sigmas[s_key], trusts[t_key])
@@ -546,8 +579,8 @@ _POOL_CONTEXT: tuple | None = None
 
 
 def _pool_worker(fold: int) -> list[FoldMetrics]:
-    d, profiles, configs, plan, k, tau = _POOL_CONTEXT
-    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
+    d, profiles, configs, plan, k, tau, corating = _POOL_CONTEXT
+    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau, corating)
 
 
 def _mean_defined(values: Iterable[float]) -> float:
@@ -579,12 +612,13 @@ def run_experiment(
         raise ValueError("k must be positive")
 
     profiles = build_profiles(d)
+    corating = _corating_index(d, configs)
     folds = list(range(plan.num_folds))
     if workers > 1:
         import multiprocessing as mp
 
         global _POOL_CONTEXT
-        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau)
+        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau, corating)
         try:
             with mp.get_context("fork").Pool(workers) as pool:
                 # one fold per task: default chunks of 2 folds can leave a worker idle
@@ -593,7 +627,7 @@ def run_experiment(
             _POOL_CONTEXT = None
     else:
         per_fold = [
-            _evaluate_fold(d, profiles, configs, plan, fold, k, tau)
+            _evaluate_fold(d, profiles, configs, plan, fold, k, tau, corating)
             for fold in folds
         ]
 

@@ -17,8 +17,8 @@ Scoring is batched over blocks of (user, item) slots, any number of
 users at once.  :func:`block_candidates` gathers every training rater of
 the slots' items in one pass over the store's item rows and lists the
 distinct (user, candidate) pairs; :meth:`TrainedModel.similarity` scores
-all of those pairs in one vectorized call (Pearson from the users' side,
-or the relatedness kernel of :mod:`trustcf.social`);
+all of those pairs in one vectorized call (Pearson, or the relatedness
+kernel of :mod:`trustcf.social`);
 :meth:`TrainedModel.trust` fuses the trust of every candidate rating; and
 :meth:`TrainedModel.predict_candidates` blends the two with beta and
 predicts every slot at once.
@@ -26,6 +26,14 @@ The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
 :meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
 :meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
 are blocks of one user.  No result is memoized between calls.
+
+Pearson has one enumeration and one kernel.  A :class:`CoRatings` index
+lists, for each pair of users that co-rate enough items, the positions
+of both users' ratings of each shared item, items ascending;
+:meth:`CoRatings.pearson` reduces its entries, optionally with some
+ratings held out, to one correlation per pair.  A model indexes the
+users it is asked about over its whole store; an evaluation indexes the
+full data once per run and holds out each fold's test ratings.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingStore, search_keys
+from .dataset import RATING_MAX, RATING_MIN, RatingStore, csr_rows, search_keys
 from .errors import UnknownConfiguration, UnknownUser
 from .social import SocialGraph, relatedness
 from .social import jaccard as _jaccard  # noqa: F401  (perfbench/spans.py traces this name)
@@ -87,19 +95,16 @@ def _centred_pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(xd @ yd) / den
 
 
-def _pearson_pairs(
-    train: RatingStore, us: np.ndarray, vs: np.ndarray, min_overlap: int
+def _pearson_kernel(
+    pair_at: np.ndarray, x: np.ndarray, y: np.ndarray, size: int, min_overlap: int
 ) -> np.ndarray:
-    """Pearson agreement of each (us[p], vs[p]) pair, clamped into [0, 1].
+    """Pearson agreement of each of ``size`` pairs, clamped into [0, 1].
 
-    The pairs must be distinct and ascend by (u, v).  Per pair, means
-    are taken over the co-rated items only.  Fewer than ``min_overlap``
-    co-rated items, or zero variance on either side, yields 0.
-
-    Co-rated entries are enumerated from the users' side: every training
-    item of every u, and every rater of that item, kept where (u, rater)
-    is one of the pairs.  A pair's entries so come in ascending item
-    order, and its sums are reduced with ``np.bincount`` in two passes:
+    Entry n is a co-rated item of pair ``pair_at[n]``, rated ``x[n]`` and
+    ``y[n]``; the entries of a pair are contiguous and come in ascending
+    item order.  Per pair, means are taken over the co-rated items only.
+    Fewer than ``min_overlap`` co-rated items, or zero variance on either
+    side, yields 0.  Sums are reduced with ``np.bincount`` in two passes:
     means first, then sums of centred products.
 
     A candidate qualifies as a neighbor only on strictly positive
@@ -109,16 +114,6 @@ def _pearson_pairs(
     arithmetic (BLAS dot products) of a per-pair evaluation, so the
     neighbor sets stay those of one.
     """
-    size = us.size
-    if size == 0:
-        return np.zeros(0, dtype=np.float64)
-    keys = us * train.num_users + vs
-    users = np.unique(us)
-    u_at, items, x = train.items_of_many(users)
-    i_at, raters, y, _ = train.raters_of_many(items)
-    at, co = search_keys(keys, users[u_at[i_at]] * train.num_users + raters)
-    pair_at, x, y = at[co], x[i_at[co]], y[co]
-
     n = np.bincount(pair_at, minlength=size)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_x = np.bincount(pair_at, weights=x, minlength=size) / n
@@ -139,16 +134,121 @@ def _pearson_pairs(
     slack = 4.0 * (n + 1) * np.finfo(np.float64).eps
     spread = den + RATING_MAX * np.sqrt(n) * (np.sqrt(sxx) + np.sqrt(syy))
     near = np.flatnonzero(scored & (np.abs(sxy) <= slack * spread))
-    if near.size:
-        flagged = np.zeros(size, dtype=bool)
-        flagged[near] = True
-        sel = np.flatnonzero(flagged[pair_at])
-        sel = sel[np.argsort(pair_at[sel], kind="stable")]
-        lo = np.searchsorted(pair_at[sel], near)
-        hi = np.searchsorted(pair_at[sel], near, side="right")
-        for j, a, b in zip(near, lo, hi):
-            r[j] = _centred_pearson(x[sel[a:b]], y[sel[a:b]])
+    lo = np.searchsorted(pair_at, near)
+    for j, a, b in zip(near, lo, lo + n[near]):
+        r[j] = _centred_pearson(x[a:b], y[a:b])
     return np.clip(r, 0.0, 1.0)
+
+
+# Co-rated entries a CoRatings enumerates, or reduces, at once.  Memory
+# follows this chunk (or one user's entries), not the corpus, in which a
+# popular item i adds |R(i)|^2 entries.
+_CORATE_CHUNK = 8192
+
+
+def _runs(cost: np.ndarray, limit: int) -> np.ndarray:
+    """Edges of consecutive runs of ``cost`` that each start below ``limit``
+    of cumulative cost; a single entry may exceed it."""
+    start = np.cumsum(cost) - cost
+    run = start // limit
+    return np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [cost.size]))
+
+
+class CoRatings:
+    """Co-rated ratings of the user pairs {u, v}, u != v, with u among
+    ``users`` (ascending), that share at least ``min_count`` rated items.
+
+    Pair p is ``keys[p] = a * num_users + b`` for its users a < b, keys
+    ascending.  Its entries ``ptr[p]:ptr[p + 1]`` hold, items ascending,
+    the canonical positions in ``store`` of both users' ratings of each
+    item both rated: ``pos_u`` of the user the pair was listed from,
+    ``pos_v`` of the other.  Pearson is symmetric, in rounding too (every
+    sum, product and dot product of the kernel only swaps operands), so
+    one pair serves both orders.  Built once over a dataset's ratings, it
+    serves every fold: a training store is the same ratings with some
+    held out, and a pair's training entries are its entries with neither
+    position held out.
+    """
+
+    def __init__(self, store: RatingStore, users: np.ndarray, min_count: int):
+        self.store = store
+        users = np.asarray(users, dtype=np.int64)
+        listed = np.zeros(store.num_users, dtype=bool)
+        listed[users] = True
+        # each rating of u enumerates every rater of its item, u included
+        u_at, items, _ = store.items_of_many(users)
+        per_rating = store.item_rating_counts()[items]
+        edges = _runs(np.bincount(u_at, per_rating, minlength=users.size), _CORATE_CHUNK)
+        parts = [
+            self._pairs(users[a:b], listed, min_count) for a, b in zip(edges[:-1], edges[1:])
+        ]
+        keys, counts, pos_u, pos_v = (np.concatenate(col) for col in zip(*parts))
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        if (keys[1:] < keys[:-1]).any():  # pairs with unlisted users, from several chunks
+            order = np.argsort(keys)
+            _, flat = csr_rows(ptr, order)
+            keys, counts, pos_u, pos_v = keys[order], counts[order], pos_u[flat], pos_v[flat]
+            ptr = np.concatenate(([0], np.cumsum(counts)))
+        self.keys, self.ptr, self.pos_u, self.pos_v = keys, ptr, pos_u, pos_v
+        self._edges = _runs(counts, _CORATE_CHUNK)
+
+    def _pairs(
+        self, users: np.ndarray, listed: np.ndarray, min_count: int
+    ) -> tuple[np.ndarray, ...]:
+        """(keys, entry counts, pos_u, pos_v) of the pairs listed from some users."""
+        store = self.store
+        u_at, items, pos_u = store.items_of_many(users)
+        i_at, raters, _, pos_v = store.raters_of_many(items)
+        us = users[u_at[i_at]]
+        # each pair once: from its smaller user, or from the one listed
+        other = np.flatnonzero((raters > us) | (raters < us) & ~listed[raters])
+        us, raters = us[other], raters[other]
+        keys = np.minimum(us, raters) * store.num_users + np.maximum(us, raters)
+        # stable: a pair's entries keep the ascending items of the user's row
+        sort = np.argsort(keys, kind="stable")
+        keys, order = keys[sort], other[sort]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        counts = np.diff(np.append(first, keys.size))
+        kept = counts >= min_count
+        order = order[np.repeat(kept, counts)]
+        return (
+            keys[first[kept]],
+            counts[kept],
+            pos_u[i_at[order]].astype(np.int32),
+            pos_v[order].astype(np.int32),
+        )
+
+    def pearson(self, min_overlap: int, held_out: np.ndarray | None = None) -> np.ndarray:
+        """Pearson agreement of each pair, clamped into [0, 1], over the
+        co-rated items where neither rating is ``held_out`` (a mask over
+        the store's canonical positions)."""
+        value = self.store.value
+        out = []
+        for a, b in zip(self._edges[:-1], self._edges[1:]):
+            lo, hi = self.ptr[a], self.ptr[b]
+            pair_at = np.repeat(np.arange(b - a), np.diff(self.ptr[a:b + 1]))
+            pos_u, pos_v = self.pos_u[lo:hi], self.pos_v[lo:hi]
+            if held_out is not None:
+                kept = np.flatnonzero(~(held_out[pos_u] | held_out[pos_v]))
+                pair_at, pos_u, pos_v = pair_at[kept], pos_u[kept], pos_v[kept]
+            out.append(_pearson_kernel(pair_at, value[pos_u], value[pos_v], b - a, min_overlap))
+        return np.concatenate(out)
+
+    def of(self, scores: np.ndarray, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """``scores[p]`` of each pair {users[n], cands[n]}; 0 for a pair not indexed."""
+        a, b = np.minimum(users, cands), np.maximum(users, cands)
+        at, found = search_keys(self.keys, a * self.store.num_users + b)
+        out = np.zeros(at.size, dtype=np.float64)
+        out[found] = scores[at[found]]
+        return out
+
+
+def _pearson_pairs(
+    train: RatingStore, us: np.ndarray, vs: np.ndarray, min_overlap: int
+) -> np.ndarray:
+    """Pearson agreement of each (us[p], vs[p]) pair over all of ``train``."""
+    index = CoRatings(train, np.unique(us), min_overlap)
+    return index.of(index.pearson(min_overlap), us, vs)
 
 
 def pearson_many(
@@ -156,16 +256,14 @@ def pearson_many(
 ) -> np.ndarray:
     """Pearson agreement of u with each candidate, clamped into [0, 1].
 
-    A block of one user for the pair kernel; candidates may repeat and
-    come in any order.
+    The co-rating index of u alone, with nothing held out; candidates
+    may repeat and come in any order, and u itself scores 0.
     """
     v_arr = np.asarray(v_arr, dtype=np.int64)
     if v_arr.size and (v_arr.min() < 0 or v_arr.max() >= train.num_users):
         raise UnknownUser("user handle out of range")
     train.rating_count_of(u)  # rejects an unknown u
-    cands, inverse = np.unique(v_arr, return_inverse=True)
-    us = np.full(cands.size, u, dtype=np.int64)
-    return _pearson_pairs(train, us, cands, min_overlap)[inverse]
+    return _pearson_pairs(train, np.full(v_arr.size, u, dtype=np.int64), v_arr, min_overlap)
 
 
 def pearson(train: RatingStore, u: int, v: int, min_overlap: int = 2) -> float:

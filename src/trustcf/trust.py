@@ -21,7 +21,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, RatingStore, ReviewFeedback
+from .dataset import (
+    COMPLIMENTS,
+    CONTRIBUTIONS,
+    RECEIVED_FEEDBACK,
+    Dataset,
+    RatingStore,
+    ReviewFeedback,
+)
 from .errors import AllWeightsZero, UnknownUser, WrongProvenance
 from .social import SocialGraph, relatedness
 
@@ -167,14 +174,9 @@ def build_yelp_profiles(d: Dataset) -> TrustProfiles:
     if d.provenance not in ("yelp", "synthetic"):
         raise WrongProvenance(f"expected a yelp-shaped dataset, got {d.provenance!r}")
     fb = d.feedback
-    compliments = fb.col("more") + fb.col("thx") + fb.col("gw")
-    contributions = fb.col("review_count") + fb.col("tip_count")
-    received = (
-        fb.col("review_useful")
-        + fb.col("review_funny")
-        + fb.col("review_cool")
-        + fb.col("tip_likes")
-    )
+    compliments = fb.total(COMPLIMENTS)
+    contributions = fb.total(CONTRIBUTIONS)
+    received = fb.total(RECEIVED_FEEDBACK)
     vectors = {
         "elite": indicator_fendors(fb.col("elite_years")),
         "lup": indicator_fendors(compliments),

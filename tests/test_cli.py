@@ -197,6 +197,15 @@ class TestEval:
         assert "user_feedback.tsv:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_counter_sum_beyond_int64(self, tmp_path, canonical_dir, capsys):
+        path = canonical_dir / "user_feedback.tsv"
+        path.write_text(path.read_text() + f"erin\tmore\t{2 ** 62}\nerin\tgw\t{2 ** 62}\n")
+        spec = write_spec(
+            tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
+        assert main(["eval", "--spec", str(spec)]) == 2
+        assert "user_feedback.tsv:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", [
         "manifest.txt", "ratings.tsv", "friends.tsv", "user_feedback.tsv",
         "review_feedback.tsv", "item_categories.tsv",

@@ -106,6 +106,22 @@ class TestRatingStore:
                 assert np.array_equal(getattr(again, name), getattr(store, name)), name
             assert np.array_equal(again.user_means(), store.user_means(), equal_nan=True)
 
+    def test_subset_equals_a_store_built_from_the_kept_ratings(self):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            store = random_dataset(rng).ratings
+            keep = rng.random(len(store)) < (rng.random(), 0.0, 1.0)[trial % 3]
+            got = store.subset(keep)
+            want = RatingStore(store.num_users, store.num_items, store.user_idx[keep],
+                               store.item_idx[keep], store.value[keep])
+            for name in RatingStore.__slots__:
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype, name
+                    assert np.array_equal(a, b, equal_nan=True), name
+                else:
+                    assert a == b, name
+
     def test_caller_arrays_stay_writable(self):
         users = np.array([0, 1])
         RatingStore(2, 1, users, np.array([0, 0]), np.array([3.0, 4.0]))
@@ -277,6 +293,44 @@ class TestBuildDataset:
         with pytest.raises(CounterOverflow, match="'useful' does not fit in int64"):
             make_dataset(provenance="synthetic", ratings=[("a", "x", 1.0)],
                          review_counters={"useful": {("a", "x"): -(2 ** 63)}})
+
+    @pytest.mark.parametrize("kind, counters, group", [
+        # one review's useful+funny: ReviewFeedback.totals and the per-review statistics
+        ("review", {"useful": 2 ** 62, "funny": 2 ** 62}, ("useful", "funny", "cool", "nhelpful")),
+        # one user's compliments: the lup and vis facets and the statistics
+        ("user", {"more": 2 ** 62, "thx": 2 ** 62}, ("more", "thx", "gw")),
+        # one user's received feedback: the fb facet
+        ("user", {"review_cool": 2 ** 62, "tip_likes": 2 ** 62},
+         ("review_useful", "review_funny", "review_cool", "tip_likes")),
+        ("user", {"review_count": 2 ** 62, "tip_count": 2 ** 62}, ("review_count", "tip_count")),
+    ], ids=["review-totals", "compliments", "received", "contributions"])
+    def test_counter_sums_beyond_int64_raise_rather_than_wrap(self, kind, counters, group):
+        last = list(counters)[-1]
+
+        def build(shift):
+            # a second row, b's, so the overflowing one is not the first
+            values = {name: [1, v - shift * (name == last)] for name, v in counters.items()}
+            table = ((["a", "b"], ["x", "x"], values) if kind == "review"
+                     else (["a", "b"], values))
+            return build_dataset(provenance="synthetic",
+                                 ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
+                                 **{f"{kind}_counters": [table]})
+
+        d = build(1)  # sums of exactly 2^63 - 1 fit
+        fits = d.review_feedback.totals() if kind == "review" else d.feedback.total(group)
+        assert fits.tolist() == [len(counters), 2 ** 63 - 1]
+        with pytest.raises(CounterOverflow) as caught:
+            build(0)
+        assert caught.value.group == group
+        assert (caught.value.table, caught.value.row) == (0, 1)
+        assert caught.value.name == last
+        assert str(caught.value) == f"the sum {'+'.join(group)} does not fit in int64"
+
+    def test_counter_sums_checked_per_entry(self):
+        # the largest values add up beyond int64, but on different users
+        d = build_dataset(provenance="synthetic", ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
+                          user_counters=[(["a", "b"], {"more": [2 ** 62, 0], "gw": [0, 2 ** 62]})])
+        assert d.feedback.total(("more", "thx", "gw")).tolist() == [2 ** 62, 2 ** 62]
 
 
 class TestApplyFilters:

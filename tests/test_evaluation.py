@@ -32,6 +32,7 @@ from trustcf import (
     top_k,
     user_coverage,
 )
+from trustcf import evaluation
 from trustcf.cli import _build_config
 from trustcf.errors import EmptyInput
 from trustcf.evaluation import FoldMetrics, ReportRow
@@ -541,6 +542,33 @@ def test_shared_work_matches_each_config_alone():
             for got, want in zip(mixed.rows, alone):
                 assert _comparable(dataclasses.astuple(got)) == _comparable(
                     dataclasses.astuple(want)), (got.config, got.beta, workers)
+
+
+def test_pearson_overlaps_share_one_index_across_workers():
+    """Configurations with different minimum overlaps report what each
+    reports alone, on one worker or two, and a fold evaluated without the
+    run's index builds the same one."""
+    rng = np.random.default_rng(72)
+    configs = [
+        InfluenceConfig(name=f"overlap{m}", similarity_mode="pearson",
+                        facet_weights=FacetWeights({"fb": 1.0, "frev": 1.0}),
+                        beta=0.5, min_pearson_overlap=m)
+        for m in (1, 2, 3, 4)
+    ] + [make_config("MTRTrust2", beta=0.4)]
+    for _ in range(3):
+        d = random_dataset(rng)
+        plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+        alone = [run_experiment(d, [c], plan, k=3).rows[0] for c in configs]
+        for workers in (1, 2):
+            mixed = run_experiment(d, configs, plan, k=3, workers=workers)
+            for got, want in zip(mixed.rows, alone):
+                assert _comparable(dataclasses.astuple(got)) == _comparable(
+                    dataclasses.astuple(want)), (got.config, workers)
+        profiles = build_profiles(d)
+        for fold in range(3):
+            own = evaluation._evaluate_fold(d, profiles, configs, plan, fold, 3, 4.0)
+            assert _comparable(tuple(map(dataclasses.astuple, own))) == _comparable(
+                tuple(dataclasses.astuple(row.folds[fold]) for row in mixed.rows))
 
 
 def test_block_partition_does_not_change_results(monkeypatch):

@@ -201,7 +201,18 @@ class TestCountersBeyondInt64:
         ("user.json", {"user_id": "u2", "fans": 2 ** 63}, 4),
         # u1's tips already have 4 likes and a compliment
         ("tip.json", {"user_id": "u1", "likes": 2 ** 63 - 5}, 4),
-    ], ids=["review-value", "review-sum", "profile", "tip-sum"])
+        # counters read added up: one review's useful+funny+cool, one profile's compliments
+        ("review.json", {"user_id": "u3", "business_id": "b1", "stars": 4,
+                         "useful": 2 ** 62, "funny": 2 ** 62}, 5),
+        ("user.json", {"user_id": "u3", "compliment_more": 2 ** 62,
+                       "compliment_note": 2 ** 62}, 4),
+        # u2's received feedback: 3 useful and 1 cool on an earlier review
+        ("review.json", {"user_id": "u2", "business_id": "b3", "stars": 3,
+                         "useful": 2 ** 63 - 4}, 5),
+        # the same sum, taken there by a tip: the tip's line is named
+        ("tip.json", {"user_id": "u2", "business_id": "b2", "likes": 2 ** 63 - 3}, 4),
+    ], ids=["review-value", "review-sum", "profile", "tip-sum",
+            "review-totals", "compliments", "received", "received-by-tip"])
     def test_yelp(self, yelp_dir, name, record, line):
         with open(yelp_dir / name, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
@@ -504,6 +515,25 @@ class TestCanonicalFormat:
                 for u, i, v in d.ratings.triples()
             )
             assert render_canonical(d)["ratings.tsv"] == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("name, extra", [
+        # erin's compliments
+        ("user_feedback.tsv", [f"erin\tmore\t{2 ** 62}", f"erin\tthx\t{2 ** 62}"]),
+        # erin's bread review, which has useful 2
+        ("review_feedback.tsv", [f"erin\tbread\tfunny\t{2 ** 62 - 2}",
+                                 f"erin\tbread\tcool\t{2 ** 62}"]),
+    ], ids=["compliments", "review-totals"])
+    def test_counter_sum_beyond_int64_names_file_and_line(self, tiny, tmp_path, name, extra):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + extra) + "\n")
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        where, message = str(caught.value).split(": ", 1)
+        assert where == f"{name}:{len(lines) + 2}"
+        assert message.startswith("the sum ") and "does not fit in int64" in message
+        assert message.endswith(repr(tuple(extra[1].split("\t"))))
 
     @pytest.mark.parametrize("name, extra", [
         ("ratings.tsv", "alice\tapple\t3"),

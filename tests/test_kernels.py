@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustcf import RatingStore
-from trustcf.recommender import _centred_pearson, pearson_many
+from trustcf import RatingStore, fold_assignment, make_config, run_experiment, split_folds
+from trustcf import recommender
+from trustcf.recommender import CoRatings, _centred_pearson, block_candidates, pearson_many
 from trustcf.social import jaccard_many, relatedness
 
 import reference
@@ -89,6 +90,92 @@ def test_pearson_many_sign_matches_per_pair_arithmetic():
             assert abs(value - min(max(want, 0.0), 1.0)) <= 1e-12
             zeros += abs(want) < 1e-12
     assert zeros > 50
+
+
+def test_corating_index_matches_pearson_on_rebuilt_training_stores():
+    """Per fold, the run's index gives every indexed pair and every pair a
+    fold asks about the sigma of a training store built from scratch."""
+    rng = np.random.default_rng(84)
+    seen = dict(indexed=0, requested=0, unindexed=0, positive=0)
+    for _ in range(12):
+        d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
+        store = with_flat_raters(rng, d.ratings)
+        nu = store.num_users
+        folds = int(rng.integers(2, 6))
+        assignment = fold_assignment(len(store), folds, int(rng.integers(1 << 30)))
+        for min_overlap in (1, 2, 3, 4):
+            index = CoRatings(store, np.arange(nu), min_overlap + 1)
+            assert (np.diff(index.keys) > 0).all()
+            for fold in range(folds):
+                held_out = assignment == fold
+                keep = ~held_out
+                train = RatingStore(nu, store.num_items, store.user_idx[keep],
+                                    store.item_idx[keep], store.value[keep])
+                sigma = index.pearson(min_overlap, held_out)
+                c = block_candidates(train, store.user_idx[held_out], store.item_idx[held_out])
+                lower, upper = np.divmod(index.keys, nu)
+                asked = ((lower, upper), (upper, lower), (c.pair_users, c.pair_cands))
+                for users, cands in asked:
+                    got = index.of(sigma, users, cands)
+                    for u in np.unique(users).tolist():
+                        mine = users == u
+                        want = pearson_many(train, u, cands[mine], min_overlap)
+                        assert np.array_equal(got[mine], want), (u, min_overlap, fold)
+                seen["indexed"] += index.keys.size
+                seen["requested"] += c.pair_users.size
+                found = np.isin(c.pair_users * nu + c.pair_cands, index.keys)
+                seen["unindexed"] += int(np.count_nonzero(~found))
+                seen["positive"] += int(np.count_nonzero(sigma > 0))
+    assert min(seen.values()) > 100, seen
+
+
+def test_corating_index_keeps_pairs_one_above_the_minimum_overlap():
+    # user 1 co-rates items 0-2 with user 2 and items 0-1 with user 0
+    store = RatingStore(3, 3, [0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 0, 1, 2, 0, 1, 2],
+                        [4.0, 1.0, 1.0, 3.0, 5.0, 2.0, 3.0, 5.0])
+    index = CoRatings(store, np.arange(3), 3)
+    assert index.keys.tolist() == [1 * 3 + 2]
+    assert index.ptr.tolist() == [0, 3]
+    assert index.pos_u.dtype == index.pos_v.dtype == np.int32
+    assert index.pos_u.tolist() == [2, 3, 4]
+    assert index.pos_v.tolist() == [5, 6, 7]
+    # user 1's rating of item 2 held out: {1, 2} keeps 2 co-rated items
+    held_out = np.zeros(len(store), dtype=bool)
+    held_out[4] = True
+    sigma = index.pearson(2, held_out)
+    assert sigma.tolist() == [1.0]
+    users, cands = np.array([1, 2, 1]), np.array([2, 1, 0])
+    assert index.of(sigma, users, cands).tolist() == [1.0, 1.0, 0.0]
+    assert index.pearson(3, held_out).tolist() == [0.0]
+    # listed from user 2 alone, the pair keeps its key, with user 2's side first
+    alone = CoRatings(store, np.array([2]), 3)
+    assert alone.keys.tolist() == [1 * 3 + 2]
+    assert (alone.pos_u.tolist(), alone.pos_v.tolist()) == ([5, 6, 7], [2, 3, 4])
+
+
+def test_corating_chunks_do_not_change_results(monkeypatch):
+    """One user or pair per chunk, or one chunk for everything: the same
+    index, the same sigma and the same report."""
+    rng = np.random.default_rng(85)
+    configs = [make_config("U2UCF"), make_config("MTR", beta=0.3)]
+    for _ in range(4):
+        d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
+        plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+        held_out = plan.assignment == 0
+        got = []
+        for chunk in (recommender._CORATE_CHUNK, 1, 10**12):
+            monkeypatch.setattr(recommender, "_CORATE_CHUNK", chunk)
+            index = CoRatings(d.ratings, np.arange(d.num_users), 2)
+            # every other user: pairs with unlisted users come from several chunks
+            part = CoRatings(d.ratings, np.arange(0, d.num_users, 2), 1)
+            assert (np.diff(part.keys) > 0).all()
+            report = run_experiment(d, configs, plan, k=3)
+            got.append((index.keys, index.ptr, index.pos_u, index.pos_v,
+                        index.pearson(2, held_out), part.keys, part.ptr, part.pos_u,
+                        part.pos_v, part.pearson(1), report.to_tsv(), report.to_summary_json()))
+        for other in got[1:]:
+            for a, b in zip(got[0], other):
+                assert np.array_equal(a, b)
 
 
 def test_jaccard_and_relatedness_match_naive():
