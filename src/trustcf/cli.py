@@ -49,6 +49,11 @@ _SPEC_KEYS = {
 }
 
 
+# integer keys: (ExperimentSpec field, smallest value)
+_SPEC_INTS = {"folds": ("folds", 2), "k": ("k", 1), "n": ("neighbor_count", 1),
+              "seed": ("seed", 0), "threads": ("threads", 1)}
+
+
 @dataclass
 class ExperimentSpec:
     """Flat key=value experiment description; repeated keys form lists."""
@@ -89,10 +94,8 @@ def parse_spec(path: Path) -> ExperimentSpec:
             raise UsageError(f"{path}:{line_no}: {key} holds a NUL byte")
         values.setdefault(key, []).append(value)
 
-    def one(key: str, default=None) -> str | None:
-        got = values.get(key)
-        if got is None:
-            return default
+    def one(key: str) -> str | None:
+        got = values.get(key, [None])
         if len(got) > 1:
             raise UsageError(f"key {key!r} given more than once")
         return got[0]
@@ -105,14 +108,14 @@ def parse_spec(path: Path) -> ExperimentSpec:
         spec.configs = values.get("config", [])
         if not spec.configs:
             raise UsageError("spec must name at least one config")
+        # a key the spec leaves out keeps ExperimentSpec's default
         if "beta" in values:
             spec.betas = [_parse_beta(b) for b in values["beta"]]
-        spec.folds = _parse_int(one("folds", "10"), "folds", minimum=2)
-        spec.k = _parse_int(one("k", "10"), "k", minimum=1)
-        spec.neighbor_count = _parse_int(one("n", "50"), "n", minimum=1)
-        spec.seed = _parse_int(one("seed", "17"), "seed", minimum=0)
-        spec.tau = _parse_float(one("tau", "4.0"), "tau")
-        spec.threads = _parse_int(one("threads", "1"), "threads", minimum=1)
+        for key, (name, minimum) in _SPEC_INTS.items():
+            if key in values:
+                setattr(spec, name, _parse_int(one(key), key, minimum=minimum))
+        if "tau" in values:
+            spec.tau = _parse_float(one("tau"), "tau")
         for token in spec.configs:  # a bad config fails now, not after the dataset loads
             _build_config(token, spec.betas[0], spec.neighbor_count)
     except UsageError as exc:

@@ -5,10 +5,11 @@ For each fold the remaining ratings train a model per configuration;
 every held-out (user, item) pair is predicted, and each test user gets a
 top-k list ranked over their own held-out items.  Error metrics pool the
 fold's model-based predictions; ranking metrics are macro-averaged per
-user inside the fold; fold values are then averaged unweighted.  A
-metric no fold defines (RMSE and MAE of a configuration without a single
-model-based prediction) is NaN in ``summary.json`` and ``-`` in
-``report.tsv``.
+user inside the fold; fold values are then averaged unweighted.  Both
+averages skip undefined values: a fold with no model-based prediction
+has no RMSE or MAE, and a fold with no ranked user (or, for recall, none
+with a relevant item) has no ranking metric.  A metric no fold defines
+is NaN in ``summary.json`` and ``-`` in ``report.tsv``.
 
 A fold's test users are scored in blocks of consecutive users, one set
 of numpy calls per block.  Work that beta does not change is shared by
@@ -21,13 +22,12 @@ every configuration:
   full store; the review score of each training rating, the full data's
   scores with the held-out ones dropped (the store keeps canonical
   order); and the Pearson correlation of every indexed pair over its
-  entries with neither rating held out, once per minimum overlap;
+  entries with neither rating held out;
 * per block: the training raters of all of the block's held-out items,
   each with its deviation from its training mean; the similarity of
-  every (user, candidate) pair, once per similarity setting (mode and
-  minimum Pearson overlap), Pearson looked up in the fold's
-  correlations; the fused trust of every candidate rating, once per
-  facet setting (facet weights and relatedness mode).
+  every (user, candidate) pair, once per similarity mode, Pearson looked
+  up in the fold's correlations; the fused trust of every candidate
+  rating, once per set of facet weights.
 
 Each configuration then only blends the two with its beta, selects
 neighbors, and predicts, ranks and scores all of the block's items at
@@ -51,14 +51,16 @@ import numpy as np
 from .dataset import Dataset, ItemCategories
 from .errors import EmptyInput, UnknownUser
 from .recommender import (
+    MIN_CORATED,
     CoRatings,
     InfluenceConfig,
     PredictionKind,
     TrainedModel,
     best_k,
     block_candidates,
+    cost_runs,
 )
-from .trust import TrustProfiles, build_profiles
+from .trust import FacetWeights, TrustProfiles, build_profiles
 
 
 @dataclass(frozen=True)
@@ -238,10 +240,14 @@ def _ranking_scores(
     return _ListScores(precision, recall, rr)
 
 
-def _macro(values: np.ndarray) -> float:
-    """Mean over the lists that define a value (not NaN); 0 when none does."""
+def _mean_defined(values: np.ndarray | Sequence[float]) -> float:
+    """Mean over the defined (non-NaN) values; NaN when there are none.
+
+    One rule for both levels: over a fold's lists, and over the folds.
+    """
+    values = np.asarray(values, dtype=np.float64)
     defined = values[~np.isnan(values)]
-    return float(np.mean(defined)) if defined.size else 0.0
+    return float(np.mean(defined)) if defined.size else float("nan")
 
 
 def ranking_metrics(
@@ -253,7 +259,7 @@ def ranking_metrics(
 
     Precision and MRR average over users with non-empty lists; recall
     additionally requires a non-empty relevant set.  F1 is the harmonic
-    mean of the two aggregates.
+    mean of the two aggregates.  A metric no list defines is NaN.
     """
     list_at: list[int] = []
     hit: list[bool] = []
@@ -269,9 +275,9 @@ def ranking_metrics(
         np.array(hit, dtype=bool),
         np.array(num_relevant, dtype=np.int64),
     )
-    precision = _macro(scores.precision)
-    recall = _macro(scores.recall)
-    return RankingMetrics(precision, recall, _f1(precision, recall), _macro(scores.rr))
+    precision = _mean_defined(scores.precision)
+    recall = _mean_defined(scores.recall)
+    return RankingMetrics(precision, recall, _f1(precision, recall), _mean_defined(scores.rr))
 
 
 def _diversities(
@@ -438,14 +444,12 @@ def _corating_index(d: Dataset, configs: Sequence[InfluenceConfig]) -> CoRatings
     when no configuration uses Pearson.
 
     A pair (u, v) is scored only for a held-out item of u that v rated,
-    so its training overlap is at most its full overlap minus 1: pairs
-    co-rating fewer than the smallest minimum overlap plus 1 items in the
-    full data score 0 in every fold.
+    so its training overlap is at most its full overlap minus 1: the
+    index keeps the pairs co-rating one item more than a score needs.
     """
-    overlaps = [c.min_pearson_overlap for c in configs if c.similarity_mode == "pearson"]
-    if not overlaps:
+    if not any(c.similarity_mode == "pearson" for c in configs):
         return None
-    return CoRatings(d.ratings, np.arange(d.num_users), min(overlaps) + 1)
+    return CoRatings(d.ratings, np.arange(d.num_users), MIN_CORATED + 1)
 
 
 # Slots plus candidate entries per block of test users.  A block's
@@ -473,20 +477,10 @@ def _evaluate_fold(
     # review score of each training rating: the store keeps canonical order
     frev = profiles.frev[~test_mask]
     models = [TrainedModel(train, profiles, d.social, c) for c in configs]
-    # sigma depends on the pairs and the similarity settings only, trust on
-    # the entries and the facet settings only; each config's beta blends them
-    sigma_keys = [(c.similarity_mode, c.min_pearson_overlap) for c in configs]
-    trust_keys = [
-        (tuple(sorted(c.facet_weights.weights.items())), c.facet_weights.rel_mode)
-        for c in configs
-    ]
     if corating is None:
         corating = _corating_index(d, configs)
-    # sigma of every indexed pair, per minimum overlap; a pair not indexed scores 0
-    pearson = {
-        m: corating.pearson(m, test_mask)
-        for m in {c.min_pearson_overlap for c in configs if c.similarity_mode == "pearson"}
-    }
+    # sigma of every indexed pair; a pair not indexed scores 0
+    pearson = None if corating is None else corating.pearson(test_mask)
 
     # held-out slots in canonical order: by user, items ascending
     slot_users = d.ratings.user_idx[test_mask]
@@ -513,8 +507,7 @@ def _evaluate_fold(
         weights=1 + train.item_rating_counts()[slot_items],
         minlength=num_test_users,
     )
-    block_of = ((np.cumsum(cost) - cost) // _BLOCK_ENTRIES)[user_at]
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(block_of)) + 1, [block_of.size]))
+    edges = np.searchsorted(user_at, cost_runs(cost, _BLOCK_ENTRIES))
     for s0, s1 in zip(edges[:-1], edges[1:]):
         if s0 == s1:
             continue
@@ -524,20 +517,21 @@ def _evaluate_fold(
         hits = relevant[s0:s1]
         c = block_candidates(train, slot_users[s0:s1], items)
         c_frev = frev[c.positions]
-        sigmas: dict[tuple, np.ndarray] = {}
-        trusts: dict[tuple, np.ndarray | None] = {}
+        # sigma depends on the pairs and the similarity mode only, trust on
+        # the entries and the facet weights only; each config's beta blends them
+        sigmas: dict[str, np.ndarray] = {}
+        trusts: dict[FacetWeights, np.ndarray | None] = {}
         for n, model in enumerate(models):
-            s_key, t_key = sigma_keys[n], trust_keys[n]
-            if s_key not in sigmas:
-                mode, overlap = s_key
+            mode, facets = model.config.similarity_mode, model.config.facet_weights
+            if mode not in sigmas:
                 if mode == "pearson":
-                    pair_sigma = corating.of(pearson[overlap], c.pair_users, c.pair_cands)
+                    pair_sigma = corating.of(pearson, c.pair_users, c.pair_cands)
                 else:
                     pair_sigma = model.similarity(c.pair_users, c.pair_cands)
-                sigmas[s_key] = pair_sigma[c.pair_at]
-            if t_key not in trusts:
-                trusts[t_key] = model.trust(c, c_frev)
-            values, is_model = model.predict_candidates(c, sigmas[s_key], trusts[t_key])
+                sigmas[mode] = pair_sigma[c.pair_at]
+            if facets not in trusts:
+                trusts[facets] = model.trust(c, c_frev)
+            values, is_model = model.predict_candidates(c, sigmas[mode], trusts[facets])
             err = (values - actual[s0:s1])[is_model]
             who = local[is_model]
             sq_err[n, u0:u1], abs_err[n, u0:u1] = _error_sums(err, who, u1 - u0)
@@ -549,7 +543,7 @@ def _evaluate_fold(
 
     out = []
     for n in range(n_cfg):
-        p, r = _macro(precision[n]), _macro(recall[n])
+        p, r = _mean_defined(precision[n]), _mean_defined(recall[n])
         predictions = int(model_n[n].sum())
         accuracy = _accuracy(sq_err[n], abs_err[n], predictions)
         cov = _coverage(model_n[n])
@@ -561,8 +555,8 @@ def _evaluate_fold(
                 f1=_f1(p, r),
                 rmse=accuracy.rmse,
                 mae=accuracy.mae,
-                mrr=_macro(rr[n]),
-                diversity=_macro(diversity[n]),
+                mrr=_mean_defined(rr[n]),
+                diversity=_mean_defined(diversity[n]),
                 user_coverage=cov.value if cov.defined else float("nan"),
                 test_users=num_test_users,
                 ranked_users=int(np.count_nonzero(~np.isnan(precision[n]))),
@@ -581,12 +575,6 @@ _POOL_CONTEXT: tuple | None = None
 def _pool_worker(fold: int) -> list[FoldMetrics]:
     d, profiles, configs, plan, k, tau, corating = _POOL_CONTEXT
     return _evaluate_fold(d, profiles, configs, plan, fold, k, tau, corating)
-
-
-def _mean_defined(values: Iterable[float]) -> float:
-    """Mean over the defined (non-NaN) values; NaN when there are none."""
-    usable = [v for v in values if not isnan(v)]
-    return float(np.mean(usable)) if usable else float("nan")
 
 
 def run_experiment(
@@ -634,8 +622,11 @@ def run_experiment(
     rows = []
     for c, config in enumerate(configs):
         fold_metrics = tuple(per_fold[fold][c] for fold in folds)
-        precision = _mean_defined(m.precision for m in fold_metrics)
-        recall = _mean_defined(m.recall for m in fold_metrics)
+
+        def mean(name: str) -> float:
+            return _mean_defined([getattr(m, name) for m in fold_metrics])
+
+        precision, recall = mean("precision"), mean("recall")
         rows.append(
             ReportRow(
                 config=config.name,
@@ -643,11 +634,11 @@ def run_experiment(
                 precision=precision,
                 recall=recall,
                 f1=_f1(precision, recall),
-                rmse=_mean_defined(m.rmse for m in fold_metrics),
-                mae=_mean_defined(m.mae for m in fold_metrics),
-                mrr=_mean_defined(m.mrr for m in fold_metrics),
-                diversity=_mean_defined(m.diversity for m in fold_metrics),
-                user_coverage=_mean_defined(m.user_coverage for m in fold_metrics),
+                rmse=mean("rmse"),
+                mae=mean("mae"),
+                mrr=mean("mrr"),
+                diversity=mean("diversity"),
+                user_coverage=mean("user_coverage"),
                 model_predictions=sum(m.model_predictions for m in fold_metrics),
                 fallback_predictions=sum(m.fallback_predictions for m in fold_metrics),
                 folds=fold_metrics,

@@ -72,7 +72,6 @@ class InfluenceConfig:
     facet_weights: FacetWeights = field(default_factory=FacetWeights)
     beta: float = 0.1
     neighbor_count: int = 50
-    min_pearson_overlap: int = 2
 
     def __post_init__(self):
         if self.similarity_mode not in SIMILARITY_MODES:
@@ -81,8 +80,6 @@ class InfluenceConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.neighbor_count < 1:
             raise ValueError("neighbor_count must be positive")
-        if self.min_pearson_overlap < 1:
-            raise ValueError("min_pearson_overlap must be positive")
 
 
 def _centred_pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -95,17 +92,15 @@ def _centred_pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(xd @ yd) / den
 
 
-def _pearson_kernel(
-    pair_at: np.ndarray, x: np.ndarray, y: np.ndarray, size: int, min_overlap: int
-) -> np.ndarray:
+def _pearson_kernel(pair_at: np.ndarray, x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     """Pearson agreement of each of ``size`` pairs, clamped into [0, 1].
 
     Entry n is a co-rated item of pair ``pair_at[n]``, rated ``x[n]`` and
     ``y[n]``; the entries of a pair are contiguous and come in ascending
     item order.  Per pair, means are taken over the co-rated items only.
-    Fewer than ``min_overlap`` co-rated items, or zero variance on either
-    side, yields 0.  Sums are reduced with ``np.bincount`` in two passes:
-    means first, then sums of centred products.
+    Zero variance on either side, as with fewer than two co-rated items,
+    yields 0.  Sums are reduced with ``np.bincount`` in two passes: means
+    first, then sums of centred products.
 
     A candidate qualifies as a neighbor only on strictly positive
     influence, so the sign of a correlation that is 0 up to rounding
@@ -124,7 +119,7 @@ def _pearson_kernel(
     sxx = np.bincount(pair_at, weights=xd * xd, minlength=size)
     syy = np.bincount(pair_at, weights=yd * yd, minlength=size)
     den = np.sqrt(sxx * syy)
-    scored = (n >= min_overlap) & (den != 0.0)
+    scored = den != 0.0
     r = np.zeros(size, dtype=np.float64)
     r[scored] = sxy[scored] / den[scored]
 
@@ -140,13 +135,16 @@ def _pearson_kernel(
     return np.clip(r, 0.0, 1.0)
 
 
+# The fewest co-rated items a pair is indexed with: one item has no variance.
+MIN_CORATED = 2
+
 # Co-rated entries a CoRatings enumerates, or reduces, at once.  Memory
 # follows this chunk (or one user's entries), not the corpus, in which a
 # popular item i adds |R(i)|^2 entries.
 _CORATE_CHUNK = 8192
 
 
-def _runs(cost: np.ndarray, limit: int) -> np.ndarray:
+def cost_runs(cost: np.ndarray, limit: int) -> np.ndarray:
     """Edges of consecutive runs of ``cost`` that each start below ``limit``
     of cumulative cost; a single entry may exceed it."""
     start = np.cumsum(cost) - cost
@@ -178,7 +176,7 @@ class CoRatings:
         # each rating of u enumerates every rater of its item, u included
         u_at, items, _ = store.items_of_many(users)
         per_rating = store.item_rating_counts()[items]
-        edges = _runs(np.bincount(u_at, per_rating, minlength=users.size), _CORATE_CHUNK)
+        edges = cost_runs(np.bincount(u_at, per_rating, minlength=users.size), _CORATE_CHUNK)
         parts = [
             self._pairs(users[a:b], listed, min_count) for a, b in zip(edges[:-1], edges[1:])
         ]
@@ -190,7 +188,7 @@ class CoRatings:
             keys, counts, pos_u, pos_v = keys[order], counts[order], pos_u[flat], pos_v[flat]
             ptr = np.concatenate(([0], np.cumsum(counts)))
         self.keys, self.ptr, self.pos_u, self.pos_v = keys, ptr, pos_u, pos_v
-        self._edges = _runs(counts, _CORATE_CHUNK)
+        self._edges = cost_runs(counts, _CORATE_CHUNK)
 
     def _pairs(
         self, users: np.ndarray, listed: np.ndarray, min_count: int
@@ -218,7 +216,7 @@ class CoRatings:
             pos_v[order].astype(np.int32),
         )
 
-    def pearson(self, min_overlap: int, held_out: np.ndarray | None = None) -> np.ndarray:
+    def pearson(self, held_out: np.ndarray | None = None) -> np.ndarray:
         """Pearson agreement of each pair, clamped into [0, 1], over the
         co-rated items where neither rating is ``held_out`` (a mask over
         the store's canonical positions)."""
@@ -231,7 +229,7 @@ class CoRatings:
             if held_out is not None:
                 kept = np.flatnonzero(~(held_out[pos_u] | held_out[pos_v]))
                 pair_at, pos_u, pos_v = pair_at[kept], pos_u[kept], pos_v[kept]
-            out.append(_pearson_kernel(pair_at, value[pos_u], value[pos_v], b - a, min_overlap))
+            out.append(_pearson_kernel(pair_at, value[pos_u], value[pos_v], b - a))
         return np.concatenate(out)
 
     def of(self, scores: np.ndarray, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
@@ -243,17 +241,13 @@ class CoRatings:
         return out
 
 
-def _pearson_pairs(
-    train: RatingStore, us: np.ndarray, vs: np.ndarray, min_overlap: int
-) -> np.ndarray:
+def _pearson_pairs(train: RatingStore, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Pearson agreement of each (us[p], vs[p]) pair over all of ``train``."""
-    index = CoRatings(train, np.unique(us), min_overlap)
-    return index.of(index.pearson(min_overlap), us, vs)
+    index = CoRatings(train, np.unique(us), MIN_CORATED)
+    return index.of(index.pearson(), us, vs)
 
 
-def pearson_many(
-    train: RatingStore, u: int, v_arr: np.ndarray, min_overlap: int = 2
-) -> np.ndarray:
+def pearson_many(train: RatingStore, u: int, v_arr: np.ndarray) -> np.ndarray:
     """Pearson agreement of u with each candidate, clamped into [0, 1].
 
     The co-rating index of u alone, with nothing held out; candidates
@@ -263,12 +257,12 @@ def pearson_many(
     if v_arr.size and (v_arr.min() < 0 or v_arr.max() >= train.num_users):
         raise UnknownUser("user handle out of range")
     train.rating_count_of(u)  # rejects an unknown u
-    return _pearson_pairs(train, np.full(v_arr.size, u, dtype=np.int64), v_arr, min_overlap)
+    return _pearson_pairs(train, np.full(v_arr.size, u, dtype=np.int64), v_arr)
 
 
-def pearson(train: RatingStore, u: int, v: int, min_overlap: int = 2) -> float:
+def pearson(train: RatingStore, u: int, v: int) -> float:
     """Pearson agreement of u and v; see :func:`pearson_many`."""
-    return float(pearson_many(train, u, np.array([v]), min_overlap)[0])
+    return float(pearson_many(train, u, np.array([v]))[0])
 
 
 def best_k(group_at: np.ndarray, values: np.ndarray, ties: np.ndarray, k: int) -> np.ndarray:
@@ -352,9 +346,9 @@ class TrainedModel:
     each against every rater of its items.  Only the blend, neighbor
     selection and prediction (:meth:`predict_candidates`) depend on
     beta.  :meth:`similarity` depends only on the pairs and the
-    similarity settings, and :meth:`trust` only on the entries and the
-    facet weights, so one result of each can serve every configuration
-    that shares those settings.  Building a model is O(facets).
+    similarity mode, and :meth:`trust` only on the entries and the facet
+    weights, so one result of each can serve every configuration that
+    shares those settings.  Building a model is O(facets).
     """
 
     def __init__(
@@ -383,9 +377,7 @@ class TrainedModel:
         """
         mode = self.config.similarity_mode
         if mode == "pearson":
-            return _pearson_pairs(
-                self.train, users, cands, self.config.min_pearson_overlap
-            )
+            return _pearson_pairs(self.train, users, cands)
         return relatedness(self.social, users, cands, _SIGMA_REL_MODE[mode])
 
     def _review_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:

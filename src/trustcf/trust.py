@@ -141,7 +141,8 @@ class FacetWeights:
 
     ``weights`` may mention any unidimensional facet, "frev" and "rel".
     A positive "rel" weight requires a relatedness mode other than
-    "none".
+    "none".  Equal weights hash equal, so configurations can share the
+    trust they fuse.
     """
 
     weights: Mapping[str, float] = field(default_factory=dict)
@@ -158,6 +159,9 @@ class FacetWeights:
                 raise ValueError(f"weight for {name!r} must lie in [0, 1]")
         if self.weights.get("rel", 0.0) > 0 and self.rel_mode == "none":
             raise ValueError("positive rel weight requires a rel mode")
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.weights.items()), self.rel_mode))
 
     def active(self) -> dict[str, float]:
         return {n: float(w) for n, w in self.weights.items() if w > 0}

@@ -47,9 +47,9 @@ def plain_profiles(profiles):
     return vectors, frev
 
 
-def naive_pearson(ru: dict, rv: dict, min_overlap: int) -> float:
+def naive_pearson(ru: dict, rv: dict) -> float:
     common = sorted(set(ru) & set(rv))
-    if len(common) < min_overlap:
+    if len(common) < 2:  # one item has no variance, none has no mean
         return 0.0
     xs = [ru[i] for i in common]
     ys = [rv[i] for i in common]
@@ -103,9 +103,9 @@ def naive_trust(vectors, frev, friends, weights, rel_mode, u, v, i):
     return num / den
 
 
-def naive_sigma(by_user, friends, mode, u, v, min_overlap):
+def naive_sigma(by_user, friends, mode, u, v):
     if mode == "pearson":
-        return naive_pearson(by_user.get(u, {}), by_user.get(v, {}), min_overlap)
+        return naive_pearson(by_user.get(u, {}), by_user.get(v, {}))
     if mode == "rel_direct":
         return naive_rel(friends, "direct", u, v)
     if mode == "rel_intersection":
@@ -114,9 +114,7 @@ def naive_sigma(by_user, friends, mode, u, v, min_overlap):
 
 
 def naive_influence(by_user, friends, vectors, frev, cfg, u, v, i):
-    sigma = naive_sigma(
-        by_user, friends, cfg.similarity_mode, u, v, cfg.min_pearson_overlap
-    )
+    sigma = naive_sigma(by_user, friends, cfg.similarity_mode, u, v)
     trust = naive_trust(
         vectors,
         frev,
@@ -237,17 +235,17 @@ def naive_fold(dataset, vectors, frev, cfg, test_positions, k, tau):
             recalls.append(recall)
         rrs.append(rr)
         diversities.append(naive_diversity(top, tag_sets))
-    precision = _mean_or(precisions, 0.0)
-    recall = _mean_or(recalls, 0.0)
     nan = float("nan")
+    precision = _mean_or(precisions, nan)
+    recall = _mean_or(recalls, nan)
     return {
         "precision": precision,
         "recall": recall,
         "f1": _f1(precision, recall),
         "rmse": math.sqrt(_mean_or([e * e for e in errors], nan)),
         "mae": _mean_or([abs(e) for e in errors], nan),
-        "mrr": _mean_or(rrs, 0.0),
-        "diversity": _mean_or(diversities, 0.0),
+        "mrr": _mean_or(rrs, nan),
+        "diversity": _mean_or(diversities, nan),
         "user_coverage": covered / len(held) if held else nan,
         "test_users": len(held),
         "ranked_users": len(precisions),

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from trustcf import canonical_load, canonical_save
-from trustcf.cli import main, parse_spec, UsageError
+from trustcf.cli import _build_config, main, parse_spec, UsageError
 
 from conftest import build_tiny
 from test_ingest import write_lines
@@ -150,6 +150,10 @@ class TestEval:
         err = capsys.readouterr().err
         assert "U2UCF" in err and "MTRTrust2" in err
 
+    def test_inline_config_skips_empty_fragments(self):
+        plain = _build_config("custom;sigma=pearson;weights=fb:1,frev:0.5", 0.1, 50)
+        assert _build_config("custom;;sigma=pearson; ;weights=fb:1,,frev:0.5,", 0.1, 50) == plain
+
     def test_inline_config_without_sigma(self, tmp_path, canonical_dir):
         spec = write_spec(
             tmp_path / "exp.spec", canonical_dir, tmp_path / "out",
@@ -245,6 +249,10 @@ class TestEval:
 
     @pytest.mark.parametrize("line", [
         "folds=x", "k=0", "beta=2", "tau=warm", "config=MTR-XYZ", "config=X;sigma=none",
+        "n=0", "seed=-1", "threads=0",
+        # inline fragments: no '=', a weight with no ':', an unknown key
+        "config=X;sigma=pearson;weights", "config=X;sigma=pearson;weights=fb",
+        "config=X;sigma=pearson;beta=0.5",
     ])
     def test_bad_spec_value_names_the_spec(self, tmp_path, canonical_dir, capsys,
                                            monkeypatch, line):
@@ -355,6 +363,24 @@ class TestIngest:
         assert rc == 0
         d = canonical_load(out)
         assert list(d.items) == ["b1"]
+
+    def test_builtin_category_closure(self, tmp_path, yelp_raw):
+        out = tmp_path / "canon"
+        rc = main(["ingest", "--source", "yelp", "--in", str(yelp_raw),
+                   "--out", str(out), "--min-ratings", "1",
+                   "--category-closure", "builtin:restaurants-food"])
+        assert rc == 0
+        assert list(canonical_load(out).items) == ["b1"]
+
+    def test_missing_category_closure_file(self, tmp_path, yelp_raw, capsys):
+        closure = tmp_path / "absent.txt"
+        out = tmp_path / "canon"
+        rc = main(["ingest", "--source", "yelp", "--in", str(yelp_raw),
+                   "--out", str(out), "--min-ratings", "1",
+                   "--category-closure", str(closure)])
+        assert rc == 2
+        assert f"required input file not found: {closure}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_librarything_end_to_end(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -202,7 +202,7 @@ class TestRankingMetrics:
 
     def test_no_users_at_all(self):
         got = ranking_metrics([], {}, k=5)
-        assert got == (0.0, 0.0, 0.0, 0.0)
+        assert all(math.isnan(value) for value in got)
 
 
 class TestIntraDiversity:
@@ -397,7 +397,7 @@ class TestRunExperiment:
 
 
 def _oracle_configs(rng) -> list[InfluenceConfig]:
-    """Every similarity mode, two overlaps for Pearson, several betas."""
+    """Every similarity mode, several facet settings and betas."""
     return [
         make_config("U2UCF"),
         make_config("MTR", beta=float(rng.random())),
@@ -406,10 +406,10 @@ def _oracle_configs(rng) -> list[InfluenceConfig]:
         make_config("MTRTrust2", beta=float(rng.random())),
         make_config("U2USocial"),
         InfluenceConfig(
-            name="overlap3", similarity_mode="pearson",
+            name="frev-rel", similarity_mode="pearson",
             facet_weights=FacetWeights(
                 {"frev": 0.5, "rel": 1.0}, rel_mode="intersection"),
-            beta=float(rng.random()), neighbor_count=3, min_pearson_overlap=3),
+            beta=float(rng.random()), neighbor_count=3),
     ]
 
 
@@ -508,6 +508,38 @@ def test_report_matches_naive_evaluation():
     assert min(seen.values()) > 5, seen
 
 
+def test_undefined_fold_ranking_metrics_read_nan():
+    """A fold with no ranked user defines no ranking metric, and a fold
+    whose ranked users hold no relevant item defines no recall: each reads
+    NaN, as in the oracle, and the row averages the folds that define one."""
+    d = random_dataset(np.random.default_rng(9))
+    vectors, frev = reference.plain_profiles(build_profiles(d))
+    config = make_config("U2UCF")
+    assignment = np.arange(len(d.ratings)) % 2
+    assignment[np.flatnonzero(d.ratings.value < 4.0)[::3]] = 2
+    rows = []
+    for empty in (0, 2, 6):
+        plan = FoldPlan(seed=0, num_folds=3 + empty, assignment=assignment.copy())
+        row = run_experiment(d, [config], plan, k=3).rows[0]
+        want = [
+            reference.naive_fold(d, vectors, frev, config, plan.test_indices(f).tolist(), 3, 4.0)
+            for f in range(plan.num_folds)
+        ]
+        for m, w in zip(row.folds, want):
+            _assert_same_metrics(m, w, (empty, m.fold))
+        _assert_same_metrics(row, reference.naive_row(want), empty)
+        no_relevant = row.folds[2]
+        assert no_relevant.ranked_users > 0 and no_relevant.recall_users == 0
+        assert no_relevant.precision == 0.0 and math.isnan(no_relevant.recall)
+        for m in row.folds[3:]:
+            assert m.test_users == 0
+            for value in (m.precision, m.recall, m.f1, m.mrr, m.diversity):
+                assert math.isnan(value)
+        assert row.recall == np.mean([m.recall for m in row.folds[:2]])
+        rows.append(dataclasses.replace(row, folds=()))
+    assert rows[0] == rows[1] == rows[2]
+
+
 def _comparable(value):
     """A report row as nested tuples, NaN made equal to NaN; else exact."""
     if isinstance(value, tuple):
@@ -544,16 +576,16 @@ def test_shared_work_matches_each_config_alone():
                     dataclasses.astuple(want)), (got.config, got.beta, workers)
 
 
-def test_pearson_overlaps_share_one_index_across_workers():
-    """Configurations with different minimum overlaps report what each
-    reports alone, on one worker or two, and a fold evaluated without the
-    run's index builds the same one."""
+def test_pearson_configs_share_one_index_across_workers():
+    """Pearson configurations with different facet weights report what
+    each reports alone, on one worker or two, and a fold evaluated
+    without the run's index builds the same one."""
     rng = np.random.default_rng(72)
     configs = [
-        InfluenceConfig(name=f"overlap{m}", similarity_mode="pearson",
-                        facet_weights=FacetWeights({"fb": 1.0, "frev": 1.0}),
-                        beta=0.5, min_pearson_overlap=m)
-        for m in (1, 2, 3, 4)
+        InfluenceConfig(name=f"weights{n}", similarity_mode="pearson",
+                        facet_weights=FacetWeights(weights), beta=0.5)
+        for n, weights in enumerate(
+            ({"fb": 1.0, "frev": 1.0}, {"fb": 0.5, "frev": 1.0}, {"frev": 1.0}, {}))
     ] + [make_config("MTRTrust2", beta=0.4)]
     for _ in range(3):
         d = random_dataset(rng)

@@ -164,7 +164,9 @@ class TestYelpIngest:
          f"invalid JSON: {_int_digits_error(5000)}"),
         ('{"user_id": "u1", "business_id": "b1", "stars": 1' + "0" * 400 + "}",
          "stars is not numeric"),
-    ], ids=["deep", "infinite", "long-integer", "huge-stars"])
+        ('{"user_id": "u1"} {"x": 1}', "invalid JSON: Extra data: line 1 column 19 (char 18)"),
+        ('["u1", "b1", 4]', "expected a JSON object"),
+    ], ids=["deep", "infinite", "long-integer", "huge-stars", "trailing-data", "not-an-object"])
     def test_bad_review_line_names_its_line(self, yelp_dir, line, reason):
         with open(yelp_dir / "review.json", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -302,8 +304,9 @@ class TestLibraryThingIngest:
         "{'work': 'w1', ['user']: 'u1', 'stars': 4}",
         '{"work": "w1", "user": "u1", "stars": 1' + "0" * 400 + "}",
         "{'work': 'w1', 'user': 'u1', 'stars': 1" + "0" * 400 + "}",
+        "{'work', 'w1', 'user', 'u1'}",
     ], ids=["deep-json", "deep-literal", "infinite", "long-integer", "unhashable-key",
-            "huge-stars-json", "huge-stars-literal"])
+            "huge-stars-json", "huge-stars-literal", "set"])
     def test_bad_review_line_names_its_line(self, lt_dir, line):
         (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as caught:

@@ -7,7 +7,8 @@ import pytest
 
 from trustcf import RatingStore, fold_assignment, make_config, run_experiment, split_folds
 from trustcf import recommender
-from trustcf.recommender import CoRatings, _centred_pearson, block_candidates, pearson_many
+from trustcf.recommender import (
+    MIN_CORATED, CoRatings, _centred_pearson, block_candidates, pearson_many)
 from trustcf.social import jaccard_many, relatedness
 
 import reference
@@ -32,28 +33,27 @@ def rows_of(store: RatingStore) -> dict[int, dict[int, float]]:
 
 def test_pearson_many_matches_naive_pearson():
     rng = np.random.default_rng(81)
-    seen = dict(no_overlap=0, below_min=0, zero_variance=0, positive=0)
+    seen = dict(no_overlap=0, one_item=0, zero_variance=0, positive=0)
     for _ in range(40):
         d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
         store = with_flat_raters(rng, d.ratings)
         by_user = rows_of(store)
-        for min_overlap in (1, 2, 3, 4):
-            for u in rng.permutation(store.num_users):
-                u = int(u)
-                vs = np.array([v for v in range(store.num_users) if v != u])
-                got = pearson_many(store, u, vs, min_overlap)
-                for v, value in zip(vs.tolist(), got):
-                    want = reference.naive_pearson(by_user[u], by_user[v], min_overlap)
-                    assert abs(value - want) <= 1e-12, (u, v, min_overlap)
-                    common = set(by_user[u]) & set(by_user[v])
-                    if not common:
-                        seen["no_overlap"] += 1
-                    elif len(common) < min_overlap:
-                        seen["below_min"] += 1
-                    elif min(len({by_user[w][i] for i in common}) for w in (u, v)) == 1:
-                        seen["zero_variance"] += 1
-                    elif want > 0:
-                        seen["positive"] += 1
+        for u in rng.permutation(store.num_users):
+            u = int(u)
+            vs = np.array([v for v in range(store.num_users) if v != u])
+            got = pearson_many(store, u, vs)
+            for v, value in zip(vs.tolist(), got):
+                want = reference.naive_pearson(by_user[u], by_user[v])
+                assert abs(value - want) <= 1e-12, (u, v)
+                common = set(by_user[u]) & set(by_user[v])
+                if not common:
+                    seen["no_overlap"] += 1
+                elif len(common) == 1:
+                    seen["one_item"] += 1
+                elif min(len({by_user[w][i] for i in common}) for w in (u, v)) == 1:
+                    seen["zero_variance"] += 1
+                elif want > 0:
+                    seen["positive"] += 1
     assert min(seen.values()) > 100, seen
 
 
@@ -83,7 +83,7 @@ def test_pearson_many_sign_matches_per_pair_arithmetic():
         users = np.repeat(np.arange(others + 1), n)
         items = np.tile(np.arange(n), others + 1)
         store = RatingStore(others + 1, n, users, items, np.concatenate([x, ys.ravel()]))
-        got = pearson_many(store, 0, np.arange(1, others + 1), min_overlap=1)
+        got = pearson_many(store, 0, np.arange(1, others + 1))
         for y, value in zip(ys, got):
             want = _centred_pearson(x, y)
             assert (value > 0.0) == (want > 0.0), (x, y)
@@ -103,15 +103,16 @@ def test_corating_index_matches_pearson_on_rebuilt_training_stores():
         nu = store.num_users
         folds = int(rng.integers(2, 6))
         assignment = fold_assignment(len(store), folds, int(rng.integers(1 << 30)))
-        for min_overlap in (1, 2, 3, 4):
-            index = CoRatings(store, np.arange(nu), min_overlap + 1)
+        # the run's index (MIN_CORATED + 1) and any index that keeps more pairs
+        for min_count in (1, MIN_CORATED, MIN_CORATED + 1):
+            index = CoRatings(store, np.arange(nu), min_count)
             assert (np.diff(index.keys) > 0).all()
             for fold in range(folds):
                 held_out = assignment == fold
                 keep = ~held_out
                 train = RatingStore(nu, store.num_items, store.user_idx[keep],
                                     store.item_idx[keep], store.value[keep])
-                sigma = index.pearson(min_overlap, held_out)
+                sigma = index.pearson(held_out)
                 c = block_candidates(train, store.user_idx[held_out], store.item_idx[held_out])
                 lower, upper = np.divmod(index.keys, nu)
                 asked = ((lower, upper), (upper, lower), (c.pair_users, c.pair_cands))
@@ -119,8 +120,8 @@ def test_corating_index_matches_pearson_on_rebuilt_training_stores():
                     got = index.of(sigma, users, cands)
                     for u in np.unique(users).tolist():
                         mine = users == u
-                        want = pearson_many(train, u, cands[mine], min_overlap)
-                        assert np.array_equal(got[mine], want), (u, min_overlap, fold)
+                        want = pearson_many(train, u, cands[mine])
+                        assert np.array_equal(got[mine], want), (u, min_count, fold)
                 seen["indexed"] += index.keys.size
                 seen["requested"] += c.pair_users.size
                 found = np.isin(c.pair_users * nu + c.pair_cands, index.keys)
@@ -142,11 +143,13 @@ def test_corating_index_keeps_pairs_one_above_the_minimum_overlap():
     # user 1's rating of item 2 held out: {1, 2} keeps 2 co-rated items
     held_out = np.zeros(len(store), dtype=bool)
     held_out[4] = True
-    sigma = index.pearson(2, held_out)
+    sigma = index.pearson(held_out)
     assert sigma.tolist() == [1.0]
     users, cands = np.array([1, 2, 1]), np.array([2, 1, 0])
     assert index.of(sigma, users, cands).tolist() == [1.0, 1.0, 0.0]
-    assert index.pearson(3, held_out).tolist() == [0.0]
+    # item 1 held out too: one co-rated item left, which has no variance
+    held_out[3] = True
+    assert index.pearson(held_out).tolist() == [0.0]
     # listed from user 2 alone, the pair keeps its key, with user 2's side first
     alone = CoRatings(store, np.array([2]), 3)
     assert alone.keys.tolist() == [1 * 3 + 2]
@@ -171,8 +174,8 @@ def test_corating_chunks_do_not_change_results(monkeypatch):
             assert (np.diff(part.keys) > 0).all()
             report = run_experiment(d, configs, plan, k=3)
             got.append((index.keys, index.ptr, index.pos_u, index.pos_v,
-                        index.pearson(2, held_out), part.keys, part.ptr, part.pos_u,
-                        part.pos_v, part.pearson(1), report.to_tsv(), report.to_summary_json()))
+                        index.pearson(held_out), part.keys, part.ptr, part.pos_u,
+                        part.pos_v, part.pearson(), report.to_tsv(), report.to_summary_json()))
         for other in got[1:]:
             for a, b in zip(got[0], other):
                 assert np.array_equal(a, b)

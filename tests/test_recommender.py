@@ -56,11 +56,6 @@ class TestPearson:
         store = store_from_rows(3, {0: {0: 1, 1: 3, 2: 5}, 1: {0: 2, 1: 3, 2: 4}})
         assert pearson(store, 0, 1) == pytest.approx(1.0)
 
-    def test_min_overlap_is_respected(self):
-        store = store_from_rows(3, {0: {0: 1, 1: 5}, 1: {0: 2, 1: 4}})
-        assert pearson(store, 0, 1) > 0
-        assert pearson(store, 0, 1, min_overlap=3) == 0.0
-
     def test_subset_means_matter(self):
         # u's overall mean is 3, but over the co-rated pair it is 1.5
         store = store_from_rows(
