@@ -12,6 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from itertools import product
+from math import isfinite
 from pathlib import Path
 
 from .canonical import canonical_load, canonical_save, undecodable, write_atomic
@@ -135,9 +136,12 @@ def _parse_int(raw: str, name: str, minimum: int | None = None) -> int:
 
 def _parse_float(raw: str, name: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise UsageError(f"{name} must be a number, got {raw!r}") from None
+    if not isfinite(value):
+        raise UsageError(f"{name} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_beta(raw: str) -> float:
@@ -273,11 +277,15 @@ def _run_from_spec(spec: ExperimentSpec, betas: list[float]) -> EvaluationReport
 
 
 def _load_spec(args) -> ExperimentSpec:
-    """The spec file, with the seed, tau and threads given on the command line."""
+    """The spec file, with the seed, tau and threads given on the command
+    line, each checked as the spec's value is."""
     spec = parse_spec(Path(args.spec))
-    for name in ("seed", "tau", "threads"):
-        if getattr(args, name) is not None:
-            setattr(spec, name, getattr(args, name))
+    for key in ("seed", "threads"):
+        if getattr(args, key) is not None:
+            name, minimum = _SPEC_INTS[key]
+            setattr(spec, name, _parse_int(getattr(args, key), f"--{key}", minimum=minimum))
+    if args.tau is not None:
+        spec.tau = _parse_float(args.tau, "--tau")
     return spec
 
 
@@ -316,9 +324,8 @@ def cmd_sweep(args) -> int:
 
 def _add_overrides(command: argparse.ArgumentParser) -> None:
     """The flags that override the spec file's seed, tau and threads."""
-    command.add_argument("--seed", type=int, default=None)
-    command.add_argument("--tau", type=float, default=None)
-    command.add_argument("--threads", type=int, default=None)
+    for name in ("--seed", "--tau", "--threads"):
+        command.add_argument(name, default=None)
 
 
 def _build_parser() -> _Parser:

@@ -29,10 +29,16 @@ every configuration:
   up in the fold's correlations; the fused trust of every candidate
   rating, once per set of facet weights.
 
-Each configuration then only blends the two with its beta, selects
-neighbors, and predicts, ranks and scores all of the block's items at
-once.  Every value is a per-user or per-pair sum, so the partition into
-blocks does not change any result.
+Each configuration then only blends the two with its beta, into one row
+of the block's (configurations x entries) influence.  The rest runs once
+per block over every (configuration, slot) at once: neighbor selection
+and prediction (:func:`~trustcf.recommender.predict_block`), then the
+error sums, the top-k lists and their ranking and diversity scores over
+one list per (configuration, user), reshaped into the per-configuration
+rows.  Every value is a per-user or per-pair sum, added in the order of
+its group's entries whatever else shares the batch, so neither the
+partition into blocks nor the set of configurations evaluated together
+changes any result.
 
 Trust facets are computed on the full dataset before any split, so only
 rating-derived state varies across folds.  Folds are independent and can
@@ -59,6 +65,7 @@ from .recommender import (
     best_k,
     block_candidates,
     cost_runs,
+    predict_block,
 )
 from .trust import FacetWeights, TrustProfiles, build_profiles
 
@@ -131,7 +138,7 @@ def top_k(
         raise ValueError("k must be positive")
     items = np.unique(np.fromiter((int(c) for c in candidates), dtype=np.int64))
     values, is_model = model.predict_items(u, items)
-    top = best_k(np.zeros(items.size, dtype=np.int64), values, items, k)
+    top = best_k(np.zeros(items.size, dtype=np.int64), values, k)
     return RecommendationList(
         user=u,
         items=tuple(
@@ -508,19 +515,20 @@ def _evaluate_fold(
         minlength=num_test_users,
     )
     edges = np.searchsorted(user_at, cost_runs(cost, _BLOCK_ENTRIES))
+    counts = [c.neighbor_count for c in configs]
     for s0, s1 in zip(edges[:-1], edges[1:]):
         if s0 == s1:
             continue
         u0, u1 = user_at[s0], user_at[s1 - 1] + 1
-        local = user_at[s0:s1] - u0
+        size, num_users = s1 - s0, u1 - u0
         items = slot_items[s0:s1]
-        hits = relevant[s0:s1]
         c = block_candidates(train, slot_users[s0:s1], items)
         c_frev = frev[c.positions]
         # sigma depends on the pairs and the similarity mode only, trust on
         # the entries and the facet weights only; each config's beta blends them
         sigmas: dict[str, np.ndarray] = {}
         trusts: dict[FacetWeights, np.ndarray | None] = {}
+        influence = np.empty((n_cfg, c.slot_at.size))
         for n, model in enumerate(models):
             mode, facets = model.config.similarity_mode, model.config.facet_weights
             if mode not in sigmas:
@@ -531,15 +539,31 @@ def _evaluate_fold(
                 sigmas[mode] = pair_sigma[c.pair_at]
             if facets not in trusts:
                 trusts[facets] = model.trust(c, c_frev)
-            values, is_model = model.predict_candidates(c, sigmas[mode], trusts[facets])
-            err = (values - actual[s0:s1])[is_model]
-            who = local[is_model]
-            sq_err[n, u0:u1], abs_err[n, u0:u1] = _error_sums(err, who, u1 - u0)
-            model_n[n, u0:u1] = np.bincount(who, minlength=u1 - u0)
-            top = best_k(local, values, items, k)
-            scores = _ranking_scores(local[top], hits[top], num_relevant[u0:u1])
-            precision[n, u0:u1], recall[n, u0:u1], rr[n, u0:u1] = scores
-            diversity[n, u0:u1] = _diversities(local[top], u1 - u0, items[top], d.categories)
+            influence[n] = model.blend(sigmas[mode], trusts[facets])
+        pred = predict_block(train, c, influence, counts)
+
+        # one list per (config, block user); flat index n * size + s is
+        # config n's prediction for slot s
+        owner = (np.arange(n_cfg)[:, None] * num_users + (user_at[s0:s1] - u0)).ravel()
+        is_model = pred.is_model.ravel()
+        err = (pred.values - actual[s0:s1]).ravel()[is_model]
+        who = owner[is_model]
+        lists = n_cfg * num_users
+        top = best_k(owner, pred.values.ravel(), k)
+        list_at, top_slots = owner[top], top % size
+        scores = _ranking_scores(
+            list_at, relevant[s0:s1][top_slots], np.tile(num_relevant[u0:u1], n_cfg)
+        )
+        for total, block in zip(
+            (sq_err, abs_err, model_n, precision, recall, rr, diversity),
+            (
+                *_error_sums(err, who, lists),
+                np.bincount(who, minlength=lists),
+                *scores,
+                _diversities(list_at, lists, items[top_slots], d.categories),
+            ),
+        ):
+            total[:, u0:u1] = block.reshape(n_cfg, num_users)
 
     out = []
     for n in range(n_cfg):

@@ -20,12 +20,16 @@ distinct (user, candidate) pairs; :meth:`TrainedModel.similarity` scores
 all of those pairs in one vectorized call (Pearson, or the relatedness
 kernel of :mod:`trustcf.social`);
 :meth:`TrainedModel.trust` fuses the trust of every candidate rating; and
-:meth:`TrainedModel.predict_candidates` blends the two with beta and
-predicts every slot at once.
+:meth:`TrainedModel.blend` mixes the two with the configuration's beta.
+:func:`predict_block` then takes the block's influence under any number
+of configurations, one row each, and selects the neighbors of and
+predicts every (configuration, slot) at once; its :func:`best_k` is one
+sort of the influence values and one stable sort of (group, rank) keys.
 The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
 :meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
 :meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
-are blocks of one user.  No result is memoized between calls.
+are blocks of one user and one configuration.  No result is memoized
+between calls.
 
 Pearson has one enumeration and one kernel.  A :class:`CoRatings` index
 lists, for each pair of users that co-rate enough items, the positions
@@ -265,15 +269,29 @@ def pearson(train: RatingStore, u: int, v: int) -> float:
     return float(pearson_many(train, u, np.array([v]))[0])
 
 
-def best_k(group_at: np.ndarray, values: np.ndarray, ties: np.ndarray, k: int) -> np.ndarray:
+def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
     """Indices of each group's k highest ``values``, by group, then rank.
 
-    Entry n belongs to group ``group_at[n]``; equal values rank by ascending ``ties``.
+    Entry n belongs to group ``group_at[n]`` (non-negative).  Equal
+    values (``-0.0`` and ``0.0`` among them) rank by input position, so
+    a caller passes each group's entries in tie order.  ``k`` is one
+    limit, or one per entry.  ``values`` holds no NaN.
     """
-    order = np.lexsort((ties, -values, group_at))
+    if not values.size:
+        return np.zeros(0, dtype=np.int64)
+    # dense descending rank: equal values share one
+    order = np.argsort(values)
+    ascending = values[order]
+    step = np.cumsum(np.concatenate(([False], ascending[1:] != ascending[:-1])))
+    distinct = step[-1] + 1
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[order] = distinct - 1 - step
+    # stable: equal keys keep their input order
+    order = np.argsort(group_at * distinct + rank, kind="stable")
     ranked = group_at[order]
-    rank = np.arange(order.size) - np.searchsorted(ranked, ranked)
-    return order[rank < k]
+    sizes = np.bincount(ranked)
+    place = np.arange(order.size) - (np.cumsum(sizes) - sizes)[ranked]
+    return order[place < np.broadcast_to(k, order.shape)[order]]
 
 
 class Candidates(NamedTuple):
@@ -330,6 +348,55 @@ def candidates_of(train: RatingStore, u: int, items) -> Candidates:
     return block_candidates(train, np.full(items.size, u, dtype=np.int64), items)
 
 
+class BlockPrediction(NamedTuple):
+    """Predictions of a block's slots under several configurations.
+
+    ``values[n, s]`` and ``is_model[n, s]`` are configuration n's
+    prediction for slot s.  ``chosen`` holds the neighbors as flat
+    indices into the (configurations x entries) influence, by
+    configuration, then slot, then rank.
+    """
+
+    values: np.ndarray
+    is_model: np.ndarray
+    chosen: np.ndarray
+
+
+def predict_block(
+    train: RatingStore, c: Candidates, influence: np.ndarray, neighbor_counts
+) -> BlockPrediction:
+    """Select the neighbors of, and predict, every (configuration, slot).
+
+    ``c`` comes from :func:`block_candidates` on ``train``;
+    ``influence[n, e]`` is entry e's influence under configuration n,
+    which keeps at most ``neighbor_counts[n]`` neighbors per slot.  Only
+    strictly positive influence qualifies; equal influence ranks by
+    ascending candidate handle.  A slot with no neighbor falls back to
+    its user's training mean.
+    """
+    num_configs, num_entries = influence.shape
+    size = c.slot_items.size
+    flat = influence.ravel()
+    positive = np.flatnonzero(flat > 0.0)
+    config_at, entry_at = np.divmod(positive, num_entries)
+    # inside a slot, entries ascend by candidate handle
+    group = config_at * size + c.slot_at[entry_at]
+    limit = np.asarray(neighbor_counts, dtype=np.int64)[config_at]
+    top = best_k(group, flat[positive], limit)
+    chosen, group, infl = positive[top], group[top], flat[positive[top]]
+    cells = num_configs * size
+    num = np.bincount(group, weights=infl * c.deviations[entry_at[top]], minlength=cells)
+    den = np.bincount(group, weights=infl, minlength=cells)
+    is_model = np.bincount(group, minlength=cells) > 0
+    mean_u = np.tile(train.user_means()[c.slot_users], num_configs)
+    values = np.clip(mean_u, RATING_MIN, RATING_MAX)
+    values[is_model] = np.clip(
+        mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
+    )
+    shape = (num_configs, size)
+    return BlockPrediction(values.reshape(shape), is_model.reshape(shape), chosen)
+
+
 _SIGMA_REL_MODE = {"rel_direct": "direct", "rel_intersection": "intersection"}
 
 
@@ -343,12 +410,13 @@ class TrainedModel:
     influence degenerates to beta * similarity.
 
     Scoring works on a :class:`Candidates` block: any number of users,
-    each against every rater of its items.  Only the blend, neighbor
-    selection and prediction (:meth:`predict_candidates`) depend on
-    beta.  :meth:`similarity` depends only on the pairs and the
-    similarity mode, and :meth:`trust` only on the entries and the facet
-    weights, so one result of each can serve every configuration that
-    shares those settings.  Building a model is O(facets).
+    each against every rater of its items.  :meth:`similarity` depends
+    only on the pairs and the similarity mode, and :meth:`trust` only on
+    the entries and the facet weights, so one result of each can serve
+    every configuration that shares those settings; :meth:`blend` mixes
+    them with this configuration's beta, and :func:`predict_block`
+    selects neighbors and predicts for any number of configurations at
+    once.  Building a model is O(facets).
     """
 
     def __init__(
@@ -398,58 +466,18 @@ class TrainedModel:
             frev = self._review_scores(c.pair_cands[c.pair_at], c.slot_items[c.slot_at])
         return self._fusion.trust(c.pair_users, c.pair_cands, c.pair_at, frev)
 
-    def _influence(self, sigma: np.ndarray, trust: np.ndarray | None) -> np.ndarray:
-        """beta * sigma + (1 - beta) * trust, per entry; beta * sigma without trust."""
+    def blend(self, sigma: np.ndarray, trust: np.ndarray | None) -> np.ndarray:
+        """Influence beta * sigma + (1 - beta) * trust, per entry; beta * sigma without trust."""
         beta = self.config.beta
         if trust is None:
             return beta * sigma
         return beta * sigma + (1.0 - beta) * trust
 
-    def _neighbors(
-        self, c: Candidates, sigma: np.ndarray, trust: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(entries, influence) of the neighbors for each of c's slots.
-
-        Only strictly positive influence qualifies, and at most
-        ``neighbor_count`` per slot survive.  Entries are ordered by slot,
-        then influence descending, then ascending candidate handle.
-        """
-        infl = self._influence(sigma, trust)
-        positive = np.flatnonzero(infl > 0.0)
-        # inside a slot, pairs ascend by candidate handle
-        top = best_k(
-            c.slot_at[positive], infl[positive], c.pair_at[positive], self.config.neighbor_count
-        )
-        chosen = positive[top]
-        return chosen, infl[chosen]
-
-    def _scores(self, c: Candidates) -> tuple[np.ndarray, np.ndarray | None]:
-        """(sigma, trust) of each of c's entries, computed for this model alone."""
-        return self.similarity(c.pair_users, c.pair_cands)[c.pair_at], self.trust(c)
-
-    def predict_candidates(
-        self, c: Candidates, sigma: np.ndarray, trust: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(predicted rating, model-based?) for each of c's slots.
-
-        ``c`` comes from :func:`block_candidates` on this model's training
-        store; ``sigma`` is each entry's pair's similarity, from
-        :meth:`similarity`, and ``trust`` each entry's trust, from
-        :meth:`trust`.  A slot with no neighbor falls back to its user's
-        training mean.
-        """
-        chosen, infl = self._neighbors(c, sigma, trust)
-        slot_at = c.slot_at[chosen]
-        size = c.slot_items.size
-        num = np.bincount(slot_at, weights=infl * c.deviations[chosen], minlength=size)
-        den = np.bincount(slot_at, weights=np.abs(infl), minlength=size)
-        is_model = np.bincount(slot_at, minlength=size) > 0
-        mean_u = self.train.user_means()[c.slot_users]
-        values = np.clip(mean_u, RATING_MIN, RATING_MAX)
-        values[is_model] = np.clip(
-            mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
-        )
-        return values, is_model
+    def _predict(self, c: Candidates) -> tuple[np.ndarray, BlockPrediction]:
+        """(influence, prediction) of c under this model alone: a block of one row."""
+        sigma = self.similarity(c.pair_users, c.pair_cands)[c.pair_at]
+        infl = self.blend(sigma, self.trust(c))
+        return infl, predict_block(self.train, c, infl[None, :], [self.config.neighbor_count])
 
     # -- public operations -------------------------------------------------
 
@@ -467,7 +495,7 @@ class TrainedModel:
         if not self._fusion.empty:
             frev = self._review_scores(cands, np.array([i]))
             trust = self._fusion.trust(users, cands, one, frev)
-        return float(self._influence(sigma, trust)[0])
+        return float(self.blend(sigma, trust)[0])
 
     def select_neighbors(self, u: int, i: int) -> list[tuple[int, float]]:
         """Neighbors of u for item i: (candidate, influence), best first.
@@ -477,14 +505,14 @@ class TrainedModel:
         """
         self._check_known(u)
         c = candidates_of(self.train, u, [i])
-        chosen, infl = self._neighbors(c, *self._scores(c))
-        return [(int(v), float(w)) for v, w in zip(c.pair_cands[c.pair_at[chosen]], infl)]
+        infl, p = self._predict(c)
+        return [(int(c.pair_cands[c.pair_at[e]]), float(infl[e])) for e in p.chosen]
 
     def predict_items(self, u: int, items) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) of u for each of ``items``."""
         self._check_known(u)
-        c = candidates_of(self.train, u, items)
-        return self.predict_candidates(c, *self._scores(c))
+        _, p = self._predict(candidates_of(self.train, u, items))
+        return p.values[0], p.is_model[0]
 
     def predict(self, u: int, i: int) -> Prediction:
         """Predicted rating of u for i, flagged model-based or fallback."""

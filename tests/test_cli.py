@@ -249,7 +249,7 @@ class TestEval:
 
     @pytest.mark.parametrize("line", [
         "folds=x", "k=0", "beta=2", "tau=warm", "config=MTR-XYZ", "config=X;sigma=none",
-        "n=0", "seed=-1", "threads=0",
+        "n=0", "seed=-1", "threads=0", "tau=nan", "tau=inf", "tau=-inf",
         # inline fragments: no '=', a weight with no ':', an unknown key
         "config=X;sigma=pearson;weights", "config=X;sigma=pearson;weights=fb",
         "config=X;sigma=pearson;beta=0.5",
@@ -263,6 +263,20 @@ class TestEval:
         monkeypatch.setattr(cli, "canonical_load", None)  # rejected before the load
         assert main(["eval", "--spec", str(spec)]) == 1
         assert f"usage error: {spec}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--threads", "0"), ("--threads", "-3"),
+        ("--tau", "nan"), ("--tau", "inf"),
+    ])
+    def test_bad_override_names_the_flag(self, tmp_path, canonical_dir, capsys,
+                                         monkeypatch, flag, value):
+        import trustcf.cli as cli
+
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, tmp_path / "out",
+                          "config=MTR")
+        monkeypatch.setattr(cli, "canonical_load", None)  # rejected before the load
+        assert main(["eval", "--spec", str(spec), flag, value]) == 1
+        assert f"usage error: {flag} must be " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_unwritable_report_is_a_data_error(self, tmp_path, canonical_dir, capsys, command):

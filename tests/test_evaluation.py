@@ -576,6 +576,38 @@ def test_shared_work_matches_each_config_alone():
                     dataclasses.astuple(want)), (got.config, got.beta, workers)
 
 
+def test_fold_batch_matches_each_config_alone():
+    """A fold scores all configurations of a block in one batch; each
+    configuration's fold metrics equal those of evaluating it alone,
+    with its own neighbor count."""
+    rng = np.random.default_rng(73)
+    configs = [
+        make_config("U2UCF", neighbor_count=5),
+        make_config("MTR", beta=0.3),
+        make_config("MTR", beta=0.7, neighbor_count=50),
+        make_config("MTRTrust2", beta=0.4),
+        make_config("U2USocial"),
+    ]
+    # the same configurations with other neighbor counts
+    swapped = [make_config("U2UCF", neighbor_count=50), make_config("MTR", 0.7, neighbor_count=5)]
+    seen = dict(u2ucf_count_matters=0, mtr_count_matters=0)
+    for _ in range(4):
+        d = random_dataset(rng, max_users=40, max_items=10, max_ratings=300)
+        plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+        profiles = build_profiles(d)
+        for fold in range(3):
+            def alone(c):
+                return _comparable(dataclasses.astuple(
+                    evaluation._evaluate_fold(d, profiles, [c], plan, fold, 3, 4.0)[0]))
+
+            mixed = evaluation._evaluate_fold(d, profiles, configs, plan, fold, 3, 4.0)
+            want = [alone(c) for c in configs]
+            assert [_comparable(dataclasses.astuple(m)) for m in mixed] == want, fold
+            seen["u2ucf_count_matters"] += alone(swapped[0]) != want[0]
+            seen["mtr_count_matters"] += alone(swapped[1]) != want[2]
+    assert min(seen.values()) > 0, seen
+
+
 def test_pearson_configs_share_one_index_across_workers():
     """Pearson configurations with different facet weights report what
     each reports alone, on one worker or two, and a fold evaluated

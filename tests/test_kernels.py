@@ -8,7 +8,7 @@ import pytest
 from trustcf import RatingStore, fold_assignment, make_config, run_experiment, split_folds
 from trustcf import recommender
 from trustcf.recommender import (
-    MIN_CORATED, CoRatings, _centred_pearson, block_candidates, pearson_many)
+    MIN_CORATED, CoRatings, _centred_pearson, best_k, block_candidates, pearson_many)
 from trustcf.social import jaccard_many, relatedness
 
 import reference
@@ -207,3 +207,48 @@ def test_jaccard_and_relatedness_match_naive():
             if not friends[u]:
                 seen["friendless_user"] += 1
     assert min(seen.values()) > 10, seen
+
+
+def naive_best_k(group_at: np.ndarray, values: np.ndarray, k) -> list[int]:
+    """Groups ascending; in each, entries sorted by (-value, input position), first k."""
+    limit = np.broadcast_to(k, group_at.shape)
+    out: list[int] = []
+    for g in sorted(set(group_at.tolist())):
+        members = [n for n in range(group_at.size) if group_at[n] == g]
+        ranked = sorted(members, key=lambda n: (-values[n], n))
+        out.extend(ranked[: int(limit[members[0]])])
+    return out
+
+
+def test_best_k_matches_naive_order():
+    rng = np.random.default_rng(83)
+    pool = np.array([-1.5, -0.0, 0.0, 0.25, 0.5, 2.0])
+    seen = dict(smaller=0, equal=0, larger=0, signed_zeros=0, per_entry_k=0)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        groups = int(rng.integers(1, 8))
+        group_at = rng.integers(0, groups, n)  # a group's entries need not be adjacent
+        values = np.where(rng.random(n) < 0.7, rng.choice(pool, n), rng.normal(size=n))
+        if rng.random() < 0.5:
+            k = int(rng.integers(1, 8))
+            limit = np.full(groups, k)
+        else:  # one limit per group, given per entry
+            limit = rng.integers(1, 8, groups)
+            k = limit[group_at]
+            seen["per_entry_k"] += 1
+        assert best_k(group_at, values, k).tolist() == naive_best_k(group_at, values, k)
+        size = np.bincount(group_at, minlength=groups)
+        for g in np.flatnonzero(size):
+            key = ("smaller", "equal", "larger")[int(np.sign(size[g] - limit[g])) + 1]
+            seen[key] += 1
+            signs = np.signbit(values[(group_at == g) & (values == 0.0)])
+            seen["signed_zeros"] += bool(signs.any() and not signs.all())
+    assert min(seen.values()) > 20, seen
+
+
+def test_best_k_edge_cases():
+    assert best_k(np.zeros(0, np.int64), np.zeros(0), 3).size == 0
+    assert best_k(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64)).size == 0
+    # -0.0 and 0.0 tie, so input position decides
+    for values in ([-0.0, 0.0], [0.0, -0.0]):
+        assert best_k(np.zeros(2, np.int64), np.array(values), 1).tolist() == [0]
