@@ -155,6 +155,13 @@ class Interner:
         return iter(self._ids)
 
 
+def _user_means(users: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each user's ``values``, added in the order given; NaN for a
+    user whose count is 0."""
+    sums = np.bincount(users, weights=values, minlength=counts.size)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
 class RatingStore:
     """User-major and item-major views over one set of rating triples.
 
@@ -239,8 +246,7 @@ class RatingStore:
         icounts = np.bincount(items, minlength=num_items)
         self._i_ptr = _frozen(np.concatenate(([0], np.cumsum(icounts))))
 
-        sums = np.bincount(users, weights=values, minlength=num_users)
-        self._user_mean = _frozen(np.where(counts > 0, sums / np.maximum(counts, 1), np.nan))
+        self._user_mean = _frozen(_user_means(users, values, counts))
 
     def __len__(self) -> int:
         return int(self.user_idx.size)
@@ -272,19 +278,17 @@ class RatingStore:
         user_at, flat = csr_rows(self._u_ptr, users)
         return user_at, self.item_idx[flat], flat
 
-    def raters_of_many(
-        self, items: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(item_at, users, values, positions) of several items, concatenated.
+    def ratings_of_items(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(item_at, canonical positions) of several items' ratings, concatenated.
 
-        Entry n belongs to ``items[item_at[n]]``; users ascend within an item.
+        Entry n rates ``items[item_at[n]]``; raters ascend within an item.
+        A caller reads only the columns it needs at the positions it keeps.
         """
         items = np.asarray(items, dtype=np.int64)
         if items.size and (items.min() < 0 or items.max() >= self.num_items):
             raise IndexError("item handle out of range")
         item_at, flat = csr_rows(self._i_ptr, items)
-        pos = self._i_order[flat]
-        return item_at, self.user_idx[pos], self.value[pos], pos
+        return item_at, self._i_order[flat]
 
     def positions(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Canonical position of the rating ``users[n]`` gave ``items[n]``, or -1."""
@@ -314,6 +318,23 @@ class RatingStore:
 
     def user_means(self) -> np.ndarray:
         return self._user_mean
+
+    def held_out_means(self, labels: np.ndarray, num_labels: int) -> np.ndarray:
+        """(label, user) table of training means: row f is each user's mean
+        over the ratings not labelled f, or NaN for a user with none.
+
+        ``labels`` holds one label per canonical rating; one outside
+        ``[0, num_labels)`` is never held out.  Row f equals
+        ``self.subset(labels != f).user_means()`` bit for bit: each row is
+        one bincount pass over the kept ratings in canonical order.
+        """
+        out = np.empty((num_labels, self.num_users))
+        for f in range(num_labels):
+            keep = labels != f
+            users = self.user_idx[keep]
+            counts = np.bincount(users, minlength=self.num_users)
+            out[f] = _user_means(users, self.value[keep], counts)
+        return out
 
     def triples(self) -> Iterator[tuple[int, int, float]]:
         for u, i, v in zip(self.user_idx, self.item_idx, self.value):

@@ -11,38 +11,46 @@ has no RMSE or MAE, and a fold with no ranked user (or, for recall, none
 with a relevant item) has no ranking metric.  A metric no fold defines
 is NaN in ``summary.json`` and ``-`` in ``report.tsv``.
 
-A fold's test users are scored in blocks of consecutive users, one set
-of numpy calls per block.  Work that beta does not change is shared by
-every configuration:
+Folds are evaluated in groups, one group per worker process, each of
+consecutive folds; a group's test users are scored in blocks of whole
+users, each block holding every held-out rating of its users in every
+fold of the group, one set of numpy calls per block.  A slot (one
+held-out rating) is scored in its own fold: its candidates are the other
+raters of its item in the full store, less any whose rating that fold
+holds out.  Work that neither beta nor the fold changes is shared by
+every configuration and every fold:
 
 * per run: the co-rating index (:class:`~trustcf.recommender.CoRatings`)
   of the full data, when some configuration uses Pearson; see
   :func:`_corating_index` for the pairs it keeps;
-* per fold: the training store with its user means, masked out of the
-  full store; the review score of each training rating, the full data's
-  scores with the held-out ones dropped (the store keeps canonical
-  order); and the Pearson correlation of every indexed pair over its
-  entries with neither rating held out;
-* per block: the training raters of all of the block's held-out items,
-  each with its deviation from its training mean; the similarity of
-  every (user, candidate) pair, once per similarity mode, Pearson looked
-  up in the fold's correlations; the fused trust of every candidate
-  rating, once per set of facet weights.
+* per fold group, per fold: the training mean of every user (one
+  bincount pass over the ratings the fold keeps, in canonical order, as
+  the fold's training store would sum them), and the Pearson
+  correlation of every indexed pair over its entries with neither
+  rating held out;
+* per block: the candidates of every slot, each with its deviation from
+  its training mean in the slot's fold; then once per distinct (user,
+  candidate) pair, whatever the fold: relatedness, the co-rating index
+  search (Pearson is then gathered per (fold, pair)), and the per-pair
+  part of the trust fusion; the fused trust of every candidate rating,
+  once per set of facet weights, with the full data's review score of
+  the rating.
 
-Each configuration then only blends the two with its beta, into one row
-of the block's (configurations x entries) influence.  The rest runs once
-per block over every (configuration, slot) at once: neighbor selection
-and prediction (:func:`~trustcf.recommender.predict_block`), then the
-error sums, the top-k lists and their ranking and diversity scores over
-one list per (configuration, user), reshaped into the per-configuration
-rows.  Every value is a per-user or per-pair sum, added in the order of
-its group's entries whatever else shares the batch, so neither the
-partition into blocks nor the set of configurations evaluated together
-changes any result.
+Each configuration then only blends similarity and trust with its beta,
+into one row of the block's (configurations x entries) influence.  The
+rest runs once per block over every (configuration, slot) at once:
+neighbor selection and prediction
+(:func:`~trustcf.recommender.predict_block`), then the error sums, the
+top-k lists and their ranking and diversity scores over one list per
+(configuration, fold, user), entries in item order.  Each fold's
+metrics are reduced at the end over its own lists, in user order.  Every
+value is a per-list or per-pair sum, added in the order of its group's
+entries whatever else shares the batch, so neither the partition into
+blocks, nor the grouping of folds, nor the set of configurations
+evaluated together changes any result.
 
 Trust facets are computed on the full dataset before any split, so only
-rating-derived state varies across folds.  Folds are independent and can
-be evaluated in parallel worker processes.
+rating-derived state varies across folds.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ItemCategories
+from .dataset import Dataset, ItemCategories, RatingStore
 from .errors import EmptyInput, UnknownUser
 from .recommender import (
     MIN_CORATED,
@@ -475,57 +483,118 @@ def _evaluate_fold(
     tau: float,
     corating: CoRatings | None = None,
 ) -> list[FoldMetrics]:
-    """Metrics of one fold per configuration.
+    """Metrics of one fold per configuration: a group of one fold."""
+    return _evaluate_folds(d, profiles, configs, plan, [fold], k, tau, corating)[0]
+
+
+class _GroupSlots(NamedTuple):
+    """The held-out ratings a group of folds scores, and their lists.
+
+    Slot s is the rating at canonical position ``positions[s]``, in
+    canonical order: by user, items ascending, the folds interleaved.
+    There is one list per (fold, test user), numbered by user, then fold;
+    list l belongs to fold ``list_folds[l]``, and slot s to list
+    ``list_at[s]``.  A list is ``skipped`` when its user has no training
+    rating in its fold; its ratings are not slots.  Block b holds slots
+    ``edges[b]:edges[b + 1]``, whole users.
+    """
+
+    positions: np.ndarray
+    list_at: np.ndarray
+    list_folds: np.ndarray
+    skipped: np.ndarray
+    edges: np.ndarray
+
+
+def _group_slots(store: RatingStore, label: np.ndarray, means: np.ndarray) -> _GroupSlots:
+    """The slots of the folds ``label`` numbers (see :func:`_evaluate_folds`),
+    whose training means are the rows of ``means``."""
+    num_folds, num_users = means.shape
+    positions = np.flatnonzero(label >= 0)
+    folds = label[positions].astype(np.int64)
+    keys = store.user_idx[positions] * num_folds + folds
+    is_list = np.zeros(num_users * num_folds, dtype=bool)
+    is_list[keys] = True
+    skipped = np.isnan(means.T).ravel()  # by (user, fold), as the keys
+    kept = ~skipped[keys]
+    positions, folds, keys = positions[kept], folds[kept], keys[kept]
+    # a slot costs itself plus its item's training raters in its fold
+    items = store.item_idx[positions]
+    item_keys = folds * store.num_items + items
+    held = np.bincount(item_keys, minlength=num_folds * store.num_items)
+    cost = 1 + store.item_rating_counts()[items] - held[item_keys]
+    users = store.user_idx[positions]
+    user_cost = np.bincount(users, weights=cost, minlength=num_users)
+    return _GroupSlots(
+        positions,
+        (np.cumsum(is_list) - 1)[keys],
+        np.flatnonzero(is_list) % num_folds,
+        skipped[is_list],
+        np.searchsorted(users, cost_runs(user_cost, _BLOCK_ENTRIES)),
+    )
+
+
+def _evaluate_folds(
+    d: Dataset,
+    profiles: TrustProfiles,
+    configs: Sequence[InfluenceConfig],
+    plan: FoldPlan,
+    folds: Sequence[int],
+    k: int,
+    tau: float,
+    corating: CoRatings | None = None,
+) -> list[list[FoldMetrics]]:
+    """Metrics of each of a group of folds, in the order of ``folds``, per
+    configuration, from one pass over the group's test users.
 
     ``corating`` is the run's :func:`_corating_index`, built here when not given.
     """
-    test_mask = plan.assignment == fold
-    train = d.ratings.subset(~test_mask)
-    # review score of each training rating: the store keeps canonical order
-    frev = profiles.frev[~test_mask]
-    models = [TrainedModel(train, profiles, d.social, c) for c in configs]
+    store = d.ratings
+    num_folds = len(folds)
+    # each rating's fold, numbered by its place in the group; -1 outside it
+    # (the narrowest type: candidates gather it at random positions)
+    place = np.full(plan.num_folds, -1, dtype=np.min_scalar_type(-num_folds))
+    place[np.asarray(folds, dtype=np.int64)] = np.arange(num_folds)
+    label = place[plan.assignment]
+    means = store.held_out_means(label, num_folds)
+    # no fold changes what the models compute: relatedness, fusion, the blend
+    models = [TrainedModel(store, profiles, d.social, c) for c in configs]
     if corating is None:
         corating = _corating_index(d, configs)
-    # sigma of every indexed pair; a pair not indexed scores 0
-    pearson = None if corating is None else corating.pearson(test_mask)
+    # per fold, sigma of every indexed pair; a pair not indexed scores 0
+    pearson = None
+    if corating is not None:
+        pearson = np.stack([corating.pearson(label == f) for f in range(num_folds)])
 
-    # held-out slots in canonical order: by user, items ascending
-    slot_users = d.ratings.user_idx[test_mask]
-    test_users, user_at = np.unique(slot_users, return_inverse=True)
-    num_test_users = test_users.size
-    trained = train.user_rating_counts()[test_users] > 0
-    skipped = num_test_users - int(np.count_nonzero(trained))
-    kept = trained[user_at]
-    slot_users, user_at = slot_users[kept], user_at[kept]
-    slot_items = d.ratings.item_idx[test_mask][kept]
-    actual = d.ratings.value[test_mask][kept]
-    relevant = actual >= tau
-    num_relevant = np.bincount(user_at, weights=relevant, minlength=num_test_users)
+    slots = _group_slots(store, label, means)
+    list_at = slots.list_at
+    num_relevant = np.bincount(
+        list_at, weights=store.value[slots.positions] >= tau, minlength=slots.list_folds.size
+    )
 
-    # per configuration and test user; NaN where the user has no list
+    # per configuration and list; NaN where the list is empty
     n_cfg = len(configs)
-    shape = (n_cfg, num_test_users)
+    shape = (n_cfg, slots.list_folds.size)
     sq_err, abs_err, model_n = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     precision, recall = np.full(shape, np.nan), np.full(shape, np.nan)
     rr, diversity = np.full(shape, np.nan), np.full(shape, np.nan)
 
-    cost = np.bincount(
-        user_at,
-        weights=1 + train.item_rating_counts()[slot_items],
-        minlength=num_test_users,
-    )
-    edges = np.searchsorted(user_at, cost_runs(cost, _BLOCK_ENTRIES))
     counts = [c.neighbor_count for c in configs]
-    for s0, s1 in zip(edges[:-1], edges[1:]):
+    for s0, s1 in zip(slots.edges[:-1], slots.edges[1:]):
         if s0 == s1:
             continue
-        u0, u1 = user_at[s0], user_at[s1 - 1] + 1
-        size, num_users = s1 - s0, u1 - u0
-        items = slot_items[s0:s1]
-        c = block_candidates(train, slot_users[s0:s1], items)
-        c_frev = frev[c.positions]
-        # sigma depends on the pairs and the similarity mode only, trust on
-        # the entries and the facet weights only; each config's beta blends them
+        positions = slots.positions[s0:s1]
+        items = store.item_idx[positions]
+        actual = store.value[positions]
+        block_folds = label[positions].astype(np.int64)
+        # a user's lists are consecutive, but its slots interleave them
+        l0, l1 = list_at[s0:s1].min(), list_at[s0:s1].max() + 1
+        size, block_lists = s1 - s0, l1 - l0
+        c = block_candidates(store, store.user_idx[positions], items, block_folds, label, means)
+        c_frev = profiles.frev[c.positions]
+        # sigma depends on the pairs, the similarity mode and, for Pearson,
+        # the fold; trust on the entries and the facet weights only; each
+        # config's beta blends them
         sigmas: dict[str, np.ndarray] = {}
         trusts: dict[FacetWeights, np.ndarray | None] = {}
         influence = np.empty((n_cfg, c.slot_at.size))
@@ -533,72 +602,80 @@ def _evaluate_fold(
             mode, facets = model.config.similarity_mode, model.config.facet_weights
             if mode not in sigmas:
                 if mode == "pearson":
-                    pair_sigma = corating.of(pearson, c.pair_users, c.pair_cands)
+                    at = corating.find(c.pair_users, c.pair_cands)[c.pair_at]
+                    hit = np.flatnonzero(at >= 0)
+                    sigma = np.zeros(at.size)
+                    sigma[hit] = pearson[block_folds[c.slot_at[hit]], at[hit]]
                 else:
-                    pair_sigma = model.similarity(c.pair_users, c.pair_cands)
-                sigmas[mode] = pair_sigma[c.pair_at]
+                    sigma = model.similarity(c.pair_users, c.pair_cands)[c.pair_at]
+                sigmas[mode] = sigma
             if facets not in trusts:
                 trusts[facets] = model.trust(c, c_frev)
             influence[n] = model.blend(sigmas[mode], trusts[facets])
-        pred = predict_block(train, c, influence, counts)
+        pred = predict_block(c, influence, counts)
 
-        # one list per (config, block user); flat index n * size + s is
-        # config n's prediction for slot s
-        owner = (np.arange(n_cfg)[:, None] * num_users + (user_at[s0:s1] - u0)).ravel()
+        # one list per (config, list of the block); flat index n * size + s
+        # is config n's prediction for slot s
+        owner = (np.arange(n_cfg)[:, None] * block_lists + (list_at[s0:s1] - l0)).ravel()
         is_model = pred.is_model.ravel()
-        err = (pred.values - actual[s0:s1]).ravel()[is_model]
+        err = (pred.values - actual).ravel()[is_model]
         who = owner[is_model]
-        lists = n_cfg * num_users
+        num_lists = n_cfg * block_lists
         top = best_k(owner, pred.values.ravel(), k)
-        list_at, top_slots = owner[top], top % size
+        top_lists, top_slots = owner[top], top % size
         scores = _ranking_scores(
-            list_at, relevant[s0:s1][top_slots], np.tile(num_relevant[u0:u1], n_cfg)
+            top_lists, actual[top_slots] >= tau, np.tile(num_relevant[l0:l1], n_cfg)
         )
         for total, block in zip(
             (sq_err, abs_err, model_n, precision, recall, rr, diversity),
             (
-                *_error_sums(err, who, lists),
-                np.bincount(who, minlength=lists),
+                *_error_sums(err, who, num_lists),
+                np.bincount(who, minlength=num_lists),
                 *scores,
-                _diversities(list_at, lists, items[top_slots], d.categories),
+                _diversities(top_lists, num_lists, items[top_slots], d.categories),
             ),
         ):
-            total[:, u0:u1] = block.reshape(n_cfg, num_users)
+            total[:, l0:l1] = block.reshape(n_cfg, block_lists)
 
+    fold_slots = np.bincount(label[slots.positions], minlength=num_folds)
     out = []
-    for n in range(n_cfg):
-        p, r = _mean_defined(precision[n]), _mean_defined(recall[n])
-        predictions = int(model_n[n].sum())
-        accuracy = _accuracy(sq_err[n], abs_err[n], predictions)
-        cov = _coverage(model_n[n])
-        out.append(
-            FoldMetrics(
-                fold=fold,
-                precision=p,
-                recall=r,
-                f1=_f1(p, r),
-                rmse=accuracy.rmse,
-                mae=accuracy.mae,
-                mrr=_mean_defined(rr[n]),
-                diversity=_mean_defined(diversity[n]),
-                user_coverage=cov.value if cov.defined else float("nan"),
-                test_users=num_test_users,
-                ranked_users=int(np.count_nonzero(~np.isnan(precision[n]))),
-                recall_users=int(np.count_nonzero(~np.isnan(recall[n]))),
-                model_predictions=predictions,
-                fallback_predictions=slot_items.size - predictions,
-                skipped_users=skipped,
+    for f, fold in enumerate(folds):
+        mine = np.flatnonzero(slots.list_folds == f)  # the fold's test users, ascending
+        per_config = []
+        for n in range(n_cfg):
+            p, r = _mean_defined(precision[n, mine]), _mean_defined(recall[n, mine])
+            predictions = int(model_n[n, mine].sum())
+            accuracy = _accuracy(sq_err[n, mine], abs_err[n, mine], predictions)
+            cov = _coverage(model_n[n, mine])
+            per_config.append(
+                FoldMetrics(
+                    fold=fold,
+                    precision=p,
+                    recall=r,
+                    f1=_f1(p, r),
+                    rmse=accuracy.rmse,
+                    mae=accuracy.mae,
+                    mrr=_mean_defined(rr[n, mine]),
+                    diversity=_mean_defined(diversity[n, mine]),
+                    user_coverage=cov.value if cov.defined else float("nan"),
+                    test_users=mine.size,
+                    ranked_users=int(np.count_nonzero(~np.isnan(precision[n, mine]))),
+                    recall_users=int(np.count_nonzero(~np.isnan(recall[n, mine]))),
+                    model_predictions=predictions,
+                    fallback_predictions=int(fold_slots[f]) - predictions,
+                    skipped_users=int(np.count_nonzero(slots.skipped[mine])),
+                )
             )
-        )
+        out.append(per_config)
     return out
 
 
 _POOL_CONTEXT: tuple | None = None
 
 
-def _pool_worker(fold: int) -> list[FoldMetrics]:
+def _pool_worker(folds: list[int]) -> list[list[FoldMetrics]]:
     d, profiles, configs, plan, k, tau, corating = _POOL_CONTEXT
-    return _evaluate_fold(d, profiles, configs, plan, fold, k, tau, corating)
+    return _evaluate_folds(d, profiles, configs, plan, folds, k, tau, corating)
 
 
 def run_experiment(
@@ -612,7 +689,9 @@ def run_experiment(
     """Cross-validate every configuration under one fold plan.
 
     Results are deterministic for a fixed dataset, configuration list and
-    plan, regardless of ``workers``.
+    plan, regardless of ``workers``.  The folds are split into
+    ``min(workers, folds)`` groups of consecutive folds, each evaluated in
+    one pass; with more than one group, each runs in a forked process.
     """
     if plan.assignment.shape != (len(d.ratings),):
         raise ValueError("fold plan does not match the dataset")
@@ -626,22 +705,22 @@ def run_experiment(
     profiles = build_profiles(d)
     corating = _corating_index(d, configs)
     folds = list(range(plan.num_folds))
-    if workers > 1:
+    groups = [g.tolist() for g in np.array_split(folds, min(max(workers, 1), len(folds)))]
+    if len(groups) > 1:
         import multiprocessing as mp
 
         global _POOL_CONTEXT
         _POOL_CONTEXT = (d, profiles, configs, plan, k, tau, corating)
         try:
-            with mp.get_context("fork").Pool(workers) as pool:
-                # one fold per task: default chunks of 2 folds can leave a worker idle
-                per_fold = pool.map(_pool_worker, folds, chunksize=1)
+            with mp.get_context("fork").Pool(len(groups)) as pool:
+                per_group = pool.map(_pool_worker, groups, chunksize=1)
         finally:
             _POOL_CONTEXT = None
     else:
-        per_fold = [
-            _evaluate_fold(d, profiles, configs, plan, fold, k, tau, corating)
-            for fold in folds
+        per_group = [
+            _evaluate_folds(d, profiles, configs, plan, folds, k, tau, corating)
         ]
+    per_fold = [metrics for group in per_group for metrics in group]
 
     rows = []
     for c, config in enumerate(configs):

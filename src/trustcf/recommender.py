@@ -15,12 +15,14 @@ qualifies the model falls back to u's training mean.
 
 Scoring is batched over blocks of (user, item) slots, any number of
 users at once.  :func:`block_candidates` gathers every training rater of
-the slots' items in one pass over the store's item rows and lists the
-distinct (user, candidate) pairs; :meth:`TrainedModel.similarity` scores
-all of those pairs in one vectorized call (Pearson, or the relatedness
-kernel of :mod:`trustcf.social`);
-:meth:`TrainedModel.trust` fuses the trust of every candidate rating; and
-:meth:`TrainedModel.blend` mixes the two with the configuration's beta.
+the slots' items in one pass over the store's item rows, from one
+training store or, with fold labels, from each slot's own fold of one
+full store, and lists the distinct (user, candidate) pairs;
+:meth:`TrainedModel.similarity` scores all of those pairs in one
+vectorized call (Pearson, or the relatedness kernel of
+:mod:`trustcf.social`); :meth:`TrainedModel.trust` fuses the trust of
+every candidate rating; and :meth:`TrainedModel.blend` mixes the two
+with the configuration's beta.
 :func:`predict_block` then takes the block's influence under any number
 of configurations, one row each, and selects the neighbors of and
 predicts every (configuration, slot) at once; its :func:`best_k` is one
@@ -200,7 +202,8 @@ class CoRatings:
         """(keys, entry counts, pos_u, pos_v) of the pairs listed from some users."""
         store = self.store
         u_at, items, pos_u = store.items_of_many(users)
-        i_at, raters, _, pos_v = store.raters_of_many(items)
+        i_at, pos_v = store.ratings_of_items(items)
+        raters = store.user_idx[pos_v]
         us = users[u_at[i_at]]
         # each pair once: from its smaller user, or from the one listed
         other = np.flatnonzero((raters > us) | (raters < us) & ~listed[raters])
@@ -236,12 +239,18 @@ class CoRatings:
             out.append(_pearson_kernel(pair_at, value[pos_u], value[pos_v], b - a))
         return np.concatenate(out)
 
-    def of(self, scores: np.ndarray, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
-        """``scores[p]`` of each pair {users[n], cands[n]}; 0 for a pair not indexed."""
+    def find(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """Index of each pair {users[n], cands[n]}; -1 for a pair not indexed."""
         a, b = np.minimum(users, cands), np.maximum(users, cands)
         at, found = search_keys(self.keys, a * self.store.num_users + b)
+        return np.where(found, at, -1)
+
+    def of(self, scores: np.ndarray, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
+        """``scores[p]`` of each pair {users[n], cands[n]}; 0 for a pair not indexed."""
+        at = self.find(users, cands)
+        hit = at >= 0
         out = np.zeros(at.size, dtype=np.float64)
-        out[found] = scores[at[found]]
+        out[hit] = scores[at[hit]]
         return out
 
 
@@ -297,19 +306,21 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
 class Candidates(NamedTuple):
     """Every training rater of a block of (user, item) slots, as one flat batch.
 
-    Slot s stands for user ``slot_users[s]`` and item ``slot_items[s]``.
-    Pair p is user ``pair_users[p]`` with one of its candidates,
-    ``pair_cands[p]``; each pair appears once, ascending by (user,
-    candidate).  Entry n is the rating, at canonical position
-    ``positions[n]`` of the training store, that candidate
-    ``pair_cands[pair_at[n]]`` gave to the item of slot ``slot_at[n]``;
-    ``deviations[n]`` is that rating minus the candidate's training
-    mean.  Entries are grouped by slot, with candidates ascending inside
-    a slot.  No user is its own candidate.
+    Slot s stands for user ``slot_users[s]`` and item ``slot_items[s]``;
+    ``slot_means[s]`` is that user's training mean.  Pair p is user
+    ``pair_users[p]`` with one of its candidates, ``pair_cands[p]``; each
+    pair appears once, ascending by (user, candidate), however many of
+    the user's slots it serves.  Entry n is the rating, at canonical
+    position ``positions[n]`` of the store the candidates come from, that
+    candidate ``pair_cands[pair_at[n]]`` gave to the item of slot
+    ``slot_at[n]``; ``deviations[n]`` is that rating minus the
+    candidate's training mean.  Entries are grouped by slot, with
+    candidates ascending inside a slot.  No user is its own candidate.
     """
 
     slot_users: np.ndarray
     slot_items: np.ndarray
+    slot_means: np.ndarray
     pair_users: np.ndarray
     pair_cands: np.ndarray
     slot_at: np.ndarray
@@ -319,26 +330,52 @@ class Candidates(NamedTuple):
 
 
 def block_candidates(
-    train: RatingStore, slot_users: np.ndarray, slot_items: np.ndarray
+    store: RatingStore,
+    slot_users: np.ndarray,
+    slot_items: np.ndarray,
+    slot_folds: np.ndarray | None = None,
+    folds: np.ndarray | None = None,
+    means: np.ndarray | None = None,
 ) -> Candidates:
-    """The candidates of each (user, item) slot, from the training store."""
+    """The candidates of each (user, item) slot.
+
+    By default ``store`` is the training store: every other rater of the
+    item is a candidate, and means are the store's user means.  Several
+    training stores can share one batch instead: ``folds`` labels each of
+    the store's ratings (canonical order) with its fold, slot s is
+    scored in fold ``slot_folds[s]``, a rater whose rating is labelled
+    with the slot's fold is held out of it, and row f of ``means`` holds
+    fold f's training means (:meth:`~trustcf.dataset.RatingStore.held_out_means`).
+    """
     slot_users = np.asarray(slot_users, dtype=np.int64)
     slot_items = np.asarray(slot_items, dtype=np.int64)
-    slot_at, raters, ratings, positions = train.raters_of_many(slot_items)
-    others = raters != slot_users[slot_at]
-    slot_at, raters = slot_at[others], raters[others]
-    keys = slot_users[slot_at] * train.num_users + raters
+    if slot_folds is None:
+        slot_folds = np.zeros(slot_users.size, dtype=np.int64)
+    if means is None:
+        means = store.user_means()[None, :]
+    slot_at, positions = store.ratings_of_items(slot_items)
+    # held-out raters go first, before their users and values are read
+    if folds is not None:
+        kept = np.flatnonzero(folds[positions] != slot_folds[slot_at])
+        slot_at, positions = slot_at[kept], positions[kept]
+    raters = store.user_idx[positions]
+    others = np.flatnonzero(raters != slot_users[slot_at])
+    slot_at, raters, positions = slot_at[others], raters[others], positions[others]
+    keys = slot_users[slot_at] * store.num_users + raters
     pair_keys, pair_at = np.unique(keys, return_inverse=True)
-    pair_users, pair_cands = np.divmod(pair_keys, train.num_users)
+    pair_users, pair_cands = np.divmod(pair_keys, store.num_users)
+    # flat (fold, user) indices gather faster than pairs of indices
+    means = means.reshape(-1)
     return Candidates(
         slot_users,
         slot_items,
+        means[slot_folds * store.num_users + slot_users],
         pair_users,
         pair_cands,
         slot_at,
         pair_at,
-        ratings[others] - train.user_means()[raters],
-        positions[others],
+        store.value[positions] - means[slot_folds[slot_at] * store.num_users + raters],
+        positions,
     )
 
 
@@ -362,13 +399,10 @@ class BlockPrediction(NamedTuple):
     chosen: np.ndarray
 
 
-def predict_block(
-    train: RatingStore, c: Candidates, influence: np.ndarray, neighbor_counts
-) -> BlockPrediction:
+def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> BlockPrediction:
     """Select the neighbors of, and predict, every (configuration, slot).
 
-    ``c`` comes from :func:`block_candidates` on ``train``;
-    ``influence[n, e]`` is entry e's influence under configuration n,
+    ``c`` comes from :func:`block_candidates`; ``influence[n, e]`` is entry e's influence under configuration n,
     which keeps at most ``neighbor_counts[n]`` neighbors per slot.  Only
     strictly positive influence qualifies; equal influence ranks by
     ascending candidate handle.  A slot with no neighbor falls back to
@@ -388,7 +422,7 @@ def predict_block(
     num = np.bincount(group, weights=infl * c.deviations[entry_at[top]], minlength=cells)
     den = np.bincount(group, weights=infl, minlength=cells)
     is_model = np.bincount(group, minlength=cells) > 0
-    mean_u = np.tile(train.user_means()[c.slot_users], num_configs)
+    mean_u = np.tile(c.slot_means, num_configs)
     values = np.clip(mean_u, RATING_MIN, RATING_MAX)
     values[is_model] = np.clip(
         mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
@@ -477,7 +511,7 @@ class TrainedModel:
         """(influence, prediction) of c under this model alone: a block of one row."""
         sigma = self.similarity(c.pair_users, c.pair_cands)[c.pair_at]
         infl = self.blend(sigma, self.trust(c))
-        return infl, predict_block(self.train, c, infl[None, :], [self.config.neighbor_count])
+        return infl, predict_block(c, infl[None, :], [self.config.neighbor_count])
 
     # -- public operations -------------------------------------------------
 

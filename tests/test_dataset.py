@@ -122,6 +122,24 @@ class TestRatingStore:
                 else:
                     assert a == b, name
 
+    def test_held_out_means_equal_each_subset_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        seen = dict(all_held_out=0, unlabelled=0)
+        for _ in range(20):
+            store = random_dataset(rng).ratings
+            folds = int(rng.integers(1, 6))
+            # labels past the last fold, or negative, hold nothing out
+            labels = rng.integers(-1, folds + 2, size=len(store)).astype(np.int8)
+            labels[store.user_idx == 0] = 0  # every rating of user 0 in fold 0
+            means = store.held_out_means(labels, folds)
+            assert means.shape == (folds, store.num_users)
+            for f in range(folds):
+                want = store.subset(labels != f).user_means()
+                assert np.array_equal(means[f], want, equal_nan=True), f
+            seen["all_held_out"] += bool(np.isnan(means[0, 0]))
+            seen["unlabelled"] += int(np.count_nonzero((labels < 0) | (labels >= folds)))
+        assert min(seen.values()) > 0, seen
+
     def test_caller_arrays_stay_writable(self):
         users = np.array([0, 1])
         RatingStore(2, 1, users, np.array([0, 0]), np.array([3.0, 4.0]))

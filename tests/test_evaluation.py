@@ -635,17 +635,108 @@ def test_pearson_configs_share_one_index_across_workers():
                 tuple(dataclasses.astuple(row.folds[fold]) for row in mixed.rows))
 
 
+def _fold_by_rebuilt_store(d, profiles, config, plan, fold, k, tau):
+    """(model, fallback predictions, RMSE, precision) of one fold from the
+    one-user paths of a model on the fold's training store, built anew."""
+    test = plan.assignment == fold
+    store = d.ratings
+    train = RatingStore(store.num_users, store.num_items, store.user_idx[~test],
+                        store.item_idx[~test], store.value[~test])
+    model = TrainedModel(train, profiles, d.social, config)
+    errors, fallbacks, lists, relevance = [], 0, [], {}
+    for u in np.unique(store.user_idx[test]).tolist():
+        if train.rating_count_of(u) == 0:
+            continue
+        mine = test & (store.user_idx == u)
+        items, actual = store.item_idx[mine], store.value[mine]
+        values, is_model = model.predict_items(u, items)
+        errors.extend((values - actual)[is_model].tolist())
+        fallbacks += int(np.count_nonzero(~is_model))
+        lists.append(top_k(model, u, items, k))
+        relevance[u] = frozenset(items[actual >= tau].tolist())
+    rmse = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else math.nan
+    precision = ranking_metrics(lists, relevance, k).precision
+    return len(errors), fallbacks, rmse, precision
+
+
+def test_fold_groups_match_fold_by_fold():
+    """A run scores its folds in groups, one per worker, in one pass over
+    each group's users: every worker count reports exactly what each fold
+    evaluated alone reports, and that agrees with a model trained on the
+    fold's training store alone."""
+    rng = np.random.default_rng(74)
+    configs = _oracle_configs(rng) + [
+        make_config("MTR-FS", beta=0.2),  # no rel, no frev
+        make_config("MTR", beta=0.9),
+        make_config("MTRTrust1", beta=0.0),
+    ]
+    seen = dict(skipped=0, empty_fold=0, model=0)
+    for trial in range(8):
+        d = random_dataset(rng, max_users=30, max_items=20, max_ratings=250)
+        profiles = build_profiles(d)
+        folds = int(rng.integers(2, 7)) if trial % 4 else len(d.ratings) + 2
+        assignment = fold_assignment(len(d.ratings), folds, int(rng.integers(1 << 30)))
+        # every rating of one user in one fold: that user is skipped there
+        assignment[d.ratings.user_idx == d.ratings.user_idx[0]] = folds - 1
+        plan = FoldPlan(seed=0, num_folds=folds, assignment=assignment)
+        alone = [
+            evaluation._evaluate_fold(d, profiles, configs, plan, fold, 3, 4.0)
+            for fold in range(folds)
+        ]
+        want = _comparable(tuple(tuple(map(dataclasses.astuple, m)) for m in alone))
+        for workers in (1, 2, 3):
+            report = run_experiment(d, configs, plan, k=3, workers=workers)
+            got = _comparable(tuple(
+                tuple(dataclasses.astuple(row.folds[fold]) for row in report.rows)
+                for fold in range(folds)))
+            assert got == want, (trial, workers)
+        for fold in range(min(folds, 6)):
+            for config, m in zip(configs, alone[fold]):
+                model, fallback, rmse, precision = _fold_by_rebuilt_store(
+                    d, profiles, config, plan, fold, 3, 4.0)
+                assert (m.model_predictions, m.fallback_predictions) == (model, fallback)
+                assert _comparable(m.rmse) == _comparable(rmse) or abs(m.rmse - rmse) <= 1e-12
+                assert _comparable(m.precision) == _comparable(precision)
+                seen["model"] += model
+        seen["skipped"] += sum(m[0].skipped_users for m in alone)
+        seen["empty_fold"] += sum(m[0].test_users == 0 for m in alone)
+    assert min(seen.values()) > 0, seen
+
+
+def test_pool_starts_one_worker_per_fold_group(monkeypatch):
+    """The fork pool starts no more workers than there are fold groups."""
+    import multiprocessing
+
+    sizes: list[int] = []
+    context = multiprocessing.get_context("fork")
+    real = context.Pool
+
+    def recording(processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return real(min(processes, 3), *args, **kwargs)
+
+    monkeypatch.setattr(type(context), "Pool", lambda self, *a, **kw: recording(*a, **kw))
+    d = random_dataset(np.random.default_rng(75))
+    plan = split_folds(d, 3, seed=5)
+    want = run_experiment(d, [make_config("MTR")], plan, k=3)
+    for workers, started in ((50, 3), (3, 3), (2, 2)):
+        got = run_experiment(d, [make_config("MTR")], plan, k=3, workers=workers)
+        assert got.to_tsv() == want.to_tsv()
+        assert sizes.pop() == started
+    assert sizes == []
+
+
 def test_block_partition_does_not_change_results(monkeypatch):
-    """One user per block, or one block per fold: the same report."""
+    """One user per block, or one block per fold group: the same report."""
     import trustcf.evaluation as evaluation
 
     rng = np.random.default_rng(70)
     calls: list[int] = []
     real = evaluation.block_candidates
 
-    def counting(train, slot_users, slot_items):
+    def counting(store, slot_users, slot_items, *folds):
         calls.append(np.unique(slot_users).size)
-        return real(train, slot_users, slot_items)
+        return real(store, slot_users, slot_items, *folds)
 
     monkeypatch.setattr(evaluation, "block_candidates", counting)
     seen = dict(friendless=0, skipped=0, empty_fold=0)
@@ -667,7 +758,7 @@ def test_block_partition_does_not_change_results(monkeypatch):
         monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 10**12)
         calls.clear()
         whole = run_experiment(d, configs, plan, k=3)
-        assert len(calls) <= folds
+        assert len(calls) <= 1  # one worker: one group of every fold
         monkeypatch.undo()
         monkeypatch.setattr(evaluation, "block_candidates", counting)
 
