@@ -215,6 +215,8 @@ def _read_manifest(directory: Path) -> dict[str, tuple[str, str]]:
         where = f"{path.name}:{line_no}"
         if not eq or key not in _MANIFEST_KEYS:
             raise IoFailure(f"{where}: malformed manifest line {line!r}")
+        if key in fields:
+            raise IoFailure(f"{where}: repeated key {key!r}")
         if key == "schema_version" and value != SCHEMA_VERSION:
             raise SchemaVersionMismatch(f"{where}: schema version {value!r}, not {SCHEMA_VERSION}")
         if key == "provenance" and value not in PROVENANCES:

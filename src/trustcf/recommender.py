@@ -26,7 +26,7 @@ with the configuration's beta.
 :func:`predict_block` then takes the block's influence under any number
 of configurations, one row each, and selects the neighbors of and
 predicts every (configuration, slot) at once; its :func:`best_k` is one
-sort of the influence values and one stable sort of (group, rank) keys.
+sort of packed (group, descending value, position) integer keys.
 The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
 :meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
 :meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
@@ -278,6 +278,9 @@ def pearson(train: RatingStore, u: int, v: int) -> float:
     return float(pearson_many(train, u, np.array([v]))[0])
 
 
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
+
+
 def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
     """Indices of each group's k highest ``values``, by group, then rank.
 
@@ -285,21 +288,63 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
     values (``-0.0`` and ``0.0`` among them) rank by input position, so
     a caller passes each group's entries in tie order.  ``k`` is one
     limit, or one per entry.  ``values`` holds no NaN.
+
+    One sort of distinct uint64 keys gives the (group, -value, position)
+    order: the group in the high bits, the input position in the low
+    bits and, between them, the value's IEEE-754 bits made to descend
+    with it, less the lowest such code, shifted right as far as the bits
+    left over require.  The group and position bits must fit in 64.  A
+    shift can give distinct values of one group the same code (all of a
+    group's values, when no bits are left); only such runs are sorted
+    again, exactly.
     """
-    if not values.size:
+    n = values.size
+    if not n:
         return np.zeros(0, dtype=np.int64)
-    # dense descending rank: equal values share one
-    order = np.argsort(values)
-    ascending = values[order]
-    step = np.cumsum(np.concatenate(([False], ascending[1:] != ascending[:-1])))
-    distinct = step[-1] + 1
-    rank = np.empty(values.size, dtype=np.int64)
-    rank[order] = distinct - 1 - step
-    # stable: equal keys keep their input order
-    order = np.argsort(group_at * distinct + rank, kind="stable")
+    group_at = np.asarray(group_at, dtype=np.int64)
+    sizes = np.bincount(group_at)
+    group_bits = (sizes.size - 1).bit_length()
+    position_bits = (n - 1).bit_length()
+    value_bits = 64 - group_bits - position_bits
+    if value_bits < 0:
+        raise ValueError("group and position bits exceed 64")
+    # 0.0 - v negates v and folds -0.0 into 0.0; flipping every bit of a
+    # negative float and the sign bit of any other makes the bits ascend
+    # with the float, as uint64
+    key = np.subtract(0.0, values, dtype=np.float64).view(np.int64)
+    spare = key >> 63
+    spare |= _SIGN_BIT
+    key ^= spare
+    key = key.view(np.uint64)
+    key -= key.min()
+    # numpy shifts every bit out of a uint64 at 64 bits or more
+    shift = max(int(key.max()).bit_length() - value_bits, 0)
+    key >>= np.uint64(shift)
+    key <<= np.uint64(position_bits)
+    key |= np.arange(n, dtype=np.uint64)
+    group = spare.view(np.uint64)
+    np.left_shift(group_at.view(np.uint64), np.uint64(64 - group_bits), out=group)
+    key |= group
+    key.sort()
+    order = (key & np.uint64((1 << position_bits) - 1)).view(np.int64)
+    if shift:
+        # one code (so one group) holds its values in position order; where
+        # the code was cut short, a value may exceed the one before it
+        code = key >> np.uint64(position_bits)
+        ordered = values[order]
+        same = code[1:] == code[:-1]
+        wrong = same & (ordered[1:] > ordered[:-1])
+        if wrong.any():
+            run = np.cumsum(np.concatenate(([True], ~same)))
+            clashed = np.zeros(run[-1] + 1, dtype=bool)
+            clashed[run[1:][wrong]] = True
+            at = np.flatnonzero(clashed[run])
+            # lexsort is stable: equal values keep their ascending positions
+            order[at] = order[at][np.lexsort((-ordered[at], run[at]))]
+    if sizes.max() <= np.min(k):
+        return order
     ranked = group_at[order]
-    sizes = np.bincount(ranked)
-    place = np.arange(order.size) - (np.cumsum(sizes) - sizes)[ranked]
+    place = np.arange(n) - (np.cumsum(sizes) - sizes)[ranked]
     return order[place < np.broadcast_to(k, order.shape)[order]]
 
 
@@ -402,8 +447,9 @@ class BlockPrediction(NamedTuple):
 def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> BlockPrediction:
     """Select the neighbors of, and predict, every (configuration, slot).
 
-    ``c`` comes from :func:`block_candidates`; ``influence[n, e]`` is entry e's influence under configuration n,
-    which keeps at most ``neighbor_counts[n]`` neighbors per slot.  Only
+    ``c`` comes from :func:`block_candidates`; ``influence[n, e]`` is
+    entry e's influence under configuration n, which keeps at most
+    ``neighbor_counts[n]`` neighbors per slot.  Only
     strictly positive influence qualifies; equal influence ranks by
     ascending candidate handle.  A slot with no neighbor falls back to
     its user's training mean.
@@ -523,6 +569,8 @@ class TrainedModel:
         self._check_known(u)
         if not 0 <= v < self.train.num_users:
             raise UnknownUser(f"user handle {v} out of range")
+        if not 0 <= i < self.train.num_items:
+            raise IndexError("item handle out of range")
         users, cands, one = np.array([u]), np.array([v]), np.zeros(1, np.int64)
         sigma = self.similarity(users, cands)
         trust = None

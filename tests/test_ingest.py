@@ -583,6 +583,9 @@ class TestCanonicalFormat:
         ("num_items=4", "num_items=9", "manifest.txt:4: num_items is '9', but the files hold 4"),
         ("num_ratings=13", "num_ratings=1",
          "manifest.txt:5: num_ratings is '1', but the files hold 13"),
+        ("provenance=synthetic", "provenance=yelp\nprovenance=synthetic",
+         "manifest.txt:3: repeated key 'provenance'"),
+        ("num_users=5", "num_users=999\nnum_users=5", "manifest.txt:4: repeated key 'num_users'"),
     ])
     def test_bad_manifest_names_file_and_line(self, tiny, tmp_path, old, new, message):
         canonical_save(tiny, tmp_path / "d")

@@ -212,37 +212,72 @@ def test_jaccard_and_relatedness_match_naive():
 def naive_best_k(group_at: np.ndarray, values: np.ndarray, k) -> list[int]:
     """Groups ascending; in each, entries sorted by (-value, input position), first k."""
     limit = np.broadcast_to(k, group_at.shape)
+    members: dict[int, list[int]] = {}
+    for n, g in enumerate(group_at.tolist()):
+        members.setdefault(g, []).append(n)
     out: list[int] = []
-    for g in sorted(set(group_at.tolist())):
-        members = [n for n in range(group_at.size) if group_at[n] == g]
-        ranked = sorted(members, key=lambda n: (-values[n], n))
-        out.extend(ranked[: int(limit[members[0]])])
+    for g in sorted(members):
+        ranked = sorted(members[g], key=lambda n: (-values[n], n))
+        out.extend(ranked[: int(limit[members[g][0]])])
     return out
+
+
+def hard_values(rng, n: int) -> np.ndarray:
+    """Values one ulp apart, infinities, subnormals, mixed signs and signed zeros."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    base = np.array([
+        -np.inf, -1e300, -2.5, -tiny, -0.0, 0.0, tiny, 3 * tiny, 1e-310, 0.1, 1.0, 0.5,
+        7.25, 1e300, np.inf])
+    values = rng.choice(base, n)
+    # a step of one or two ulps, up or down, keeps infinities where they are
+    steps = rng.integers(0, 3, n)
+    for _ in range(2):
+        stepped = (steps > 0) & np.isfinite(values)
+        up = rng.random(n) < 0.5
+        values[stepped] = np.nextafter(values[stepped], np.where(up, np.inf, -np.inf)[stepped])
+        steps -= 1
+    return values
 
 
 def test_best_k_matches_naive_order():
     rng = np.random.default_rng(83)
     pool = np.array([-1.5, -0.0, 0.0, 0.25, 0.5, 2.0])
-    seen = dict(smaller=0, equal=0, larger=0, signed_zeros=0, per_entry_k=0)
-    for _ in range(300):
-        n = int(rng.integers(1, 60))
-        groups = int(rng.integers(1, 8))
+    seen = dict(smaller=0, equal=0, larger=0, signed_zeros=0, per_entry_k=0,
+                all_fit=0, one_ulp=0, high_groups=0)
+    for trial in range(360):
+        if trial < 300:
+            n = int(rng.integers(1, 60))
+            groups = int(rng.integers(1, 8))
+            values = np.where(rng.random(n) < 0.7, rng.choice(pool, n), rng.normal(size=n))
+        else:  # the value code keeps only some of its bits
+            n = int(rng.integers(1000, 4000))
+            groups = int(rng.integers(1, 40))
+            values = hard_values(rng, n)
         group_at = rng.integers(0, groups, n)  # a group's entries need not be adjacent
-        values = np.where(rng.random(n) < 0.7, rng.choice(pool, n), rng.normal(size=n))
+        if trial >= 330:  # group ids near 2**20
+            group_at += (1 << 20) - groups
+            seen["high_groups"] += 1
+        size = np.bincount(group_at)
         if rng.random() < 0.5:
-            k = int(rng.integers(1, 8))
-            limit = np.full(groups, k)
+            k = int(rng.integers(1, 8) if trial < 300 else rng.integers(1, 200))
+            limit = np.full(size.size, k)
         else:  # one limit per group, given per entry
-            limit = rng.integers(1, 8, groups)
+            limit = rng.integers(1, 8 if trial < 300 else 200, size.size)
             k = limit[group_at]
             seen["per_entry_k"] += 1
+        if rng.random() < 0.2:  # every group fits under its limit
+            limit = np.maximum(limit, size + rng.integers(0, 2, size.size))
+            k = limit[group_at]
         assert best_k(group_at, values, k).tolist() == naive_best_k(group_at, values, k)
-        size = np.bincount(group_at, minlength=groups)
-        for g in np.flatnonzero(size):
+        present = np.flatnonzero(size)
+        seen["all_fit"] += bool((size[present] <= limit[present]).all())
+        for g in present:
             key = ("smaller", "equal", "larger")[int(np.sign(size[g] - limit[g])) + 1]
             seen[key] += 1
             signs = np.signbit(values[(group_at == g) & (values == 0.0)])
             seen["signed_zeros"] += bool(signs.any() and not signs.all())
+            mine = np.unique(values[group_at == g])
+            seen["one_ulp"] += bool((np.nextafter(mine[:-1], np.inf) == mine[1:]).any())
     assert min(seen.values()) > 20, seen
 
 

@@ -279,6 +279,15 @@ class TestPredict:
         with pytest.raises(UnknownUser):
             model.predict(-1, 0)
 
+    def test_unknown_item(self, tiny):
+        profiles = build_yelp_profiles(tiny)
+        for name in config_names():
+            model = TrainedModel(tiny.ratings, profiles, tiny.social, make_config(name))
+            for i in (-1, tiny.num_items, 99):
+                for call in (model.influence, lambda u, v, i: model.predict(u, i)):
+                    with pytest.raises(IndexError, match="item handle out of range"):
+                        call(0, 1, i)
+
     def test_user_without_training_ratings(self):
         store = RatingStore(3, 2, [0, 1], [0, 0], [3.0, 4.0])
         profiles = TrustProfiles(store, {}, np.zeros(2))
