@@ -227,6 +227,7 @@ def _find(directory: Path, candidates: tuple[str, ...], what: str) -> Path:
 
 
 def cmd_ingest(args) -> int:
+    min_ratings = _parse_int(args.min_ratings, "--min-ratings", minimum=0)
     in_dir = Path(args.in_dir)
     if not in_dir.is_dir():
         raise MissingFile(f"input directory not found: {in_dir}")
@@ -249,7 +250,7 @@ def cmd_ingest(args) -> int:
             closure = restaurants_food_closure()
         else:
             closure = load_category_closure(args.category_closure)
-    filtered = apply_filters(dataset, args.min_ratings, closure)
+    filtered = apply_filters(dataset, min_ratings, closure)
     canonical_save(filtered, Path(args.out_dir))
 
     w = dataset.warnings
@@ -307,8 +308,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    if args.beta_grid:
+    if args.beta_grid is not None:
         betas = [_parse_beta(b) for b in args.beta_grid.split(",") if b.strip()]
+        if not betas:
+            raise UsageError(f"--beta-grid holds no beta, got {args.beta_grid!r}")
     else:
         betas = [round(0.1 * n, 1) for n in range(11)]
     report = _run_from_spec(spec, betas)
@@ -336,7 +339,7 @@ def _build_parser() -> _Parser:
     ingest.add_argument("--source", required=True, choices=("yelp", "librarything"))
     ingest.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
     ingest.add_argument("--out", dest="out_dir", required=True, metavar="DIR")
-    ingest.add_argument("--min-ratings", type=int, default=20)
+    ingest.add_argument("--min-ratings", default="20")
     ingest.add_argument(
         "--category-closure",
         metavar="FILE",

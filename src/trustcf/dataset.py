@@ -212,27 +212,6 @@ class RatingStore:
             users, items, values, keys = users[order], items[order], values[order], keys[order]
             if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (user, item) rating pair")
-        # stable, so users ascend within an item as in the canonical order
-        self._index(num_users, num_items, users, items, values, keys,
-                    np.argsort(items, kind="stable"))
-
-    def subset(self, keep: np.ndarray) -> RatingStore:
-        """The ratings at the canonical positions where ``keep`` holds.
-
-        Both views come from this store's by masking, with no sort, so
-        the result equals a store built from the kept triples.
-        """
-        i_order = self._i_order[keep[self._i_order]]
-        out = RatingStore.__new__(RatingStore)
-        out._index(
-            self.num_users, self.num_items, self.user_idx[keep], self.item_idx[keep],
-            self.value[keep], self._keys[keep], (np.cumsum(keep) - 1)[i_order],
-        )
-        return out
-
-    def _index(self, num_users, num_items, users, items, values, keys, i_order) -> None:
-        """Set the views of ratings in canonical order; ``i_order`` lists
-        their positions by item, users ascending within an item."""
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.user_idx = _frozen(users)
@@ -242,7 +221,8 @@ class RatingStore:
 
         counts = np.bincount(users, minlength=num_users)
         self._u_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))))
-        self._i_order = _frozen(i_order)
+        # stable, so users ascend within an item as in the canonical order
+        self._i_order = _frozen(np.argsort(items, kind="stable"))
         icounts = np.bincount(items, minlength=num_items)
         self._i_ptr = _frozen(np.concatenate(([0], np.cumsum(icounts))))
 
@@ -324,9 +304,10 @@ class RatingStore:
         over the ratings not labelled f, or NaN for a user with none.
 
         ``labels`` holds one label per canonical rating; one outside
-        ``[0, num_labels)`` is never held out.  Row f equals
-        ``self.subset(labels != f).user_means()`` bit for bit: each row is
-        one bincount pass over the kept ratings in canonical order.
+        ``[0, num_labels)`` is never held out.  Row f equals the
+        ``user_means()`` of a store built from the ratings not labelled f,
+        bit for bit: each row is one bincount pass over the kept ratings
+        in canonical order.
         """
         out = np.empty((num_labels, self.num_users))
         for f in range(num_labels):
@@ -423,6 +404,7 @@ class ReviewFeedback(_CounterColumns):
         return self._item_max
 
     def total_of(self, u: int, i: int) -> int:
+        self.store._check_user(u)
         if not 0 <= i < self.store.num_items:
             raise IndexError(f"item handle {i} out of range")
         at = self.store.positions(np.array([u]), np.array([i]))[0]

@@ -29,21 +29,19 @@ every configuration and every fold:
   correlation of every indexed pair over its entries with neither
   rating held out;
 * per block: the candidates of every slot, each with its deviation from
-  its training mean in the slot's fold; then once per distinct (user,
-  candidate) pair, whatever the fold: relatedness, the co-rating index
-  search (Pearson is then gathered per (fold, pair)), and the per-pair
-  part of the trust fusion; the fused trust of every candidate rating,
-  once per set of facet weights, with the full data's review score of
-  the rating.
+  its training mean in the slot's fold, and the co-rating index search
+  of each distinct (user, candidate) pair, whatever the fold; each
+  entry's Pearson is then gathered from its slot's fold.
 
-Each configuration then only blends similarity and trust with its beta,
-into one row of the block's (configurations x entries) influence.  The
-rest runs once per block over every (configuration, slot) at once:
-neighbor selection and prediction
-(:func:`~trustcf.recommender.predict_block`), then the error sums, the
-top-k lists and their ranking and diversity scores over one list per
-(configuration, fold, user), entries in item order.  Each fold's
-metrics are reduced at the end over its own lists, in user order.  Every
+Each block is then scored by :func:`~trustcf.recommender.score_block`
+with one model per configuration, all on the full store, so a candidate
+rating's review score is the full data's; it shares similarity and trust
+between the configurations, and selects neighbors and predicts for every
+(configuration, slot) at once.  The rest also runs once per block for
+every configuration: the error sums, the top-k lists and their ranking
+and diversity scores over one list per (configuration, fold, user),
+entries in item order.  Each fold's metrics are reduced at the end over
+its own lists, in user order.  Every
 value is a per-list or per-pair sum, added in the order of its group's
 entries whatever else shares the batch, so neither the partition into
 blocks, nor the grouping of folds, nor the set of configurations
@@ -73,9 +71,9 @@ from .recommender import (
     best_k,
     block_candidates,
     cost_runs,
-    predict_block,
+    score_block,
 )
-from .trust import FacetWeights, TrustProfiles, build_profiles
+from .trust import TrustProfiles, build_profiles
 
 
 @dataclass(frozen=True)
@@ -557,11 +555,11 @@ def _evaluate_folds(
     place[np.asarray(folds, dtype=np.int64)] = np.arange(num_folds)
     label = place[plan.assignment]
     means = store.held_out_means(label, num_folds)
-    # no fold changes what the models compute: relatedness, fusion, the blend
+    # one store for every fold and configuration: see score_block
     models = [TrainedModel(store, profiles, d.social, c) for c in configs]
     if corating is None:
         corating = _corating_index(d, configs)
-    # per fold, sigma of every indexed pair; a pair not indexed scores 0
+    # per fold, sigma of every indexed pair
     pearson = None
     if corating is not None:
         pearson = np.stack([corating.pearson(label == f) for f in range(num_folds)])
@@ -579,7 +577,6 @@ def _evaluate_folds(
     precision, recall = np.full(shape, np.nan), np.full(shape, np.nan)
     rr, diversity = np.full(shape, np.nan), np.full(shape, np.nan)
 
-    counts = [c.neighbor_count for c in configs]
     for s0, s1 in zip(slots.edges[:-1], slots.edges[1:]):
         if s0 == s1:
             continue
@@ -591,28 +588,14 @@ def _evaluate_folds(
         l0, l1 = list_at[s0:s1].min(), list_at[s0:s1].max() + 1
         size, block_lists = s1 - s0, l1 - l0
         c = block_candidates(store, store.user_idx[positions], items, block_folds, label, means)
-        c_frev = profiles.frev[c.positions]
-        # sigma depends on the pairs, the similarity mode and, for Pearson,
-        # the fold; trust on the entries and the facet weights only; each
-        # config's beta blends them
-        sigmas: dict[str, np.ndarray] = {}
-        trusts: dict[FacetWeights, np.ndarray | None] = {}
-        influence = np.empty((n_cfg, c.slot_at.size))
-        for n, model in enumerate(models):
-            mode, facets = model.config.similarity_mode, model.config.facet_weights
-            if mode not in sigmas:
-                if mode == "pearson":
-                    at = corating.find(c.pair_users, c.pair_cands)[c.pair_at]
-                    hit = np.flatnonzero(at >= 0)
-                    sigma = np.zeros(at.size)
-                    sigma[hit] = pearson[block_folds[c.slot_at[hit]], at[hit]]
-                else:
-                    sigma = model.similarity(c.pair_users, c.pair_cands)[c.pair_at]
-                sigmas[mode] = sigma
-            if facets not in trusts:
-                trusts[facets] = model.trust(c, c_frev)
-            influence[n] = model.blend(sigmas[mode], trusts[facets])
-        pred = predict_block(c, influence, counts)
+        # each entry's Pearson sigma in its slot's fold; a pair not indexed scores 0
+        sigma = None
+        if corating is not None:
+            at = corating.find(c.pair_users, c.pair_cands)[c.pair_at]
+            hit = np.flatnonzero(at >= 0)
+            sigma = np.zeros(at.size)
+            sigma[hit] = pearson[block_folds[c.slot_at[hit]], at[hit]]
+        _, pred = score_block(c, models, sigma)
 
         # one list per (config, list of the block); flat index n * size + s
         # is config n's prediction for slot s

@@ -17,20 +17,17 @@ Scoring is batched over blocks of (user, item) slots, any number of
 users at once.  :func:`block_candidates` gathers every training rater of
 the slots' items in one pass over the store's item rows, from one
 training store or, with fold labels, from each slot's own fold of one
-full store, and lists the distinct (user, candidate) pairs;
-:meth:`TrainedModel.similarity` scores all of those pairs in one
-vectorized call (Pearson, or the relatedness kernel of
-:mod:`trustcf.social`); :meth:`TrainedModel.trust` fuses the trust of
-every candidate rating; and :meth:`TrainedModel.blend` mixes the two
-with the configuration's beta.
-:func:`predict_block` then takes the block's influence under any number
-of configurations, one row each, and selects the neighbors of and
-predicts every (configuration, slot) at once; its :func:`best_k` is one
-sort of packed (group, descending value, position) integer keys.
-The one-user entry points (:func:`pearson_many`, :func:`candidates_of`,
-:meth:`TrainedModel.predict_items`, :meth:`TrainedModel.predict`,
-:meth:`TrainedModel.select_neighbors`, :meth:`TrainedModel.influence`)
-are blocks of one user and one configuration.  No result is memoized
+full store, and lists the distinct (user, candidate) pairs.
+:func:`score_block` turns a block into the influence of every entry
+under any number of models, one row each, and the models' predictions:
+it is the one place where similarity, trust and beta meet, and says what
+the models of a block share.  Its :func:`predict_block` selects the
+neighbors of and predicts every (configuration, slot) at once;
+:func:`best_k` is one sort of packed (group, descending value, position)
+integer keys.  Every :class:`TrainedModel` operation
+(:meth:`~TrainedModel.predict_items`, :meth:`~TrainedModel.predict`,
+:meth:`~TrainedModel.select_neighbors`, :meth:`~TrainedModel.influence`)
+is a block of one user scored by that one model.  No result is memoized
 between calls.
 
 Pearson has one enumeration and one kernel.  A :class:`CoRatings` index
@@ -46,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -424,12 +421,6 @@ def block_candidates(
     )
 
 
-def candidates_of(train: RatingStore, u: int, items) -> Candidates:
-    """The candidates of u for each of ``items``: a block of one user."""
-    items = np.asarray(items, dtype=np.int64)
-    return block_candidates(train, np.full(items.size, u, dtype=np.int64), items)
-
-
 class BlockPrediction(NamedTuple):
     """Predictions of a block's slots under several configurations.
 
@@ -480,6 +471,39 @@ def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> Bloc
 _SIGMA_REL_MODE = {"rel_direct": "direct", "rel_intersection": "intersection"}
 
 
+def score_block(
+    c: Candidates, models: Sequence[TrainedModel], pearson: np.ndarray | None
+) -> tuple[np.ndarray, BlockPrediction]:
+    """(influence, prediction) of c's slots under each of ``models``.
+
+    Row n of the (models x entries) influence is model n's
+    ``beta * sigma + (1 - beta) * trust`` of each entry, or
+    ``beta * sigma`` when no usable facet weighs; :func:`predict_block`
+    then keeps up to each model's neighbor count.  ``pearson[e]`` is the
+    Pearson sigma of entry e's pair, read only for models that use
+    Pearson; relatedness comes from the models' graph.
+
+    The models share one store, one set of profiles and one graph, so
+    sigma depends only on the pairs and the similarity mode, and trust
+    only on the entries and the facet weights: each is computed once per
+    distinct setting and serves every model that shares it.
+    """
+    graph = models[0].social
+    sigmas: dict[str, np.ndarray] = {}
+    trusts: dict[FacetWeights, np.ndarray | None] = {}
+    influence = np.empty((len(models), c.slot_at.size))
+    for n, model in enumerate(models):
+        mode, facets = model.config.similarity_mode, model.config.facet_weights
+        if mode not in sigmas:
+            sigmas[mode] = pearson if mode == "pearson" else relatedness(
+                graph, c.pair_users, c.pair_cands, _SIGMA_REL_MODE[mode])[c.pair_at]
+        if facets not in trusts:
+            trusts[facets] = model.trust(c)
+        beta, sigma, trust = model.config.beta, sigmas[mode], trusts[facets]
+        influence[n] = beta * sigma if trust is None else beta * sigma + (1.0 - beta) * trust
+    return influence, predict_block(c, influence, [m.config.neighbor_count for m in models])
+
+
 class TrainedModel:
     """One configuration bound to a training rating store.
 
@@ -487,16 +511,13 @@ class TrainedModel:
     (candidate sets, Pearson similarity, user means, which review scores
     a candidate can contribute) is fold-specific.  Trust is the
     configuration's :class:`~trustcf.trust.Fusion`; when it is empty,
-    influence degenerates to beta * similarity.
+    influence degenerates to beta * similarity.  Each public operation
+    scores a block of one user with :func:`score_block`.
 
-    Scoring works on a :class:`Candidates` block: any number of users,
-    each against every rater of its items.  :meth:`similarity` depends
-    only on the pairs and the similarity mode, and :meth:`trust` only on
-    the entries and the facet weights, so one result of each can serve
-    every configuration that shares those settings; :meth:`blend` mixes
-    them with this configuration's beta, and :func:`predict_block`
-    selects neighbors and predicts for any number of configurations at
-    once.  Building a model is O(facets).
+    The model keeps the review score of each rating of its store, by
+    canonical position: the profiles' own scores when the store is the
+    profiles' store, so building such a model is O(facets), or else one
+    lookup per rating.
     """
 
     def __init__(
@@ -514,50 +535,31 @@ class TrainedModel:
         self.social = social
         self.config = config
         self._fusion = Fusion(profiles, social, config.facet_weights)
+        if train is profiles.store:
+            self._frev = profiles.frev
+        else:
+            self._frev = profiles.frev_at(train.user_idx, train.item_idx)
 
     # -- scoring ---------------------------------------------------------
 
-    def similarity(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
-        """The configured similarity sigma(u, v) of each (users[p], cands[p]).
-
-        The pairs are distinct and ascend by (u, v), as in
-        :class:`Candidates`.
-        """
-        mode = self.config.similarity_mode
-        if mode == "pearson":
-            return _pearson_pairs(self.train, users, cands)
-        return relatedness(self.social, users, cands, _SIGMA_REL_MODE[mode])
-
-    def _review_scores(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Review score of ``users[n]`` for ``items[n]``: 0 unless it is a training rating."""
-        scores = self._fusion.profiles.frev_at(users, items)
-        scores[self.train.positions(users, items) < 0] = 0.0
-        return scores
-
-    def trust(self, c: Candidates, frev: np.ndarray | None = None) -> np.ndarray | None:
+    def trust(self, c: Candidates) -> np.ndarray | None:
         """Fused trust of each of c's entries; None when no usable facet weighs.
 
-        ``frev`` is each entry's review score, looked up from the
-        profiles when not given.
+        An entry's review score is that of its rating in this model's
+        store, and 0 at position -1 (no such rating).
         """
         if self._fusion.empty:
             return None
-        if frev is None:
-            frev = self._review_scores(c.pair_cands[c.pair_at], c.slot_items[c.slot_at])
+        frev = self._frev[c.positions]
+        frev[c.positions < 0] = 0.0
         return self._fusion.trust(c.pair_users, c.pair_cands, c.pair_at, frev)
-
-    def blend(self, sigma: np.ndarray, trust: np.ndarray | None) -> np.ndarray:
-        """Influence beta * sigma + (1 - beta) * trust, per entry; beta * sigma without trust."""
-        beta = self.config.beta
-        if trust is None:
-            return beta * sigma
-        return beta * sigma + (1.0 - beta) * trust
 
     def _predict(self, c: Candidates) -> tuple[np.ndarray, BlockPrediction]:
         """(influence, prediction) of c under this model alone: a block of one row."""
-        sigma = self.similarity(c.pair_users, c.pair_cands)[c.pair_at]
-        infl = self.blend(sigma, self.trust(c))
-        return infl, predict_block(c, infl[None, :], [self.config.neighbor_count])
+        pearson = None
+        if self.config.similarity_mode == "pearson":
+            pearson = _pearson_pairs(self.train, c.pair_users, c.pair_cands)[c.pair_at]
+        return score_block(c, [self], pearson)
 
     # -- public operations -------------------------------------------------
 
@@ -571,13 +573,12 @@ class TrainedModel:
             raise UnknownUser(f"user handle {v} out of range")
         if not 0 <= i < self.train.num_items:
             raise IndexError("item handle out of range")
-        users, cands, one = np.array([u]), np.array([v]), np.zeros(1, np.int64)
-        sigma = self.similarity(users, cands)
-        trust = None
-        if not self._fusion.empty:
-            frev = self._review_scores(cands, np.array([i]))
-            trust = self._fusion.trust(users, cands, one, frev)
-        return float(self.blend(sigma, trust)[0])
+        users, cands, items = np.array([u]), np.array([v]), np.array([i])
+        zero = np.zeros(1, dtype=np.int64)
+        # one slot, one pair, one entry: v's rating of i, which may not exist
+        c = Candidates(users, items, np.zeros(1), users, cands, zero, zero, np.zeros(1),
+                       self.train.positions(cands, items))
+        return float(self._predict(c)[0][0, 0])
 
     def select_neighbors(self, u: int, i: int) -> list[tuple[int, float]]:
         """Neighbors of u for item i: (candidate, influence), best first.
@@ -586,14 +587,15 @@ class TrainedModel:
         ascending user handle, and at most ``neighbor_count`` survive.
         """
         self._check_known(u)
-        c = candidates_of(self.train, u, [i])
+        c = block_candidates(self.train, np.array([u]), np.array([i]))
         infl, p = self._predict(c)
-        return [(int(c.pair_cands[c.pair_at[e]]), float(infl[e])) for e in p.chosen]
+        return [(int(c.pair_cands[c.pair_at[e]]), float(infl[0, e])) for e in p.chosen]
 
     def predict_items(self, u: int, items) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) of u for each of ``items``."""
         self._check_known(u)
-        _, p = self._predict(candidates_of(self.train, u, items))
+        items = np.asarray(items, dtype=np.int64)
+        _, p = self._predict(block_candidates(self.train, np.full(items.size, u), items))
         return p.values[0], p.is_model[0]
 
     def predict(self, u: int, i: int) -> Prediction:

@@ -66,14 +66,17 @@ class SocialGraph:
         return int(self._adj.size // 2)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
         return bool(self.has_edges(np.array([u]), np.array([v]))[0])
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether ``us[n]`` and ``vs[n]`` are friends, for each n."""
-        want = np.asarray(us, dtype=np.int64) * self.num_users + vs
-        return search_keys(self._keys, want)[1]
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        for arr in (us, vs):
+            # as unsigned, a negative handle is out of range too
+            if arr.size and arr.view(np.uint64).max() >= self.num_users:
+                raise UnknownUser("user handle out of range")
+        return search_keys(self._keys, us * self.num_users + vs)[1]
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(smaller, larger) handles of each undirected edge, ascending."""

@@ -333,6 +333,18 @@ class TestSweep:
             tmp_path / "exp.spec", canonical_dir, tmp_path / "out", "config=MTR")
         assert main(["sweep", "--spec", str(spec), "--beta-grid", "0.0,2.0"]) == 1
 
+    @pytest.mark.parametrize("grid", [" , ", ""])
+    def test_grid_with_no_beta_is_usage_error(self, tmp_path, canonical_dir, capsys,
+                                              monkeypatch, grid):
+        import trustcf.cli as cli
+
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, out, "config=MTR")
+        monkeypatch.setattr(cli, "canonical_load", None)  # rejected before the load
+        assert main(["sweep", "--spec", str(spec), "--beta-grid", grid]) == 1
+        assert "usage error: --beta-grid holds no beta" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def yelp_raw(tmp_path):
@@ -454,6 +466,19 @@ class TestIngest:
                    "--min-ratings", "1", "--category-closure", str(closure)])
         assert rc == 2
         assert f"{name}:{line}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_bad_min_ratings_is_usage_error(self, tmp_path, yelp_raw, capsys, monkeypatch,
+                                            value):
+        import trustcf.cli as cli
+
+        out = tmp_path / "canon"
+        monkeypatch.setattr(cli, "ingest_yelp", None)  # rejected before the dump is read
+        rc = main(["ingest", "--source", "yelp", "--in", str(yelp_raw),
+                   "--out", str(out), "--min-ratings", value])
+        assert rc == 1
+        assert "usage error: --min-ratings must be " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_directory(self, tmp_path):
         rc = main(["ingest", "--source", "yelp", "--in", str(tmp_path / "nope"),

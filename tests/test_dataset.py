@@ -106,22 +106,6 @@ class TestRatingStore:
                 assert np.array_equal(getattr(again, name), getattr(store, name)), name
             assert np.array_equal(again.user_means(), store.user_means(), equal_nan=True)
 
-    def test_subset_equals_a_store_built_from_the_kept_ratings(self):
-        rng = np.random.default_rng(12)
-        for trial in range(20):
-            store = random_dataset(rng).ratings
-            keep = rng.random(len(store)) < (rng.random(), 0.0, 1.0)[trial % 3]
-            got = store.subset(keep)
-            want = RatingStore(store.num_users, store.num_items, store.user_idx[keep],
-                               store.item_idx[keep], store.value[keep])
-            for name in RatingStore.__slots__:
-                a, b = getattr(got, name), getattr(want, name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype, name
-                    assert np.array_equal(a, b, equal_nan=True), name
-                else:
-                    assert a == b, name
-
     def test_held_out_means_equal_each_subset_bit_for_bit(self):
         rng = np.random.default_rng(13)
         seen = dict(all_held_out=0, unlabelled=0)
@@ -134,7 +118,9 @@ class TestRatingStore:
             means = store.held_out_means(labels, folds)
             assert means.shape == (folds, store.num_users)
             for f in range(folds):
-                want = store.subset(labels != f).user_means()
+                keep = labels != f
+                want = RatingStore(store.num_users, store.num_items, store.user_idx[keep],
+                                   store.item_idx[keep], store.value[keep]).user_means()
                 assert np.array_equal(means[f], want, equal_nan=True), f
             seen["all_held_out"] += bool(np.isnan(means[0, 0]))
             seen["unlabelled"] += int(np.count_nonzero((labels < 0) | (labels >= folds)))
@@ -263,6 +249,9 @@ class TestMakeDataset:
     def test_total_of(self, tiny):
         assert tiny.review_feedback.total_of(1, 0) == 6  # bob on apple
         assert tiny.review_feedback.total_of(4, 0) == 0  # erin never rated apple
+        for u in (-1, tiny.num_users):
+            with pytest.raises(UnknownUser):
+                tiny.review_feedback.total_of(u, 0)
 
 
 class TestBuildDataset:

@@ -39,7 +39,7 @@ from trustcf.evaluation import FoldMetrics, ReportRow
 
 import reference
 from conftest import build_tiny, random_dataset
-from test_recommender import micro_model
+from test_recommender import micro_model, oracle_configs
 
 MODEL = PredictionKind.MODEL
 
@@ -396,30 +396,13 @@ class TestRunExperiment:
         assert math.isnan(row["rmse"]) and math.isnan(row["mae"])
 
 
-def _oracle_configs(rng) -> list[InfluenceConfig]:
-    """Every similarity mode, several facet settings and betas."""
-    return [
-        make_config("U2UCF"),
-        make_config("MTR", beta=float(rng.random())),
-        make_config("MTR-S", beta=float(rng.random()), neighbor_count=2),
-        make_config("MTRTrust1", beta=float(rng.random())),
-        make_config("MTRTrust2", beta=float(rng.random())),
-        make_config("U2USocial"),
-        InfluenceConfig(
-            name="frev-rel", similarity_mode="pearson",
-            facet_weights=FacetWeights(
-                {"frev": 0.5, "rel": 1.0}, rel_mode="intersection"),
-            beta=float(rng.random()), neighbor_count=3),
-    ]
-
-
 def test_fold_metrics_match_naive_predictions():
     """Every fold's counts and errors, rebuilt from the naive oracle."""
     rng = np.random.default_rng(68)
     checked = 0
     for _ in range(12):
         d = random_dataset(rng, max_users=30, max_items=20, max_ratings=250)
-        configs = _oracle_configs(rng)
+        configs = oracle_configs(rng)
         folds = int(rng.integers(2, 6))
         plan = split_folds(d, folds, seed=int(rng.integers(1 << 30)))
         report = run_experiment(d, configs, plan, k=3)
@@ -665,7 +648,7 @@ def test_fold_groups_match_fold_by_fold():
     evaluated alone reports, and that agrees with a model trained on the
     fold's training store alone."""
     rng = np.random.default_rng(74)
-    configs = _oracle_configs(rng) + [
+    configs = oracle_configs(rng) + [
         make_config("MTR-FS", beta=0.2),  # no rel, no frev
         make_config("MTR", beta=0.9),
         make_config("MTRTrust1", beta=0.0),
@@ -748,7 +731,7 @@ def test_block_partition_does_not_change_results(monkeypatch):
             (a, b) for a, b in d.social.edges() if a not in lonely and b not in lonely]))
         folds = int(rng.integers(2, 6)) if trial % 3 else len(d.ratings) + 2
         plan = split_folds(d, folds, seed=int(rng.integers(1 << 30)))
-        configs = _oracle_configs(rng)
+        configs = oracle_configs(rng)
         default = run_experiment(d, configs, plan, k=3)
 
         monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 1)

@@ -20,6 +20,7 @@ from trustcf import (
     pearson,
 )
 from trustcf.errors import UnknownConfiguration, UnknownUser
+from trustcf.recommender import _pearson_pairs, block_candidates, score_block
 
 import reference
 from conftest import random_dataset
@@ -319,6 +320,88 @@ class TestPredict:
                 got = model.predict(u, i)
                 assert got.value == pytest.approx(value, abs=1e-9)
                 assert (got.kind is PredictionKind.MODEL) == is_model
+
+
+def oracle_configs(rng) -> list[InfluenceConfig]:
+    """Every similarity mode, several facet settings and betas."""
+    return [
+        make_config("U2UCF"),
+        make_config("MTR", beta=float(rng.random())),
+        make_config("MTR-S", beta=float(rng.random()), neighbor_count=2),
+        make_config("MTRTrust1", beta=float(rng.random())),
+        make_config("MTRTrust2", beta=float(rng.random())),
+        make_config("U2USocial"),
+        InfluenceConfig(
+            name="frev-rel", similarity_mode="pearson",
+            facet_weights=FacetWeights(
+                {"frev": 0.5, "rel": 1.0}, rel_mode="intersection"),
+            beta=float(rng.random()), neighbor_count=3),
+    ]
+
+
+class TestScoreBlock:
+    def test_each_row_equals_its_model_scored_alone(self):
+        """Models scored together share sigma and trust, and change nothing."""
+        rng = np.random.default_rng(71)
+        seen = dict(chosen=0, folds=0, shared=0)
+        for trial in range(20):
+            d = random_dataset(rng, max_users=30, max_items=15, max_ratings=200)
+            store, profiles = d.ratings, build_yelp_profiles(d)
+            models = [TrainedModel(store, profiles, d.social, cfg)
+                      for cfg in oracle_configs(rng)]
+            slots = rng.choice(len(store), size=int(rng.integers(1, len(store) + 1)))
+            users, items = store.user_idx[slots], store.item_idx[slots]
+            if trial % 2:  # each slot in its own fold of the full store, as a fold group
+                num_folds = int(rng.integers(2, 4))
+                folds = rng.integers(0, num_folds, size=len(store))
+                means = store.held_out_means(folds, num_folds)
+                c = block_candidates(store, users, items, folds[slots], folds, means)
+                seen["folds"] += 1
+            else:
+                c = block_candidates(store, users, items)
+            sigma = _pearson_pairs(store, c.pair_users, c.pair_cands)[c.pair_at]
+            infl, pred = score_block(c, models, sigma)
+            entries = c.slot_at.size
+            for n, model in enumerate(models):
+                alone_infl, alone = score_block(c, [model], sigma)
+                assert np.array_equal(infl[n], alone_infl[0]), n
+                assert np.array_equal(pred.values[n], alone.values[0], equal_nan=True), n
+                assert np.array_equal(pred.is_model[n], alone.is_model[0]), n
+                mine = pred.chosen[pred.chosen // entries == n] - n * entries
+                assert np.array_equal(mine, alone.chosen), n
+                seen["chosen"] += alone.chosen.size
+            seen["shared"] += len(models) - len({m.config.facet_weights for m in models})
+        assert min(seen.values()) > 0, seen
+
+    def test_a_store_equal_to_the_profiles_store_scores_the_same(self):
+        """The model's review scores come from the profiles' own array, or
+        from one lookup per rating: the results are the same bits."""
+        rng = np.random.default_rng(72)
+        weighted = 0
+        for _ in range(6):
+            d = random_dataset(rng, max_users=12, max_items=8, max_ratings=60)
+            profiles = build_yelp_profiles(d)
+            store = d.ratings
+            copy = RatingStore(store.num_users, store.num_items, store.user_idx,
+                               store.item_idx, store.value)
+            assert copy is not profiles.store
+            weighted += bool(profiles.frev.any())
+            known = np.flatnonzero(store.user_rating_counts())
+            all_items = np.arange(store.num_items)
+            for cfg in oracle_configs(rng):
+                same = TrainedModel(store, profiles, d.social, cfg)
+                equal = TrainedModel(copy, profiles, d.social, cfg)
+                for u in known.tolist():
+                    for a, b in zip(same.predict_items(u, all_items),
+                                    equal.predict_items(u, all_items)):
+                        assert np.array_equal(a, b)
+                for _ in range(10):
+                    u = int(rng.choice(known))
+                    v = int(rng.integers(store.num_users))
+                    i = int(rng.integers(store.num_items))
+                    assert same.select_neighbors(u, i) == equal.select_neighbors(u, i)
+                    assert same.influence(u, v, i) == equal.influence(u, v, i)
+        assert weighted > 0
 
 
 class TestCatalogue:

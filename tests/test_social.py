@@ -34,6 +34,15 @@ class TestSocialGraph:
         with pytest.raises(ValueError):
             SocialGraph(2, [(0, 5)])
 
+    @pytest.mark.parametrize("us, vs", [([0], [3]), ([3], [0]), ([-1], [1]), ([0, 1], [1, -2])])
+    def test_has_edges_rejects_unknown_users(self, us, vs):
+        # (0, 3) would pack to the key of the edge (1, 0) on three users
+        g = SocialGraph(3, [(0, 1)])
+        with pytest.raises(UnknownUser):
+            g.has_edges(np.array(us), np.array(vs))
+        with pytest.raises(UnknownUser):
+            g.has_edge(us[-1], vs[-1])
+
 
 class TestRelDirect:
     def test_friend_and_stranger(self):
