@@ -6,8 +6,14 @@ single canonical triple array sorted by (user, item); a user-major and an
 item-major view are both derived from it, so per-user and per-item scans
 are O(degree) slices over shared storage.
 
-All containers are frozen after construction.  Mutating a dataset means
-building a new one (see :func:`apply_filters`).
+A handle that a lookup or a constructor takes is range-checked by
+:func:`check_handles`: one outside ``[0, n)`` raises ``UnknownUser`` for
+a user, ``IndexError`` for an item (and from an :class:`Interner`) and
+``ValueError`` in a constructor.  -1 never aliases the last id.  Block
+kernels (``ItemCategories.shared``) take handles their callers checked.
+
+All containers, interners included, are frozen after construction.
+Mutating a dataset means building a new one (see :func:`apply_filters`).
 """
 
 from __future__ import annotations
@@ -70,6 +76,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_handles(handles, count: int, kind: str, error: type[Exception]) -> np.ndarray:
+    """``handles``, one or an array of them, as int64; raises
+    ``error("<kind> handle out of range: <first bad>")`` for one outside
+    ``[0, count)``, so a negative handle never counts from the end."""
+    handles = np.asarray(handles, dtype=np.int64)
+    # as unsigned, a negative handle is out of range too
+    if handles.size and handles.view(np.uint64).max() >= count:
+        flat = handles.ravel()
+        bad = flat[np.argmax(flat.view(np.uint64) >= count)]
+        raise error(f"{kind} handle out of range: {bad}")
+    return handles
+
+
 def csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of several CSR rows, concatenated in the order of ``rows``.
 
@@ -108,7 +127,13 @@ def packed_csr(keys: np.ndarray, num_rows: int, num_cols: int) -> tuple[np.ndarr
 
 
 class Interner:
-    """Bijection between external string ids and dense integer handles."""
+    """Bijection, fixed at construction, between external string ids and
+    dense integer handles.
+
+    An interner holds the ids of one kind without knowing which, so
+    :meth:`external` and :meth:`externals` raise ``IndexError`` for a
+    handle outside ``[0, len)``, -1 included, as a sequence does.
+    """
 
     __slots__ = ("_ids", "_index")
 
@@ -117,14 +142,6 @@ class Interner:
         self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
         if len(self._index) != len(self._ids):
             raise ValueError("duplicate external ids")
-
-    def intern(self, external_id: str) -> int:
-        handle = self._index.get(external_id)
-        if handle is None:
-            handle = len(self._ids)
-            self._ids.append(external_id)
-            self._index[external_id] = handle
-        return handle
 
     def handle(self, external_id: str) -> int:
         """Handle for a known id; KeyError if never interned."""
@@ -139,11 +156,13 @@ class Interner:
         )
 
     def external(self, handle: int) -> str:
+        check_handles(handle, len(self._ids), "interned", IndexError)
         return self._ids[handle]
 
     def externals(self, handles: np.ndarray) -> list[str]:
         """External ids of a column of handles."""
-        return list(map(self._ids.__getitem__, np.asarray(handles).tolist()))
+        handles = check_handles(handles, len(self._ids), "interned", IndexError)
+        return list(map(self._ids.__getitem__, handles.tolist()))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -197,14 +216,11 @@ class RatingStore:
         values = np.array(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape) or users.ndim != 1:
             raise ValueError("ratings arrays must be 1-d and aligned")
-        if users.size:
-            if users.min() < 0 or users.max() >= num_users:
-                raise ValueError("user handle out of range")
-            if items.min() < 0 or items.max() >= num_items:
-                raise ValueError("item handle out of range")
-            # NaN fails both comparisons
-            if not (values.min() >= RATING_MIN and values.max() <= RATING_MAX):
-                raise ValueError(f"ratings must lie in [{RATING_MIN}, {RATING_MAX}]")
+        check_handles(users, num_users, "user", ValueError)
+        check_handles(items, num_items, "item", ValueError)
+        # NaN fails both comparisons
+        if values.size and not (values.min() >= RATING_MIN and values.max() <= RATING_MAX):
+            raise ValueError(f"ratings must lie in [{RATING_MIN}, {RATING_MAX}]")
 
         keys = users * num_items + items
         if not (keys[1:] > keys[:-1]).all():
@@ -233,14 +249,13 @@ class RatingStore:
 
     def items_of(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(items, values) rated by user u, items ascending."""
-        self._check_user(u)
+        check_handles(u, self.num_users, "user", UnknownUser)
         lo, hi = self._u_ptr[u], self._u_ptr[u + 1]
         return self.item_idx[lo:hi], self.value[lo:hi]
 
     def raters_of(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(users, values, canonical positions) for item i, users ascending."""
-        if not 0 <= i < self.num_items:
-            raise IndexError(f"item handle {i} out of range")
+        check_handles(i, self.num_items, "item", IndexError)
         lo, hi = self._i_ptr[i], self._i_ptr[i + 1]
         pos = self._i_order[lo:hi]
         return self.user_idx[pos], self.value[pos], pos
@@ -252,9 +267,7 @@ class RatingStore:
 
         Entry n belongs to ``users[user_at[n]]``; items ascend within a row.
         """
-        users = np.asarray(users, dtype=np.int64)
-        if users.size and (users.min() < 0 or users.max() >= self.num_users):
-            raise UnknownUser("user handle out of range")
+        users = check_handles(users, self.num_users, "user", UnknownUser)
         user_at, flat = csr_rows(self._u_ptr, users)
         return user_at, self.item_idx[flat], flat
 
@@ -264,9 +277,7 @@ class RatingStore:
         Entry n rates ``items[item_at[n]]``; raters ascend within an item.
         A caller reads only the columns it needs at the positions it keeps.
         """
-        items = np.asarray(items, dtype=np.int64)
-        if items.size and (items.min() < 0 or items.max() >= self.num_items):
-            raise IndexError("item handle out of range")
+        items = check_handles(items, self.num_items, "item", IndexError)
         item_at, flat = csr_rows(self._i_ptr, items)
         return item_at, self._i_order[flat]
 
@@ -282,7 +293,7 @@ class RatingStore:
         return at
 
     def rating_count_of(self, u: int) -> int:
-        self._check_user(u)
+        check_handles(u, self.num_users, "user", UnknownUser)
         return int(self._u_ptr[u + 1] - self._u_ptr[u])
 
     def user_rating_counts(self) -> np.ndarray:
@@ -293,7 +304,7 @@ class RatingStore:
 
     def mean_of(self, u: int) -> float:
         """Mean of u's ratings; NaN when u has none."""
-        self._check_user(u)
+        check_handles(u, self.num_users, "user", UnknownUser)
         return float(self._user_mean[u])
 
     def user_means(self) -> np.ndarray:
@@ -320,10 +331,6 @@ class RatingStore:
     def triples(self) -> Iterator[tuple[int, int, float]]:
         for u, i, v in zip(self.user_idx, self.item_idx, self.value):
             yield int(u), int(i), float(v)
-
-    def _check_user(self, u: int) -> None:
-        if not 0 <= u < self.num_users:
-            raise UnknownUser(f"user handle {u} out of range")
 
 
 class _CounterColumns:
@@ -404,9 +411,8 @@ class ReviewFeedback(_CounterColumns):
         return self._item_max
 
     def total_of(self, u: int, i: int) -> int:
-        self.store._check_user(u)
-        if not 0 <= i < self.store.num_items:
-            raise IndexError(f"item handle {i} out of range")
+        check_handles(u, self.store.num_users, "user", UnknownUser)
+        check_handles(i, self.store.num_items, "item", IndexError)
         at = self.store.positions(np.array([u]), np.array([i]))[0]
         return int(self._totals[at]) if at >= 0 else 0
 
@@ -423,9 +429,7 @@ class ItemCategories:
 
     def __init__(self, num_items: int, tags: Mapping[int, Iterable[str]] | None = None):
         tags = tags or {}
-        for i in tags:
-            if not 0 <= i < num_items:
-                raise ValueError(f"item handle {i} out of range")
+        check_handles(list(tags), num_items, "item", ValueError)
         items, names = _columns(((i, str(c)) for i, cats in tags.items() for c in cats), 2)
         self._index(num_items, np.array(items, dtype=np.int64), names)
 
@@ -447,6 +451,7 @@ class ItemCategories:
         self.sizes = _frozen(np.diff(self.ptr))
 
     def of(self, i: int) -> frozenset[str]:
+        check_handles(i, len(self), "item", IndexError)
         row = self.tags[self.ptr[i]:self.ptr[i + 1]]
         return frozenset(map(self.names.__getitem__, row.tolist()))
 

@@ -60,7 +60,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ItemCategories, RatingStore
+from .dataset import Dataset, ItemCategories, RatingStore, check_handles
 from .errors import EmptyInput, UnknownUser
 from .recommender import (
     MIN_CORATED,
@@ -324,12 +324,12 @@ def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
     contribute 0 regardless of tagging, which caps the value at
     (k - 1) / (k + 1) for a list of length k.  Between distinct
     positions, two untagged items count as fully dissimilar.  An empty
-    list scores 0.
+    list scores 0; an item outside ``cats`` raises IndexError.
     """
     k = len(rec.items)
     if k == 0:
         return 0.0
-    items = np.array(rec.item_handles(), dtype=np.int64)
+    items = check_handles(rec.item_handles(), len(cats), "item", IndexError)
     return float(_diversities(np.zeros(k, dtype=np.int64), 1, items, cats)[0])
 
 
@@ -679,6 +679,8 @@ def run_experiment(
     if plan.assignment.shape != (len(d.ratings),):
         raise ValueError("fold plan does not match the dataset")
     names = [(c.name, c.beta) for c in configs]
+    if not names:
+        raise ValueError("no configuration requested")
     if len(set(names)) != len(names):
         raise ValueError("duplicate (config, beta) rows requested")
 
@@ -736,6 +738,6 @@ def run_experiment(
         seed=plan.seed,
         k=k,
         tau=tau,
-        neighbor_count=configs[0].neighbor_count if configs else 0,
+        neighbor_count=configs[0].neighbor_count,
         rows=tuple(rows),
     )

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import RATING_MAX, RATING_MIN, RatingStore, csr_rows, search_keys
+from .dataset import RATING_MAX, RATING_MIN, RatingStore, check_handles, csr_rows, search_keys
 from .errors import UnknownConfiguration, UnknownUser
 from .social import SocialGraph, relatedness
 from .social import jaccard as _jaccard  # noqa: F401  (perfbench/spans.py traces this name)
@@ -263,9 +263,7 @@ def pearson_many(train: RatingStore, u: int, v_arr: np.ndarray) -> np.ndarray:
     The co-rating index of u alone, with nothing held out; candidates
     may repeat and come in any order, and u itself scores 0.
     """
-    v_arr = np.asarray(v_arr, dtype=np.int64)
-    if v_arr.size and (v_arr.min() < 0 or v_arr.max() >= train.num_users):
-        raise UnknownUser("user handle out of range")
+    v_arr = check_handles(v_arr, train.num_users, "user", UnknownUser)
     train.rating_count_of(u)  # rejects an unknown u
     return _pearson_pairs(train, np.full(v_arr.size, u, dtype=np.int64), v_arr)
 
@@ -569,10 +567,8 @@ class TrainedModel:
         v's review score for i counts only when it is a training rating.
         """
         self._check_known(u)
-        if not 0 <= v < self.train.num_users:
-            raise UnknownUser(f"user handle {v} out of range")
-        if not 0 <= i < self.train.num_items:
-            raise IndexError("item handle out of range")
+        check_handles(v, self.train.num_users, "user", UnknownUser)
+        check_handles(i, self.train.num_items, "item", IndexError)
         users, cands, items = np.array([u]), np.array([v]), np.array([i])
         zero = np.zeros(1, dtype=np.int64)
         # one slot, one pair, one entry: v's rating of i, which may not exist
@@ -605,9 +601,7 @@ class TrainedModel:
         return Prediction(float(values[0]), kind)
 
     def _check_known(self, u: int) -> None:
-        if not 0 <= u < self.train.num_users:
-            raise UnknownUser(f"user handle {u} out of range")
-        if self.train.rating_count_of(u) == 0:
+        if self.train.rating_count_of(u) == 0:  # which rejects a handle out of range
             raise UnknownUser(f"user {u} has no training ratings")
 
 

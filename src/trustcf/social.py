@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import csr_rows, packed_csr, search_keys
+from .dataset import check_handles, csr_rows, packed_csr, search_keys
 from .errors import UnknownUser
 
 
@@ -39,7 +39,7 @@ class SocialGraph:
 
     def friends_of(self, u: int) -> np.ndarray:
         """Sorted neighbor handles of u (possibly empty)."""
-        self._check(u)
+        check_handles(u, self.num_users, "user", UnknownUser)
         return self._adj[self._ptr[u]:self._ptr[u + 1]]
 
     def friends_of_many(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,14 +48,12 @@ class SocialGraph:
         Entry n is a friend of ``users[user_at[n]]``; friends ascend
         within a row.
         """
-        users = np.asarray(users, dtype=np.int64)
-        if users.size and (users.min() < 0 or users.max() >= self.num_users):
-            raise UnknownUser("user handle out of range")
+        users = check_handles(users, self.num_users, "user", UnknownUser)
         user_at, flat = csr_rows(self._ptr, users)
         return user_at, self._adj[flat]
 
     def degree(self, u: int) -> int:
-        self._check(u)
+        check_handles(u, self.num_users, "user", UnknownUser)
         return int(self._ptr[u + 1] - self._ptr[u])
 
     def degree_array(self) -> np.ndarray:
@@ -70,12 +68,8 @@ class SocialGraph:
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Whether ``us[n]`` and ``vs[n]`` are friends, for each n."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        for arr in (us, vs):
-            # as unsigned, a negative handle is out of range too
-            if arr.size and arr.view(np.uint64).max() >= self.num_users:
-                raise UnknownUser("user handle out of range")
+        us = check_handles(us, self.num_users, "user", UnknownUser)
+        vs = check_handles(vs, self.num_users, "user", UnknownUser)
         return search_keys(self._keys, us * self.num_users + vs)[1]
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,19 +82,13 @@ class SocialGraph:
         """Each undirected edge once, as (smaller handle, larger handle)."""
         return zip(*(side.tolist() for side in self.edge_array()))
 
-    def _check(self, u: int) -> None:
-        if not 0 <= u < self.num_users:
-            raise UnknownUser(f"user handle {u} out of range")
-
 
 def _pairs(g: SocialGraph, u, v_arr) -> tuple[np.ndarray, np.ndarray]:
     """u and v_arr as aligned handle arrays; u may be one handle or many."""
     us, vs = np.broadcast_arrays(
-        np.asarray(u, dtype=np.int64), np.asarray(v_arr, dtype=np.int64)
+        check_handles(u, g.num_users, "user", UnknownUser),
+        check_handles(v_arr, g.num_users, "user", UnknownUser),
     )
-    for arr in (us, vs):
-        if arr.size and (arr.min() < 0 or arr.max() >= g.num_users):
-            raise UnknownUser("user handle out of range")
     return us.ravel(), vs.ravel()
 
 

@@ -28,6 +28,7 @@ from .dataset import (
     Dataset,
     RatingStore,
     ReviewFeedback,
+    check_handles,
 )
 from .errors import AllWeightsZero, UnknownUser, WrongProvenance
 from .social import SocialGraph, relatedness
@@ -118,12 +119,8 @@ class TrustProfiles:
 
     def frev_at(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Review score of ``users[n]`` for ``items[n]``, for each n."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if users.size and (users.min() < 0 or users.max() >= self.store.num_users):
-            raise UnknownUser("user handle out of range")
-        if items.size and (items.min() < 0 or items.max() >= self.store.num_items):
-            raise IndexError("item handle out of range")
+        users = check_handles(users, self.store.num_users, "user", UnknownUser)
+        items = check_handles(items, self.store.num_items, "item", IndexError)
         at = self.store.positions(users, items)
         if self.frev.size == 0:
             return np.zeros(users.size, dtype=np.float64)
@@ -264,7 +261,8 @@ def fuse_trust(
     """
     if u == v and "rel" in weights.active():
         raise ValueError("relatedness is defined for distinct users")
-    cands = np.array([v])
+    users = check_handles([u], profiles.store.num_users, "user", UnknownUser)
+    cands = check_handles([v], profiles.store.num_users, "user", UnknownUser)
     frev = profiles.frev_at(cands, np.array([i])) if "frev" in weights.active() else None
     fusion = Fusion(profiles, graph, weights)
-    return float(fusion.trust(np.array([u]), cands, np.zeros(1, dtype=np.int64), frev)[0])
+    return float(fusion.trust(users, cands, np.zeros(1, dtype=np.int64), frev)[0])

@@ -7,17 +7,27 @@ import pytest
 
 from trustcf import (
     Dataset,
+    FacetWeights,
     FeedbackTable,
     Interner,
     ItemCategories,
+    PredictionKind,
     RatingStore,
+    RecItem,
+    RecommendationList,
     ReviewFeedback,
     SocialGraph,
+    TrainedModel,
     apply_filters,
+    build_profiles,
     canonical_load,
     canonical_save,
     compute_stats,
+    fuse_trust,
+    intra_diversity,
+    make_config,
     make_dataset,
+    rel_direct,
 )
 from trustcf.canonical import datasets_equal
 from trustcf.dataset import (
@@ -28,25 +38,99 @@ from trustcf.dataset import (
     search_keys,
 )
 from trustcf.errors import UnknownUser
+from trustcf.recommender import pearson_many
+from trustcf.social import jaccard_many, relatedness
 
 from conftest import build_tiny, random_dataset
 
 
 class TestInterner:
     def test_roundtrip(self):
-        interner = Interner()
-        a = interner.intern("x")
-        b = interner.intern("y")
-        assert interner.intern("x") == a
-        assert (a, b) == (0, 1)
-        assert interner.external(a) == "x"
-        assert interner.handle("y") == b
+        interner = Interner(["x", "y"])
+        assert interner.external(0) == "x"
+        assert interner.handle("y") == 1
         assert len(interner) == 2
         assert "x" in interner and "z" not in interner
 
     def test_duplicate_seed_ids_rejected(self):
         with pytest.raises(ValueError):
             Interner(["a", "a"])
+
+
+# Every public entry point that takes a user or item handle: (name, kind,
+# call with the handle h).  A kind names the error a bad handle raises and
+# the count of valid handles.
+HANDLE_KINDS = {
+    "user": (UnknownUser, "num_users"),
+    "item": (IndexError, "num_items"),
+    "user id": (IndexError, "num_users"),  # an Interner raises as a sequence does
+    "item id": (IndexError, "num_items"),
+    "new user": (ValueError, "num_users"),  # constructors reject their input
+    "new item": (ValueError, "num_items"),
+}
+
+HANDLE_ENTRY_POINTS = [
+    ("RatingStore(users)", "new user",
+     lambda d, m, h: RatingStore(d.num_users, d.num_items, [0, h], [0, 1], [3.0, 3.0])),
+    ("RatingStore(items)", "new item",
+     lambda d, m, h: RatingStore(d.num_users, d.num_items, [0, 1], [0, h], [3.0, 3.0])),
+    ("ItemCategories()", "new item", lambda d, m, h: ItemCategories(d.num_items, {h: ["x"]})),
+    ("RatingStore.items_of", "user", lambda d, m, h: d.ratings.items_of(h)),
+    ("RatingStore.rating_count_of", "user", lambda d, m, h: d.ratings.rating_count_of(h)),
+    ("RatingStore.mean_of", "user", lambda d, m, h: d.ratings.mean_of(h)),
+    ("RatingStore.items_of_many", "user", lambda d, m, h: d.ratings.items_of_many([0, h])),
+    ("RatingStore.raters_of", "item", lambda d, m, h: d.ratings.raters_of(h)),
+    ("RatingStore.ratings_of_items", "item", lambda d, m, h: d.ratings.ratings_of_items([0, h])),
+    ("ReviewFeedback.total_of(u)", "user", lambda d, m, h: d.review_feedback.total_of(h, 0)),
+    ("ReviewFeedback.total_of(i)", "item", lambda d, m, h: d.review_feedback.total_of(0, h)),
+    ("ItemCategories.of", "item", lambda d, m, h: d.categories.of(h)),
+    ("Interner.external", "user id", lambda d, m, h: d.users.external(h)),
+    ("Interner.externals", "item id", lambda d, m, h: d.items.externals([0, h])),
+    ("SocialGraph.friends_of", "user", lambda d, m, h: d.social.friends_of(h)),
+    ("SocialGraph.degree", "user", lambda d, m, h: d.social.degree(h)),
+    ("SocialGraph.friends_of_many", "user", lambda d, m, h: d.social.friends_of_many([0, h])),
+    ("SocialGraph.has_edges(us)", "user", lambda d, m, h: d.social.has_edges([h], [1])),
+    ("SocialGraph.has_edges(vs)", "user", lambda d, m, h: d.social.has_edges([0], [h])),
+    ("relatedness(u)", "user",
+     lambda d, m, h: relatedness(d.social, h, np.array([1]), "intersection")),
+    ("relatedness(v)", "user",
+     lambda d, m, h: relatedness(d.social, 0, np.array([1, h]), "direct")),
+    ("jaccard_many", "user", lambda d, m, h: jaccard_many(d.social, 0, np.array([h]))),
+    ("rel_direct", "user", lambda d, m, h: rel_direct(d.social, 0, h)),
+    ("TrustProfiles.frev_at(users)", "user",
+     lambda d, m, h: build_profiles(d).frev_at([0, h], [0, 0])),
+    ("TrustProfiles.frev_at(items)", "item",
+     lambda d, m, h: build_profiles(d).frev_at([0, 0], [0, h])),
+    ("fuse_trust", "user",
+     lambda d, m, h: fuse_trust(build_profiles(d), d.social, FacetWeights({"elite": 1.0}), 0, h, 0)),
+    ("pearson_many(u)", "user", lambda d, m, h: pearson_many(d.ratings, h, np.array([1]))),
+    ("pearson_many(v)", "user", lambda d, m, h: pearson_many(d.ratings, 0, np.array([1, h]))),
+    ("TrainedModel.influence(u)", "user", lambda d, m, h: m.influence(h, 1, 0)),
+    ("TrainedModel.influence(v)", "user", lambda d, m, h: m.influence(0, h, 0)),
+    ("TrainedModel.influence(i)", "item", lambda d, m, h: m.influence(0, 1, h)),
+    ("TrainedModel.predict(u)", "user", lambda d, m, h: m.predict(h, 0)),
+    ("TrainedModel.predict(i)", "item", lambda d, m, h: m.predict(0, h)),
+    ("TrainedModel.predict_items(u)", "user", lambda d, m, h: m.predict_items(h, [0])),
+    ("TrainedModel.predict_items(i)", "item", lambda d, m, h: m.predict_items(0, [0, h])),
+    ("TrainedModel.select_neighbors(u)", "user", lambda d, m, h: m.select_neighbors(h, 0)),
+    ("TrainedModel.select_neighbors(i)", "item", lambda d, m, h: m.select_neighbors(0, h)),
+    ("intra_diversity", "item", lambda d, m, h: intra_diversity(
+        RecommendationList(0, tuple(RecItem(i, 3.0, PredictionKind.MODEL) for i in (0, h))),
+        d.categories,
+    )),
+]
+
+
+@pytest.mark.parametrize("bad", ["-1", "n", "2**40"])
+@pytest.mark.parametrize(
+    "kind, call", [row[1:] for row in HANDLE_ENTRY_POINTS], ids=[row[0] for row in HANDLE_ENTRY_POINTS]
+)
+def test_every_entry_point_rejects_a_handle_out_of_range(tiny, kind, call, bad):
+    error, count = HANDLE_KINDS[kind]
+    h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40}[bad]
+    model = TrainedModel(tiny.ratings, build_profiles(tiny), tiny.social, make_config("MTR", 0.1))
+    with pytest.raises(error, match="handle out of range"):
+        call(tiny, model, h)
 
 
 class TestRatingStore:

@@ -306,6 +306,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="duplicate"):
             run_experiment(tiny, cfgs, plan)
 
+    def test_empty_configuration_list_rejected(self, tiny):
+        plan = split_folds(tiny, 3, seed=1)
+        with pytest.raises(ValueError, match="no configuration"):
+            run_experiment(tiny, [], plan)
+
     def test_plan_must_match_dataset(self, tiny):
         rng = np.random.default_rng(64)
         other = random_dataset(rng)

@@ -1,14 +1,18 @@
-"""The package runs on the standard library and numpy alone."""
+"""Structure checks over the package's source: it runs on the standard
+library and numpy alone, and one helper decides whether a handle is in range."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import trustcf
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "trustcf"}
+MODULES = sorted(Path(trustcf.__file__).parent.rglob("*.py"))
+OUT_OF_RANGE = re.compile(r"handle\b.*\bout of range")
 
 
 def imported_packages(tree: ast.AST) -> set[str]:
@@ -22,10 +26,35 @@ def imported_packages(tree: ast.AST) -> set[str]:
     return names
 
 
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_modules_import_only_the_standard_library_and_numpy():
-    modules = sorted(Path(trustcf.__file__).parent.rglob("*.py"))
-    assert len(modules) > 5
-    for path in modules:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert len(MODULES) > 5
+    for path in MODULES:
+        tree = parse(path)
         assert imported_packages(tree) <= ALLOWED, (path.name, imported_packages(tree) - ALLOWED)
+
+
+def handle_range_raisers(path: Path) -> set[tuple[str, str | None]]:
+    """(module, innermost function) of each raise whose message says a
+    handle is out of range, also where the message is an f-string."""
+    found = set()
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and OUT_OF_RANGE.search(ast.unparse(node)):
+            found.add((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(parse(path), None)
+    return found
+
+
+def test_only_check_handles_raises_handle_out_of_range():
+    raisers = set().union(*map(handle_range_raisers, MODULES))
+    assert raisers == {("dataset.py", "check_handles")}
 
