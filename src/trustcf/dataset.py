@@ -9,8 +9,9 @@ are O(degree) slices over shared storage.
 A handle that a lookup or a constructor takes is range-checked by
 :func:`check_handles`: one outside ``[0, n)`` raises ``UnknownUser`` for
 a user, ``IndexError`` for an item (and from an :class:`Interner`) and
-``ValueError`` in a constructor.  -1 never aliases the last id.  Block
-kernels (``ItemCategories.shared``) take handles their callers checked.
+``ValueError`` in a constructor, as does one beyond int64.  -1 never
+aliases the last id.  Block kernels (``ItemCategories.shared``) check
+their handles too: one reduction per array per block.
 
 All containers, interners included, are frozen after construction.
 Mutating a dataset means building a new one (see :func:`apply_filters`).
@@ -79,8 +80,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def check_handles(handles, count: int, kind: str, error: type[Exception]) -> np.ndarray:
     """``handles``, one or an array of them, as int64; raises
     ``error("<kind> handle out of range: <first bad>")`` for one outside
-    ``[0, count)``, so a negative handle never counts from the end."""
-    handles = np.asarray(handles, dtype=np.int64)
+    ``[0, count)``, so a negative handle never counts from the end, and
+    for one beyond int64."""
+    try:
+        handles = np.asarray(handles, dtype=np.int64)
+    except OverflowError:
+        bad = next(h for h in np.ravel(np.asarray(handles, dtype=object))
+                   if not -_INT64_MAX - 1 <= h <= _INT64_MAX)
+        raise error(f"{kind} handle out of range: {bad}") from None
     # as unsigned, a negative handle is out of range too
     if handles.size and handles.view(np.uint64).max() >= count:
         flat = handles.ravel()
@@ -211,13 +218,11 @@ class RatingStore:
         values: np.ndarray,
     ):
         # copies: the store freezes its arrays, and the caller keeps theirs
-        users = np.array(users, dtype=np.int64)
-        items = np.array(items, dtype=np.int64)
+        users = np.array(check_handles(users, num_users, "user", ValueError))
+        items = np.array(check_handles(items, num_items, "item", ValueError))
         values = np.array(values, dtype=np.float64)
         if not (users.shape == items.shape == values.shape) or users.ndim != 1:
             raise ValueError("ratings arrays must be 1-d and aligned")
-        check_handles(users, num_users, "user", ValueError)
-        check_handles(items, num_items, "item", ValueError)
         # NaN fails both comparisons
         if values.size and not (values.min() >= RATING_MIN and values.max() <= RATING_MAX):
             raise ValueError(f"ratings must lie in [{RATING_MIN}, {RATING_MAX}]")
@@ -457,6 +462,8 @@ class ItemCategories:
 
     def shared(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each n."""
+        a = check_handles(a, len(self), "item", IndexError)
+        b = check_handles(b, len(self), "item", IndexError)
         pair_at, flat = csr_rows(self.ptr, a)
         want = b[pair_at] * len(self.names) + self.tags[flat]
         return np.bincount(pair_at, weights=search_keys(self.keys, want)[1], minlength=a.size)

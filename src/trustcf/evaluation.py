@@ -14,7 +14,9 @@ is NaN in ``summary.json`` and ``-`` in ``report.tsv``.
 Folds are evaluated in groups, one group per worker process, each of
 consecutive folds; a group's test users are scored in blocks of whole
 users, each block holding every held-out rating of its users in every
-fold of the group, one set of numpy calls per block.  A slot (one
+fold of the group, one set of numpy calls per block.  A block's size is
+a budget of cells, configurations x (slots plus candidate entries), so
+a run of fewer configurations scores more users per block.  A slot (one
 held-out rating) is scored in its own fold: its candidates are the other
 raters of its item in the full store, less any whose rating that fold
 holds out.  Work that neither beta nor the fold changes is shared by
@@ -27,7 +29,7 @@ every configuration and every fold:
   bincount pass over the ratings the fold keeps, in canonical order, as
   the fold's training store would sum them), and the Pearson
   correlation of every indexed pair over its entries with neither
-  rating held out;
+  rating held out (one pass over the index for all the group's folds);
 * per block: the candidates of every slot, each with its deviation from
   its training mean in the slot's fold, and the co-rating index search
   of each distinct (user, candidate) pair, whatever the fold; each
@@ -465,10 +467,15 @@ def _corating_index(d: Dataset, configs: Sequence[InfluenceConfig]) -> CoRatings
     return CoRatings(d.ratings, np.arange(d.num_users), MIN_CORATED + 1)
 
 
-# Slots plus candidate entries per block of test users.  A block's
-# arrays grow with it, and every block costs a fixed number of numpy
-# calls; about 2k keeps both small.
-_BLOCK_ENTRIES = 2048
+# Cells per block of test users: configurations x (slots plus candidate
+# entries).  Every block costs a fixed set of about 430 numpy calls, while
+# its influence, neighbor selection, predictions and lists are
+# (configurations x entries) arrays: a larger block pays the calls less
+# often and holds more memory.  On a 2-core Xeon, one configuration over
+# the large-scale corpus took 10.7 s at 2,048 entries per block and about
+# 6 s at 16k-32k, while a 12-configuration sweep was slower and larger at
+# any block above 2,048 entries; 12 x 2,048 cells keeps that sweep there.
+_BLOCK_CELLS = 24_576
 
 
 def _evaluate_fold(
@@ -504,9 +511,12 @@ class _GroupSlots(NamedTuple):
     edges: np.ndarray
 
 
-def _group_slots(store: RatingStore, label: np.ndarray, means: np.ndarray) -> _GroupSlots:
+def _group_slots(
+    store: RatingStore, label: np.ndarray, means: np.ndarray, num_configs: int
+) -> _GroupSlots:
     """The slots of the folds ``label`` numbers (see :func:`_evaluate_folds`),
-    whose training means are the rows of ``means``."""
+    whose training means are the rows of ``means``, in blocks of about
+    ``_BLOCK_CELLS`` cells of ``num_configs`` configurations."""
     num_folds, num_users = means.shape
     positions = np.flatnonzero(label >= 0)
     folds = label[positions].astype(np.int64)
@@ -528,7 +538,7 @@ def _group_slots(store: RatingStore, label: np.ndarray, means: np.ndarray) -> _G
         (np.cumsum(is_list) - 1)[keys],
         np.flatnonzero(is_list) % num_folds,
         skipped[is_list],
-        np.searchsorted(users, cost_runs(user_cost, _BLOCK_ENTRIES)),
+        np.searchsorted(users, cost_runs(user_cost, max(_BLOCK_CELLS // num_configs, 1))),
     )
 
 
@@ -560,11 +570,9 @@ def _evaluate_folds(
     if corating is None:
         corating = _corating_index(d, configs)
     # per fold, sigma of every indexed pair
-    pearson = None
-    if corating is not None:
-        pearson = np.stack([corating.pearson(label == f) for f in range(num_folds)])
+    pearson = None if corating is None else corating.pearson(label, num_folds)
 
-    slots = _group_slots(store, label, means)
+    slots = _group_slots(store, label, means, len(configs))
     list_at = slots.list_at
     num_relevant = np.bincount(
         list_at, weights=store.value[slots.positions] >= tau, minlength=slots.list_folds.size

@@ -33,10 +33,11 @@ between calls.
 Pearson has one enumeration and one kernel.  A :class:`CoRatings` index
 lists, for each pair of users that co-rate enough items, the positions
 of both users' ratings of each shared item, items ascending;
-:meth:`CoRatings.pearson` reduces its entries, optionally with some
-ratings held out, to one correlation per pair.  A model indexes the
-users it is asked about over its whole store; an evaluation indexes the
-full data once per run and holds out each fold's test ratings.
+:meth:`CoRatings.pearson` reduces its entries to one correlation per
+pair for each of several folds, each fold holding out its own ratings.
+A model indexes the users it is asked about over its whole store, with
+nothing held out; an evaluation indexes the full data once per run and
+reduces a group's folds in one pass over the index.
 """
 
 from __future__ import annotations
@@ -168,7 +169,9 @@ class CoRatings:
     one pair serves both orders.  Built once over a dataset's ratings, it
     serves every fold: a training store is the same ratings with some
     held out, and a pair's training entries are its entries with neither
-    position held out.
+    position held out.  :meth:`pearson` reduces any number of folds in
+    one pass over the entries, which read their ratings and fold labels
+    once for all of them.
     """
 
     def __init__(self, store: RatingStore, users: np.ndarray, min_count: int):
@@ -220,21 +223,31 @@ class CoRatings:
             pos_v[order].astype(np.int32),
         )
 
-    def pearson(self, held_out: np.ndarray | None = None) -> np.ndarray:
-        """Pearson agreement of each pair, clamped into [0, 1], over the
-        co-rated items where neither rating is ``held_out`` (a mask over
-        the store's canonical positions)."""
+    def pearson(self, label: np.ndarray | None = None, num_folds: int = 1) -> np.ndarray:
+        """(folds x pairs) Pearson agreement, clamped into [0, 1]: row f
+        reduces each pair over its co-rated items where neither rating is
+        held out of fold f.
+
+        ``label`` gives each of the store's canonical positions its fold
+        (-1: in no fold), and fold f holds out the positions labelled f;
+        with no ``label`` nothing is held out.  Each chunk's entries gather
+        their ratings and fold labels once for every fold.
+        """
         value = self.store.value
-        out = []
+        out = np.empty((num_folds, self.keys.size))
         for a, b in zip(self._edges[:-1], self._edges[1:]):
             lo, hi = self.ptr[a], self.ptr[b]
             pair_at = np.repeat(np.arange(b - a), np.diff(self.ptr[a:b + 1]))
             pos_u, pos_v = self.pos_u[lo:hi], self.pos_v[lo:hi]
-            if held_out is not None:
-                kept = np.flatnonzero(~(held_out[pos_u] | held_out[pos_v]))
-                pair_at, pos_u, pos_v = pair_at[kept], pos_u[kept], pos_v[kept]
-            out.append(_pearson_kernel(pair_at, value[pos_u], value[pos_v], b - a))
-        return np.concatenate(out)
+            x, y = value[pos_u], value[pos_v]
+            if label is None:
+                out[:, a:b] = _pearson_kernel(pair_at, x, y, b - a)
+                continue
+            label_u, label_v = label[pos_u], label[pos_v]
+            for f in range(num_folds):
+                kept = np.flatnonzero((label_u != f) & (label_v != f))
+                out[f, a:b] = _pearson_kernel(pair_at[kept], x[kept], y[kept], b - a)
+        return out
 
     def find(self, users: np.ndarray, cands: np.ndarray) -> np.ndarray:
         """Index of each pair {users[n], cands[n]}; -1 for a pair not indexed."""
@@ -254,7 +267,7 @@ class CoRatings:
 def _pearson_pairs(train: RatingStore, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Pearson agreement of each (us[p], vs[p]) pair over all of ``train``."""
     index = CoRatings(train, np.unique(us), MIN_CORATED)
-    return index.of(index.pearson(), us, vs)
+    return index.of(index.pearson()[0], us, vs)
 
 
 def pearson_many(train: RatingStore, u: int, v_arr: np.ndarray) -> np.ndarray:
@@ -386,9 +399,11 @@ def block_candidates(
     scored in fold ``slot_folds[s]``, a rater whose rating is labelled
     with the slot's fold is held out of it, and row f of ``means`` holds
     fold f's training means (:meth:`~trustcf.dataset.RatingStore.held_out_means`).
+    A user or item handle outside the store raises ``UnknownUser`` or
+    ``IndexError``.
     """
-    slot_users = np.asarray(slot_users, dtype=np.int64)
-    slot_items = np.asarray(slot_items, dtype=np.int64)
+    slot_users = check_handles(slot_users, store.num_users, "user", UnknownUser)
+    slot_items = check_handles(slot_items, store.num_items, "item", IndexError)
     if slot_folds is None:
         slot_folds = np.zeros(slot_users.size, dtype=np.int64)
     if means is None:
@@ -590,8 +605,8 @@ class TrainedModel:
     def predict_items(self, u: int, items) -> tuple[np.ndarray, np.ndarray]:
         """(predicted rating, model-based?) of u for each of ``items``."""
         self._check_known(u)
-        items = np.asarray(items, dtype=np.int64)
-        _, p = self._predict(block_candidates(self.train, np.full(items.size, u), items))
+        # block_candidates checks the item handles
+        _, p = self._predict(block_candidates(self.train, np.full(np.size(items), u), items))
         return p.values[0], p.is_model[0]
 
     def predict(self, u: int, i: int) -> Prediction:

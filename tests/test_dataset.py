@@ -38,7 +38,7 @@ from trustcf.dataset import (
     search_keys,
 )
 from trustcf.errors import UnknownUser
-from trustcf.recommender import pearson_many
+from trustcf.recommender import block_candidates, pearson_many
 from trustcf.social import jaccard_many, relatedness
 
 from conftest import build_tiny, random_dataset
@@ -84,6 +84,8 @@ HANDLE_ENTRY_POINTS = [
     ("ReviewFeedback.total_of(u)", "user", lambda d, m, h: d.review_feedback.total_of(h, 0)),
     ("ReviewFeedback.total_of(i)", "item", lambda d, m, h: d.review_feedback.total_of(0, h)),
     ("ItemCategories.of", "item", lambda d, m, h: d.categories.of(h)),
+    ("ItemCategories.shared(a)", "item", lambda d, m, h: d.categories.shared([0, h], [0, 1])),
+    ("ItemCategories.shared(b)", "item", lambda d, m, h: d.categories.shared([0, 1], [0, h])),
     ("Interner.external", "user id", lambda d, m, h: d.users.external(h)),
     ("Interner.externals", "item id", lambda d, m, h: d.items.externals([0, h])),
     ("SocialGraph.friends_of", "user", lambda d, m, h: d.social.friends_of(h)),
@@ -103,6 +105,10 @@ HANDLE_ENTRY_POINTS = [
      lambda d, m, h: build_profiles(d).frev_at([0, 0], [0, h])),
     ("fuse_trust", "user",
      lambda d, m, h: fuse_trust(build_profiles(d), d.social, FacetWeights({"elite": 1.0}), 0, h, 0)),
+    ("block_candidates(users)", "user",
+     lambda d, m, h: block_candidates(d.ratings, [0, h], [0, 0])),
+    ("block_candidates(items)", "item",
+     lambda d, m, h: block_candidates(d.ratings, [0, 0], [0, h])),
     ("pearson_many(u)", "user", lambda d, m, h: pearson_many(d.ratings, h, np.array([1]))),
     ("pearson_many(v)", "user", lambda d, m, h: pearson_many(d.ratings, 0, np.array([1, h]))),
     ("TrainedModel.influence(u)", "user", lambda d, m, h: m.influence(h, 1, 0)),
@@ -121,13 +127,13 @@ HANDLE_ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["-1", "n", "2**40"])
+@pytest.mark.parametrize("bad", ["-1", "n", "2**40", "2**64"])
 @pytest.mark.parametrize(
     "kind, call", [row[1:] for row in HANDLE_ENTRY_POINTS], ids=[row[0] for row in HANDLE_ENTRY_POINTS]
 )
 def test_every_entry_point_rejects_a_handle_out_of_range(tiny, kind, call, bad):
     error, count = HANDLE_KINDS[kind]
-    h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40}[bad]
+    h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40, "2**64": 2**64}[bad]
     model = TrainedModel(tiny.ratings, build_profiles(tiny), tiny.social, make_config("MTR", 0.1))
     with pytest.raises(error, match="handle out of range"):
         call(tiny, model, h)

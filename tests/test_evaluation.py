@@ -537,9 +537,28 @@ def _comparable(value):
     return value
 
 
-def test_shared_work_matches_each_config_alone():
+def _block_costs(monkeypatch) -> list[np.ndarray]:
+    """Records, for each block the evaluation scores, the cost of each of
+    its users in order: its slots plus their candidate entries."""
+    blocks: list[np.ndarray] = []
+    real = evaluation.block_candidates
+
+    def recording(store, slot_users, *rest):
+        c = real(store, slot_users, *rest)
+        _, user_at = np.unique(slot_users, return_inverse=True)  # users ascend
+        slot_cost = 1 + np.bincount(c.slot_at, minlength=user_at.size)
+        blocks.append(np.bincount(user_at, weights=slot_cost))
+        return c
+
+    monkeypatch.setattr(evaluation, "block_candidates", recording)
+    return blocks
+
+
+def test_shared_work_matches_each_config_alone(monkeypatch):
     """Configurations that share sigma, trust or a fold's training side
-    report exactly what each reports when evaluated alone."""
+    report exactly what each reports when evaluated alone, under the
+    default block budget and under one small enough that twelve
+    configurations and one are cut into different blocks."""
     rng = np.random.default_rng(71)
     configs = [
         make_config("U2UCF"),
@@ -547,21 +566,62 @@ def test_shared_work_matches_each_config_alone():
         make_config("MTR", beta=0.3),
         make_config("MTR", beta=1.0),
         make_config("MTR-S", beta=0.4),
+        make_config("MTR-U", beta=0.2),
+        make_config("MTR-F", beta=0.5),
+        make_config("MTR-FS", beta=0.6),
+        make_config("MTR-US", beta=0.7),
+        make_config("MTRTrust1", beta=0.4),
         make_config("MTRTrust2", beta=0.4),
         # MTR's facet weights, with relatedness over shared friends
         _build_config(
             "custom;sigma=pearson;relmode=intersection;"
             "weights=elite:1,lup:1,opleader:1,vis:1,fb:1,frev:1,rel:1", 0.3, 50),
     ]
-    for _ in range(3):
-        d = random_dataset(rng)
+    assert len(configs) == 12
+    blocks = _block_costs(monkeypatch)
+    small = 12 * 40
+    for budget in (evaluation._BLOCK_CELLS, small):
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", budget)
+        for _ in range(3):
+            d = random_dataset(rng)
+            plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+            blocks.clear()
+            alone = [run_experiment(d, [c], plan, k=3).rows[0] for c in configs]
+            alone_blocks = len(blocks) / len(configs)
+            for workers in (1, 2):
+                blocks.clear()
+                mixed = run_experiment(d, configs, plan, k=3, workers=workers)
+                if budget == small and workers == 1:
+                    assert len(blocks) > alone_blocks  # twelve times fewer cells per config
+                for got, want in zip(mixed.rows, alone):
+                    assert _comparable(dataclasses.astuple(got)) == _comparable(
+                        dataclasses.astuple(want)), (got.config, got.beta, workers, budget)
+
+
+def test_block_cells_stay_within_the_budget(monkeypatch):
+    """A block's cells, configurations x (slots plus candidate entries),
+    stay within the budget but for its last user's, who may run over it,
+    so fewer configurations score more users per block."""
+    rng = np.random.default_rng(76)
+    blocks = _block_costs(monkeypatch)
+    seen = dict(split=0, over=0)
+    for _ in range(4):
+        d = random_dataset(rng, max_users=40, max_items=15, max_ratings=300)
         plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
-        alone = [run_experiment(d, [c], plan, k=3).rows[0] for c in configs]
-        for workers in (1, 2):
-            mixed = run_experiment(d, configs, plan, k=3, workers=workers)
-            for got, want in zip(mixed.rows, alone):
-                assert _comparable(dataclasses.astuple(got)) == _comparable(
-                    dataclasses.astuple(want)), (got.config, got.beta, workers)
+        for budget in (60, 240, 1000):
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", budget)
+            count = {}
+            for n_cfg in (1, 2, 12):
+                blocks.clear()
+                configs = [make_config("MTR", beta=b / 20) for b in range(n_cfg)]
+                run_experiment(d, configs, plan, k=3)
+                count[n_cfg] = len(blocks)
+                for cost in blocks:
+                    assert n_cfg * (cost.sum() - cost[-1]) < budget, (budget, n_cfg, cost)
+                    seen["over"] += n_cfg * cost.sum() > budget
+                seen["split"] += len(blocks) > 1
+            assert count[1] <= count[2] <= count[12]
+    assert min(seen.values()) > 0, seen
 
 
 def test_fold_batch_matches_each_config_alone():
@@ -739,11 +799,11 @@ def test_block_partition_does_not_change_results(monkeypatch):
         configs = oracle_configs(rng)
         default = run_experiment(d, configs, plan, k=3)
 
-        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
         calls.clear()
         single = run_experiment(d, configs, plan, k=3)
         assert max(calls, default=1) == 1
-        monkeypatch.setattr(evaluation, "_BLOCK_ENTRIES", 10**12)
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 10**12)
         calls.clear()
         whole = run_experiment(d, configs, plan, k=3)
         assert len(calls) <= 1  # one worker: one group of every fold

@@ -107,12 +107,13 @@ def test_corating_index_matches_pearson_on_rebuilt_training_stores():
         for min_count in (1, MIN_CORATED, MIN_CORATED + 1):
             index = CoRatings(store, np.arange(nu), min_count)
             assert (np.diff(index.keys) > 0).all()
+            sigmas = index.pearson(assignment, folds)
             for fold in range(folds):
                 held_out = assignment == fold
                 keep = ~held_out
                 train = RatingStore(nu, store.num_items, store.user_idx[keep],
                                     store.item_idx[keep], store.value[keep])
-                sigma = index.pearson(held_out)
+                sigma = sigmas[fold]
                 c = block_candidates(train, store.user_idx[held_out], store.item_idx[held_out])
                 lower, upper = np.divmod(index.keys, nu)
                 asked = ((lower, upper), (upper, lower), (c.pair_users, c.pair_cands))
@@ -140,16 +141,16 @@ def test_corating_index_keeps_pairs_one_above_the_minimum_overlap():
     assert index.pos_u.dtype == index.pos_v.dtype == np.int32
     assert index.pos_u.tolist() == [2, 3, 4]
     assert index.pos_v.tolist() == [5, 6, 7]
-    # user 1's rating of item 2 held out: {1, 2} keeps 2 co-rated items
-    held_out = np.zeros(len(store), dtype=bool)
-    held_out[4] = True
-    sigma = index.pearson(held_out)
+    # user 1's rating of item 2 held out of fold 0: {1, 2} keeps 2 co-rated items
+    label = np.full(len(store), -1)
+    label[4] = 0
+    sigma = index.pearson(label)[0]
     assert sigma.tolist() == [1.0]
     users, cands = np.array([1, 2, 1]), np.array([2, 1, 0])
     assert index.of(sigma, users, cands).tolist() == [1.0, 1.0, 0.0]
     # item 1 held out too: one co-rated item left, which has no variance
-    held_out[3] = True
-    assert index.pearson(held_out).tolist() == [0.0]
+    label[3] = 0
+    assert index.pearson(label)[0].tolist() == [0.0]
     # listed from user 2 alone, the pair keeps its key, with user 2's side first
     alone = CoRatings(store, np.array([2]), 3)
     assert alone.keys.tolist() == [1 * 3 + 2]
@@ -164,7 +165,6 @@ def test_corating_chunks_do_not_change_results(monkeypatch):
     for _ in range(4):
         d = random_dataset(rng, max_users=30, max_items=15, max_ratings=250)
         plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
-        held_out = plan.assignment == 0
         got = []
         for chunk in (recommender._CORATE_CHUNK, 1, 10**12):
             monkeypatch.setattr(recommender, "_CORATE_CHUNK", chunk)
@@ -172,9 +172,14 @@ def test_corating_chunks_do_not_change_results(monkeypatch):
             # every other user: pairs with unlisted users come from several chunks
             part = CoRatings(d.ratings, np.arange(0, d.num_users, 2), 1)
             assert (np.diff(part.keys) > 0).all()
+            folds = index.pearson(plan.assignment, 3)
+            # row f is fold f reduced alone, bit for bit
+            for f in range(3):
+                alone = index.pearson(np.where(plan.assignment == f, 0, -1))
+                assert np.array_equal(folds[f], alone[0])
             report = run_experiment(d, configs, plan, k=3)
             got.append((index.keys, index.ptr, index.pos_u, index.pos_v,
-                        index.pearson(held_out), part.keys, part.ptr, part.pos_u,
+                        folds, part.keys, part.ptr, part.pos_u,
                         part.pos_v, part.pearson(), report.to_tsv(), report.to_summary_json()))
         for other in got[1:]:
             for a, b in zip(got[0], other):
