@@ -96,6 +96,17 @@ def check_handles(handles, count: int, kind: str, error: type[Exception]) -> np.
     return handles
 
 
+def _int64_or_minus_one(handles) -> np.ndarray:
+    """``handles``, one or an array of them, as int64, with -1 for each
+    beyond int64."""
+    try:
+        return np.asarray(handles, dtype=np.int64)
+    except OverflowError:
+        handles = np.asarray(handles, dtype=object)
+        fits = (handles >= -_INT64_MAX - 1) & (handles <= _INT64_MAX)
+        return np.where(fits, handles, -1).astype(np.int64)
+
+
 def csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of several CSR rows, concatenated in the order of ``rows``.
 
@@ -287,12 +298,14 @@ class RatingStore:
         return item_at, self._i_order[flat]
 
     def positions(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Canonical position of the rating ``users[n]`` gave ``items[n]``, or -1."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        """Canonical position of the rating ``users[n]`` gave ``items[n]``, or
+        -1, as for a handle out of range (one beyond int64 included)."""
+        users, items = _int64_or_minus_one(users), _int64_or_minus_one(items)
         want = users * self.num_items + items
-        # an item outside [0, num_items) would pack to a neighbouring user's key
-        want[(items < 0) | (items >= self.num_items)] = -1
+        # an item out of range would pack to a neighbouring user's key, and a
+        # user far out of range wrap to any key; as unsigned, -1 is out of range
+        want[(users.view(np.uint64) >= self.num_users)
+             | (items.view(np.uint64) >= self.num_items)] = -1
         at, found = search_keys(self._keys, want)
         at[~found] = -1
         return at

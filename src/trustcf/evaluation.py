@@ -11,12 +11,13 @@ has no RMSE or MAE, and a fold with no ranked user (or, for recall, none
 with a relevant item) has no ranking metric.  A metric no fold defines
 is NaN in ``summary.json`` and ``-`` in ``report.tsv``.
 
-Folds are evaluated in groups, one group per worker process, each of
-consecutive folds; a group's test users are scored in blocks of whole
-users, each block holding every held-out rating of its users in every
-fold of the group, one set of numpy calls per block.  A block's size is
-a budget of cells, configurations x (slots plus candidate entries), so
-a run of fewer configurations scores more users per block.  A slot (one
+Folds are evaluated in groups of consecutive folds, the first group in
+the calling process and each other in a child forked for it; a group's
+test users are scored in blocks of whole users, each block holding every
+held-out rating of its users in every fold of the group, one set of
+numpy calls per block.  A block's size is a budget of cells,
+configurations x (slots plus candidate entries), so a run of fewer
+configurations scores more users per block.  A slot (one
 held-out rating) is scored in its own fold: its candidates are the other
 raters of its item in the full store, less any whose rating that fold
 holds out.  Work that neither beta nor the fold changes is shared by
@@ -56,9 +57,12 @@ rating-derived state varies across folds.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass
 from math import isnan, sqrt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -661,12 +665,73 @@ def _evaluate_folds(
     return out
 
 
-_POOL_CONTEXT: tuple | None = None
+def _map_groups(
+    evaluate: Callable[[list[int]], list[list[FoldMetrics]]], groups: list[list[int]]
+) -> list[list[list[FoldMetrics]]]:
+    """``evaluate`` of every group, in order.  This process evaluates the
+    first group; each other group runs in a child forked for it, which
+    sees the caller's data through the fork and pickles its result, or its
+    exception, back through a pipe.  One group forks nothing.
+
+    A child's exception is raised here with its type and message; a child
+    that ends without a result raises :class:`RuntimeError`.  The pipes
+    are read only after this process's own group is done, so a child with
+    a large result just waits to be read.  If anything here raises, the
+    children are killed; every child is reaped before this returns.
+    """
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe)
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(evaluate, group, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [evaluate(groups[0])]
+        outputs = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(outputs, statuses):
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"a fold group's process ended with no result (exit code {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
-def _pool_worker(folds: list[int]) -> list[list[FoldMetrics]]:
-    d, profiles, configs, plan, k, tau, corating = _POOL_CONTEXT
-    return _evaluate_folds(d, profiles, configs, plan, folds, k, tau, corating)
+def _child(
+    evaluate: Callable[[list[int]], list[list[FoldMetrics]]], group: list[int], write: int
+) -> NoReturn:
+    """A forked child's whole life: pickle ``(True, evaluate(group))``, or
+    ``(False, exception)``, into the pipe ``write``, then exit, 0 only if
+    the pickle was written.  It never returns into the caller's stack."""
+    code = 1
+    try:
+        try:
+            outcome = (True, evaluate(group))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_experiment(
@@ -682,7 +747,8 @@ def run_experiment(
     Results are deterministic for a fixed dataset, configuration list and
     plan, regardless of ``workers``.  The folds are split into
     ``min(workers, folds)`` groups of consecutive folds, each evaluated in
-    one pass; with more than one group, each runs in a forked process.
+    one pass: the first in this process, each other in a forked child
+    (see :func:`_map_groups`).
     """
     if plan.assignment.shape != (len(d.ratings),):
         raise ValueError("fold plan does not match the dataset")
@@ -694,25 +760,17 @@ def run_experiment(
 
     if k < 1:
         raise ValueError("k must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
 
     profiles = build_profiles(d)
     corating = _corating_index(d, configs)
     folds = list(range(plan.num_folds))
-    groups = [g.tolist() for g in np.array_split(folds, min(max(workers, 1), len(folds)))]
-    if len(groups) > 1:
-        import multiprocessing as mp
-
-        global _POOL_CONTEXT
-        _POOL_CONTEXT = (d, profiles, configs, plan, k, tau, corating)
-        try:
-            with mp.get_context("fork").Pool(len(groups)) as pool:
-                per_group = pool.map(_pool_worker, groups, chunksize=1)
-        finally:
-            _POOL_CONTEXT = None
-    else:
-        per_group = [
-            _evaluate_folds(d, profiles, configs, plan, folds, k, tau, corating)
-        ]
+    groups = [g.tolist() for g in np.array_split(folds, min(workers, len(folds)))]
+    per_group = _map_groups(
+        lambda group: _evaluate_folds(d, profiles, configs, plan, group, k, tau, corating),
+        groups,
+    )
     per_fold = [metrics for group in per_group for metrics in group]
 
     rows = []

@@ -268,6 +268,15 @@ class TestPositions:
         assert store.positions([1, 1], [-1, 2]).tolist() == [-1, -1]
         assert store.positions([0, 2], [1, 0]).tolist() == [0, 3]  # first and last
         assert store.positions([-1, 3], [1, 0]).tolist() == [-1, -1]
+        # -2**63 * 2 wraps to 0, so (-2**63, 1) would pack to (0, 1)'s key
+        assert store.positions([-2**63, 2**62], [1, 0]).tolist() == [-1, -1]
+
+    def test_handles_beyond_int64(self):
+        store = RatingStore(3, 2, [0, 1, 1, 2], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0])
+        for big in (2**64, 2**63, -2**63 - 1):
+            assert store.positions([big], [0]).tolist() == [-1]
+            assert store.positions([0], [big]).tolist() == [-1]
+            assert store.positions([big, 0], [0, 1]).tolist() == [-1, 0]
 
     def test_empty(self):
         store = RatingStore(2, 2, [], [], [])

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -310,6 +314,12 @@ class TestRunExperiment:
         plan = split_folds(tiny, 3, seed=1)
         with pytest.raises(ValueError, match="no configuration"):
             run_experiment(tiny, [], plan)
+
+    def test_workers_must_be_positive(self, tiny):
+        plan = split_folds(tiny, 3, seed=1)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be positive"):
+                run_experiment(tiny, [make_config("MTR")], plan, workers=workers)
 
     def test_plan_must_match_dataset(self, tiny):
         rng = np.random.default_rng(64)
@@ -751,27 +761,99 @@ def test_fold_groups_match_fold_by_fold():
     assert min(seen.values()) > 0, seen
 
 
-def test_pool_starts_one_worker_per_fold_group(monkeypatch):
-    """The fork pool starts no more workers than there are fold groups."""
-    import multiprocessing
+def test_forks_one_child_per_fold_group_after_the_first(monkeypatch):
+    """The calling process scores the first fold group; each other group
+    forks one child, so no more children start than there are groups."""
+    forks: list[int] = []
+    real = os.fork
 
-    sizes: list[int] = []
-    context = multiprocessing.get_context("fork")
-    real = context.Pool
+    def counting():
+        forks.append(1)
+        return real()
 
-    def recording(processes=None, *args, **kwargs):
-        sizes.append(processes)
-        return real(min(processes, 3), *args, **kwargs)
-
-    monkeypatch.setattr(type(context), "Pool", lambda self, *a, **kw: recording(*a, **kw))
+    monkeypatch.setattr(os, "fork", counting)
     d = random_dataset(np.random.default_rng(75))
     plan = split_folds(d, 3, seed=5)
     want = run_experiment(d, [make_config("MTR")], plan, k=3)
-    for workers, started in ((50, 3), (3, 3), (2, 2)):
+    assert forks == []
+    for workers, started in ((1, 0), (2, 1), (3, 2), (50, 2)):
         got = run_experiment(d, [make_config("MTR")], plan, k=3, workers=workers)
         assert got.to_tsv() == want.to_tsv()
-        assert sizes.pop() == started
-    assert sizes == []
+        assert len(forks) == started, workers
+        forks.clear()
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the body outlasts ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_two_groups(monkeypatch, caller=None, child=None):
+    """A two-fold run on two workers: this process's group (fold 0) calls
+    ``caller``, and the one child's group (fold 1) calls ``child``, before
+    scoring."""
+    real = evaluation._evaluate_folds
+
+    def failing(d, profiles, configs, plan, folds, *rest):
+        action = (caller, child)[folds[0]]
+        if action is not None:
+            action()
+        return real(d, profiles, configs, plan, folds, *rest)
+
+    monkeypatch.setattr(evaluation, "_evaluate_folds", failing)
+    d = random_dataset(np.random.default_rng(76))
+    plan = split_folds(d, 2, seed=5)
+    with _deadline(30):
+        run_experiment(d, [make_config("MTR")], plan, k=3, workers=2)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def test_child_exception_is_raised_in_the_caller(monkeypatch):
+    with pytest.raises(ValueError, match="^boom$"):
+        _run_two_groups(monkeypatch, child=_boom)
+    _no_child_left()
+
+
+def test_child_that_dies_without_a_result_raises(monkeypatch):
+    with pytest.raises(RuntimeError, match="no result"):
+        _run_two_groups(monkeypatch, child=lambda: os._exit(3))
+    _no_child_left()
+
+
+def test_caller_failure_kills_the_children(monkeypatch):
+    """This process's own group fails while the child has an hour of work
+    left: the child is killed and reaped, and the failure is raised."""
+    with pytest.raises(ValueError, match="^boom$"):
+        _run_two_groups(monkeypatch, caller=_boom, child=lambda: time.sleep(3600))
+    _no_child_left()
+
+
+def test_child_result_larger_than_a_pipe_buffer():
+    """A child blocks writing a result the pipe cannot hold until the
+    caller, done with its own group, reads it."""
+    big = list(range(200_000))
+    with _deadline(30):
+        got = evaluation._map_groups(lambda group: [group, big], [[0], [1], [2]])
+    assert got == [[[0], big], [[1], big], [[2], big]]
+    _no_child_left()
 
 
 def test_block_partition_does_not_change_results(monkeypatch):
