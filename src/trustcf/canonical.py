@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dataset import PROVENANCES, RATING_MAX, RATING_MIN, REVIEW_COUNTERS, USER_COUNTERS
-from .dataset import _INT64_MAX, CounterOverflow, Dataset, Interner, build_dataset
+from .dataset import _INT64_MAX, CounterOverflow, Dataset, IdColumn, build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
 from .errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 
@@ -85,7 +85,8 @@ def render_canonical(d: Dataset) -> dict[str, str]:
     ))
 
     # users in the order of their external ids
-    by_id = np.array(sorted(range(d.num_users), key=users.external), dtype=np.int64)
+    ids = users.ids.tolist()
+    by_id = np.array(sorted(range(d.num_users), key=ids.__getitem__), dtype=np.int64)
     rank = np.empty(d.num_users, dtype=np.int64)
     rank[by_id] = np.arange(d.num_users)
 
@@ -259,25 +260,24 @@ class _Counters(NamedTuple):
     codes: np.ndarray
     values: np.ndarray
 
-    def table(self) -> tuple:
-        """The counter table ``(*ids, {name: values})``, each name's values
-        zero on the other names' rows."""
-        return (*self.ids, {n: np.where(self.codes == k, self.values, 0)
-                            for k, n in enumerate(self.names)})
+    def table(self, *ids: IdColumn) -> tuple:
+        """The counter table ``(*ids, {name: values})`` over the coded id
+        columns ``ids``, each name's values zero on the other names' rows."""
+        return (*ids, {n: np.where(self.codes == k, self.values, 0)
+                       for k, n in enumerate(self.names)})
 
-    def check_repeats(self, loaded, interners: tuple[Interner, ...]) -> None:
+    def check_repeats(self, loaded, ids: tuple[IdColumn, ...]) -> None:
         """Raise IoFailure naming the first line that repeats an earlier line's key.
 
         ``loaded(name)`` is the counter as built, rows of one key added up;
-        ``interners`` give the id columns' handles.  With as many nonzero
-        entries as rows there is no repeat, and the lookup of every row's
-        key, a tenth of the load of a canonical review_feedback.tsv, is skipped.
+        ``ids`` are the coded id columns.  With as many nonzero entries as
+        rows there is no repeat, and the sort of every row's key is skipped.
         """
         if self.values.size == sum(np.count_nonzero(loaded(name)) for name in self.names):
             return
         keys = self.codes
-        for interner, ids in zip(interners, self.ids):
-            keys = keys * len(interner) + interner.handles(ids)
+        for column in ids:
+            keys = keys * len(column.ids) + column.codes
         keys = keys[np.argsort(keys, kind="stable")]
         if (keys[1:] == keys[:-1]).any():
             raise _bad_line(self.path, _repeats(), "repeated key")
@@ -286,12 +286,10 @@ class _Counters(NamedTuple):
 def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     *ids, names, raw = _columns(path, width)
     values = _parsed(path, raw, int, 0, _INT64_MAX, "count")
-    present = sorted(set(names))
+    ((present, codes),) = factorize(names)  # its vocabulary is sorted
     if not set(present).issubset(known):
         raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
-    code = dict(zip(present, range(len(present))))
-    codes = np.fromiter(map(code.__getitem__, names), dtype=np.int64, count=len(names))
-    return _Counters(path, ids, present, codes, values)
+    return _Counters(path, ids, present.tolist(), codes, values)
 
 
 def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
@@ -352,23 +350,30 @@ def canonical_load(directory: str | Path) -> Dataset:
 
     path = directory / "ratings.tsv"
     r_user, r_item, raw = _columns(path, 3)
-    ratings = (r_user, r_item, _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value"))
+    values = _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value")
 
     uc = _read_counters(directory / "user_feedback.tsv", 3, USER_COUNTERS)
     rc = _read_counters(directory / "review_feedback.tsv", 4, REVIEW_COUNTERS)
 
     # a bare line names an item without tags
     cat_items, tags = _columns(directory / "item_categories.tsv", 2)
+    has_tags = np.fromiter(map(bool, tags), dtype=bool, count=len(tags))
+    # read last: the peak memory is in reading the counter files
+    friends = _columns(directory / "friends.tsv", 2)
 
+    # one vocabulary per kind of id, over every file
+    rating_user, friend, friend_of, uc_user, rc_user = factorize(
+        r_user, *friends, *uc.ids, rc.ids[0])
+    rating_item, rc_item, listed = factorize(r_item, rc.ids[1], cat_items)
     try:
         d = build_dataset(
             provenance=manifest["provenance"][1],
-            ratings=ratings,
-            friends=tuple(_columns(directory / "friends.tsv", 2)),
-            user_counters=[uc.table()],
-            review_counters=[rc.table()],
-            categories=(list(compress(cat_items, tags)), list(compress(tags, tags))),
-            extra_items=cat_items,
+            ratings=(rating_user, rating_item, values),
+            friends=(friend, friend_of),
+            user_counters=[uc.table(uc_user)],
+            review_counters=[rc.table(rc_user, rc_item)],
+            categories=(IdColumn(listed.ids, listed.codes[has_tags]), list(compress(tags, tags))),
+            extra_items=listed,
         )
     except ValueError as exc:
         # the builder rejects a repeated rating pair and a review of an unrated pair
@@ -385,8 +390,8 @@ def canonical_load(directory: str | Path) -> Dataset:
             # each row fits, so rows of one key add up
             raise _bad_line(path, _repeats(), "repeated key") from None
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
-    uc.check_repeats(d.feedback.col, (d.users,))
-    rc.check_repeats(d.review_feedback.col, (d.users, d.items))
+    uc.check_repeats(d.feedback.col, (uc_user,))
+    rc.check_repeats(d.review_feedback.col, (rc_user, rc_item))
 
     for key, count in zip(_MANIFEST_KEYS[2:], (d.num_users, d.num_items, len(d.ratings))):
         where, recorded = manifest[key]

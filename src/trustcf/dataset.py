@@ -1,7 +1,11 @@
 """In-memory dataset model: interned ids, ratings, feedback, categories.
 
 External string identifiers are interned once into dense integer handles
-(0..n-1) and every other structure is keyed by handle.  Ratings live in a
+(0..n-1) and every other structure is keyed by handle.  Before that, an
+id column travels as an :class:`IdColumn`: a vocabulary of distinct ids
+and one integer code per row.  :func:`factorize` is the one place that
+looks ids up row by row; from there on, interning, filtering and writing
+work per distinct id or by numpy takes.  Ratings live in a
 single canonical triple array sorted by (user, item); a user-major and an
 item-major view are both derived from it, so per-user and per-item scans
 are O(degree) slices over shared storage.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,25 +152,29 @@ class Interner:
     """Bijection, fixed at construction, between external string ids and
     dense integer handles.
 
+    ``ids`` holds the ids in handle order as a frozen object array, so a
+    column of handles becomes its ids with one take (:meth:`externals`).
     An interner holds the ids of one kind without knowing which, so
     :meth:`external` and :meth:`externals` raise ``IndexError`` for a
     handle outside ``[0, len)``, -1 included, as a sequence does.
     """
 
-    __slots__ = ("_ids", "_index")
+    __slots__ = ("ids", "_index")
 
     def __init__(self, ids: Iterable[str] = ()):
-        self._ids: list[str] = list(ids)
-        self._index: dict[str, int] = dict(zip(self._ids, range(len(self._ids))))
-        if len(self._index) != len(self._ids):
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        self._index: dict[str, int] = dict(zip(ids, range(len(ids))))
+        if len(self._index) != len(ids):
             raise ValueError("duplicate external ids")
+        self.ids = _frozen(np.array(ids, dtype=object).reshape(len(ids)))
 
     def handle(self, external_id: str) -> int:
         """Handle for a known id; KeyError if never interned."""
         return self._index[external_id]
 
     def handles(self, external_ids: Sequence[str]) -> np.ndarray:
-        """Handles of a column of ids; -1 for an id never interned."""
+        """Handles of a column of ids; -1 for an id never interned.  A row by
+        row lookup: :func:`factorize` is its one caller."""
         return np.fromiter(
             map(self._index.get, external_ids, repeat(-1)),
             dtype=np.int64,
@@ -174,22 +182,77 @@ class Interner:
         )
 
     def external(self, handle: int) -> str:
-        check_handles(handle, len(self._ids), "interned", IndexError)
-        return self._ids[handle]
+        check_handles(handle, len(self.ids), "interned", IndexError)
+        return self.ids[handle]
 
-    def externals(self, handles: np.ndarray) -> list[str]:
-        """External ids of a column of handles."""
-        handles = check_handles(handles, len(self._ids), "interned", IndexError)
-        return list(map(self._ids.__getitem__, handles.tolist()))
+    def externals(self, handles: np.ndarray) -> np.ndarray:
+        """External ids of a column of handles, as an object array."""
+        return self.ids[check_handles(handles, len(self.ids), "interned", IndexError)]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.ids)
 
     def __contains__(self, external_id: str) -> bool:
         return external_id in self._index
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
+        return iter(self.ids.tolist())
+
+
+class IdColumn(NamedTuple):
+    """A column of external ids as codes into a vocabulary: row n holds
+    ``ids[codes[n]]``.  The vocabulary lists distinct ids; it may hold ids
+    no code refers to, and several columns may share it."""
+
+    ids: Sequence[str]
+    codes: np.ndarray
+
+
+def factorize(*columns: Iterable[str]) -> tuple[IdColumn, ...]:
+    """Each column of ids as an :class:`IdColumn`, all sharing one vocabulary:
+    the distinct ids, sorted.  This is the one place where ids are looked
+    up row by row."""
+    columns = [c.tolist() if isinstance(c, np.ndarray)
+               else c if isinstance(c, (list, tuple)) else list(c) for c in columns]
+    vocabulary = Interner(sorted(set().union(*columns)))
+    return tuple(IdColumn(vocabulary.ids, vocabulary.handles(c)) for c in columns)
+
+
+def intern_sorted(columns: Sequence[IdColumn]) -> tuple[Interner, list[np.ndarray]]:
+    """An interner of the ids the columns' codes refer to, in sorted order,
+    and each column's handles in it.
+
+    A vocabulary is read once however many columns share it, and only at
+    the ids its codes refer to, so the work goes by distinct ids, not by
+    rows, and an id that no code refers to is not interned.  A code outside
+    its vocabulary raises ``ValueError``.
+    """
+    used: dict[int, tuple[Sequence[str], np.ndarray]] = {}  # per vocabulary, its ids in use
+    codes = []
+    for ids, c in columns:
+        c = check_handles(c, len(ids), "coded id", ValueError)
+        used.setdefault(id(ids), (ids, np.zeros(len(ids), dtype=bool)))[1][c] = True
+        codes.append(c)
+    referenced = [np.asarray(ids, dtype=object).reshape(len(ids))[mask]
+                  for ids, mask in used.values()]
+    merged = np.concatenate(referenced) if referenced else np.empty(0, dtype=object)
+    # stable: a sort that merges the vocabularies' runs, each sorted if factorized
+    order = np.argsort(merged, kind="stable")
+    ordered = merged[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(ordered.size, dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+    remaps = {}
+    at = np.split(rank, np.cumsum([r.size for r in referenced[:-1]], dtype=np.int64))
+    for key, (vocabulary, mask), handles in zip(used, used.values(), at):
+        remaps[key] = remap = np.full(len(vocabulary), -1, dtype=np.int64)
+        remap[mask] = handles
+        if (remap == np.arange(remap.size)).all():
+            remaps[key] = None  # the codes are the handles: a sorted vocabulary, all in use
+    interner = Interner(ordered[first])
+    return interner, [c if remaps[id(ids)] is None else remaps[id(ids)][c]
+                      for (ids, _), c in zip(columns, codes)]
 
 
 def _user_means(users: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -453,17 +516,16 @@ class ItemCategories:
 
     @classmethod
     def from_columns(
-        cls, num_items: int, items: np.ndarray, tags: Sequence[str]
+        cls, num_items: int, items: np.ndarray, tags: Sequence[str] | IdColumn
     ) -> ItemCategories:
         """Item ``items[n]`` carries tag ``tags[n]``, for each n; repeats count once."""
         out = cls.__new__(cls)
         out._index(num_items, items, tags)
         return out
 
-    def _index(self, num_items: int, items: np.ndarray, tags: Sequence[str]) -> None:
-        self.names = tuple(sorted(set(tags)))
-        ids = dict(zip(self.names, range(len(self.names))))
-        tag_ids = np.fromiter(map(ids.__getitem__, tags), dtype=np.int64, count=len(tags))
+    def _index(self, num_items: int, items: np.ndarray, tags: Sequence[str] | IdColumn) -> None:
+        names, (tag_ids,) = intern_sorted([_coded(tags)])
+        self.names = tuple(names)
         keys = np.asarray(items, dtype=np.int64) * len(self.names) + tag_ids
         self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
         self.sizes = _frozen(np.diff(self.ptr))
@@ -520,72 +582,73 @@ class Dataset:
         return len(self.items)
 
 
+Ids = Iterable[str] | IdColumn  # a column of ids: plain, or coded
+
+
+def _coded(column: Ids) -> IdColumn:
+    return column if isinstance(column, IdColumn) else factorize(column)[0]
+
+
 def build_dataset(
     *,
     provenance: str,
-    ratings: tuple[Sequence[str], Sequence[str], Sequence[float]],
-    friends: tuple[Sequence[str], Sequence[str]] = ((), ()),
-    user_counters: Sequence[tuple[Sequence[str], Mapping[str, Sequence[int]]]] = (),
-    review_counters: Sequence[
-        tuple[Sequence[str], Sequence[str], Mapping[str, Sequence[int]]]
-    ] = (),
-    categories: tuple[Sequence[str], Sequence[str]] = ((), ()),
-    extra_users: Iterable[str] = (),
-    extra_items: Iterable[str] = (),
+    ratings: tuple[Ids, Ids, Sequence[float]],
+    friends: tuple[Ids, Ids] = ((), ()),
+    user_counters: Sequence[tuple[Ids, Mapping[str, Sequence[int]]]] = (),
+    review_counters: Sequence[tuple[Ids, Ids, Mapping[str, Sequence[int]]]] = (),
+    categories: tuple[Ids, Ids] = ((), ()),
+    extra_users: Ids = (),
+    extra_items: Ids = (),
     warnings: IngestWarnings = IngestWarnings(),
 ) -> Dataset:
-    """Build a Dataset from columns keyed by external string ids.
+    """Build a Dataset from columns of external ids.
 
     ``ratings`` is (user, item, value) columns with one row per pair,
     ``friends`` (user, user) columns and ``categories`` (item, tag)
     columns.  Counters come in tables: ``(users, {name: values})`` per
     user table, ``(users, items, {name: values})`` per review table.  Rows
     that repeat a key add up, also across tables, and review rows must
-    refer to pairs that carry a rating.  Each id column is looked up once,
-    however many tables share it, and each review table is joined to the
-    ratings by one :meth:`RatingStore.positions` call.  Ids are interned
-    in sorted order, so two calls with the same content produce
-    handle-identical datasets.
+    refer to pairs that carry a rating.
+
+    An id column is an :class:`IdColumn` or a plain column of ids, which
+    is factorized once on entry.  The ids the codes refer to are interned
+    in sorted order (:func:`intern_sorted`), so two calls with the same
+    content produce handle-identical datasets, and each column maps to
+    handles with one take.  Each review table is joined to the ratings by
+    one :meth:`RatingStore.positions` call.
     """
     from .social import SocialGraph
 
     r_user, r_item, r_value = ratings
     c_item, c_tag = categories
-    user_ids = set(extra_users).union(r_user, *friends, *(ids for ids, _ in user_counters))
-    users = Interner(sorted(user_ids))
-    items = Interner(sorted(set(extra_items).union(c_item, r_item)))
+    users, (r_uh, a, b, _, *uh) = intern_sorted([_coded(c) for c in (
+        r_user, *friends, extra_users, *(ids for ids, _ in user_counters),
+        *(ids for ids, _, _ in review_counters))])
+    items, (r_ih, c_ih, _, *ih) = intern_sorted([_coded(c) for c in (
+        r_item, c_item, extra_items, *(ids for _, ids, _ in review_counters))])
     nu, ni = len(users), len(items)
-
-    looked_up: dict[tuple[int, int], np.ndarray] = {}
-
-    def handles(interner: Interner, col: Sequence[str]) -> np.ndarray:
-        key = (id(interner), id(col))
-        if key not in looked_up:
-            looked_up[key] = interner.handles(col)
-        return looked_up[key]
-
-    store = RatingStore(nu, ni, handles(users, r_user), handles(items, r_item), r_value)
+    store = RatingStore(nu, ni, r_uh, r_ih, r_value)
 
     review_sums = []
-    for rc_user, rc_item, counters in review_counters:
-        pos = store.positions(handles(users, rc_user), handles(items, rc_item))
+    for u, i, (_, _, counters) in zip(uh[len(user_counters):], ih, review_counters):
+        pos = store.positions(u, i)
         if pos.size and pos.min() < 0:
             n = int(np.argmin(pos))
-            raise ValueError(f"review counters for unrated pair ({rc_user[n]!r}, {rc_item[n]!r})")
+            raise ValueError(f"review counters for unrated pair "
+                             f"({users.ids[u[n]]!r}, {items.ids[i[n]]!r})")
         review_sums.append((pos, counters))
-    user_sums = [(handles(users, ids), counters) for ids, counters in user_counters]
+    user_sums = [(h, counters) for h, (_, counters) in zip(uh, user_counters)]
 
-    a, b = friends
     return Dataset(
         users=users,
         items=items,
         ratings=store,
-        social=SocialGraph(nu, np.column_stack((handles(users, a), handles(users, b)))),
+        social=SocialGraph(nu, np.column_stack((a, b))),
         feedback=FeedbackTable(
             nu, _sums(user_sums, nu, (COMPLIMENTS, CONTRIBUTIONS, RECEIVED_FEEDBACK))
         ),
         review_feedback=ReviewFeedback(store, _sums(review_sums, len(store), (REVIEW_COUNTERS,))),
-        categories=ItemCategories.from_columns(ni, handles(items, c_item), c_tag),
+        categories=ItemCategories.from_columns(ni, c_ih, c_tag),
         provenance=provenance,
         warnings=warnings,
     )
@@ -689,11 +752,12 @@ def apply_filters(
     The item filter runs first: when a closure is given, only items
     tagged with at least one closure category survive.  The user filter
     then runs once over the remaining ratings and keeps users holding at
-    least ``min_ratings`` of them.  The kept rows go through
-    :func:`build_dataset`, which re-interns handles densely in sorted id
-    order: a dataset built with unsorted interners filters to sorted
-    handles, and its canonical files are the same.  The operation is
-    idempotent for fixed arguments.
+    least ``min_ratings`` of them.  The kept rows go to
+    :func:`build_dataset` as id columns coded by the dataset's own handles,
+    ``(d.users.ids, kept handles)``, so no id is looked up again; the
+    builder interns the kept ids densely in sorted order: a dataset built
+    with unsorted interners filters to sorted handles, and its canonical
+    files are the same.  The operation is idempotent for fixed arguments.
     """
     if min_ratings < 0:
         raise ValueError("min_ratings must be non-negative")
@@ -712,24 +776,23 @@ def apply_filters(
     user_keep = np.bincount(store.user_idx[rating_keep], minlength=d.num_users) >= min_ratings
 
     keep = rating_keep & user_keep[store.user_idx]
-    r_user = d.users.externals(store.user_idx[keep])
-    r_item = d.items.externals(store.item_idx[keep])
-    users = d.users.externals(np.flatnonzero(user_keep))
+    # every column codes into the dataset's own ids: its handles are the codes
+    r_user = IdColumn(d.users.ids, store.user_idx[keep])
+    r_item = IdColumn(d.items.ids, store.item_idx[keep])
     a, b = d.social.edge_array()
     friends = user_keep[a] & user_keep[b]
     tagged = item_keep[owners]
-    tags = list(map(cats.names.__getitem__, cats.tags[tagged].tolist()))
     fb, rf = d.feedback, d.review_feedback
     return build_dataset(
         provenance=d.provenance,
         ratings=(r_user, r_item, store.value[keep]),
-        friends=(d.users.externals(a[friends]), d.users.externals(b[friends])),
+        friends=(IdColumn(d.users.ids, a[friends]), IdColumn(d.users.ids, b[friends])),
         # every kept user is a row of the user table, so none needs listing again
-        user_counters=[(users, {name: fb.col(name)[user_keep] for name in fb.present()})],
-        # the ratings' own id lists, so the builder looks them up once
+        user_counters=[(IdColumn(d.users.ids, np.flatnonzero(user_keep)),
+                        {name: fb.col(name)[user_keep] for name in fb.present()})],
         review_counters=[(r_user, r_item, {name: rf.col(name)[keep] for name in rf.present()})],
-        categories=(d.items.externals(owners[tagged]), tags),
-        extra_items=d.items.externals(np.flatnonzero(item_keep)),
+        categories=(IdColumn(d.items.ids, owners[tagged]), IdColumn(cats.names, cats.tags[tagged])),
+        extra_items=IdColumn(d.items.ids, np.flatnonzero(item_keep)),
     )
 
 

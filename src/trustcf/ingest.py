@@ -4,11 +4,16 @@ Yelp dumps are JSON-lines files (business, review, user, tip).  The
 LibraryThing dump stores one review per line as a JSON or Python-literal
 dict, plus a whitespace-separated friend-pair file.  Both readers:
 
-* intern every user/item id they encounter, so references always resolve;
+* factorize their id columns once, after parsing, into one user and one
+  item vocabulary (``dataset.IdColumn``), so references always resolve
+  and nothing after that looks an id up again: the duplicate check, the
+  row selection and the builder work on integer codes;
 * collapse duplicate (user, item) reviews onto the latest by source
   timestamp, counting the collisions;
 * drop reviews without a usable rating (missing, null or outside the
-  1..5 scale), counting the drops.
+  1..5 scale), counting the drops;
+* reject a rating or a count that is a boolean, and a count that is not
+  a whole number, naming the file and line.
 
 Raw field quirks are normalized here and nowhere else: comma-separated
 friend/elite strings vs. real lists, feedback counts nested in a
@@ -21,13 +26,15 @@ from __future__ import annotations
 import ast
 import json
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import CounterOverflow, Dataset, IngestWarnings, _columns, build_dataset
+from .dataset import CounterOverflow, Dataset, IdColumn, IngestWarnings, build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
@@ -87,43 +94,66 @@ def _listish(record: dict, name: str, source: str, line_no: int) -> list[str]:
 
 
 def _int_field(record: dict, name: str, source: str, line_no: int) -> int:
+    """A count, 0 when missing or negative.  A boolean, or a number that is
+    not whole (``3.0`` reads as 3), is not an integer."""
     value = record.get(name, 0)
     if type(value) is not int:
         try:
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError
             value = int(value)
         except (TypeError, ValueError, OverflowError):
             raise MalformedRecord(source, line_no, f"{name} is not an integer") from None
     return value if value > 0 else 0
 
 
-def _latest(users: list[str], items: list[str], stamps: list) -> tuple[list[int], int]:
-    """The rows left when each (user, item) pair keeps its latest row.
+def _counts(values: list[int]) -> np.ndarray:
+    """Counts as an int64 array, or as an object array when one does not fit,
+    so that the builder raises CounterOverflow naming its row."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _latest(users: np.ndarray, items: np.ndarray, stamps: list) -> tuple[np.ndarray, int]:
+    """The rows left when each (user, item) pair of codes keeps its latest row.
 
     The latest row has the largest stamp, and of equal stamps the last
-    one.  Returns the kept row indices in file order and the number dropped.
+    one; stamps are compared only among the rows of pairs that repeat.
+    Returns the kept row indices in file order and the number dropped.
     """
-    last = dict(zip(zip(users, items), range(len(users))))
-    dropped = len(users) - len(last)
-    if dropped:
-        # a stable sort keeps rows of equal stamps in file order
-        order = sorted(range(len(users)), key=stamps.__getitem__)
-        pairs = zip(map(users.__getitem__, order), map(items.__getitem__, order))
-        last = dict(zip(pairs, order))
-    return sorted(last.values()), dropped
+    keys = users * (int(items.max(initial=-1)) + 1) + items
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeats = keys[1:] == keys[:-1]
+    if not repeats.any():
+        return np.arange(keys.size), 0
+    # the rows of pairs that repeat, by pair and then in file order
+    in_run = np.zeros(keys.size, dtype=bool)
+    in_run[1:] = repeats
+    in_run[:-1] |= repeats
+    rows, pairs = order[in_run], keys[in_run]
+    # a stable sort keeps one pair's rows of equal stamps in file order
+    row_stamps = list(map(stamps.__getitem__, rows.tolist()))
+    rank = np.empty(rows.size, dtype=np.int64)
+    rank[sorted(range(rows.size), key=row_stamps.__getitem__)] = np.arange(rows.size)
+    latest = np.lexsort((rank, pairs))
+    # each row followed by one of its own pair is not the latest
+    dropped = rows[latest[:-1][pairs[latest[1:]] == pairs[latest[:-1]]]]
+    kept = np.ones(keys.size, dtype=bool)
+    kept[dropped] = False
+    return np.flatnonzero(kept), int(dropped.size)
 
 
-def _pick(column: list, rows: list[int]) -> list:
-    return list(map(column.__getitem__, rows))
-
-
-def _check_ids(ids: set[str], sources) -> None:
+def _check_ids(ids: list[str], sources) -> None:
     """Raise MalformedRecord for the first record holding an unsafe id.
 
     ``sources`` yields ``(file name, line, [(field, value), ...])`` per
     record; it is read only when ``ids`` hold an unsafe one, so a good
     dump pays one scan of its distinct ids.
     """
-    if "" not in ids and not unsafe_field("".join(ids)):
+    if all(ids) and not unsafe_field("".join(ids)):
         return
     for source, line_no, fields in sources:
         for field, value in fields:
@@ -190,8 +220,11 @@ def ingest_yelp(
         business = record.get("business_id")
         if not user or not business:
             raise MalformedRecord(source, line_no, "missing user_id or business_id")
+        stars = record.get("stars")
         try:
-            rating = float(record.get("stars"))
+            if isinstance(stars, bool):
+                raise TypeError
+            rating = float(stars)
         except (TypeError, ValueError, OverflowError):
             raise MalformedRecord(source, line_no, "stars is not numeric") from None
         if not 1.0 <= rating <= 5.0:
@@ -239,30 +272,35 @@ def ingest_yelp(
         t_user.append(str(user))
         t_likes.append(_int_field(record, name, source, line_no))
 
-    user_ids = set(r_user).union(profiles, f_friend, t_user)
-    item_ids = set(r_item).union(categories)
-    tags = set().union(*categories.values())
-    _check_ids(user_ids | item_ids | tags, _yelp_id_fields(*files))
+    r_user, p_user, f_user, f_friend, t_user = factorize(
+        r_user, list(profiles), f_user, f_friend, t_user)
+    # a business listed twice keeps the last line's tags
+    r_item, business = factorize(r_item, list(categories))
+    (tags,) = factorize(list(chain.from_iterable(categories.values())))
+    tagged = IdColumn(business.ids, np.repeat(business.codes, list(map(len, categories.values()))))
+    ids = np.concatenate((r_user.ids, r_item.ids, tags.ids)).tolist()
+    _check_ids(ids, _yelp_id_fields(*files))
 
-    kept, duplicates = _latest(r_user, r_item, r_date)
-    k_user, k_item = _pick(r_user, kept), _pick(r_item, kept)
-    useful, funny, cool = (_pick(col, kept) for col in (r_useful, r_funny, r_cool))
+    kept, duplicates = _latest(r_user.codes, r_item.codes, r_date)
+    k_user = IdColumn(r_user.ids, r_user.codes[kept])
+    k_item = IdColumn(r_item.ids, r_item.codes[kept])
+    useful, funny, cool = (_counts(col)[kept] for col in (r_useful, r_funny, r_cool))
     try:
         return build_dataset(
             provenance="yelp",
-            ratings=(k_user, k_item, _pick(r_stars, kept)),
+            ratings=(k_user, k_item, np.array(r_stars)[kept]),
             friends=(f_user, f_friend),
             user_counters=[
-                (list(profiles), dict(zip(("elite_years", "more", "thx", "gw", "fans"),
-                                          zip(*profiles.values())))),
-                (t_user, {"tip_likes": t_likes, "tip_count": [1] * len(t_user)}),
+                (p_user, dict(zip(("elite_years", "more", "thx", "gw", "fans"),
+                                  zip(*profiles.values())))),
+                (t_user, {"tip_likes": t_likes,
+                          "tip_count": np.ones(len(t_likes), dtype=np.int64)}),
                 (k_user, {"review_useful": useful, "review_funny": funny, "review_cool": cool,
-                          "review_count": [1] * len(kept)}),
+                          "review_count": np.ones(kept.size, dtype=np.int64)}),
             ],
             review_counters=[(k_user, k_item, {"useful": useful, "funny": funny, "cool": cool})],
-            # a business listed twice keeps the last line's tags
-            categories=_columns(((b, tag) for b, tags in categories.items() for tag in tags), 2),
-            extra_items=categories.keys(),
+            categories=(tagged, tags),
+            extra_items=business,
             warnings=IngestWarnings(duplicate_ratings=duplicates),
         )
     except CounterOverflow as exc:
@@ -271,7 +309,8 @@ def ingest_yelp(
             user = list(profiles)[exc.row]
             rows = [n for n, r in _iter_json_lines(user_file) if str(r.get("user_id")) == user]
             raise MalformedRecord(user_file.name, rows[-1], str(exc)) from None
-        path, n = (tip_file, exc.row) if exc.name.startswith("tip_") else (review_file, kept[exc.row])
+        path, n = ((tip_file, exc.row) if exc.name.startswith("tip_")
+                   else (review_file, int(kept[exc.row])))
         line_no = next(islice(_iter_json_lines(path), n, None))[0]
         raise MalformedRecord(path.name, line_no, str(exc)) from None
 
@@ -301,9 +340,12 @@ def _iter_librarything(path: Path) -> Iterator[tuple[int, dict]]:
 
 
 def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
-    """A review's stars, or None when they are missing, null or off the 1..5 scale."""
+    """A review's stars, or None when they are missing, null or off the 1..5
+    scale; MalformedRecord when they are not a number, or a boolean."""
     stars = record.get("stars")
     try:
+        if isinstance(stars, bool):
+            raise TypeError
         rating = float(stars) if stars is not None else 0.0
     except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(source, line_no, "stars is not numeric") from None
@@ -336,7 +378,9 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
         if rating is None:
             dropped += 1
             continue
-        nhelpful = _int_field(record, "nhelpful", source, line_no) if record.get("nhelpful") else 0
+        raw = record.get("nhelpful")
+        # a missing, null, zero or empty count reads 0; false is not a count
+        nhelpful = _int_field(record, "nhelpful", source, line_no) if raw or raw is False else 0
         try:
             stamp = int(record.get("unixtime") or 0)
         except (TypeError, ValueError, OverflowError):
@@ -364,21 +408,26 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
             if _lt_rating(r, source, line_no) is not None:
                 yield source, line_no, [("user", str(r.get("user"))), ("work", str(r.get("work")))]
 
-    _check_ids(set(r_user).union(r_item), id_fields())
+    r_user, f_a, f_b = factorize(r_user, f_a, f_b)
+    (r_item,) = factorize(r_item)
+    _check_ids(np.concatenate((r_user.ids, r_item.ids)).tolist(), id_fields())
 
-    kept, duplicates = _latest(r_user, r_item, r_stamp)
-    k_user, k_item, helpful = (_pick(col, kept) for col in (r_user, r_item, r_help))
+    kept, duplicates = _latest(r_user.codes, r_item.codes, r_stamp)
+    k_user = IdColumn(r_user.ids, r_user.codes[kept])
+    k_item = IdColumn(r_item.ids, r_item.codes[kept])
+    helpful = _counts(r_help)[kept]
     try:
         return build_dataset(
             provenance="librarything",
-            ratings=(k_user, k_item, _pick(r_stars, kept)),
+            ratings=(k_user, k_item, np.array(r_stars)[kept]),
             friends=(f_a, f_b),
-            user_counters=[(k_user, {"nhelpful_total": helpful, "review_count": [1] * len(kept)})],
+            user_counters=[(k_user, {"nhelpful_total": helpful,
+                                     "review_count": np.ones(kept.size, dtype=np.int64)})],
             review_counters=[(k_user, k_item, {"nhelpful": helpful})],
             warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
         )
     except CounterOverflow as exc:  # each row is a kept review, one per id_fields record
-        line_no = next(islice(id_fields(), kept[exc.row], None))[1]
+        line_no = next(islice(id_fields(), int(kept[exc.row]), None))[1]
         raise MalformedRecord(source, line_no, str(exc)) from None
 
 

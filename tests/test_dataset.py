@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -29,12 +31,14 @@ from trustcf import (
     make_dataset,
     rel_direct,
 )
-from trustcf.canonical import datasets_equal
+from trustcf.canonical import datasets_equal, render_canonical
 from trustcf.dataset import (
     REVIEW_COUNTERS,
     USER_COUNTERS,
     CounterOverflow,
+    IdColumn,
     build_dataset,
+    factorize,
     search_keys,
 )
 from trustcf.errors import UnknownUser
@@ -354,33 +358,44 @@ class TestMakeDataset:
 
 
 class TestBuildDataset:
-    def test_tables_add_up_and_each_id_column_is_looked_up_once(self, monkeypatch):
-        calls = []
+    def test_tables_add_up_and_coded_ids_are_looked_up_once_each(self, monkeypatch):
+        looked_up = []
         real = Interner.handles
 
         def handles(self, ids):
-            calls.append((id(self), id(ids)))
+            looked_up.append(len(ids))
             return real(self, ids)
 
+        users, items = factorize(["a", "b", "a", "b", "a"], ["x", "x", "y", "x", "x"])
         monkeypatch.setattr(Interner, "handles", handles)
-        users, items = ["a", "b", "a"], ["x", "x", "y"]
         d = build_dataset(
             provenance="synthetic",
-            ratings=(users, items, [1.0, 2.0, 3.0]),
+            ratings=(IdColumn(users.ids, users.codes[:3]), IdColumn(items.ids, items.codes[:3]),
+                     [1.0, 2.0, 3.0]),
             user_counters=[
-                (users, {"fans": [1, 2, 3], "review_count": [1, 1, 1]}),
-                (["b"], {"fans": [5]}),
+                (IdColumn(users.ids, users.codes[:3]), {"fans": [1, 2, 3],
+                                                        "review_count": [1, 1, 1]}),
+                (IdColumn(users.ids, users.codes[3:4]), {"fans": [5]}),
             ],
             review_counters=[
-                (users, items, {"useful": [1, 0, 2]}),
-                (["a"], ["x"], {"useful": [4]}),
+                (IdColumn(users.ids, users.codes[:3]), IdColumn(items.ids, items.codes[:3]),
+                 {"useful": [1, 0, 2]}),
+                (IdColumn(users.ids, users.codes[4:]), IdColumn(items.ids, items.codes[4:]),
+                 {"useful": [4]}),
             ],
         )
         assert d.feedback.col("fans").tolist() == [4, 7]
         assert d.feedback.col("review_count").tolist() == [2, 1]
         # canonical order: (a, x), (a, y), (b, x)
         assert d.review_feedback.col("useful").tolist() == [5, 2, 0]
-        assert len(calls) == len(set(calls))
+        # no row of an id column is looked up: the builder works on the codes
+        assert sum(looked_up) == 0
+
+    def test_coded_ids_out_of_their_vocabulary_raise(self):
+        for codes in ([2], [-1]):
+            with pytest.raises(ValueError, match="coded id handle out of range"):
+                build_dataset(provenance="synthetic",
+                              ratings=(IdColumn(["a", "b"], codes), ["x"], [1.0]))
 
     def test_counters_beyond_int64_raise_rather_than_wrap(self):
         def build(*user_counters):
@@ -437,6 +452,107 @@ class TestBuildDataset:
         d = build_dataset(provenance="synthetic", ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
                           user_counters=[(["a", "b"], {"more": [2 ** 62, 0], "gw": [0, 2 ** 62]})])
         assert d.feedback.total(("more", "thx", "gw")).tolist() == [2 ** 62, 2 ** 62]
+
+
+class TestCodedColumns:
+    """build_dataset over (vocabulary, codes) columns equals it over the same
+    rows as plain id columns."""
+
+    # ids below the tab sort before it: "a\x01" < "a\t" < "a"+"b"
+    USERS = ("u1", "u2", "a\x01", "a\x08b", "\x02", "u10", "Ü")
+    ITEMS = ("i1", "i\x03", "i2", "\x07", "i10")
+    TAGS = ("Food", "F\x01", "Bars", "Café")
+
+    @staticmethod
+    def _coded(rnd, ids, vocabulary):
+        """``ids`` as codes into ``vocabulary`` (which holds every one of them)."""
+        index = {x: n for n, x in enumerate(vocabulary)}
+        return IdColumn(vocabulary, np.array([index[x] for x in ids], dtype=np.int64))
+
+    def _vocabulary(self, rnd, pool):
+        """The pool and some ids no column refers to, shuffled; a list or an array."""
+        ids = list(pool) + [f"unused{n}\x05" for n in range(rnd.randint(0, 3))]
+        rnd.shuffle(ids)
+        return ids if rnd.random() < 0.5 else np.array(ids, dtype=object)
+
+    def _tables(self, rnd):
+        users = rnd.sample(self.USERS, rnd.randint(1, len(self.USERS)))
+        items = rnd.sample(self.ITEMS, rnd.randint(1, len(self.ITEMS)))
+        pairs = [(u, i) for u in users for i in items]
+        pairs = rnd.sample(pairs, rnd.randint(0, min(len(pairs), 8)))
+        friends = [tuple(rnd.sample(users, 2)) for _ in range(rnd.randint(0, 4))
+                   if len(users) > 1]
+        listed = [u for u in users if rnd.random() < 0.5]
+        tagged = [(i, t) for i in items for t in self.TAGS if rnd.random() < 0.3]
+        return {
+            "ratings": ([u for u, _ in pairs], [i for _, i in pairs],
+                        [float(rnd.randint(1, 5)) for _ in pairs]),
+            "friends": ([a for a, _ in friends], [b for _, b in friends]),
+            "user_counters": [(listed, {"fans": [rnd.randint(0, 9) for _ in listed]}),
+                              ([u for u, _ in pairs], {"review_count": [1] * len(pairs)})],
+            "review_counters": [([u for u, _ in pairs], [i for _, i in pairs],
+                                 {"useful": [rnd.randint(0, 3) for _ in pairs]})],
+            "categories": ([i for i, _ in tagged], [t for _, t in tagged]),
+            "extra_users": [u for u in users if rnd.random() < 0.3],
+            "extra_items": [i for i in items if rnd.random() < 0.3],
+        }
+
+    def _code(self, rnd, tables):
+        """The same tables with every id column coded: all user columns share
+        one vocabulary or each has its own, and so do item columns."""
+        shared = {kind: self._vocabulary(rnd, pool)
+                  for kind, pool in (("user", self.USERS), ("item", self.ITEMS))}
+
+        def code(ids, kind):
+            pool = {"user": self.USERS, "item": self.ITEMS, "tag": self.TAGS}[kind]
+            vocabulary = shared.get(kind) if rnd.random() < 0.7 else None
+            return self._coded(rnd, ids, vocabulary if vocabulary is not None
+                               else self._vocabulary(rnd, pool))
+
+        (ru, ri, rv), (fa, fb) = tables["ratings"], tables["friends"]
+        ci, ct = tables["categories"]
+        return {
+            "ratings": (code(ru, "user"), code(ri, "item"), rv),
+            "friends": (code(fa, "user"), code(fb, "user")),
+            "user_counters": [(code(ids, "user"), c) for ids, c in tables["user_counters"]],
+            "review_counters": [(code(u, "user"), code(i, "item"), c)
+                                for u, i, c in tables["review_counters"]],
+            "categories": (code(ci, "item"), code(ct, "tag")),
+            "extra_users": code(tables["extra_users"], "user"),
+            "extra_items": code(tables["extra_items"], "item"),
+        }
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_coded_and_plain_columns_build_the_same_dataset(self, seed):
+        rnd = random.Random(seed)
+        tables = self._tables(rnd)
+        plain = build_dataset(provenance="synthetic", **tables)
+        coded = build_dataset(provenance="synthetic", **self._code(rnd, tables))
+        assert coded.users.ids.tolist() == plain.users.ids.tolist() == sorted(plain.users)
+        assert coded.items.ids.tolist() == plain.items.ids.tolist() == sorted(plain.items)
+        assert not any(x.startswith("unused") for x in [*coded.users, *coded.items])
+        for name in ("user_idx", "item_idx", "value"):
+            assert getattr(coded.ratings, name).tolist() == getattr(plain.ratings, name).tolist()
+        assert [e.tolist() for e in coded.social.edge_array()] == [
+            e.tolist() for e in plain.social.edge_array()]
+        for name in USER_COUNTERS:
+            assert coded.feedback.col(name).tolist() == plain.feedback.col(name).tolist()
+        for name in REVIEW_COUNTERS:
+            assert (coded.review_feedback.col(name).tolist()
+                    == plain.review_feedback.col(name).tolist())
+        assert coded.categories.names == plain.categories.names
+        assert coded.categories.keys.tolist() == plain.categories.keys.tolist()
+        assert render_canonical(coded) == render_canonical(plain)
+
+    def test_empty_columns(self):
+        empty = IdColumn(["unused"], np.zeros(0, dtype=np.int64))
+        d = build_dataset(provenance="synthetic", ratings=(empty, empty, []),
+                          friends=(empty, empty), user_counters=[(empty, {"fans": []})],
+                          review_counters=[(empty, empty, {"useful": []})],
+                          categories=(empty, empty), extra_users=empty, extra_items=empty)
+        assert (d.num_users, d.num_items, len(d.ratings)) == (0, 0, 0)
+        assert render_canonical(d) == render_canonical(
+            build_dataset(provenance="synthetic", ratings=((), (), ())))
 
 
 class TestApplyFilters:

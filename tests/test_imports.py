@@ -1,5 +1,6 @@
 """Structure checks over the package's source: it runs on the standard
-library and numpy alone, and one helper decides whether a handle is in range."""
+library and numpy alone, one helper decides whether a handle is in range,
+and one looks ids up row by row."""
 
 from __future__ import annotations
 
@@ -58,3 +59,46 @@ def test_only_check_handles_raises_handle_out_of_range():
     raisers = set().union(*map(handle_range_raisers, MODULES))
     assert raisers == {("dataset.py", "check_handles")}
 
+
+
+def callers(path: Path, wanted) -> set[tuple[str, str | None]]:
+    """(module, innermost function) of each call for which ``wanted(call)`` holds."""
+    found = set()
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and wanted(node):
+            found.add((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(parse(path), None)
+    return found
+
+
+def calls_method(name: str):
+    return lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == name
+
+
+def maps_a_lookup(call: ast.Call) -> bool:
+    """``np.fromiter(map(x.get or x.__getitem__, ...))``: an array of values
+    looked up one row at a time."""
+    if not (calls_method("fromiter")(call) and call.args and isinstance(call.args[0], ast.Call)):
+        return False
+    inner = call.args[0]
+    return (isinstance(inner.func, ast.Name) and inner.func.id == "map" and bool(inner.args)
+            and isinstance(inner.args[0], ast.Attribute)
+            and inner.args[0].attr in ("get", "__getitem__"))
+
+
+def test_only_factorize_looks_ids_up_row_by_row():
+    """Every id column reaches the builder as codes, or is factorized on the
+    way in; nothing turns handles back into ids to look them up again."""
+    assert set().union(*(callers(p, calls_method("handles")) for p in MODULES)) == {
+        ("dataset.py", "factorize")}
+    assert set().union(*(callers(p, maps_a_lookup) for p in MODULES)) == {
+        ("dataset.py", "handles")}
+    # ids come back from handles only to be written out
+    assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == {
+        ("canonical.py", "render_canonical")}

@@ -166,7 +166,15 @@ class TestYelpIngest:
          "stars is not numeric"),
         ('{"user_id": "u1"} {"x": 1}', "invalid JSON: Extra data: line 1 column 19 (char 18)"),
         ('["u1", "b1", 4]', "expected a JSON object"),
-    ], ids=["deep", "infinite", "long-integer", "huge-stars", "trailing-data", "not-an-object"])
+        ('{"user_id": "u1", "business_id": "b1", "stars": true}', "stars is not numeric"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "useful": 2.7}',
+         "useful is not an integer"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "votes": {"cool": true}}',
+         "cool is not an integer"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "funny": "3.5"}',
+         "funny is not an integer"),
+    ], ids=["deep", "infinite", "long-integer", "huge-stars", "trailing-data", "not-an-object",
+            "boolean-stars", "fractional-count", "boolean-count", "fractional-string"])
     def test_bad_review_line_names_its_line(self, yelp_dir, line, reason):
         with open(yelp_dir / "review.json", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -174,6 +182,28 @@ class TestYelpIngest:
             ingest_yelp(*yelp_files(yelp_dir))
         assert (caught.value.source, caught.value.line_number) == ("review.json", 5)
         assert caught.value.reason == reason
+
+    @pytest.mark.parametrize("name, record, reason", [
+        ("user.json", {"user_id": "u4", "fans": 1.9}, "fans is not an integer"),
+        ("user.json", {"user_id": "u4", "compliment_more": True}, "compliment_more is not an integer"),
+        ("tip.json", {"user_id": "u4", "likes": 0.5}, "likes is not an integer"),
+        ("tip.json", {"user_id": "u4", "compliment_count": False},
+         "compliment_count is not an integer"),
+    ], ids=["fractional-fans", "boolean-compliment", "fractional-likes", "boolean-compliments"])
+    def test_bad_count_names_its_line(self, yelp_dir, name, record, reason):
+        with open(yelp_dir / name, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number, caught.value.reason) == (
+            name, 4, reason)
+
+    def test_whole_float_counts_read_as_integers(self, yelp_dir):
+        with open(yelp_dir / "user.json", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"user_id": "u4", "fans": 3.0, "compliment_more": -2.0}) + "\n")
+        d = ingest_yelp(*yelp_files(yelp_dir))
+        u4 = d.users.handle("u4")
+        assert (d.feedback.col("fans")[u4], d.feedback.col("more")[u4]) == (3, 0)
 
     @pytest.mark.parametrize("name, record, field", [
         ("business.json", {"business_id": "b4", "categories": 5}, "categories"),
@@ -305,13 +335,36 @@ class TestLibraryThingIngest:
         '{"work": "w1", "user": "u1", "stars": 1' + "0" * 400 + "}",
         "{'work': 'w1', 'user': 'u1', 'stars': 1" + "0" * 400 + "}",
         "{'work', 'w1', 'user', 'u1'}",
+        '{"work": "w1", "user": "u1", "stars": true}',
+        "{'work': 'w1', 'user': 'u1', 'stars': 4, 'nhelpful': 2.5}",
+        '{"work": "w1", "user": "u1", "stars": 4, "nhelpful": true}',
+        "{'work': 'w1', 'user': 'u1', 'stars': 4, 'nhelpful': False}",
     ], ids=["deep-json", "deep-literal", "infinite", "long-integer", "unhashable-key",
-            "huge-stars-json", "huge-stars-literal", "set"])
+            "huge-stars-json", "huge-stars-literal", "set", "boolean-stars", "fractional-count",
+            "boolean-count", "false-count"])
     def test_bad_review_line_names_its_line(self, lt_dir, line):
         (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as caught:
             ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
         assert (caught.value.source, caught.value.line_number) == ("reviews.txt", 7)
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"work": "w4", "user": "u1", "stars": false}', "stars is not numeric"),
+        ('{"work": "w4", "user": "u1", "stars": 4, "nhelpful": 0.5}', "nhelpful is not an integer"),
+        ('{"work": "w4", "user": "u1", "stars": 4, "nhelpful": true}', "nhelpful is not an integer"),
+    ], ids=["boolean-stars", "fractional-count", "boolean-count"])
+    def test_bad_value_gives_its_reason(self, lt_dir, line, reason):
+        (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        assert caught.value.reason == reason
+
+    def test_whole_float_count_reads_as_integer(self, lt_dir):
+        line = '{"work": "w4", "user": "u1", "stars": 4, "nhelpful": 3.0}'
+        (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
+        d = ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
+        u1, w4 = d.users.handle("u1"), d.items.handle("w4")
+        assert d.review_feedback.total_of(u1, w4) == 3
 
     def test_infinite_unixtime_reads_as_zero(self, lt_dir):
         (lt_dir / "reviews.txt").write_text(
