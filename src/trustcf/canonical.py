@@ -84,29 +84,18 @@ def render_canonical(d: Dataset) -> dict[str, str]:
         map(str.removesuffix, map(repr, store.value.tolist()), repeat(".0")),
     ))
 
-    # users in the order of their external ids
-    ids = users.ids.tolist()
-    by_id = np.array(sorted(range(d.num_users), key=ids.__getitem__), dtype=np.int64)
-    rank = np.empty(d.num_users, dtype=np.int64)
-    rank[by_id] = np.arange(d.num_users)
-
-    lo, hi = d.social.edge_array()
-    swap = rank[hi] < rank[lo]
-    friends = _text(map(
-        "{}\t{}".format,
-        users.externals(np.where(swap, hi, lo)),
-        users.externals(np.where(swap, lo, hi)),
-    ))
+    # handle order is id order: the smaller handle of an edge has the smaller id
+    friends = _text(map("{}\t{}".format, *map(users.externals, d.social.edge_array())))
 
     # every user gets a review_count row, zero or not
     names = sorted(set(d.feedback.present()) | {"review_count"})
-    table = np.stack([d.feedback.col(name) for name in names], axis=1)[by_id]
+    table = np.stack([d.feedback.col(name) for name in names], axis=1)
     shown = table != 0
     shown[:, names.index("review_count")] = True
     row, col = np.nonzero(shown)
     user_feedback = "".join(map(
         "{}\t{}\t{}\n".format,
-        users.externals(by_id[row]),
+        users.externals(row),
         map(names.__getitem__, col.tolist()),
         table[row, col].tolist(),
     ))
@@ -130,7 +119,7 @@ def render_canonical(d: Dataset) -> dict[str, str]:
     ptr = cats.ptr.tolist()
     item_categories = "".join(
         "".join(f"{ext}\t{tag}\n" for tag in tags[ptr[i]:ptr[i + 1]]) or f"{ext}\t\n"
-        for ext, i in sorted(zip(items, range(d.num_items)))
+        for i, ext in enumerate(items)
     )
 
     manifest = (

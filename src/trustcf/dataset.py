@@ -1,9 +1,11 @@
 """In-memory dataset model: interned ids, ratings, feedback, categories.
 
 External string identifiers are interned once into dense integer handles
-(0..n-1) and every other structure is keyed by handle.  Before that, an
-id column travels as an :class:`IdColumn`: a vocabulary of distinct ids
-and one integer code per row.  :func:`factorize` is the one place that
+(0..n-1) and every other structure is keyed by handle.  A handle is the
+rank of its id among the ascending ids of its kind (:class:`Interner`
+enforces it), so handle order is id order.  Before that, an id column
+travels as an :class:`IdColumn`: codes into one vocabulary of distinct
+ascending ids per kind of id.  :func:`factorize` is the one place that
 looks ids up row by row; from there on, interning, filtering and writing
 work per distinct id or by numpy takes.  Ratings live in a
 single canonical triple array sorted by (user, item); a user-major and an
@@ -24,8 +26,9 @@ Mutating a dataset means building a new one (see :func:`apply_filters`).
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -149,37 +152,32 @@ def packed_csr(keys: np.ndarray, num_rows: int, num_cols: int) -> tuple[np.ndarr
 
 
 class Interner:
-    """Bijection, fixed at construction, between external string ids and
+    """Bijection, fixed at construction, between external string ids, given
+    strictly ascending (``ValueError`` otherwise), and their ranks, the
     dense integer handles.
 
-    ``ids`` holds the ids in handle order as a frozen object array, so a
-    column of handles becomes its ids with one take (:meth:`externals`).
-    An interner holds the ids of one kind without knowing which, so
-    :meth:`external` and :meth:`externals` raise ``IndexError`` for a
-    handle outside ``[0, len)``, -1 included, as a sequence does.
+    ``ids`` holds them as a frozen object array: a column of handles
+    becomes its ids with one take (:meth:`externals`), and an id's handle
+    is found by bisection.  An interner holds the ids of one kind without
+    knowing which, so :meth:`external` and :meth:`externals` raise
+    ``IndexError`` for a handle outside ``[0, len)``, -1 included, as a
+    sequence does.
     """
 
-    __slots__ = ("ids", "_index")
+    __slots__ = ("ids",)
 
     def __init__(self, ids: Iterable[str] = ()):
         ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-        self._index: dict[str, int] = dict(zip(ids, range(len(ids))))
-        if len(self._index) != len(ids):
-            raise ValueError("duplicate external ids")
         self.ids = _frozen(np.array(ids, dtype=object).reshape(len(ids)))
+        if not (self.ids[1:] > self.ids[:-1]).all():
+            raise ValueError("external ids must be strictly ascending")
 
     def handle(self, external_id: str) -> int:
         """Handle for a known id; KeyError if never interned."""
-        return self._index[external_id]
-
-    def handles(self, external_ids: Sequence[str]) -> np.ndarray:
-        """Handles of a column of ids; -1 for an id never interned.  A row by
-        row lookup: :func:`factorize` is its one caller."""
-        return np.fromiter(
-            map(self._index.get, external_ids, repeat(-1)),
-            dtype=np.int64,
-            count=len(external_ids),
-        )
+        at = bisect_left(self.ids, external_id)
+        if at == len(self.ids) or self.ids[at] != external_id:
+            raise KeyError(external_id)
+        return at
 
     def external(self, handle: int) -> str:
         check_handles(handle, len(self.ids), "interned", IndexError)
@@ -193,7 +191,8 @@ class Interner:
         return len(self.ids)
 
     def __contains__(self, external_id: str) -> bool:
-        return external_id in self._index
+        at = bisect_left(self.ids, external_id)
+        return at < len(self.ids) and self.ids[at] == external_id
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.ids.tolist())
@@ -202,7 +201,7 @@ class Interner:
 class IdColumn(NamedTuple):
     """A column of external ids as codes into a vocabulary: row n holds
     ``ids[codes[n]]``.  The vocabulary lists distinct ids; it may hold ids
-    no code refers to, and several columns may share it."""
+    no code refers to, and one kind of id has one (:func:`intern_sorted`)."""
 
     ids: Sequence[str]
     codes: np.ndarray
@@ -210,49 +209,41 @@ class IdColumn(NamedTuple):
 
 def factorize(*columns: Iterable[str]) -> tuple[IdColumn, ...]:
     """Each column of ids as an :class:`IdColumn`, all sharing one vocabulary:
-    the distinct ids, sorted.  This is the one place where ids are looked
+    the distinct ids, ascending.  This is the one place where ids are looked
     up row by row."""
     columns = [c.tolist() if isinstance(c, np.ndarray)
                else c if isinstance(c, (list, tuple)) else list(c) for c in columns]
-    vocabulary = Interner(sorted(set().union(*columns)))
-    return tuple(IdColumn(vocabulary.ids, vocabulary.handles(c)) for c in columns)
+    ids = sorted(set().union(*columns))
+    vocabulary, index = Interner(ids).ids, dict(zip(ids, range(len(ids))))
+    return tuple(IdColumn(vocabulary, np.fromiter(map(index.__getitem__, c), np.int64, len(c)))
+                 for c in columns)
 
 
 def intern_sorted(columns: Sequence[IdColumn]) -> tuple[Interner, list[np.ndarray]]:
-    """An interner of the ids the columns' codes refer to, in sorted order,
-    and each column's handles in it.
+    """An interner of the ids the columns' codes refer to, and each column's
+    handles in it: the rank of its id among those.
 
-    A vocabulary is read once however many columns share it, and only at
-    the ids its codes refer to, so the work goes by distinct ids, not by
-    rows, and an id that no code refers to is not interned.  A code outside
-    its vocabulary raises ``ValueError``.
+    The columns that hold rows must code into one vocabulary (the same
+    object), in which the ids in use ascend; an unused id is not interned.
+    Raises ``ValueError`` otherwise, and for a code outside its vocabulary.
     """
-    used: dict[int, tuple[Sequence[str], np.ndarray]] = {}  # per vocabulary, its ids in use
+    vocabulary: Sequence[str] = ()
     codes = []
     for ids, c in columns:
         c = check_handles(c, len(ids), "coded id", ValueError)
-        used.setdefault(id(ids), (ids, np.zeros(len(ids), dtype=bool)))[1][c] = True
+        if c.size and ids is not vocabulary:
+            if len(vocabulary):
+                raise ValueError("the id columns of one kind code into two vocabularies")
+            vocabulary = ids
         codes.append(c)
-    referenced = [np.asarray(ids, dtype=object).reshape(len(ids))[mask]
-                  for ids, mask in used.values()]
-    merged = np.concatenate(referenced) if referenced else np.empty(0, dtype=object)
-    # stable: a sort that merges the vocabularies' runs, each sorted if factorized
-    order = np.argsort(merged, kind="stable")
-    ordered = merged[order]
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    rank = np.empty(ordered.size, dtype=np.int64)
-    rank[order] = np.cumsum(first) - 1
-    remaps = {}
-    at = np.split(rank, np.cumsum([r.size for r in referenced[:-1]], dtype=np.int64))
-    for key, (vocabulary, mask), handles in zip(used, used.values(), at):
-        remaps[key] = remap = np.full(len(vocabulary), -1, dtype=np.int64)
-        remap[mask] = handles
-        if (remap == np.arange(remap.size)).all():
-            remaps[key] = None  # the codes are the handles: a sorted vocabulary, all in use
-    interner = Interner(ordered[first])
-    return interner, [c if remaps[id(ids)] is None else remaps[id(ids)][c]
-                      for (ids, _), c in zip(columns, codes)]
+    used = np.zeros(len(vocabulary), dtype=bool)
+    for c in codes:
+        used[c] = True
+    ids = np.asarray(vocabulary, dtype=object).reshape(len(vocabulary))
+    if used.all():  # the codes are the handles
+        return Interner(ids), codes
+    rank = np.cumsum(used) - 1
+    return Interner(ids[used]), [rank[c] for c in codes]
 
 
 def _user_means(users: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -524,7 +515,7 @@ class ItemCategories:
         return out
 
     def _index(self, num_items: int, items: np.ndarray, tags: Sequence[str] | IdColumn) -> None:
-        names, (tag_ids,) = intern_sorted([_coded(tags)])
+        names, (tag_ids,) = intern_sorted(_factorize_plain([tags]))
         self.names = tuple(names)
         keys = np.asarray(items, dtype=np.int64) * len(self.names) + tag_ids
         self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
@@ -585,8 +576,11 @@ class Dataset:
 Ids = Iterable[str] | IdColumn  # a column of ids: plain, or coded
 
 
-def _coded(column: Ids) -> IdColumn:
-    return column if isinstance(column, IdColumn) else factorize(column)[0]
+def _factorize_plain(columns: Sequence[Ids]) -> list[IdColumn]:
+    """The columns of one kind of id, coded: the plain ones factorized together."""
+    plain = [n for n, c in enumerate(columns) if not isinstance(c, IdColumn)]
+    coded = dict(zip(plain, factorize(*(columns[n] for n in plain))))
+    return [coded.get(n, c) for n, c in enumerate(columns)]
 
 
 def build_dataset(
@@ -610,22 +604,24 @@ def build_dataset(
     that repeat a key add up, also across tables, and review rows must
     refer to pairs that carry a rating.
 
-    An id column is an :class:`IdColumn` or a plain column of ids, which
-    is factorized once on entry.  The ids the codes refer to are interned
-    in sorted order (:func:`intern_sorted`), so two calls with the same
-    content produce handle-identical datasets, and each column maps to
-    handles with one take.  Each review table is joined to the ratings by
-    one :meth:`RatingStore.positions` call.
+    An id column is an :class:`IdColumn` or a plain column of ids.  Per
+    kind of id, the plain columns are factorized together on entry, and
+    the columns that hold rows must share one vocabulary (see
+    :func:`intern_sorted`): plain rows beside coded ones raise
+    ``ValueError``.  Handles are ranks of the ids in use, so two calls
+    with the same content produce handle-identical datasets, and each
+    column maps to handles with one take.  Each review table is joined to
+    the ratings by one :meth:`RatingStore.positions` call.
     """
     from .social import SocialGraph
 
     r_user, r_item, r_value = ratings
     c_item, c_tag = categories
-    users, (r_uh, a, b, _, *uh) = intern_sorted([_coded(c) for c in (
+    users, (r_uh, a, b, _, *uh) = intern_sorted(_factorize_plain([
         r_user, *friends, extra_users, *(ids for ids, _ in user_counters),
-        *(ids for ids, _, _ in review_counters))])
-    items, (r_ih, c_ih, _, *ih) = intern_sorted([_coded(c) for c in (
-        r_item, c_item, extra_items, *(ids for _, ids, _ in review_counters))])
+        *(ids for ids, _, _ in review_counters)]))
+    items, (r_ih, c_ih, _, *ih) = intern_sorted(_factorize_plain([
+        r_item, c_item, extra_items, *(ids for _, ids, _ in review_counters)]))
     nu, ni = len(users), len(items)
     store = RatingStore(nu, ni, r_uh, r_ih, r_value)
 
@@ -754,10 +750,10 @@ def apply_filters(
     then runs once over the remaining ratings and keeps users holding at
     least ``min_ratings`` of them.  The kept rows go to
     :func:`build_dataset` as id columns coded by the dataset's own handles,
-    ``(d.users.ids, kept handles)``, so no id is looked up again; the
-    builder interns the kept ids densely in sorted order: a dataset built
-    with unsorted interners filters to sorted handles, and its canonical
-    files are the same.  The operation is idempotent for fixed arguments.
+    ``(d.users.ids, kept handles)``, one vocabulary per kind of id, so no
+    id is looked up again.  Handles are ranks of ascending ids, so the
+    kept ids ascend too, and each kept handle becomes its rank among the
+    kept ones.  The operation is idempotent for fixed arguments.
     """
     if min_ratings < 0:
         raise ValueError("min_ratings must be non-negative")

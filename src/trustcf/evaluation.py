@@ -280,6 +280,8 @@ def ranking_metrics(
     additionally requires a non-empty relevant set.  F1 is the harmonic
     mean of the two aggregates.  A metric no list defines is NaN.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     list_at: list[int] = []
     hit: list[bool] = []
     num_relevant: list[int] = []

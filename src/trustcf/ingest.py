@@ -12,8 +12,8 @@ dict, plus a whitespace-separated friend-pair file.  Both readers:
   timestamp, counting the collisions;
 * drop reviews without a usable rating (missing, null or outside the
   1..5 scale), counting the drops;
-* reject a rating or a count that is a boolean, and a count that is not
-  a whole number, naming the file and line.
+* reject a rating, a count or a timestamp that is a boolean, and a count
+  that is not a whole number, naming the file and line.
 
 Raw field quirks are normalized here and nowhere else: comma-separated
 friend/elite strings vs. real lists, feedback counts nested in a
@@ -34,7 +34,8 @@ import numpy as np
 
 from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import CounterOverflow, Dataset, IdColumn, IngestWarnings, build_dataset, factorize
+from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IdColumn, IngestWarnings
+from .dataset import build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
@@ -227,7 +228,7 @@ def ingest_yelp(
             rating = float(stars)
         except (TypeError, ValueError, OverflowError):
             raise MalformedRecord(source, line_no, "stars is not numeric") from None
-        if not 1.0 <= rating <= 5.0:
+        if not RATING_MIN <= rating <= RATING_MAX:
             raise MalformedRecord(source, line_no, f"stars {rating} outside 1..5")
         votes = record.get("votes")
         if not isinstance(votes, dict):
@@ -349,7 +350,7 @@ def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
         rating = float(stars) if stars is not None else 0.0
     except (TypeError, ValueError, OverflowError):
         raise MalformedRecord(source, line_no, "stars is not numeric") from None
-    return rating if 1.0 <= rating <= 5.0 else None
+    return rating if RATING_MIN <= rating <= RATING_MAX else None
 
 
 def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dataset:
@@ -365,7 +366,7 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
     source = review_file.name
     r_user: list[str] = []
     r_item: list[str] = []
-    r_stamp: list[int] = []
+    r_stamp: list[int | float] = []
     r_stars: list[float] = []
     r_help: list[int] = []
     dropped = 0
@@ -381,13 +382,16 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
         raw = record.get("nhelpful")
         # a missing, null, zero or empty count reads 0; false is not a count
         nhelpful = _int_field(record, "nhelpful", source, line_no) if raw or raw is False else 0
-        try:
-            stamp = int(record.get("unixtime") or 0)
-        except (TypeError, ValueError, OverflowError):
+        stamp = record.get("unixtime")
+        if isinstance(stamp, bool):
+            raise MalformedRecord(source, line_no, "unixtime is not numeric")
+        try:  # a number is compared by value, an int exactly
+            stamp = stamp if isinstance(stamp, (int, float)) else int(stamp or 0)
+        except (TypeError, ValueError):
             stamp = 0
         r_user.append(str(user))
         r_item.append(str(work))
-        r_stamp.append(stamp)
+        r_stamp.append(stamp if stamp - stamp == 0 else 0)  # inf and NaN read 0
         r_stars.append(rating)
         r_help.append(nhelpful)
 

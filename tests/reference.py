@@ -413,7 +413,8 @@ def naive_librarything_canonical(reviews, friend_pairs):
             dropped += 1
             continue
         key = (str(r["user"]), str(r["work"]))
-        stamp = int(r.get("unixtime") or 0)
+        stamp = r.get("unixtime") or 0  # compared by value, not truncated
+        stamp = stamp if math.isfinite(stamp) else 0
         rows.append((key, stamp, line, (rating, max(int(r.get("nhelpful") or 0), 0))))
     kept = _naive_latest(rows)
 

@@ -8,22 +8,16 @@ import numpy as np
 import pytest
 
 from trustcf import (
-    Dataset,
     FacetWeights,
-    FeedbackTable,
     Interner,
     ItemCategories,
     PredictionKind,
     RatingStore,
     RecItem,
     RecommendationList,
-    ReviewFeedback,
-    SocialGraph,
     TrainedModel,
     apply_filters,
     build_profiles,
-    canonical_load,
-    canonical_save,
     compute_stats,
     fuse_trust,
     intra_diversity,
@@ -31,6 +25,7 @@ from trustcf import (
     make_dataset,
     rel_direct,
 )
+from trustcf import dataset
 from trustcf.canonical import datasets_equal, render_canonical
 from trustcf.dataset import (
     REVIEW_COUNTERS,
@@ -57,8 +52,23 @@ class TestInterner:
         assert "x" in interner and "z" not in interner
 
     def test_duplicate_seed_ids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly ascending"):
             Interner(["a", "a"])
+
+    def test_ids_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Interner(["b", "a"])
+
+    def test_handle_is_the_rank_of_the_id(self):
+        ids = ["", "a", "a\x01", "a\tb", "ab", "b", "Ü"]
+        assert ids == sorted(ids)
+        interner = Interner(iter(ids))
+        assert [interner.handle(x) for x in ids] == list(range(len(ids)))
+        for missing in ("0", "a\x00", "aa", "c", "\uffff"):
+            assert missing not in interner
+            with pytest.raises(KeyError):
+                interner.handle(missing)
+        assert not hasattr(interner, "__dict__") and not hasattr(Interner, "handles")
 
 
 # Every public entry point that takes a user or item handle: (name, kind,
@@ -360,14 +370,15 @@ class TestMakeDataset:
 class TestBuildDataset:
     def test_tables_add_up_and_coded_ids_are_looked_up_once_each(self, monkeypatch):
         looked_up = []
-        real = Interner.handles
+        real = dataset.factorize
 
-        def handles(self, ids):
-            looked_up.append(len(ids))
-            return real(self, ids)
+        def factorize_counted(*columns):
+            got = real(*columns)
+            looked_up.append(sum(c.codes.size for c in got))
+            return got
 
         users, items = factorize(["a", "b", "a", "b", "a"], ["x", "x", "y", "x", "x"])
-        monkeypatch.setattr(Interner, "handles", handles)
+        monkeypatch.setattr(dataset, "factorize", factorize_counted)
         d = build_dataset(
             provenance="synthetic",
             ratings=(IdColumn(users.ids, users.codes[:3]), IdColumn(items.ids, items.codes[:3]),
@@ -390,12 +401,42 @@ class TestBuildDataset:
         assert d.review_feedback.col("useful").tolist() == [5, 2, 0]
         # no row of an id column is looked up: the builder works on the codes
         assert sum(looked_up) == 0
+        # a plain column's rows are looked up once each, in one factorize per kind
+        looked_up.clear()
+        build_dataset(provenance="synthetic", ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
+                      friends=(["a"], ["c"]), categories=(["y"], ["t"]))
+        assert sorted(looked_up) == [1, 3, 4]  # tags, items, users
 
     def test_coded_ids_out_of_their_vocabulary_raise(self):
         for codes in ([2], [-1]):
             with pytest.raises(ValueError, match="coded id handle out of range"):
                 build_dataset(provenance="synthetic",
                               ratings=(IdColumn(["a", "b"], codes), ["x"], [1.0]))
+
+    def test_one_ascending_vocabulary_per_kind(self):
+        def build(**columns):
+            return build_dataset(provenance="synthetic", **{
+                "ratings": (IdColumn(vocabulary, [0, 1]), ["x", "x"], [1.0, 2.0]), **columns})
+
+        vocabulary = ["a", "b", "0"]  # "0" sorts first, but no row refers to it
+        # an empty column may code into any vocabulary
+        d = build(friends=(IdColumn(["z"], []), IdColumn(["z"], [])))
+        assert (list(d.users), list(d.items)) == (["a", "b"], ["x"])
+        for columns, match in [
+            # a kind's columns in two vocabularies, equal or not
+            ({"friends": (IdColumn(vocabulary, [0]), IdColumn(["a", "b", "0"], [1]))},
+             "two vocabularies"),
+            ({"extra_users": IdColumn(["c"], [0])}, "two vocabularies"),
+            # plain rows beside coded ones
+            ({"extra_users": ["c"]}, "two vocabularies"),
+            ({"extra_items": IdColumn(["x", "y"], [0])}, "two vocabularies"),
+            # ids in use that do not ascend, of users and of tags
+            ({"ratings": (IdColumn(["b", "a"], [0, 1]), ["x", "y"], [1.0, 2.0])},
+             "strictly ascending"),
+            ({"categories": (["x", "x"], IdColumn(["t", "s"], [1, 0]))}, "strictly ascending"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                build(**columns)
 
     def test_counters_beyond_int64_raise_rather_than_wrap(self):
         def build(*user_counters):
@@ -464,15 +505,9 @@ class TestCodedColumns:
     TAGS = ("Food", "F\x01", "Bars", "Café")
 
     @staticmethod
-    def _coded(rnd, ids, vocabulary):
-        """``ids`` as codes into ``vocabulary`` (which holds every one of them)."""
-        index = {x: n for n, x in enumerate(vocabulary)}
-        return IdColumn(vocabulary, np.array([index[x] for x in ids], dtype=np.int64))
-
-    def _vocabulary(self, rnd, pool):
-        """The pool and some ids no column refers to, shuffled; a list or an array."""
-        ids = list(pool) + [f"unused{n}\x05" for n in range(rnd.randint(0, 3))]
-        rnd.shuffle(ids)
+    def _vocabulary(rnd, pool):
+        """The pool and some ids no column refers to, ascending; a list or an array."""
+        ids = sorted([*pool, *(f"unused{n}\x05" for n in range(rnd.randint(0, 3)))])
         return ids if rnd.random() < 0.5 else np.array(ids, dtype=object)
 
     def _tables(self, rnd):
@@ -498,16 +533,15 @@ class TestCodedColumns:
         }
 
     def _code(self, rnd, tables):
-        """The same tables with every id column coded: all user columns share
-        one vocabulary or each has its own, and so do item columns."""
-        shared = {kind: self._vocabulary(rnd, pool)
-                  for kind, pool in (("user", self.USERS), ("item", self.ITEMS))}
+        """The same tables with every id column coded, into one vocabulary
+        per kind of id."""
+        vocabularies = {kind: self._vocabulary(rnd, pool) for kind, pool in (
+            ("user", self.USERS), ("item", self.ITEMS), ("tag", self.TAGS))}
+        index = {kind: {x: n for n, x in enumerate(ids)} for kind, ids in vocabularies.items()}
 
         def code(ids, kind):
-            pool = {"user": self.USERS, "item": self.ITEMS, "tag": self.TAGS}[kind]
-            vocabulary = shared.get(kind) if rnd.random() < 0.7 else None
-            return self._coded(rnd, ids, vocabulary if vocabulary is not None
-                               else self._vocabulary(rnd, pool))
+            codes = np.array([index[kind][x] for x in ids], dtype=np.int64)
+            return IdColumn(vocabularies[kind], codes)
 
         (ru, ri, rv), (fa, fb) = tables["ratings"], tables["friends"]
         ci, ct = tables["categories"]
@@ -597,30 +631,19 @@ class TestApplyFilters:
         apple = got.items.handle("apple")
         assert got.review_feedback.total_of(bob, apple) == 6
 
-    def test_unsorted_interners_filter_to_sorted_handles(self, tmp_path):
-        users = Interner(["dave", "alice", "erin", "bob", "carol"])
-        items = Interner(["pear", "fig", "apple", "kiwi"])
-        store = RatingStore(5, 4, [0, 0, 1, 1, 1, 2, 3, 3, 4, 4, 4],
-                            [0, 3, 0, 1, 2, 1, 1, 3, 0, 2, 3],
-                            [4, 2, 3, 5, 1, 2, 4, 4, 3, 5, 1])
-        d = Dataset(
-            users=users,
-            items=items,
-            ratings=store,
-            social=SocialGraph(5, [(0, 1), (1, 3), (2, 4), (3, 4)]),
-            feedback=FeedbackTable(5, {"fans": np.array([5, 0, 7, 1, 2])}),
-            review_feedback=ReviewFeedback(store, {"useful": np.arange(len(store)) % 3}),
-            categories=ItemCategories(4, {0: {"fruit", "green"}, 1: {"fruit"}, 3: {"green"}}),
-            provenance="synthetic",
-        )
-        # the same content with sorted interners, as a round trip makes it
-        canonical_save(d, tmp_path / "d")
-        twin = canonical_load(tmp_path / "d")
-        for k, closure in ((0, None), (2, None), (2, {"fruit"}), (1, {"green"})):
-            got = apply_filters(d, k, closure)
-            assert datasets_equal(got, apply_filters(twin, k, closure))
-            assert list(got.users) == sorted(got.users)
-            assert list(got.items) == sorted(got.items)
+    def test_unsorted_interners_are_rejected(self):
+        """Handles are ranks of sorted ids, so no dataset has interners out of
+        id order for a filter, a split or a tie-break to see."""
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Interner(["dave", "alice", "erin", "bob", "carol"])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Interner(["pear", "fig", "apple", "kiwi"])
+        # what the filter keeps still ascends, and keeps its relative order
+        d = random_dataset(np.random.default_rng(24))
+        got = apply_filters(d, 3, category_closure={"tag0", "tag1"})
+        for old, new in ((d.users, got.users), (d.items, got.items)):
+            assert list(new) == sorted(new)
+            assert [old.handle(x) for x in new] == sorted(old.handle(x) for x in new)
 
     def test_kept_values_match_through_ids(self):
         rng = np.random.default_rng(23)

@@ -27,9 +27,12 @@ from trustcf import (
     TrustProfiles,
     accuracy_metrics,
     build_profiles,
+    canonical_load,
+    canonical_save,
     fold_assignment,
     intra_diversity,
     make_config,
+    make_dataset,
     ranking_metrics,
     run_experiment,
     split_folds,
@@ -207,6 +210,13 @@ class TestRankingMetrics:
     def test_no_users_at_all(self):
         got = ranking_metrics([], {}, k=5)
         assert all(math.isnan(value) for value in got)
+
+    def test_k_must_be_positive(self):
+        # k=-1 would drop each list's last entry, k=0 read every metric NaN
+        assert ranking_metrics([rec(0, 1, 2)], {0: {2}}, k=2).precision == 0.5
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                ranking_metrics([rec(0, 1, 2)], {0: {2}}, k=k)
 
 
 class TestIntraDiversity:
@@ -504,6 +514,41 @@ def test_report_matches_naive_evaluation():
             assert set(want_row) == row_fields
             _assert_same_metrics(row, want_row, cfg.name)
     assert min(seen.values()) > 5, seen
+
+
+def shuffled_corpus(rng):
+    """A make_dataset corpus whose ids come in shuffled order: "u7" before
+    "u12", both numerically and in every table's rows."""
+    users = [f"u{n}" for n in rng.permutation(30)]
+    items = [f"i{n}" for n in rng.permutation(20)]
+    cells = rng.choice(len(users) * len(items), size=160, replace=False)
+    ratings = [(users[c // len(items)], items[c % len(items)], float(rng.integers(1, 6)))
+               for c in cells]
+    return make_dataset(
+        provenance="synthetic",
+        ratings=ratings,
+        friends=[(users[a], users[b]) for a, b in rng.integers(0, len(users), size=(40, 2))],
+        user_counters={"fans": {u: int(rng.integers(0, 20)) for u in users},
+                       "elite_years": {u: int(rng.integers(0, 3)) for u in users[:10]}},
+        review_counters={"useful": {(u, i): int(rng.integers(0, 4)) for u, i, _ in ratings}},
+        categories={i: {f"tag{t}" for t in rng.choice(5, size=2)} for i in items},
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_reload_evaluates_equally(tmp_path, seed):
+    """Handles follow id order whatever order the ids come in, so a dataset
+    and its canonical reload split and rank alike, tie-breaks included."""
+    d = shuffled_corpus(np.random.default_rng(seed))
+    assert list(d.users) == sorted(d.users) and list(d.items) == sorted(d.items)
+    canonical_save(d, tmp_path / "d")
+    twin = canonical_load(tmp_path / "d")
+    configs = [make_config("U2UCF"), make_config("MTR", beta=0.1)]
+    for fold_seed in range(3):
+        got, want = (run_experiment(x, configs, split_folds(x, 2, seed=fold_seed), k=5)
+                     for x in (twin, d))
+        assert got.to_tsv() == want.to_tsv()
+        assert got.to_summary_json() == want.to_summary_json()
 
 
 def test_undefined_fold_ranking_metrics_read_nan():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -12,15 +11,7 @@ import pytest
 
 from trustcf import canonical_load, canonical_save, ingest_librarything, ingest_yelp
 from trustcf.canonical import datasets_equal, render_canonical
-from trustcf.dataset import (
-    FeedbackTable,
-    IngestWarnings,
-    Interner,
-    ItemCategories,
-    RatingStore,
-    ReviewFeedback,
-)
-from trustcf.social import SocialGraph
+from trustcf.dataset import IngestWarnings, Interner
 from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch, TrustcfError
 from trustcf.ingest import load_category_closure, restaurants_food_closure
 
@@ -339,9 +330,10 @@ class TestLibraryThingIngest:
         "{'work': 'w1', 'user': 'u1', 'stars': 4, 'nhelpful': 2.5}",
         '{"work": "w1", "user": "u1", "stars": 4, "nhelpful": true}',
         "{'work': 'w1', 'user': 'u1', 'stars': 4, 'nhelpful': False}",
+        "{'work': 'w1', 'user': 'u1', 'stars': 4, 'unixtime': True}",
     ], ids=["deep-json", "deep-literal", "infinite", "long-integer", "unhashable-key",
             "huge-stars-json", "huge-stars-literal", "set", "boolean-stars", "fractional-count",
-            "boolean-count", "false-count"])
+            "boolean-count", "false-count", "boolean-unixtime"])
     def test_bad_review_line_names_its_line(self, lt_dir, line):
         (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as caught:
@@ -352,7 +344,8 @@ class TestLibraryThingIngest:
         ('{"work": "w4", "user": "u1", "stars": false}', "stars is not numeric"),
         ('{"work": "w4", "user": "u1", "stars": 4, "nhelpful": 0.5}', "nhelpful is not an integer"),
         ('{"work": "w4", "user": "u1", "stars": 4, "nhelpful": true}', "nhelpful is not an integer"),
-    ], ids=["boolean-stars", "fractional-count", "boolean-count"])
+        ('{"work": "w4", "user": "u1", "stars": 4, "unixtime": false}', "unixtime is not numeric"),
+    ], ids=["boolean-stars", "fractional-count", "boolean-count", "boolean-unixtime"])
     def test_bad_value_gives_its_reason(self, lt_dir, line, reason):
         (lt_dir / "reviews.txt").write_text(LT_LINES + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord) as caught:
@@ -365,6 +358,29 @@ class TestLibraryThingIngest:
         d = ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
         u1, w4 = d.users.handle("u1"), d.items.handle("w4")
         assert d.review_feedback.total_of(u1, w4) == 3
+
+    def test_fractional_unixtime_compares_by_value(self, tmp_path):
+        # truncated, both stamps would read 1 and the later line would win
+        reviews = [{"work": "w1", "user": "u1", "stars": 5, "unixtime": 1.9},
+                   {"work": "w1", "user": "u1", "stars": 1, "unixtime": 1.2},
+                   {"work": "w2", "user": "u1", "stars": 2, "unixtime": 2 ** 60},
+                   {"work": "w2", "user": "u1", "stars": 3, "unixtime": 2 ** 60 + 1},
+                   {"work": "w2", "user": "u1", "stars": 4, "unixtime": float(2 ** 60)}]
+        write_librarything(tmp_path, reviews, [])
+        d = ingest_librarything(tmp_path / "reviews.txt", tmp_path / "edges.txt")
+        # an int stamp stays exact: 2^60 + 1 is later than the float 2^60
+        assert [v for _, _, v in d.ratings.triples()] == [5.0, 3.0]
+        assert d.warnings.duplicate_ratings == 3
+        expected, duplicates, _ = reference.naive_librarything_canonical(reviews, [])
+        assert render_canonical(d) == expected and duplicates == 3
+
+    def test_boolean_unixtime_does_not_tie_with_one(self, tmp_path):
+        write_librarything(tmp_path, [{"work": "w1", "user": "u1", "stars": 5, "unixtime": 1},
+                                      {"work": "w1", "user": "u1", "stars": 1, "unixtime": True}],
+                           [])
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_librarything(tmp_path / "reviews.txt", tmp_path / "edges.txt")
+        assert (caught.value.line_number, caught.value.reason) == (2, "unixtime is not numeric")
 
     def test_infinite_unixtime_reads_as_zero(self, lt_dir):
         (lt_dir / "reviews.txt").write_text(
@@ -702,33 +718,20 @@ class TestCanonicalFormat:
             path.write_text("\n" + path.read_text().replace("\n", "\n\n", 2))
         assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
 
-    def test_rendering_orders_by_external_id(self, tiny):
-        """Handles in any order render as when interned sorted."""
-        order = [3, 0, 4, 2, 1]  # new handle n is tiny's user order[n]
-        back = np.argsort(order)
+    def test_handles_out_of_id_order_are_rejected(self, tiny):
+        """Rendering writes in handle order, which is id order: interners in
+        any other order cannot be built."""
+        order = [3, 0, 4, 2, 1]  # new handle n would be tiny's user order[n]
         item_order = [2, 0, 3, 1]  # the same for items
-        item_back = np.argsort(item_order)
-        store = tiny.ratings
-        ratings = RatingStore(tiny.num_users, tiny.num_items, back[store.user_idx],
-                              item_back[store.item_idx], store.value)
-        # the store keeps (user, item) order; map review counters along with it
-        moved = np.lexsort((item_back[store.item_idx], back[store.user_idx]))
-        d = dataclasses.replace(
-            tiny,
-            users=Interner(tiny.users.externals(order)),
-            items=Interner(tiny.items.externals(item_order)),
-            categories=ItemCategories(tiny.num_items, {
-                int(item_back[i]): tiny.categories.of(i) for i in range(tiny.num_items)}),
-            ratings=ratings,
-            social=SocialGraph(tiny.num_users, back[np.column_stack(tiny.social.edge_array())]),
-            feedback=FeedbackTable(tiny.num_users, {
-                name: tiny.feedback.col(name)[order] for name in tiny.feedback.present()}),
-            review_feedback=ReviewFeedback(ratings, {
-                name: tiny.review_feedback.col(name)[moved]
-                for name in tiny.review_feedback.present()}),
-        )
-        assert list(d.users) != sorted(d.users) and list(d.items) != sorted(d.items)
-        assert render_canonical(d) == render_canonical(tiny)
+        for interner, new_order in ((tiny.users, order), (tiny.items, item_order)):
+            assert list(interner) == sorted(interner)
+            with pytest.raises(ValueError, match="strictly ascending"):
+                Interner(interner.externals(new_order))
+        files = render_canonical(tiny)
+        for name in ("ratings.tsv", "friends.tsv", "review_feedback.tsv"):
+            assert files[name].splitlines() == sorted(files[name].splitlines())
+        listed = [line.split("\t")[0] for line in files["item_categories.tsv"].splitlines()]
+        assert list(dict.fromkeys(listed)) == list(tiny.items)
 
     def test_interrupted_save_does_not_load(self, tmp_path, monkeypatch):
         target = tmp_path / "d"
