@@ -25,7 +25,6 @@ Mutating a dataset means building a new one (see :func:`apply_filters`).
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain

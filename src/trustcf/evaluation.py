@@ -67,7 +67,7 @@ from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, NoReturn, 
 import numpy as np
 
 from .dataset import Dataset, ItemCategories, RatingStore, check_handles
-from .errors import EmptyInput, UnknownUser
+from .errors import EmptyInput
 from .recommender import (
     MIN_CORATED,
     CoRatings,

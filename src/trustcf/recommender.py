@@ -310,8 +310,7 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
     if not n:
         return np.zeros(0, dtype=np.int64)
     group_at = np.asarray(group_at, dtype=np.int64)
-    sizes = np.bincount(group_at)
-    group_bits = (sizes.size - 1).bit_length()
+    group_bits = int(group_at.max()).bit_length()
     position_bits = (n - 1).bit_length()
     value_bits = 64 - group_bits - position_bits
     if value_bits < 0:
@@ -349,7 +348,11 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
             at = np.flatnonzero(clashed[run])
             # lexsort is stable: equal values keep their ascending positions
             order[at] = order[at][np.lexsort((-ordered[at], run[at]))]
-    if sizes.max() <= np.min(k):
+    limit = np.min(k)
+    if limit >= n:
+        return order
+    sizes = np.bincount(group_at)
+    if sizes.max() <= limit:
         return order
     ranked = group_at[order]
     place = np.arange(n) - (np.cumsum(sizes) - sizes)[ranked]
@@ -367,8 +370,10 @@ class Candidates(NamedTuple):
     position ``positions[n]`` of the store the candidates come from, that
     candidate ``pair_cands[pair_at[n]]`` gave to the item of slot
     ``slot_at[n]``; ``deviations[n]`` is that rating minus the
-    candidate's training mean.  Entries are grouped by slot, with
-    candidates ascending inside a slot.  No user is its own candidate.
+    candidate's training mean.  Entries are grouped by slot, slots
+    ascending (``slot_at`` never decreases), with candidates ascending
+    inside a slot: :func:`predict_block` relies on this order.  No user is
+    its own candidate.
     """
 
     slot_users: np.ndarray
@@ -457,26 +462,41 @@ def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> Bloc
     strictly positive influence qualifies; equal influence ranks by
     ascending candidate handle.  A slot with no neighbor falls back to
     its user's training mean.
+
+    Because c's entries come grouped by slot, slots ascending, with
+    candidates ascending inside a slot, the positive entries of the
+    (configurations x entries) influence, read row by row, are already
+    grouped by (configuration, slot) ascending, in tie order.  So each
+    entry's configuration comes from per-row counts, and when no group
+    holds more entries than its limit, the ranking only reorders entries
+    inside their groups and the groups need no gathering.  Each
+    prediction sums its neighbors' terms in descending influence order.
     """
     num_configs, num_entries = influence.shape
     size = c.slot_items.size
-    flat = influence.ravel()
-    positive = np.flatnonzero(flat > 0.0)
-    config_at, entry_at = np.divmod(positive, num_entries)
-    # inside a slot, entries ascend by candidate handle
-    group = config_at * size + c.slot_at[entry_at]
-    limit = np.asarray(neighbor_counts, dtype=np.int64)[config_at]
-    top = best_k(group, flat[positive], limit)
-    chosen, group, infl = positive[top], group[top], flat[positive[top]]
     cells = num_configs * size
+    positive = influence > 0.0
+    config_at = np.repeat(np.arange(num_configs), np.count_nonzero(positive, axis=1))
+    positive = np.flatnonzero(positive)
+    entry_at = positive - config_at * num_entries
+    # (configuration, slot) ascending, candidates ascending inside a slot
+    group = config_at * size + c.slot_at[entry_at]
+    infl = influence.ravel()[positive]
+    sizes = np.bincount(group, minlength=cells)
+    counts = np.asarray(neighbor_counts, dtype=np.int64)
+    if (sizes.reshape(num_configs, size).max(axis=1, initial=0) <= counts).all():
+        # every entry is kept, each group stays where it is
+        top = best_k(group, infl, infl.size)
+    else:
+        top = best_k(group, infl, counts[config_at])
+        group = group[top]
+    chosen, infl = positive[top], infl[top]
     num = np.bincount(group, weights=infl * c.deviations[entry_at[top]], minlength=cells)
     den = np.bincount(group, weights=infl, minlength=cells)
-    is_model = np.bincount(group, minlength=cells) > 0
-    mean_u = np.tile(c.slot_means, num_configs)
-    values = np.clip(mean_u, RATING_MIN, RATING_MAX)
-    values[is_model] = np.clip(
-        mean_u[is_model] + num[is_model] / den[is_model], RATING_MIN, RATING_MAX
-    )
+    # every limit is at least 1, so a slot with a positive entry keeps one
+    is_model = sizes > 0
+    shift = np.divide(num, den, out=np.zeros(cells), where=is_model)
+    values = np.clip(np.tile(c.slot_means, num_configs) + shift, RATING_MIN, RATING_MAX)
     shape = (num_configs, size)
     return BlockPrediction(values.reshape(shape), is_model.reshape(shape), chosen)
 

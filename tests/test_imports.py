@@ -102,3 +102,43 @@ def test_only_factorize_looks_ids_up_row_by_row():
     # ids come back from handles only to be written out
     assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == {
         ("canonical.py", "render_canonical")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references, except those whose
+    line carries ``# noqa: F401``; ``__future__`` imports aside."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(name)
+    return unused
+
+
+def test_unused_imports_finds_each_kind_of_import():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os, re",
+        "import os.path as osp",
+        "from json import (",
+        "    dumps,",
+        "    loads as read,  # noqa: F401  (kept for a tracer)",
+        ")",
+        "re.compile('x')",
+    ])
+    assert unused_imports(source) == ["os", "osp", "dumps"]
+
+
+def test_every_import_is_used_or_marked():
+    """An import the package does not use is a name a reader must chase;
+    one kept for an outside user (a tracer) says so with ``# noqa: F401``."""
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -7,9 +7,12 @@ import pytest
 
 from trustcf import RatingStore, fold_assignment, make_config, run_experiment, split_folds
 from trustcf import recommender
+from trustcf.dataset import RATING_MAX, RATING_MIN
 from trustcf.recommender import (
-    MIN_CORATED, CoRatings, _centred_pearson, best_k, block_candidates, pearson_many)
-from trustcf.social import jaccard_many, relatedness
+    MIN_CORATED, CoRatings, _centred_pearson, best_k, block_candidates, pearson_many,
+    predict_block)
+from trustcf import social
+from trustcf.social import SocialGraph, jaccard_many, relatedness
 
 import reference
 from conftest import random_dataset
@@ -214,6 +217,50 @@ def test_jaccard_and_relatedness_match_naive():
     assert min(seen.values()) > 10, seen
 
 
+def wide_graph(rng, num_users: int) -> tuple[SocialGraph, dict[int, set[int]]]:
+    """A random graph over more users than one bitset word holds, with
+    edges at the word edges (63, 64, 127) and at the last handle, and
+    about a tenth of the users friendless."""
+    friendless = rng.random(num_users) < 0.1
+    ends = [63, 64, 127, num_users - 1]
+    friendless[ends] = False
+    social_users = np.flatnonzero(~friendless)
+    pairs = rng.choice(social_users, size=(4 * num_users, 2))
+    pairs = np.concatenate([pairs, np.column_stack([ends, rng.choice(social_users, 4)]),
+                            [[63, 64], [64, 127], [127, num_users - 1]]])
+    friends: dict[int, set[int]] = {u: set() for u in range(num_users)}
+    for a, b in pairs.tolist():
+        if a != b:
+            friends[a].add(b)
+            friends[b].add(a)
+    return SocialGraph(num_users, pairs), friends
+
+
+def test_jaccard_bitsets_match_naive_on_wide_graphs(monkeypatch):
+    """Exactly, past one uint64 word, for many repeated and unsorted query
+    users, and with the bitset cut into chunks of one or a few users."""
+    rng = np.random.default_rng(87)
+    seen = dict(friendless=0, overlap=0, chunked=0, word_edges=0)
+    for trial in range(12):
+        num_users = int(rng.choice([130, 150, 193, 200]))  # none a multiple of 64
+        g, friends = wide_graph(rng, num_users)
+        us = rng.integers(0, num_users, 600)
+        vs = rng.integers(0, num_users, 600)
+        us[:8] = [63, 64, 127, num_users - 1, 64, 63, num_users - 1, 127]
+        want = [reference.naive_jaccard(friends, u, v) for u, v in zip(us.tolist(), vs.tolist())]
+        words = (num_users + 63) // 64
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(social, "_BITSET_BYTES", 8 * words * rows)
+                seen["chunked"] += 1
+            assert jaccard_many(g, us, vs).tolist() == want, rows
+        monkeypatch.undo()
+        seen["friendless"] += sum(not friends[u] for u in us.tolist())
+        seen["overlap"] += sum(w not in (0.0, 1.0) for w in want)
+        seen["word_edges"] += sum(w > 0 for w in want[:8])
+    assert min(seen.values()) > 20, seen
+
+
 def naive_best_k(group_at: np.ndarray, values: np.ndarray, k) -> list[int]:
     """Groups ascending; in each, entries sorted by (-value, input position), first k."""
     limit = np.broadcast_to(k, group_at.shape)
@@ -292,3 +339,70 @@ def test_best_k_edge_cases():
     # -0.0 and 0.0 tie, so input position decides
     for values in ([-0.0, 0.0], [0.0, -0.0]):
         assert best_k(np.zeros(2, np.int64), np.array(values), 1).tolist() == [0]
+
+
+def naive_predict_block(c, influence: np.ndarray, neighbor_counts) -> tuple:
+    """(values, is_model, chosen) of every (configuration, slot), one at a
+    time: positive entries sorted by (-influence, candidate), the first
+    ``neighbor_counts[n]`` kept, their terms summed one by one."""
+    num_configs, num_entries = influence.shape
+    size = c.slot_items.size
+    values = np.empty((num_configs, size))
+    is_model = np.zeros((num_configs, size), dtype=bool)
+    chosen = []
+    cands = c.pair_cands[c.pair_at]
+    for n in range(num_configs):
+        for s in range(size):
+            entries = [e for e in range(num_entries)
+                       if c.slot_at[e] == s and influence[n, e] > 0.0]
+            entries.sort(key=lambda e: (-influence[n, e], cands[e]))
+            kept = entries[:neighbor_counts[n]]
+            num = den = 0.0
+            for e in kept:
+                num += float(influence[n, e] * c.deviations[e])
+                den += float(influence[n, e])
+            mean = float(c.slot_means[s])
+            values[n, s] = min(max(mean + num / den if kept else mean, RATING_MIN), RATING_MAX)
+            is_model[n, s] = bool(kept)
+            chosen.extend(n * num_entries + e for e in kept)
+    return values, is_model, chosen
+
+
+def test_predict_block_matches_naive_selection_and_sums():
+    """Bit for bit, on influence with ties, zeros and negatives, and with
+    neighbor counts that cut some slots or none."""
+    rng = np.random.default_rng(86)
+    pool = np.array([-0.5, -0.0, 0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 1.0])
+    seen = dict(cut=0, uncut=0, ties=0, empty_slot=0, fallback=0, model=0)
+    for _ in range(150):
+        d = random_dataset(rng, max_users=12, max_items=8, max_ratings=60)
+        store = d.ratings
+        slots = rng.choice(len(store), size=int(rng.integers(1, min(len(store), 12) + 1)),
+                           replace=False)
+        slots.sort()  # canonical order: slot users ascend, as in a block
+        c = block_candidates(store, store.user_idx[slots], store.item_idx[slots])
+        num_configs = int(rng.integers(1, 5))
+        shape = (num_configs, c.slot_at.size)
+        influence = np.where(rng.random(shape) < 0.6, rng.choice(pool, shape),
+                             rng.normal(0.3, 0.4, shape))
+        sizes = np.array([np.bincount(c.slot_at[row > 0.0], minlength=c.slot_items.size)
+                          for row in influence]).reshape(num_configs, -1)
+        if rng.random() < 0.5:  # limits that cut somewhere, unless no slot has enough
+            counts = rng.integers(1, 4, num_configs)
+        else:
+            counts = sizes.max(axis=1, initial=0) + rng.integers(0, 3, num_configs)
+            counts = np.maximum(counts, 1)
+        got = predict_block(c, influence, counts.tolist())
+        values, is_model, chosen = naive_predict_block(c, influence, counts.tolist())
+        assert got.values.tobytes() == values.tobytes()
+        assert (got.is_model == is_model).all()
+        assert got.chosen.tolist() == chosen
+        cut = (sizes > counts[:, None]).any()
+        seen["cut" if cut else "uncut"] += 1
+        for row in influence:
+            positive = row[row > 0.0]
+            seen["ties"] += positive.size > np.unique(positive).size
+        seen["empty_slot"] += bool((np.bincount(c.slot_at, minlength=c.slot_items.size) == 0).any())
+        seen["fallback"] += int(np.count_nonzero(~is_model))
+        seen["model"] += int(np.count_nonzero(is_model))
+    assert min(seen.values()) > 20, seen

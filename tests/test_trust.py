@@ -25,7 +25,7 @@ from trustcf.recommender import InfluenceConfig, TrainedModel
 from trustcf.trust import UNIDIMENSIONAL_FACETS
 
 import reference
-from conftest import build_tiny, random_dataset
+from conftest import random_dataset
 
 
 class TestIndicators:
