@@ -310,7 +310,8 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
     if not n:
         return np.zeros(0, dtype=np.int64)
     group_at = np.asarray(group_at, dtype=np.int64)
-    group_bits = int(group_at.max()).bit_length()
+    sizes = np.bincount(group_at)
+    group_bits = (sizes.size - 1).bit_length()
     position_bits = (n - 1).bit_length()
     value_bits = 64 - group_bits - position_bits
     if value_bits < 0:
@@ -348,11 +349,7 @@ def best_k(group_at: np.ndarray, values: np.ndarray, k) -> np.ndarray:
             at = np.flatnonzero(clashed[run])
             # lexsort is stable: equal values keep their ascending positions
             order[at] = order[at][np.lexsort((-ordered[at], run[at]))]
-    limit = np.min(k)
-    if limit >= n:
-        return order
-    sizes = np.bincount(group_at)
-    if sizes.max() <= limit:
+    if sizes.max() <= np.min(k):
         return order
     ranked = group_at[order]
     place = np.arange(n) - (np.cumsum(sizes) - sizes)[ranked]
@@ -466,11 +463,9 @@ def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> Bloc
     Because c's entries come grouped by slot, slots ascending, with
     candidates ascending inside a slot, the positive entries of the
     (configurations x entries) influence, read row by row, are already
-    grouped by (configuration, slot) ascending, in tie order.  So each
-    entry's configuration comes from per-row counts, and when no group
-    holds more entries than its limit, the ranking only reorders entries
-    inside their groups and the groups need no gathering.  Each
-    prediction sums its neighbors' terms in descending influence order.
+    grouped by (configuration, slot) ascending, in tie order, and each
+    entry's configuration comes from per-row counts.  Each prediction
+    sums its neighbors' terms in descending influence order.
     """
     num_configs, num_entries = influence.shape
     size = c.slot_items.size
@@ -482,19 +477,13 @@ def predict_block(c: Candidates, influence: np.ndarray, neighbor_counts) -> Bloc
     # (configuration, slot) ascending, candidates ascending inside a slot
     group = config_at * size + c.slot_at[entry_at]
     infl = influence.ravel()[positive]
-    sizes = np.bincount(group, minlength=cells)
-    counts = np.asarray(neighbor_counts, dtype=np.int64)
-    if (sizes.reshape(num_configs, size).max(axis=1, initial=0) <= counts).all():
-        # every entry is kept, each group stays where it is
-        top = best_k(group, infl, infl.size)
-    else:
-        top = best_k(group, infl, counts[config_at])
-        group = group[top]
-    chosen, infl = positive[top], infl[top]
+    limit = np.asarray(neighbor_counts, dtype=np.int64)[config_at]
+    top = best_k(group, infl, limit)
+    chosen, group, infl = positive[top], group[top], infl[top]
     num = np.bincount(group, weights=infl * c.deviations[entry_at[top]], minlength=cells)
     den = np.bincount(group, weights=infl, minlength=cells)
-    # every limit is at least 1, so a slot with a positive entry keeps one
-    is_model = sizes > 0
+    # a sum of positive terms is positive: den > 0 where a neighbor was kept
+    is_model = den > 0.0
     shift = np.divide(num, den, out=np.zeros(cells), where=is_model)
     values = np.clip(np.tile(c.slot_means, num_configs) + shift, RATING_MIN, RATING_MAX)
     shape = (num_configs, size)

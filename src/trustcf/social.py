@@ -110,7 +110,10 @@ def jaccard_many(g: SocialGraph, u, v_arr: np.ndarray) -> np.ndarray:
     zero-fills distinct users x ``num_users`` / 8 bytes, in chunks of at
     most ``_BITSET_BYTES``: 3.1 KB per user at 25,000 users, about 44 KB
     for the 13 to 15 users of one block of a one-worker U2USocial +
-    MTRTrust2 evaluation at that size.
+    MTRTrust2 evaluation at that size.  Only a call with hundreds of
+    distinct users (335 at 25,000 users) takes more than one chunk, and
+    each chunk then scans all of the call's friends, so such a call
+    costs chunks x friends.
     """
     us, vs = _pairs(g, u, v_arr)
     v_at, friends = g.friends_of_many(vs)

@@ -370,10 +370,10 @@ def naive_predict_block(c, influence: np.ndarray, neighbor_counts) -> tuple:
 
 def test_predict_block_matches_naive_selection_and_sums():
     """Bit for bit, on influence with ties, zeros and negatives, and with
-    neighbor counts that cut some slots or none."""
+    neighbor counts that cut some slots or none, or that keep no neighbor."""
     rng = np.random.default_rng(86)
     pool = np.array([-0.5, -0.0, 0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 1.0])
-    seen = dict(cut=0, uncut=0, ties=0, empty_slot=0, fallback=0, model=0)
+    seen = dict(cut=0, uncut=0, zero_count=0, ties=0, empty_slot=0, fallback=0, model=0)
     for _ in range(150):
         d = random_dataset(rng, max_users=12, max_items=8, max_ratings=60)
         store = d.ratings
@@ -388,7 +388,7 @@ def test_predict_block_matches_naive_selection_and_sums():
         sizes = np.array([np.bincount(c.slot_at[row > 0.0], minlength=c.slot_items.size)
                           for row in influence]).reshape(num_configs, -1)
         if rng.random() < 0.5:  # limits that cut somewhere, unless no slot has enough
-            counts = rng.integers(1, 4, num_configs)
+            counts = rng.integers(0, 4, num_configs)  # 0 keeps no neighbor
         else:
             counts = sizes.max(axis=1, initial=0) + rng.integers(0, 3, num_configs)
             counts = np.maximum(counts, 1)
@@ -399,6 +399,7 @@ def test_predict_block_matches_naive_selection_and_sums():
         assert got.chosen.tolist() == chosen
         cut = (sizes > counts[:, None]).any()
         seen["cut" if cut else "uncut"] += 1
+        seen["zero_count"] += bool((counts == 0).any())
         for row in influence:
             positive = row[row > 0.0]
             seen["ties"] += positive.size > np.unique(positive).size
