@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dataset import PROVENANCES, RATING_MAX, RATING_MIN, REVIEW_COUNTERS, USER_COUNTERS
-from .dataset import _INT64_MAX, CounterOverflow, Dataset, IdColumn, build_dataset, factorize
+from .dataset import _INT64_MAX, CounterOverflow, Dataset, build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
 from .errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 
@@ -249,24 +249,25 @@ class _Counters(NamedTuple):
     codes: np.ndarray
     values: np.ndarray
 
-    def table(self, *ids: IdColumn) -> tuple:
-        """The counter table ``(*ids, {name: values})`` over the coded id
-        columns ``ids``, each name's values zero on the other names' rows."""
-        return (*ids, {n: np.where(self.codes == k, self.values, 0)
-                       for k, n in enumerate(self.names)})
+    def table(self, *handles: np.ndarray) -> tuple:
+        """The counter table ``(*handles, {name: values})`` over the id
+        columns' handles, each name's values zero on the other names' rows."""
+        return (*handles, {n: np.where(self.codes == k, self.values, 0)
+                           for k, n in enumerate(self.names)})
 
-    def check_repeats(self, loaded, ids: tuple[IdColumn, ...]) -> None:
+    def check_repeats(self, loaded, *columns: tuple[int, np.ndarray]) -> None:
         """Raise IoFailure naming the first line that repeats an earlier line's key.
 
         ``loaded(name)`` is the counter as built, rows of one key added up;
-        ``ids`` are the coded id columns.  With as many nonzero entries as
-        rows there is no repeat, and the sort of every row's key is skipped.
+        ``columns`` are the id columns, each as (interner size, handles).
+        With as many nonzero entries as rows there is no repeat, and the
+        sort of every row's key is skipped.
         """
         if self.values.size == sum(np.count_nonzero(loaded(name)) for name in self.names):
             return
         keys = self.codes
-        for column in ids:
-            keys = keys * len(column.ids) + column.codes
+        for size, handles in columns:
+            keys = keys * size + handles
         keys = keys[np.argsort(keys, kind="stable")]
         if (keys[1:] == keys[:-1]).any():
             raise _bad_line(self.path, _repeats(), "repeated key")
@@ -275,10 +276,10 @@ class _Counters(NamedTuple):
 def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     *ids, names, raw = _columns(path, width)
     values = _parsed(path, raw, int, 0, _INT64_MAX, "count")
-    ((present, codes),) = factorize(names)  # its vocabulary is sorted
+    present, (codes,) = factorize(names)  # its ids are sorted
     if not set(present).issubset(known):
         raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
-    return _Counters(path, ids, present.tolist(), codes, values)
+    return _Counters(path, ids, list(present), codes, values)
 
 
 def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
@@ -350,19 +351,21 @@ def canonical_load(directory: str | Path) -> Dataset:
     # read last: the peak memory is in reading the counter files
     friends = _columns(directory / "friends.tsv", 2)
 
-    # one vocabulary per kind of id, over every file
-    rating_user, friend, friend_of, uc_user, rc_user = factorize(
+    # one interner per kind of id, over every file
+    users, (rating_user, friend, friend_of, uc_user, rc_user) = factorize(
         r_user, *friends, *uc.ids, rc.ids[0])
-    rating_item, rc_item, listed = factorize(r_item, rc.ids[1], cat_items)
+    items, (rating_item, rc_item, listed) = factorize(r_item, rc.ids[1], cat_items)
+    names, (tag_ids,) = factorize(compress(tags, tags))
     try:
         d = build_dataset(
             provenance=manifest["provenance"][1],
+            users=users,
+            items=items,
             ratings=(rating_user, rating_item, values),
             friends=(friend, friend_of),
             user_counters=[uc.table(uc_user)],
             review_counters=[rc.table(rc_user, rc_item)],
-            categories=(IdColumn(listed.ids, listed.codes[has_tags]), list(compress(tags, tags))),
-            extra_items=listed,
+            categories=(listed[has_tags], names, tag_ids),
         )
     except ValueError as exc:
         # the builder rejects a repeated rating pair and a review of an unrated pair
@@ -379,8 +382,8 @@ def canonical_load(directory: str | Path) -> Dataset:
             # each row fits, so rows of one key add up
             raise _bad_line(path, _repeats(), "repeated key") from None
         raise IoFailure(f"inconsistent canonical data: {exc}") from None
-    uc.check_repeats(d.feedback.col, (uc_user,))
-    rc.check_repeats(d.review_feedback.col, (rc_user, rc_item))
+    uc.check_repeats(d.feedback.col, (d.num_users, uc_user))
+    rc.check_repeats(d.review_feedback.col, (d.num_users, rc_user), (d.num_items, rc_item))
 
     for key, count in zip(_MANIFEST_KEYS[2:], (d.num_users, d.num_items, len(d.ratings))):
         where, recorded = manifest[key]

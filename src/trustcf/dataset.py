@@ -3,11 +3,11 @@
 External string identifiers are interned once into dense integer handles
 (0..n-1) and every other structure is keyed by handle.  A handle is the
 rank of its id among the ascending ids of its kind (:class:`Interner`
-enforces it), so handle order is id order.  Before that, an id column
-travels as an :class:`IdColumn`: codes into one vocabulary of distinct
-ascending ids per kind of id.  :func:`factorize` is the one place that
-looks ids up row by row; from there on, interning, filtering and writing
-work per distinct id or by numpy takes.  Ratings live in a
+enforces it), so handle order is id order.  :func:`factorize` is the one
+place that looks ids up row by row: it turns the id columns of one kind
+into an interner and a column of handles each, which is what
+:func:`build_dataset` takes.  From there on, filtering and writing work
+per distinct id or by numpy takes.  Ratings live in a
 single canonical triple array sorted by (user, item); a user-major and an
 item-major view are both derived from it, so per-user and per-item scans
 are O(degree) slices over shared storage.
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, compress
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -197,52 +197,15 @@ class Interner:
         return iter(self.ids.tolist())
 
 
-class IdColumn(NamedTuple):
-    """A column of external ids as codes into a vocabulary: row n holds
-    ``ids[codes[n]]``.  The vocabulary lists distinct ids; it may hold ids
-    no code refers to, and one kind of id has one (:func:`intern_sorted`)."""
-
-    ids: Sequence[str]
-    codes: np.ndarray
-
-
-def factorize(*columns: Iterable[str]) -> tuple[IdColumn, ...]:
-    """Each column of ids as an :class:`IdColumn`, all sharing one vocabulary:
-    the distinct ids, ascending.  This is the one place where ids are looked
-    up row by row."""
+def factorize(*columns: Iterable[str]) -> tuple[Interner, list[np.ndarray]]:
+    """An interner of the columns' distinct ids, and each column's handles in
+    it.  This is the one place where ids are looked up row by row."""
     columns = [c.tolist() if isinstance(c, np.ndarray)
                else c if isinstance(c, (list, tuple)) else list(c) for c in columns]
     ids = sorted(set().union(*columns))
-    vocabulary, index = Interner(ids).ids, dict(zip(ids, range(len(ids))))
-    return tuple(IdColumn(vocabulary, np.fromiter(map(index.__getitem__, c), np.int64, len(c)))
-                 for c in columns)
-
-
-def intern_sorted(columns: Sequence[IdColumn]) -> tuple[Interner, list[np.ndarray]]:
-    """An interner of the ids the columns' codes refer to, and each column's
-    handles in it: the rank of its id among those.
-
-    The columns that hold rows must code into one vocabulary (the same
-    object), in which the ids in use ascend; an unused id is not interned.
-    Raises ``ValueError`` otherwise, and for a code outside its vocabulary.
-    """
-    vocabulary: Sequence[str] = ()
-    codes = []
-    for ids, c in columns:
-        c = check_handles(c, len(ids), "coded id", ValueError)
-        if c.size and ids is not vocabulary:
-            if len(vocabulary):
-                raise ValueError("the id columns of one kind code into two vocabularies")
-            vocabulary = ids
-        codes.append(c)
-    used = np.zeros(len(vocabulary), dtype=bool)
-    for c in codes:
-        used[c] = True
-    ids = np.asarray(vocabulary, dtype=object).reshape(len(vocabulary))
-    if used.all():  # the codes are the handles
-        return Interner(ids), codes
-    rank = np.cumsum(used) - 1
-    return Interner(ids[used]), [rank[c] for c in codes]
+    index = dict(zip(ids, range(len(ids))))
+    return Interner(ids), [np.fromiter(map(index.__getitem__, c), np.int64, len(c))
+                           for c in columns]
 
 
 def _user_means(users: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -461,7 +424,7 @@ class ReviewFeedback(_CounterColumns):
     review with no recorded feedback holds zeros.
     """
 
-    __slots__ = ("store", "_totals", "_item_max")
+    __slots__ = ("store", "_totals")
     NAMES, KIND = REVIEW_COUNTERS, "review counter"
     LABEL, SHAPE = KIND, "must align with the ratings"
 
@@ -470,16 +433,9 @@ class ReviewFeedback(_CounterColumns):
         super().__init__(len(store), columns)
 
         self._totals = _frozen(self.total(REVIEW_COUNTERS))
-        # cache: max feedback total per item, 0 for items with no feedback
-        item_max = np.zeros(store.num_items, dtype=np.int64)
-        np.maximum.at(item_max, store.item_idx, self._totals)
-        self._item_max = _frozen(item_max)
 
     def totals(self) -> np.ndarray:
         return self._totals
-
-    def item_max_totals(self) -> np.ndarray:
-        return self._item_max
 
     def total_of(self, u: int, i: int) -> int:
         check_handles(u, self.store.num_users, "user", UnknownUser)
@@ -502,21 +458,24 @@ class ItemCategories:
         tags = tags or {}
         check_handles(list(tags), num_items, "item", ValueError)
         items, names = _columns(((i, str(c)) for i, cats in tags.items() for c in cats), 2)
-        self._index(num_items, np.array(items, dtype=np.int64), names)
+        names, (tag_ids,) = factorize(names)
+        self._index(num_items, items, names, tag_ids)
 
     @classmethod
     def from_columns(
-        cls, num_items: int, items: np.ndarray, tags: Sequence[str] | IdColumn
+        cls, num_items: int, items: np.ndarray, names: Interner, tag_ids: np.ndarray
     ) -> ItemCategories:
-        """Item ``items[n]`` carries tag ``tags[n]``, for each n; repeats count once."""
+        """Item ``items[n]`` carries tag ``names.ids[tag_ids[n]]``, for each n;
+        repeats count once.  Every tag of ``names`` is kept, carried or not."""
         out = cls.__new__(cls)
-        out._index(num_items, items, tags)
+        out._index(num_items, items, names, tag_ids)
         return out
 
-    def _index(self, num_items: int, items: np.ndarray, tags: Sequence[str] | IdColumn) -> None:
-        names, (tag_ids,) = intern_sorted(_factorize_plain([tags]))
+    def _index(self, num_items: int, items, names: Interner, tag_ids) -> None:
+        items = check_handles(items, num_items, "item", ValueError)
+        tag_ids = check_handles(tag_ids, len(names), "tag", ValueError)
         self.names = tuple(names)
-        keys = np.asarray(items, dtype=np.int64) * len(self.names) + tag_ids
+        keys = items * len(self.names) + tag_ids
         self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
         self.sizes = _frozen(np.diff(self.ptr))
 
@@ -572,67 +531,49 @@ class Dataset:
         return len(self.items)
 
 
-Ids = Iterable[str] | IdColumn  # a column of ids: plain, or coded
-
-
-def _factorize_plain(columns: Sequence[Ids]) -> list[IdColumn]:
-    """The columns of one kind of id, coded: the plain ones factorized together."""
-    plain = [n for n, c in enumerate(columns) if not isinstance(c, IdColumn)]
-    coded = dict(zip(plain, factorize(*(columns[n] for n in plain))))
-    return [coded.get(n, c) for n, c in enumerate(columns)]
-
-
 def build_dataset(
     *,
     provenance: str,
-    ratings: tuple[Ids, Ids, Sequence[float]],
-    friends: tuple[Ids, Ids] = ((), ()),
-    user_counters: Sequence[tuple[Ids, Mapping[str, Sequence[int]]]] = (),
-    review_counters: Sequence[tuple[Ids, Ids, Mapping[str, Sequence[int]]]] = (),
-    categories: tuple[Ids, Ids] = ((), ()),
-    extra_users: Ids = (),
-    extra_items: Ids = (),
+    users: Interner,
+    items: Interner,
+    ratings: tuple[np.ndarray, np.ndarray, Sequence[float]],
+    friends: tuple[np.ndarray, np.ndarray] = ((), ()),
+    user_counters: Sequence[tuple[np.ndarray, Mapping[str, Sequence[int]]]] = (),
+    review_counters: Sequence[tuple[np.ndarray, np.ndarray, Mapping[str, Sequence[int]]]] = (),
+    categories: tuple[np.ndarray, Interner, np.ndarray] = ((), Interner(), ()),
     warnings: IngestWarnings = IngestWarnings(),
 ) -> Dataset:
-    """Build a Dataset from columns of external ids.
+    """Build a Dataset from columns of handles into ``users`` and ``items``.
 
-    ``ratings`` is (user, item, value) columns with one row per pair,
-    ``friends`` (user, user) columns and ``categories`` (item, tag)
-    columns.  Counters come in tables: ``(users, {name: values})`` per
-    user table, ``(users, items, {name: values})`` per review table.  Rows
-    that repeat a key add up, also across tables, and review rows must
-    refer to pairs that carry a rating.
-
-    An id column is an :class:`IdColumn` or a plain column of ids.  Per
-    kind of id, the plain columns are factorized together on entry, and
-    the columns that hold rows must share one vocabulary (see
-    :func:`intern_sorted`): plain rows beside coded ones raise
-    ``ValueError``.  Handles are ranks of the ids in use, so two calls
-    with the same content produce handle-identical datasets, and each
-    column maps to handles with one take.  Each review table is joined to
-    the ratings by one :meth:`RatingStore.positions` call.
+    Every id of each interner becomes a handle, whether a row refers to it
+    or not.  ``ratings`` is (user, item, value) columns with one row per
+    pair, ``friends`` (user, user) columns and ``categories`` (item
+    handles, an interner of tags, tag handles).  Counters come in tables:
+    ``(users, {name: values})`` per user table, ``(users, items, {name:
+    values})`` per review table.  Rows that repeat a key add up, also
+    across tables, and review rows must refer to pairs that carry a
+    rating.  A handle outside its interner raises ``ValueError`` (see
+    :func:`check_handles`).  Each review table is joined to the ratings by
+    one :meth:`RatingStore.positions` call.
     """
     from .social import SocialGraph
 
-    r_user, r_item, r_value = ratings
-    c_item, c_tag = categories
-    users, (r_uh, a, b, _, *uh) = intern_sorted(_factorize_plain([
-        r_user, *friends, extra_users, *(ids for ids, _ in user_counters),
-        *(ids for ids, _, _ in review_counters)]))
-    items, (r_ih, c_ih, _, *ih) = intern_sorted(_factorize_plain([
-        r_item, c_item, extra_items, *(ids for _, ids, _ in review_counters)]))
     nu, ni = len(users), len(items)
-    store = RatingStore(nu, ni, r_uh, r_ih, r_value)
+    store = RatingStore(nu, ni, *ratings)
+    a, b = (check_handles(h, nu, "user", ValueError) for h in friends)
+    user_sums = [(check_handles(u, nu, "user", ValueError), counters)
+                 for u, counters in user_counters]
 
     review_sums = []
-    for u, i, (_, _, counters) in zip(uh[len(user_counters):], ih, review_counters):
+    for u, i, counters in review_counters:
+        u = check_handles(u, nu, "user", ValueError)
+        i = check_handles(i, ni, "item", ValueError)
         pos = store.positions(u, i)
         if pos.size and pos.min() < 0:
             n = int(np.argmin(pos))
             raise ValueError(f"review counters for unrated pair "
                              f"({users.ids[u[n]]!r}, {items.ids[i[n]]!r})")
         review_sums.append((pos, counters))
-    user_sums = [(h, counters) for h, (_, counters) in zip(uh, user_counters)]
 
     return Dataset(
         users=users,
@@ -643,7 +584,7 @@ def build_dataset(
             nu, _sums(user_sums, nu, (COMPLIMENTS, CONTRIBUTIONS, RECEIVED_FEEDBACK))
         ),
         review_feedback=ReviewFeedback(store, _sums(review_sums, len(store), (REVIEW_COUNTERS,))),
-        categories=ItemCategories.from_columns(ni, c_ih, c_tag),
+        categories=ItemCategories.from_columns(ni, *categories),
         provenance=provenance,
         warnings=warnings,
     )
@@ -714,25 +655,33 @@ def make_dataset(
     """Build a Dataset from structures keyed by external string ids.
 
     Ids are interned in sorted order so two calls with the same content
-    produce handle-identical datasets.  Review counters must refer to
+    produce handle-identical datasets; ``extra_users`` and ``extra_items``
+    name ids that no row need refer to.  Review counters must refer to
     pairs that actually carry a rating.  See :func:`build_dataset`.
     """
     categories = categories or {}
+    r_user, r_item, values = _columns(ratings, 3)
+    c_item, c_tag = _columns(((i, str(t)) for i, tags in categories.items() for t in tags), 2)
+    user_tables = [(list(mapping), {name: list(mapping.values())})
+                   for name, mapping in (user_counters or {}).items()]
+    review_tables = [([u for u, _ in m], [i for _, i in m], {name: list(m.values())})
+                     for name, m in (review_counters or {}).items()]
+    users, (r_uh, a, b, _, *uh) = factorize(
+        r_user, *_columns(friends, 2), extra_users, *(ids for ids, _ in user_tables),
+        *(ids for ids, _, _ in review_tables))
+    items, (r_ih, c_ih, _, *ih) = factorize(
+        r_item, c_item, chain(extra_items, categories), *(ids for _, ids, _ in review_tables))
+    tags, (c_th,) = factorize(c_tag)
     return build_dataset(
         provenance=provenance,
-        ratings=_columns(ratings, 3),
-        friends=_columns(friends, 2),
-        user_counters=[
-            (list(mapping), {name: list(mapping.values())})
-            for name, mapping in (user_counters or {}).items()
-        ],
-        review_counters=[
-            ([u for u, _ in mapping], [i for _, i in mapping], {name: list(mapping.values())})
-            for name, mapping in (review_counters or {}).items()
-        ],
-        categories=_columns(((i, str(t)) for i, tags in categories.items() for t in tags), 2),
-        extra_users=extra_users,
-        extra_items=chain(extra_items, categories),
+        users=users,
+        items=items,
+        ratings=(r_uh, r_ih, values),
+        friends=(a, b),
+        user_counters=[(h, counters) for h, (_, counters) in zip(uh, user_tables)],
+        review_counters=[(u, i, counters) for u, i, (_, _, counters)
+                         in zip(uh[len(user_tables):], ih, review_tables)],
+        categories=(c_ih, tags, c_th),
         warnings=warnings,
     )
 
@@ -747,12 +696,12 @@ def apply_filters(
     The item filter runs first: when a closure is given, only items
     tagged with at least one closure category survive.  The user filter
     then runs once over the remaining ratings and keeps users holding at
-    least ``min_ratings`` of them.  The kept rows go to
-    :func:`build_dataset` as id columns coded by the dataset's own handles,
-    ``(d.users.ids, kept handles)``, one vocabulary per kind of id, so no
-    id is looked up again.  Handles are ranks of ascending ids, so the
-    kept ids ascend too, and each kept handle becomes its rank among the
-    kept ones.  The operation is idempotent for fixed arguments.
+    least ``min_ratings`` of them.  A kept item stays even when none of
+    its ratings does, and a tag that no kept item carries is dropped.
+    Handles are ranks of ascending ids, so the kept ids ascend too: they
+    go to :func:`build_dataset` as interners, and each kept handle becomes
+    its rank among the kept ones (``np.cumsum(keep) - 1``), so no id is
+    looked up again.  The operation is idempotent for fixed arguments.
     """
     if min_ratings < 0:
         raise ValueError("min_ratings must be non-negative")
@@ -771,23 +720,25 @@ def apply_filters(
     user_keep = np.bincount(store.user_idx[rating_keep], minlength=d.num_users) >= min_ratings
 
     keep = rating_keep & user_keep[store.user_idx]
-    # every column codes into the dataset's own ids: its handles are the codes
-    r_user = IdColumn(d.users.ids, store.user_idx[keep])
-    r_item = IdColumn(d.items.ids, store.item_idx[keep])
+    user_rank, item_rank = np.cumsum(user_keep) - 1, np.cumsum(item_keep) - 1
+    r_user, r_item = user_rank[store.user_idx[keep]], item_rank[store.item_idx[keep]]
     a, b = d.social.edge_array()
     friends = user_keep[a] & user_keep[b]
     tagged = item_keep[owners]
+    tag_keep = np.zeros(len(cats.names), dtype=bool)
+    tag_keep[cats.tags[tagged]] = True
     fb, rf = d.feedback, d.review_feedback
     return build_dataset(
         provenance=d.provenance,
+        users=Interner(d.users.ids[user_keep]),
+        items=Interner(d.items.ids[item_keep]),
         ratings=(r_user, r_item, store.value[keep]),
-        friends=(IdColumn(d.users.ids, a[friends]), IdColumn(d.users.ids, b[friends])),
-        # every kept user is a row of the user table, so none needs listing again
-        user_counters=[(IdColumn(d.users.ids, np.flatnonzero(user_keep)),
+        friends=(user_rank[a[friends]], user_rank[b[friends]]),
+        user_counters=[(np.arange(np.count_nonzero(user_keep)),
                         {name: fb.col(name)[user_keep] for name in fb.present()})],
         review_counters=[(r_user, r_item, {name: rf.col(name)[keep] for name in rf.present()})],
-        categories=(IdColumn(d.items.ids, owners[tagged]), IdColumn(cats.names, cats.tags[tagged])),
-        extra_items=IdColumn(d.items.ids, np.flatnonzero(item_keep)),
+        categories=(item_rank[owners[tagged]], Interner(compress(cats.names, tag_keep)),
+                    (np.cumsum(tag_keep) - 1)[cats.tags[tagged]]),
     )
 
 

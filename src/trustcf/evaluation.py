@@ -427,7 +427,7 @@ class EvaluationReport:
     seed: int
     k: int
     tau: float
-    neighbor_count: int
+    neighbor_count: int | None  # None when the configurations' counts differ
     rows: tuple[ReportRow, ...]
 
     def to_tsv(self) -> str:
@@ -800,12 +800,13 @@ def run_experiment(
                 folds=fold_metrics,
             )
         )
+    counts = {c.neighbor_count for c in configs}
     return EvaluationReport(
         provenance=d.provenance,
         num_folds=plan.num_folds,
         seed=plan.seed,
         k=k,
         tau=tau,
-        neighbor_count=configs[0].neighbor_count,
+        neighbor_count=counts.pop() if len(counts) == 1 else None,
         rows=tuple(rows),
     )

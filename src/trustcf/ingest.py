@@ -5,9 +5,9 @@ LibraryThing dump stores one review per line as a JSON or Python-literal
 dict, plus a whitespace-separated friend-pair file.  Both readers:
 
 * factorize their id columns once, after parsing, into one user and one
-  item vocabulary (``dataset.IdColumn``), so references always resolve
-  and nothing after that looks an id up again: the duplicate check, the
-  row selection and the builder work on integer codes;
+  item interner and a column of handles each (``dataset.factorize``), so
+  references always resolve and nothing after that looks an id up again:
+  the duplicate check, the row selection and the builder work on handles;
 * collapse duplicate (user, item) reviews onto the latest by source
   timestamp, counting the collisions;
 * drop reviews without a usable rating (missing, null or outside the
@@ -34,7 +34,7 @@ import numpy as np
 
 from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
-from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IdColumn, IngestWarnings
+from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IngestWarnings
 from .dataset import build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
@@ -118,7 +118,7 @@ def _counts(values: list[int]) -> np.ndarray:
 
 
 def _latest(users: np.ndarray, items: np.ndarray, stamps: list) -> tuple[np.ndarray, int]:
-    """The rows left when each (user, item) pair of codes keeps its latest row.
+    """The rows left when each (user, item) pair of handles keeps its latest row.
 
     The latest row has the largest stamp, and of equal stamps the last
     one; stamps are compared only among the rows of pairs that repeat.
@@ -273,22 +273,23 @@ def ingest_yelp(
         t_user.append(str(user))
         t_likes.append(_int_field(record, name, source, line_no))
 
-    r_user, p_user, f_user, f_friend, t_user = factorize(
+    users, (r_user, p_user, f_user, f_friend, t_user) = factorize(
         r_user, list(profiles), f_user, f_friend, t_user)
     # a business listed twice keeps the last line's tags
-    r_item, business = factorize(r_item, list(categories))
-    (tags,) = factorize(list(chain.from_iterable(categories.values())))
-    tagged = IdColumn(business.ids, np.repeat(business.codes, list(map(len, categories.values()))))
-    ids = np.concatenate((r_user.ids, r_item.ids, tags.ids)).tolist()
+    items, (r_item, business) = factorize(r_item, list(categories))
+    tags, (tag_ids,) = factorize(list(chain.from_iterable(categories.values())))
+    tagged = np.repeat(business, list(map(len, categories.values())))
+    ids = np.concatenate((users.ids, items.ids, tags.ids)).tolist()
     _check_ids(ids, _yelp_id_fields(*files))
 
-    kept, duplicates = _latest(r_user.codes, r_item.codes, r_date)
-    k_user = IdColumn(r_user.ids, r_user.codes[kept])
-    k_item = IdColumn(r_item.ids, r_item.codes[kept])
+    kept, duplicates = _latest(r_user, r_item, r_date)
+    k_user, k_item = r_user[kept], r_item[kept]
     useful, funny, cool = (_counts(col)[kept] for col in (r_useful, r_funny, r_cool))
     try:
         return build_dataset(
             provenance="yelp",
+            users=users,
+            items=items,
             ratings=(k_user, k_item, np.array(r_stars)[kept]),
             friends=(f_user, f_friend),
             user_counters=[
@@ -300,8 +301,7 @@ def ingest_yelp(
                           "review_count": np.ones(kept.size, dtype=np.int64)}),
             ],
             review_counters=[(k_user, k_item, {"useful": useful, "funny": funny, "cool": cool})],
-            categories=(tagged, tags),
-            extra_items=business,
+            categories=(tagged, tags, tag_ids),
             warnings=IngestWarnings(duplicate_ratings=duplicates),
         )
     except CounterOverflow as exc:
@@ -412,17 +412,18 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
             if _lt_rating(r, source, line_no) is not None:
                 yield source, line_no, [("user", str(r.get("user"))), ("work", str(r.get("work")))]
 
-    r_user, f_a, f_b = factorize(r_user, f_a, f_b)
-    (r_item,) = factorize(r_item)
-    _check_ids(np.concatenate((r_user.ids, r_item.ids)).tolist(), id_fields())
+    users, (r_user, f_a, f_b) = factorize(r_user, f_a, f_b)
+    items, (r_item,) = factorize(r_item)
+    _check_ids(np.concatenate((users.ids, items.ids)).tolist(), id_fields())
 
-    kept, duplicates = _latest(r_user.codes, r_item.codes, r_stamp)
-    k_user = IdColumn(r_user.ids, r_user.codes[kept])
-    k_item = IdColumn(r_item.ids, r_item.codes[kept])
+    kept, duplicates = _latest(r_user, r_item, r_stamp)
+    k_user, k_item = r_user[kept], r_item[kept]
     helpful = _counts(r_help)[kept]
     try:
         return build_dataset(
             provenance="librarything",
+            users=users,
+            items=items,
             ratings=(k_user, k_item, np.array(r_stars)[kept]),
             friends=(f_a, f_b),
             user_counters=[(k_user, {"nhelpful_total": helpful,

@@ -85,9 +85,11 @@ def indicator_frev(rf: ReviewFeedback) -> np.ndarray:
     Returns values aligned with the rating store's canonical order; items
     whose reviews drew no feedback at all yield 0 for every review.
     """
-    totals = rf.totals().astype(np.float64)
-    item_max = rf.item_max_totals().astype(np.float64)
-    denom = item_max[rf.store.item_idx]
+    store, totals = rf.store, rf.totals()
+    item_max = np.zeros(store.num_items, dtype=np.int64)
+    np.maximum.at(item_max, store.item_idx, totals)
+    denom = item_max[store.item_idx].astype(np.float64)
+    totals = totals.astype(np.float64)
     out = np.zeros_like(totals)
     nz = denom > 0
     out[nz] = totals[nz] / denom[nz]

@@ -20,6 +20,7 @@ from trustcf import (
     build_profiles,
     compute_stats,
     fuse_trust,
+    indicator_frev,
     intra_diversity,
     make_config,
     make_dataset,
@@ -31,9 +32,7 @@ from trustcf.dataset import (
     REVIEW_COUNTERS,
     USER_COUNTERS,
     CounterOverflow,
-    IdColumn,
     build_dataset,
-    factorize,
     search_keys,
 )
 from trustcf.errors import UnknownUser
@@ -310,7 +309,7 @@ class TestItemCategories:
     def test_columns_build_the_same_index(self):
         mapping = ItemCategories(3, {0: {"x"}, 2: {"y", "x"}})
         columns = ItemCategories.from_columns(
-            3, np.array([2, 0, 2, 2]), ["y", "x", "x", "y"])
+            3, np.array([2, 0, 2, 2]), Interner(["x", "y"]), [1, 0, 0, 1])
         for name in ("names", "sizes", "ptr", "tags", "keys"):
             assert np.array_equal(getattr(mapping, name), getattr(columns, name)), name
 
@@ -349,7 +348,7 @@ class TestMakeDataset:
                 review_counters={"useful": {("u1", "i2"): 1}},
             )
 
-    def test_item_max_cache_matches_observed_max(self, tiny):
+    def test_frev_divides_by_the_observed_item_max(self, tiny):
         rf = tiny.review_feedback
         store = tiny.ratings
         observed = np.zeros(store.num_items, dtype=np.int64)
@@ -357,7 +356,10 @@ class TestMakeDataset:
             _, _, pos = store.raters_of(i)
             if pos.size:
                 observed[i] = rf.totals()[pos].max()
-        assert (rf.item_max_totals() == observed).all()
+        assert observed.min() == 0 < observed.max()  # an item whose reviews drew none
+        denom = observed[store.item_idx]
+        want = np.where(denom > 0, rf.totals() / np.maximum(denom, 1), 0.0)
+        assert indicator_frev(rf).tolist() == want.tolist()
 
     def test_total_of(self, tiny):
         assert tiny.review_feedback.total_of(1, 0) == 6  # bob on apple
@@ -368,89 +370,88 @@ class TestMakeDataset:
 
 
 class TestBuildDataset:
-    def test_tables_add_up_and_coded_ids_are_looked_up_once_each(self, monkeypatch):
+    @staticmethod
+    def build(users=("a", "b"), items=("x",), **columns):
+        """build_dataset over interners of ``users`` and ``items``; the
+        ratings are (a, x) and (b, x) unless ``columns`` gives others."""
+        return build_dataset(provenance="synthetic", users=Interner(users), items=Interner(items),
+                             **{"ratings": ([0, 1], [0, 0], [1.0, 2.0]), **columns})
+
+    def test_tables_add_up_and_no_id_is_looked_up(self, monkeypatch):
         looked_up = []
         real = dataset.factorize
-
-        def factorize_counted(*columns):
-            got = real(*columns)
-            looked_up.append(sum(c.codes.size for c in got))
-            return got
-
-        users, items = factorize(["a", "b", "a", "b", "a"], ["x", "x", "y", "x", "x"])
-        monkeypatch.setattr(dataset, "factorize", factorize_counted)
-        d = build_dataset(
-            provenance="synthetic",
-            ratings=(IdColumn(users.ids, users.codes[:3]), IdColumn(items.ids, items.codes[:3]),
-                     [1.0, 2.0, 3.0]),
-            user_counters=[
-                (IdColumn(users.ids, users.codes[:3]), {"fans": [1, 2, 3],
-                                                        "review_count": [1, 1, 1]}),
-                (IdColumn(users.ids, users.codes[3:4]), {"fans": [5]}),
-            ],
-            review_counters=[
-                (IdColumn(users.ids, users.codes[:3]), IdColumn(items.ids, items.codes[:3]),
-                 {"useful": [1, 0, 2]}),
-                (IdColumn(users.ids, users.codes[4:]), IdColumn(items.ids, items.codes[4:]),
-                 {"useful": [4]}),
-            ],
+        monkeypatch.setattr(dataset, "factorize", lambda *c: looked_up.append(c) or real(*c))
+        d = self.build(
+            users=("a", "b", "c"), items=("x", "y"),
+            ratings=([0, 1, 0], [0, 0, 1], [1.0, 2.0, 3.0]),
+            user_counters=[([0, 1, 0], {"fans": [1, 2, 3], "review_count": [1, 1, 1]}),
+                           ([1], {"fans": [5]})],
+            review_counters=[([0, 1, 0], [0, 0, 1], {"useful": [1, 0, 2]}),
+                             ([0], [0], {"useful": [4]})],
+            categories=([1, 1], Interner(["s", "t"]), [1, 0]),
         )
-        assert d.feedback.col("fans").tolist() == [4, 7]
-        assert d.feedback.col("review_count").tolist() == [2, 1]
+        assert d.feedback.col("fans").tolist() == [4, 7, 0]
+        assert d.feedback.col("review_count").tolist() == [2, 1, 0]
         # canonical order: (a, x), (a, y), (b, x)
         assert d.review_feedback.col("useful").tolist() == [5, 2, 0]
-        # no row of an id column is looked up: the builder works on the codes
-        assert sum(looked_up) == 0
-        # a plain column's rows are looked up once each, in one factorize per kind
-        looked_up.clear()
-        build_dataset(provenance="synthetic", ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
-                      friends=(["a"], ["c"]), categories=(["y"], ["t"]))
-        assert sorted(looked_up) == [1, 3, 4]  # tags, items, users
+        assert [d.categories.of(i) for i in range(2)] == [frozenset(), frozenset({"s", "t"})]
+        # the builder works on the handles it is given
+        assert looked_up == []
 
-    def test_coded_ids_out_of_their_vocabulary_raise(self):
-        for codes in ([2], [-1]):
-            with pytest.raises(ValueError, match="coded id handle out of range"):
-                build_dataset(provenance="synthetic",
-                              ratings=(IdColumn(["a", "b"], codes), ["x"], [1.0]))
+    def test_every_id_of_each_interner_becomes_a_handle(self):
+        # "0" sorts first, and no row refers to it, to "y" or to "u"
+        d = self.build(users=("0", "a", "b"), items=("x", "y"),
+                       ratings=([1, 2], [0, 0], [1.0, 2.0]),
+                       categories=([0], Interner(["t", "u"]), [0]))
+        assert (list(d.users), list(d.items)) == (["0", "a", "b"], ["x", "y"])
+        assert d.categories.names == ("t", "u")
+        assert d.ratings.user_rating_counts().tolist() == [0, 1, 1]
+        assert d.ratings.item_rating_counts().tolist() == [2, 0]
+        # an interner's ids ascend, so handle order is id order
+        for ids in (["b", "a"], ["a", "a"]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                Interner(ids)
+        empty = self.build(users=(), items=(), ratings=((), (), ()))
+        assert (empty.num_users, empty.num_items, len(empty.ratings)) == (0, 0, 0)
 
-    def test_one_ascending_vocabulary_per_kind(self):
-        def build(**columns):
-            return build_dataset(provenance="synthetic", **{
-                "ratings": (IdColumn(vocabulary, [0, 1]), ["x", "x"], [1.0, 2.0]), **columns})
+    @pytest.mark.parametrize("columns, kind", [
+        ({"ratings": ([0, 2], [0, 0], [1.0, 2.0])}, "user"),
+        ({"ratings": ([0, 1], [0, -1], [1.0, 2.0])}, "item"),
+        ({"friends": ([0], [2])}, "user"),
+        ({"friends": ([-1], [0])}, "user"),
+        ({"user_counters": [([2], {"fans": [1]})]}, "user"),
+        ({"user_counters": [([0, -1], {"fans": [1, 1]})]}, "user"),
+        ({"user_counters": [([2 ** 64], {"fans": [1]})]}, "user"),
+        ({"review_counters": [([-1], [0], {"useful": [1]})]}, "user"),
+        ({"review_counters": [([0], [1], {"useful": [1]})]}, "item"),
+        ({"categories": ([1], Interner(["t"]), [0])}, "item"),
+        ({"categories": ([-1], Interner(["t"]), [0])}, "item"),
+        ({"categories": ([0], Interner(["t"]), [1])}, "tag"),
+        ({"categories": ([0], Interner(["t"]), [-1])}, "tag"),
+    ], ids=["rating-user", "rating-item", "friend", "friend-negative", "user-counter",
+            "user-counter-negative", "user-counter-beyond-int64", "review-user", "review-item",
+            "category-item", "category-item-negative", "tag", "tag-negative"])
+    def test_handle_out_of_its_interner_raises(self, columns, kind):
+        """-1 never aliases the last id: a counter or a tag would land on it."""
+        with pytest.raises(ValueError, match=f"{kind} handle out of range"):
+            self.build(**columns)
 
-        vocabulary = ["a", "b", "0"]  # "0" sorts first, but no row refers to it
-        # an empty column may code into any vocabulary
-        d = build(friends=(IdColumn(["z"], []), IdColumn(["z"], [])))
-        assert (list(d.users), list(d.items)) == (["a", "b"], ["x"])
-        for columns, match in [
-            # a kind's columns in two vocabularies, equal or not
-            ({"friends": (IdColumn(vocabulary, [0]), IdColumn(["a", "b", "0"], [1]))},
-             "two vocabularies"),
-            ({"extra_users": IdColumn(["c"], [0])}, "two vocabularies"),
-            # plain rows beside coded ones
-            ({"extra_users": ["c"]}, "two vocabularies"),
-            ({"extra_items": IdColumn(["x", "y"], [0])}, "two vocabularies"),
-            # ids in use that do not ascend, of users and of tags
-            ({"ratings": (IdColumn(["b", "a"], [0, 1]), ["x", "y"], [1.0, 2.0])},
-             "strictly ascending"),
-            ({"categories": (["x", "x"], IdColumn(["t", "s"], [1, 0]))}, "strictly ascending"),
-        ]:
-            with pytest.raises(ValueError, match=match):
-                build(**columns)
+    def test_review_of_an_unrated_pair_names_its_ids(self):
+        with pytest.raises(ValueError, match=r"unrated pair \('b', 'y'\)"):
+            self.build(items=("x", "y"), review_counters=[([0, 1], [0, 1], {"useful": [1, 1]})])
 
     def test_counters_beyond_int64_raise_rather_than_wrap(self):
         def build(*user_counters):
-            return build_dataset(provenance="synthetic", ratings=(["a"], ["x"], [1.0]),
-                                 user_counters=user_counters)
+            return self.build(ratings=([0], [0], [1.0]), user_counters=user_counters)
 
         # totals that fit, though the quick bound on them does not
-        d = build((["a", "b"], {"fans": [2 ** 62, 2 ** 62]}), (["b"], {"fans": [2 ** 62 - 1]}))
+        d = build(([0, 1], {"fans": [2 ** 62, 2 ** 62]}), ([1], {"fans": [2 ** 62 - 1]}))
         assert d.feedback.col("fans").tolist() == [2 ** 62, 2 ** 63 - 1]
         with pytest.raises(CounterOverflow) as caught:
-            build((["a"], {"fans": [1]}), (["b", "a"], {"fans": [1, 2 ** 63 - 1]}))
+            build(([0], {"fans": [1]}), ([1, 0], {"fans": [1, 2 ** 63 - 1]}))
         assert (caught.value.name, caught.value.table, caught.value.row) == ("fans", 1, 1)
         with pytest.raises(CounterOverflow) as caught:
-            build((["a", "b"], {"fans": [0, 2 ** 64]}))
+            build(([0, 1], {"fans": [0, 2 ** 64]}))
         assert (caught.value.table, caught.value.row) == (0, 1)
         with pytest.raises(CounterOverflow, match="'useful' does not fit in int64"):
             make_dataset(provenance="synthetic", ratings=[("a", "x", 1.0)],
@@ -472,11 +473,8 @@ class TestBuildDataset:
         def build(shift):
             # a second row, b's, so the overflowing one is not the first
             values = {name: [1, v - shift * (name == last)] for name, v in counters.items()}
-            table = ((["a", "b"], ["x", "x"], values) if kind == "review"
-                     else (["a", "b"], values))
-            return build_dataset(provenance="synthetic",
-                                 ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
-                                 **{f"{kind}_counters": [table]})
+            table = ([0, 1], [0, 0], values) if kind == "review" else ([0, 1], values)
+            return self.build(**{f"{kind}_counters": [table]})
 
         d = build(1)  # sums of exactly 2^63 - 1 fit
         fits = d.review_feedback.totals() if kind == "review" else d.feedback.total(group)
@@ -490,103 +488,71 @@ class TestBuildDataset:
 
     def test_counter_sums_checked_per_entry(self):
         # the largest values add up beyond int64, but on different users
-        d = build_dataset(provenance="synthetic", ratings=(["a", "b"], ["x", "x"], [1.0, 2.0]),
-                          user_counters=[(["a", "b"], {"more": [2 ** 62, 0], "gw": [0, 2 ** 62]})])
+        d = self.build(user_counters=[([0, 1], {"more": [2 ** 62, 0], "gw": [0, 2 ** 62]})])
         assert d.feedback.total(("more", "thx", "gw")).tolist() == [2 ** 62, 2 ** 62]
 
 
-class TestCodedColumns:
-    """build_dataset over (vocabulary, codes) columns equals it over the same
-    rows as plain id columns."""
+class TestHandleColumns:
+    """build_dataset over interners and handle columns builds what
+    make_dataset builds from the same rows keyed by ids, with every id of
+    the interners named as an extra id."""
 
     # ids below the tab sort before it: "a\x01" < "a\t" < "a"+"b"
     USERS = ("u1", "u2", "a\x01", "a\x08b", "\x02", "u10", "Ü")
     ITEMS = ("i1", "i\x03", "i2", "\x07", "i10")
     TAGS = ("Food", "F\x01", "Bars", "Café")
 
-    @staticmethod
-    def _vocabulary(rnd, pool):
-        """The pool and some ids no column refers to, ascending; a list or an array."""
-        ids = sorted([*pool, *(f"unused{n}\x05" for n in range(rnd.randint(0, 3)))])
-        return ids if rnd.random() < 0.5 else np.array(ids, dtype=object)
-
-    def _tables(self, rnd):
-        users = rnd.sample(self.USERS, rnd.randint(1, len(self.USERS)))
-        items = rnd.sample(self.ITEMS, rnd.randint(1, len(self.ITEMS)))
-        pairs = [(u, i) for u in users for i in items]
-        pairs = rnd.sample(pairs, rnd.randint(0, min(len(pairs), 8)))
-        friends = [tuple(rnd.sample(users, 2)) for _ in range(rnd.randint(0, 4))
-                   if len(users) > 1]
-        listed = [u for u in users if rnd.random() < 0.5]
-        tagged = [(i, t) for i in items for t in self.TAGS if rnd.random() < 0.3]
-        return {
-            "ratings": ([u for u, _ in pairs], [i for _, i in pairs],
-                        [float(rnd.randint(1, 5)) for _ in pairs]),
-            "friends": ([a for a, _ in friends], [b for _, b in friends]),
-            "user_counters": [(listed, {"fans": [rnd.randint(0, 9) for _ in listed]}),
-                              ([u for u, _ in pairs], {"review_count": [1] * len(pairs)})],
-            "review_counters": [([u for u, _ in pairs], [i for _, i in pairs],
-                                 {"useful": [rnd.randint(0, 3) for _ in pairs]})],
-            "categories": ([i for i, _ in tagged], [t for _, t in tagged]),
-            "extra_users": [u for u in users if rnd.random() < 0.3],
-            "extra_items": [i for i in items if rnd.random() < 0.3],
-        }
-
-    def _code(self, rnd, tables):
-        """The same tables with every id column coded, into one vocabulary
-        per kind of id."""
-        vocabularies = {kind: self._vocabulary(rnd, pool) for kind, pool in (
-            ("user", self.USERS), ("item", self.ITEMS), ("tag", self.TAGS))}
-        index = {kind: {x: n for n, x in enumerate(ids)} for kind, ids in vocabularies.items()}
-
-        def code(ids, kind):
-            codes = np.array([index[kind][x] for x in ids], dtype=np.int64)
-            return IdColumn(vocabularies[kind], codes)
-
-        (ru, ri, rv), (fa, fb) = tables["ratings"], tables["friends"]
-        ci, ct = tables["categories"]
-        return {
-            "ratings": (code(ru, "user"), code(ri, "item"), rv),
-            "friends": (code(fa, "user"), code(fb, "user")),
-            "user_counters": [(code(ids, "user"), c) for ids, c in tables["user_counters"]],
-            "review_counters": [(code(u, "user"), code(i, "item"), c)
-                                for u, i, c in tables["review_counters"]],
-            "categories": (code(ci, "item"), code(ct, "tag")),
-            "extra_users": code(tables["extra_users"], "user"),
-            "extra_items": code(tables["extra_items"], "item"),
-        }
-
     @pytest.mark.parametrize("seed", range(40))
-    def test_coded_and_plain_columns_build_the_same_dataset(self, seed):
+    def test_handle_columns_build_what_ids_build(self, seed):
         rnd = random.Random(seed)
-        tables = self._tables(rnd)
-        plain = build_dataset(provenance="synthetic", **tables)
-        coded = build_dataset(provenance="synthetic", **self._code(rnd, tables))
-        assert coded.users.ids.tolist() == plain.users.ids.tolist() == sorted(plain.users)
-        assert coded.items.ids.tolist() == plain.items.ids.tolist() == sorted(plain.items)
-        assert not any(x.startswith("unused") for x in [*coded.users, *coded.items])
-        for name in ("user_idx", "item_idx", "value"):
-            assert getattr(coded.ratings, name).tolist() == getattr(plain.ratings, name).tolist()
-        assert [e.tolist() for e in coded.social.edge_array()] == [
-            e.tolist() for e in plain.social.edge_array()]
-        for name in USER_COUNTERS:
-            assert coded.feedback.col(name).tolist() == plain.feedback.col(name).tolist()
-        for name in REVIEW_COUNTERS:
-            assert (coded.review_feedback.col(name).tolist()
-                    == plain.review_feedback.col(name).tolist())
-        assert coded.categories.names == plain.categories.names
-        assert coded.categories.keys.tolist() == plain.categories.keys.tolist()
-        assert render_canonical(coded) == render_canonical(plain)
+        users, items, tags = (sorted(rnd.sample(pool, rnd.randint(1, len(pool))))
+                              for pool in (self.USERS, self.ITEMS, self.TAGS))
+        nu, ni = len(users), len(items)
 
-    def test_empty_columns(self):
-        empty = IdColumn(["unused"], np.zeros(0, dtype=np.int64))
-        d = build_dataset(provenance="synthetic", ratings=(empty, empty, []),
-                          friends=(empty, empty), user_counters=[(empty, {"fans": []})],
-                          review_counters=[(empty, empty, {"useful": []})],
-                          categories=(empty, empty), extra_users=empty, extra_items=empty)
-        assert (d.num_users, d.num_items, len(d.ratings)) == (0, 0, 0)
-        assert render_canonical(d) == render_canonical(
-            build_dataset(provenance="synthetic", ratings=((), (), ())))
+        def some(n):  # up to n user handles, repeats allowed
+            return [rnd.randrange(nu) for _ in range(rnd.randint(0, n))]
+
+        pairs = rnd.sample([(u, i) for u in range(nu) for i in range(ni)],
+                           rnd.randint(0, min(nu * ni, 8)))
+        values = [float(rnd.randint(1, 5)) for _ in pairs]
+        a = some(4)
+        friends = (a, [rnd.randrange(nu) for _ in a])  # a self-friend is dropped
+        fans = [(h, [rnd.randint(0, 9) for _ in h]) for h in (some(5), some(5))]
+        reviewed = [rnd.choice(pairs) for _ in range(rnd.randint(0, 6))] if pairs else []
+        useful = [rnd.randint(0, 3) for _ in reviewed]
+        tagged = [(i, t) for i in range(ni) for t in range(len(tags)) if rnd.random() < 0.3]
+
+        got = build_dataset(
+            provenance="synthetic", users=Interner(users), items=Interner(items),
+            ratings=([u for u, _ in pairs], [i for _, i in pairs], values),
+            friends=friends,
+            user_counters=[(h, {"fans": v}) for h, v in fans],
+            review_counters=[([u for u, _ in reviewed], [i for _, i in reviewed],
+                              {"useful": useful})],
+            categories=([i for i, _ in tagged], Interner(tags), [t for _, t in tagged]),
+        )
+
+        fan_sums, useful_sums, categories = {}, {}, {}
+        for h, v in fans:
+            for u, n in zip(h, v):
+                fan_sums[users[u]] = fan_sums.get(users[u], 0) + n
+        for (u, i), n in zip(reviewed, useful):
+            key = (users[u], items[i])
+            useful_sums[key] = useful_sums.get(key, 0) + n
+        for i, t in tagged:
+            categories.setdefault(items[i], set()).add(tags[t])
+        want = make_dataset(
+            provenance="synthetic",
+            ratings=[(users[u], items[i], v) for (u, i), v in zip(pairs, values)],
+            friends=[(users[a], users[b]) for a, b in zip(*friends)],
+            user_counters={"fans": fan_sums},
+            review_counters={"useful": useful_sums},
+            categories=categories, extra_users=users, extra_items=items,
+        )
+        assert (list(got.users), list(got.items)) == (users, items)
+        for name in ("user_idx", "item_idx", "value"):
+            assert getattr(got.ratings, name).tolist() == getattr(want.ratings, name).tolist()
+        assert render_canonical(got) == render_canonical(want)
 
 
 class TestApplyFilters:
@@ -606,6 +572,24 @@ class TestApplyFilters:
         assert list(got.items) == ["apple", "date"]
         assert list(got.users) == ["bob", "carol", "dave"]
         assert len(got.ratings) == 6
+
+    def test_tags_of_dropped_items_go_and_kept_unrated_items_stay(self):
+        d = make_dataset(
+            provenance="synthetic",
+            ratings=[("a", "x", 1.0), ("a", "y", 2.0), ("b", "z", 3.0), ("a", "w", 4.0)],
+            categories={"x": ["food"], "y": ["bars", "food"], "z": ["food", "zoo"],
+                        "w": ["golf"]},
+            extra_items=["v"],
+        )
+        # b holds one rating, so z's only rating goes with b
+        got = apply_filters(d, 2, category_closure={"food"})
+        assert list(got.users) == ["a"]
+        assert list(got.items) == ["x", "y", "z"]
+        assert got.ratings.item_rating_counts().tolist() == [1, 1, 0]
+        # golf: only w carried it
+        assert got.categories.names == ("bars", "food", "zoo")
+        assert [got.categories.of(i) for i in range(3)] == [
+            frozenset({"food"}), frozenset({"bars", "food"}), frozenset({"food", "zoo"})]
 
     def test_idempotent(self):
         rng = np.random.default_rng(21)

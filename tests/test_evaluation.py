@@ -397,6 +397,16 @@ class TestRunExperiment:
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["config"] == "U2UCF"
 
+    @pytest.mark.parametrize("counts, recorded", [((5, 5), 5), ((5, 50), None)],
+                             ids=["uniform", "mixed"])
+    def test_summary_records_the_neighbor_count_only_when_shared(self, tiny, counts, recorded):
+        plan = split_folds(tiny, 3, seed=1)
+        configs = [make_config("U2UCF", neighbor_count=counts[0]),
+                   make_config("MTR", neighbor_count=counts[1])]
+        report = run_experiment(tiny, configs, plan, k=2)
+        assert report.neighbor_count == recorded
+        assert json.loads(report.to_summary_json())["neighbor_count"] == recorded
+
     def test_undefined_error_metrics_are_reported_as_undefined(self):
         """A config with no model prediction has no RMSE or MAE, not 0."""
         rng = np.random.default_rng(67)
