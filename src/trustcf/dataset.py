@@ -662,8 +662,8 @@ def make_dataset(
     categories = categories or {}
     r_user, r_item, values = _columns(ratings, 3)
     c_item, c_tag = _columns(((i, str(t)) for i, tags in categories.items() for t in tags), 2)
-    user_tables = [(list(mapping), {name: list(mapping.values())})
-                   for name, mapping in (user_counters or {}).items()]
+    user_tables = [(list(m), {name: list(m.values())})
+                   for name, m in (user_counters or {}).items()]
     review_tables = [([u for u, _ in m], [i for _, i in m], {name: list(m.values())})
                      for name, m in (review_counters or {}).items()]
     users, (r_uh, a, b, _, *uh) = factorize(
