@@ -16,6 +16,26 @@ least once in user_feedback.tsv (the review_count row is always written)
 and every item at least once in item_categories.tsv (untagged items get
 a bare line), which makes the round trip lossless even for entities that
 carry no other data.
+
+Loading a good file makes no Python object per field.  Each file is read once as
+bytes (:class:`_Table`): checked as UTF-8, ``\\r\\n`` and ``\\r`` read as
+``\\n``, its tabs and newlines found by numpy, and every line's field
+count checked from them.  An id column becomes a fixed-width bytes view
+with each byte one higher, so that NUL bytes and prefixes compare as in
+``str``; ids of up to 8 bytes become big-endian integers.  Columns are
+deduplicated by a neighbour compare where they ascend and by a stable
+argsort elsewhere, merged per kind of id over their distinct ids, and
+only the distinct ids are decoded (:func:`_interner`).  Counter names,
+few and known, are searched for among the known ones instead of sorted
+(:func:`_read_counters`).  A view costs rows
+x its widest field, so a column is read one ``str`` per field where that
+would exceed 4 bytes per byte of the column plus 32 per row, or a field
+is wider than 256 bytes.  Rating and count columns convert their views
+with ``astype``, Python's own ``float`` and ``int`` of ASCII text; a file
+holding a NUL byte, a field too long for a view or one the view rejects
+(``'٥'``, or a bad value) takes the per-field path (:func:`_parsed`).  A
+failed check reads the file again as text to name the first bad line
+(:func:`_bad_line`), so every error keeps its text and line number.
 """
 
 from __future__ import annotations
@@ -29,7 +49,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .dataset import PROVENANCES, RATING_MAX, RATING_MIN, REVIEW_COUNTERS, USER_COUNTERS
-from .dataset import _INT64_MAX, CounterOverflow, Dataset, build_dataset, factorize
+from .dataset import _INT64_MAX, CounterOverflow, Dataset, Interner, build_dataset
+from .dataset import search_keys
 from .dataset import make_dataset  # noqa: F401  (perfbench/spans.py traces this name)
 from .errors import IoFailure, MalformedRecord, SchemaVersionMismatch
 
@@ -218,33 +239,186 @@ def _read_manifest(directory: Path) -> dict[str, tuple[str, str]]:
     return fields
 
 
-def _columns(path: Path, width: int) -> list[list[str]]:
-    """The ``width`` tab-separated columns of a file's non-blank lines."""
-    lines = _read(path).split("\n")
-    rows = list(filter(None, lines))
-    tabs = list(map(str.count, rows, repeat("\t")))
-    if tabs.count(width - 1) != len(tabs):
-        for line_no, line in enumerate(lines, start=1):
-            got = line.count("\t") + 1
-            if line and got != width:
-                raise IoFailure(f"{path.name}:{line_no}: expected {width} fields, got {got}")
-    # the lines go before the fields come, to keep the peak memory low
-    joined = "\t".join(rows)
-    del lines, rows
-    fields = joined.split("\t") if joined else []
-    del joined
-    return [fields[k::width] for k in range(width)]
+# Zero bytes after a file's text: a bytes view of a field this wide or less
+# reads in bounds, and a wider field takes the per-field path.
+_PAD = 256
+
+
+def _view_width(lengths: np.ndarray) -> int | None:
+    """The width of a bytes view of fields of these lengths, or None when the
+    widest would make the view cost more than 4 bytes per byte of the fields
+    plus 32 per field, so that one long field does not multiply the memory."""
+    width = int(lengths.max(initial=0))
+    if width > _PAD or width * lengths.size > 4 * int(lengths.sum()) + 32 * lengths.size:
+        return None
+    return max(width, 1)
+
+
+class _Table:
+    """The fields of a TSV file's non-blank lines, as byte ranges of its text.
+
+    The file is read once, as bytes: checked as UTF-8, ``\\r\\n`` and ``\\r``
+    read as ``\\n`` (as text mode reads them), and its tabs and newlines found
+    by numpy, which also checks the field count of every line.  Field k of
+    row r ends at byte ``ends[r, k]``, and starts after the field before it
+    (the first field at ``first[r]``).
+    """
+
+    __slots__ = ("text", "first", "ends", "nul")
+
+    def __init__(self, path: Path, width: int):
+        data = path.read_bytes()
+        if not data.isascii():
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError:
+                raise undecodable(path) from None
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self.nul = b"\0" in data
+        self.text = data + bytes(_PAD)
+        text = np.frombuffer(self.text, dtype=np.uint8)
+        # tabs and newlines: as unsigned bytes, only 9 and 10 are at most 1 above 9
+        seps = np.flatnonzero(text[:len(data)] - np.uint8(9) <= 1)
+        if not data.endswith(b"\n") and data:
+            seps = np.append(seps, len(data))  # a last line without a newline
+        nl = np.flatnonzero(text[seps] != 9)  # each line's end among the separators
+        ends = seps[nl]
+        first = np.concatenate(([0], ends + 1))[:-1]
+        fields = np.diff(nl, prepend=-1)
+        blank = first == ends
+        bad = (fields != width) & ~blank
+        if bad.any():
+            line = int(np.argmax(bad))
+            raise IoFailure(f"{path.name}:{line + 1}: expected {width} fields, got {fields[line]}")
+        if blank.any():
+            seps, first = np.delete(seps, nl[blank]), first[~blank]
+        self.first, self.ends = first, seps.reshape(-1, width)
+
+    def span(self, k: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, lengths) of column k's fields, of every row or of ``rows``."""
+        starts = self.first if k == 0 else self.ends[:, k - 1] + 1
+        ends = self.ends[:, k]
+        if rows is not None:
+            starts, ends = starts[rows], ends[rows]
+        return starts, ends - starts
+
+    def view(self, k: int, width: int, shift: bool, rows=None) -> np.ndarray:
+        """Column k's fields as ``S<width>`` values: each field's first ``width``
+        bytes, zero-padded.  With ``shift`` each byte is one higher, so that
+        no byte of a field is 0 (UTF-8 has no byte 255): then order and
+        equality are the fields', NUL bytes and prefixes included."""
+        starts, lengths = self.span(k, rows)
+        # row n of this view is the text from byte n on
+        windows = np.ndarray((len(self.text) - width + 1, width), np.uint8, self.text, 0, (1, 1))
+        out = windows[starts]
+        if shift:
+            out += 1
+        if lengths.size and lengths.min() < width:
+            out[np.arange(width) >= lengths[:, None]] = 0
+        return out.view(f"S{width}").reshape(-1)
+
+    def strs(self, k: int, rows=None) -> list[str]:
+        """Column k's fields, one str each."""
+        starts, lengths = self.span(k, rows)
+        text = self.text
+        return [text[s:s + n].decode("utf-8") for s, n in zip(starts.tolist(), lengths.tolist())]
+
+    def keys(self, k: int, rows=None) -> np.ndarray:
+        """Column k's fields as keys that compare as the fields do: a shifted
+        bytes view, or str objects where a field is too long for one.  Ids
+        of up to 8 bytes are big-endian integers, which sort faster than
+        bytes and in the same order."""
+        starts, lengths = self.span(k, rows)
+        width = _view_width(lengths)
+        if width is None:
+            return np.array(self.strs(k, rows), dtype=object)
+        if width > 8:
+            return self.view(k, width, True, rows)
+        # the 8 bytes from each start, each one higher, the bytes past the field zeroed
+        words = np.ndarray((len(self.text) - 7,), ">u8", self.text, 0, (1,))[starts]
+        past = (8 * (8 - lengths)).astype(np.uint64)
+        return (words + np.uint64(0x0101010101010101)) >> past << past
+
+    def ids(self, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Column k's distinct keys and each row's index among them."""
+        return _unique(self.keys(k, rows))
+
+
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values ascending, and each value's index among them.
+
+    An ascending column needs only a compare with its neighbour; another is
+    sorted first, by a stable argsort (np.unique's sort is slower on bytes).
+    """
+    order = None
+    if not (values[1:] >= values[:-1]).all():
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    codes = np.cumsum(first) - 1
+    if order is not None:
+        codes[order] = codes.copy()
+    return values[first], codes
+
+
+def _encode(ids: list[str], dtype: np.dtype) -> tuple[list[str], np.ndarray]:
+    """Those of the ascending ``ids`` that keys of ``dtype`` (see
+    :meth:`_Table.keys`) can hold, and their keys; a longer id is no field's."""
+    if dtype == object:
+        return ids, np.array(ids, dtype=object)
+    ids = [i for i in ids if len(i.encode()) <= dtype.itemsize]
+    keys = np.array([bytes(b + 1 for b in i.encode()) for i in ids], dtype=f"S{dtype.itemsize}")
+    return ids, keys.view(">u8") if dtype.kind == "u" else keys
+
+
+def _as_bytes(values: np.ndarray) -> np.ndarray:
+    """Keys that are integers (see :meth:`_Table.keys`) as their bytes view."""
+    return values.astype(">u8").view("S8") if values.dtype.kind == "u" else values
+
+
+def _decode(values: np.ndarray) -> list[str]:
+    """The str of each of :meth:`_Table.keys`' keys."""
+    if values.dtype == object:
+        return values.tolist()
+    values = _as_bytes(values)
+    width = values.dtype.itemsize
+    shifted = values.view(np.uint8).reshape(-1, width)
+    out = np.full((shifted.shape[0], width + 1), ord("\n"), dtype=np.uint8)
+    out[:, :width] = shifted - 1
+    keep = np.ones(out.shape, dtype=bool)
+    keep[:, :width] = shifted > 0  # a field's bytes, without the padding
+    # no field holds a newline, so each id is one line
+    return out[keep].tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _interner(*columns: tuple[np.ndarray, np.ndarray]) -> tuple[Interner, list[np.ndarray]]:
+    """One interner over the ids of several columns, each given as its
+    distinct ids and codes (see :meth:`_Table.ids`), and each column's
+    handles in it.  Only the distinct ids become str."""
+    distinct = [d for d, _ in columns]
+    if any(d.dtype == object for d in distinct):  # a column too long for a bytes view
+        distinct = [d if d.dtype == object else np.array(_decode(d), dtype=object)
+                    for d in distinct]
+    elif len({d.dtype.kind for d in distinct}) > 1:  # integers beside wider bytes
+        distinct = list(map(_as_bytes, distinct))
+    ids, at = _unique(np.concatenate(distinct))
+    bounds = np.cumsum([d.size for d in distinct[:-1]], dtype=np.int64)
+    return (Interner(_decode(ids)),
+            [where[codes] for where, (_, codes) in zip(np.split(at, bounds), columns)])
 
 
 class _Counters(NamedTuple):
     """The rows of a counter file: ids, counter name and value per row.
 
-    ``names`` holds the distinct counter names, sorted, and ``codes`` each
-    row's index among them.
+    ``ids`` holds each id column as distinct ids and codes (see
+    :meth:`_Table.ids`), ``names`` the counter names present, sorted, and
+    ``codes`` each row's index among them.
     """
 
     path: Path
-    ids: list[list[str]]
+    ids: list[tuple[np.ndarray, np.ndarray]]
     names: list[str]
     codes: np.ndarray
     values: np.ndarray
@@ -274,16 +448,27 @@ class _Counters(NamedTuple):
 
 
 def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
-    *ids, names, raw = _columns(path, width)
-    values = _parsed(path, raw, int, 0, _INT64_MAX, "count")
-    present, (codes,) = factorize(names)  # its ids are sorted
-    if not set(present).issubset(known):
+    table = _Table(path, width)
+    values = _parsed(path, table, width - 1, int, 0, _INT64_MAX, "count")
+    # the names are few and known: a search among them costs less than a sort
+    keys = table.keys(width - 2)
+    names, vocabulary = _encode(sorted(known), keys.dtype)
+    at, found = search_keys(vocabulary, keys)
+    if not found.all():
         raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
-    return _Counters(path, ids, list(present), codes, values)
+    present = np.bincount(at, minlength=len(names)) > 0
+    return _Counters(path, [table.ids(k) for k in range(width - 2)],
+                     list(compress(names, present)), (np.cumsum(present) - 1)[at], values)
 
 
-def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.ndarray:
-    """``raw`` as ``kind`` values in [lo, hi]; IoFailure naming the first bad line."""
+def _parsed(path: Path, table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
+    """Column k as ``kind`` values in [lo, hi]; IoFailure naming the first bad line.
+
+    The column's bytes view converts as Python's ``int`` or ``float`` of its
+    ASCII text.  A file holding a NUL byte (the view drops trailing ones), a
+    field too long for a view, and a field the view rejects, as ``'٥'`` or
+    a bad value, take the per-field path: ``kind`` of each field's str.
+    """
 
     def bad(fields: list[str]) -> str | None:
         try:
@@ -292,10 +477,18 @@ def _parsed(path: Path, raw: list[str], kind: type, lo, hi, what: str) -> np.nda
             return fields[-1]
 
     dtype = np.float64 if kind is float else np.int64
-    try:
-        values = np.fromiter(map(kind, raw), dtype=dtype, count=len(raw))
-    except (ValueError, OverflowError):
-        raise _bad_line(path, bad, f"bad {what}") from None
+    width = _view_width(table.span(k)[1])
+    values = None
+    if width is not None and not table.nul:
+        try:
+            values = table.view(k, width, False).astype(dtype)
+        except (ValueError, OverflowError):
+            pass
+    if values is None:
+        try:
+            values = np.fromiter(map(kind, table.strs(k)), dtype=dtype, count=len(table.ends))
+        except (ValueError, OverflowError):
+            raise _bad_line(path, bad, f"bad {what}") from None
     if values.size and not (values.min() >= lo and values.max() <= hi):
         raise _bad_line(path, bad, f"bad {what}")
     return values
@@ -321,11 +514,11 @@ def _repeats():
     return lambda f: tuple(f[:-1]) if tuple(f[:-1]) in seen else seen.add(tuple(f[:-1]))
 
 
-def _nth(row: int):
+def _nth(row: int, width: int | None = None):
     """A ``bad`` for :func:`_bad_line`: the fields of the ``row``-th
-    non-blank line, counted from 0."""
+    non-blank line, counted from 0, or its first ``width`` fields."""
     rows = count()
-    return lambda f: tuple(f) if next(rows) == row else None
+    return lambda f: tuple(f[:width]) if next(rows) == row else None
 
 
 def canonical_load(directory: str | Path) -> Dataset:
@@ -339,23 +532,27 @@ def canonical_load(directory: str | Path) -> Dataset:
             raise IoFailure(f"missing canonical file: {directory / name}")
 
     path = directory / "ratings.tsv"
-    r_user, r_item, raw = _columns(path, 3)
-    values = _parsed(path, raw, float, RATING_MIN, RATING_MAX, "rating value")
+    ratings = _Table(path, 3)
+    values = _parsed(path, ratings, 2, float, RATING_MIN, RATING_MAX, "rating value")
+    r_user, r_item = ratings.ids(0), ratings.ids(1)
+    del ratings
 
     uc = _read_counters(directory / "user_feedback.tsv", 3, USER_COUNTERS)
     rc = _read_counters(directory / "review_feedback.tsv", 4, REVIEW_COUNTERS)
 
     # a bare line names an item without tags
-    cat_items, tags = _columns(directory / "item_categories.tsv", 2)
-    has_tags = np.fromiter(map(bool, tags), dtype=bool, count=len(tags))
-    # read last: the peak memory is in reading the counter files
-    friends = _columns(directory / "friends.tsv", 2)
+    cats = _Table(directory / "item_categories.tsv", 2)
+    has_tags = cats.span(1)[1] > 0
+    cat_items, tags = cats.ids(0), cats.ids(1, has_tags)
+    friends = _Table(directory / "friends.tsv", 2)
+    friend_ids = friends.ids(0), friends.ids(1)
+    del cats, friends
 
     # one interner per kind of id, over every file
-    users, (rating_user, friend, friend_of, uc_user, rc_user) = factorize(
-        r_user, *friends, *uc.ids, rc.ids[0])
-    items, (rating_item, rc_item, listed) = factorize(r_item, rc.ids[1], cat_items)
-    names, (tag_ids,) = factorize(compress(tags, tags))
+    users, (rating_user, friend, friend_of, uc_user, rc_user) = _interner(
+        r_user, *friend_ids, *uc.ids, rc.ids[0])
+    items, (rating_item, rc_item, listed) = _interner(r_item, rc.ids[1], cat_items)
+    names, (tag_ids,) = _interner(tags)
     try:
         d = build_dataset(
             provenance=manifest["provenance"][1],
@@ -369,11 +566,13 @@ def canonical_load(directory: str | Path) -> Dataset:
         )
     except ValueError as exc:
         # the builder rejects a repeated rating pair and a review of an unrated pair
-        rated = set(zip(r_user, r_item))
-        if len(rated) < len(r_user):
+        rated = rating_user * len(items) + rating_item
+        rated = rated[np.argsort(rated, kind="stable")]
+        if (rated[1:] == rated[:-1]).any():
             raise _bad_line(path, _repeats(), "repeated key") from None
-        if not rated.issuperset(zip(*rc.ids)):
-            unrated = lambda f: None if tuple(f[:2]) in rated else tuple(f[:2])  # noqa: E731
+        found = search_keys(rated, rc_user * len(items) + rc_item)[1]
+        if not found.all():
+            unrated = _nth(int(np.argmin(found)), 2)
             raise _bad_line(rc.path, unrated, "review of an unrated pair") from None
         if isinstance(exc, CounterOverflow):
             path = uc.path if exc.name in uc.names else rc.path

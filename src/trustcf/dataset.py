@@ -474,6 +474,9 @@ class ItemCategories:
     def _index(self, num_items: int, items, names: Interner, tag_ids) -> None:
         items = check_handles(items, num_items, "item", ValueError)
         tag_ids = check_handles(tag_ids, len(names), "tag", ValueError)
+        if items.shape != tag_ids.shape:
+            raise ValueError(f"categories: {tag_ids.size} tag handles "
+                             f"for {items.size} item handles")
         self.names = tuple(names)
         keys = items * len(self.names) + tag_ids
         self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
@@ -561,13 +564,20 @@ def build_dataset(
     nu, ni = len(users), len(items)
     store = RatingStore(nu, ni, *ratings)
     a, b = (check_handles(h, nu, "user", ValueError) for h in friends)
-    user_sums = [(check_handles(u, nu, "user", ValueError), counters)
-                 for u, counters in user_counters]
+    user_sums = []
+    for t, (u, counters) in enumerate(user_counters):
+        u = check_handles(u, nu, "user", ValueError)
+        _check_rows(f"user counter table {t}", u, counters)
+        user_sums.append((u, counters))
 
     review_sums = []
-    for u, i, counters in review_counters:
+    for t, (u, i, counters) in enumerate(review_counters):
         u = check_handles(u, nu, "user", ValueError)
         i = check_handles(i, ni, "item", ValueError)
+        if u.shape != i.shape:
+            raise ValueError(f"review counter table {t}: {u.size} user handles "
+                             f"for {i.size} item handles")
+        _check_rows(f"review counter table {t}", u, counters)
         pos = store.positions(u, i)
         if pos.size and pos.min() < 0:
             n = int(np.argmin(pos))
@@ -588,6 +598,15 @@ def build_dataset(
         provenance=provenance,
         warnings=warnings,
     )
+
+
+def _check_rows(table: str, handles: np.ndarray, counters: Mapping[str, Sequence[int]]) -> None:
+    """Raise ValueError naming the table when a counter's values are not one per
+    row of its handle column, as numpy would broadcast a single value."""
+    for name, values in counters.items():
+        if len(values) != handles.size:
+            raise ValueError(f"{table}: counter {name!r} has {len(values)} values "
+                             f"for {handles.size} rows")
 
 
 def _sums(

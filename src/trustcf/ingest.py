@@ -237,9 +237,15 @@ def ingest_yelp(
         r_item.append(str(business))
         r_date.append(str(record.get("date") or ""))
         r_stars.append(rating)
-        r_useful.append(_int_field(votes, "useful", source, line_no))
-        r_funny.append(_int_field(votes, "funny", source, line_no))
-        r_cool.append(_int_field(votes, "cool", source, line_no))
+        # a count that is a non-negative int is taken as it is, and _int_field
+        # reads or rejects the rest, in the order it would read them all
+        useful, funny, cool = votes.get("useful", 0), votes.get("funny", 0), votes.get("cool", 0)
+        r_useful.append(useful if type(useful) is int and useful >= 0
+                        else _int_field(votes, "useful", source, line_no))
+        r_funny.append(funny if type(funny) is int and funny >= 0
+                       else _int_field(votes, "funny", source, line_no))
+        r_cool.append(cool if type(cool) is int and cool >= 0
+                      else _int_field(votes, "cool", source, line_no))
 
     # a user listed twice keeps the last line's profile and every line's friends
     source = user_file.name
@@ -251,12 +257,19 @@ def ingest_yelp(
         if not user:
             raise MalformedRecord(source, line_no, "missing user_id")
         user = str(user)
+        elite = len(_listish(record, "elite", source, line_no))
+        more, note = record.get("compliment_more", 0), record.get("compliment_note", 0)
+        writer, fans = record.get("compliment_writer", 0), record.get("fans", 0)
         profiles[user] = (
-            len(_listish(record, "elite", source, line_no)),
-            _int_field(record, "compliment_more", source, line_no),
-            _int_field(record, "compliment_note", source, line_no),
-            _int_field(record, "compliment_writer", source, line_no),
-            _int_field(record, "fans", source, line_no),
+            elite,
+            more if type(more) is int and more >= 0
+            else _int_field(record, "compliment_more", source, line_no),
+            note if type(note) is int and note >= 0
+            else _int_field(record, "compliment_note", source, line_no),
+            writer if type(writer) is int and writer >= 0
+            else _int_field(record, "compliment_writer", source, line_no),
+            fans if type(fans) is int and fans >= 0
+            else _int_field(record, "fans", source, line_no),
         )
         friends = _listish(record, "friends", source, line_no)
         f_friend += friends
@@ -270,8 +283,10 @@ def ingest_yelp(
         if not user:
             raise MalformedRecord(source, line_no, "missing user_id")
         name = "likes" if "likes" in record else "compliment_count"
+        likes = record.get(name, 0)
         t_user.append(str(user))
-        t_likes.append(_int_field(record, name, source, line_no))
+        t_likes.append(likes if type(likes) is int and likes >= 0
+                       else _int_field(record, name, source, line_no))
 
     users, (r_user, p_user, f_user, f_friend, t_user) = factorize(
         r_user, list(profiles), f_user, f_friend, t_user)

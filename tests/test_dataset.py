@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,24 @@ class TestBuildDataset:
     def test_handle_out_of_its_interner_raises(self, columns, kind):
         """-1 never aliases the last id: a counter or a tag would land on it."""
         with pytest.raises(ValueError, match=f"{kind} handle out of range"):
+            self.build(**columns)
+
+    @pytest.mark.parametrize("columns, message", [
+        # numpy would add the one value to each row: fans [10, 5]
+        ({"user_counters": [([0, 1, 0], {"fans": [5]})]},
+         "user counter table 0: counter 'fans' has 1 values for 3 rows"),
+        ({"user_counters": [([0], {"fans": [1]}), ([0, 1], {"fans": [1, 2], "gw": [1, 2, 3]})]},
+         "user counter table 1: counter 'gw' has 3 values for 2 rows"),
+        ({"review_counters": [([0, 1], [0, 0], {"useful": [1]})]},
+         "review counter table 0: counter 'useful' has 1 values for 2 rows"),
+        ({"review_counters": [([0], [0, 0], {"useful": [1, 1]})]},
+         "review counter table 0: 1 user handles for 2 item handles"),
+        # numpy would give item 0 every tag
+        ({"categories": ([0], Interner(["s", "t"]), [0, 1, 1])},
+         "categories: 3 tag handles for 1 item handles"),
+    ], ids=["user-values", "second-user-table", "review-values", "review-handles", "categories"])
+    def test_columns_of_one_table_differ_in_length(self, columns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             self.build(**columns)
 
     def test_review_of_an_unrated_pair_names_its_ids(self):

@@ -164,8 +164,13 @@ class TestYelpIngest:
          "cool is not an integer"),
         ('{"user_id": "u1", "business_id": "b1", "stars": 4, "funny": "3.5"}',
          "funny is not an integer"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "useful": true}',
+         "useful is not an integer"),
+        ('{"user_id": "u1", "business_id": "b1", "stars": 4, "funny": false}',
+         "funny is not an integer"),
     ], ids=["deep", "infinite", "long-integer", "huge-stars", "trailing-data", "not-an-object",
-            "boolean-stars", "fractional-count", "boolean-count", "fractional-string"])
+            "boolean-stars", "fractional-count", "boolean-count", "fractional-string",
+            "boolean-useful", "boolean-funny"])
     def test_bad_review_line_names_its_line(self, yelp_dir, line, reason):
         with open(yelp_dir / "review.json", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
@@ -180,7 +185,15 @@ class TestYelpIngest:
         ("tip.json", {"user_id": "u4", "likes": 0.5}, "likes is not an integer"),
         ("tip.json", {"user_id": "u4", "compliment_count": False},
          "compliment_count is not an integer"),
-    ], ids=["fractional-fans", "boolean-compliment", "fractional-likes", "boolean-compliments"])
+        # a boolean is an int to isinstance: each count is checked by its type
+        ("user.json", {"user_id": "u4", "compliment_note": False},
+         "compliment_note is not an integer"),
+        ("user.json", {"user_id": "u4", "compliment_writer": True},
+         "compliment_writer is not an integer"),
+        ("user.json", {"user_id": "u4", "fans": True}, "fans is not an integer"),
+        ("tip.json", {"user_id": "u4", "likes": True}, "likes is not an integer"),
+    ], ids=["fractional-fans", "boolean-compliment", "fractional-likes", "boolean-compliments",
+            "boolean-note", "boolean-writer", "boolean-fans", "boolean-likes"])
     def test_bad_count_names_its_line(self, yelp_dir, name, record, reason):
         with open(yelp_dir / name, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
@@ -538,6 +551,9 @@ class TestCanonicalFormat:
         ("user_feedback.tsv", "-1", "bad count '-1'"),
         ("review_feedback.tsv", "1.5", "bad count '1.5'"),
         ("review_feedback.tsv", str(2**63), f"bad count '{2**63}'"),
+        # a bytes view would drop the trailing NUL and read 4 and 3
+        ("ratings.tsv", "4\x00", "bad rating value '4\\x00'"),
+        ("user_feedback.tsv", "3\x00", "bad count '3\\x00'"),
     ])
     def test_bad_value_names_file_and_line(self, tiny, tmp_path, name, bad, message):
         canonical_save(tiny, tmp_path / "d")
@@ -702,6 +718,66 @@ class TestCanonicalFormat:
         path = tmp_path / "d" / name
         path.write_text(path.read_text() + extra + "\n")
         assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
+
+    def test_odd_ids_and_layouts_round_trip(self, tmp_path):
+        """Ids with NUL and control bytes, prefixes of each other, non-ASCII,
+        empty or 5,000 characters long; files with CRLF or CR line ends, a
+        last line without a newline and blank lines; a rating and a count
+        that only Python's own conversion reads.  The reload has the same
+        handles and values as the dataset saved."""
+        from trustcf import make_dataset
+
+        # friends.tsv holds only the short ids, so that each width of view meets
+        # NUL bytes and prefixes: up to 8 bytes, up to 256 and longer
+        short = ["", "\x00", "a", "a\x00", "a\x00\x00", "a\x00b", "a\x01", "ab", "é", "日本"]
+        users = short + ["abcdefghi", "abcdefghi\x00", "abcdefghi\x00\x00", "abcdefghij",
+                         "L" * 5000, "u"]
+        items = ["", "\x01", "i", "i\x00", "ii", "iï", "item-0000", "item-0000\x00", "item-00001",
+                 "x" * 300]
+        ratings = [(u, i, 1.0 + (3 * n + m) % 9 / 2)
+                   for n, u in enumerate(users) for m, i in enumerate(items) if (n + m) % 3]
+        ratings.append(("a", "ii", 5.0))
+        ratings = list({(u, i): (u, i, v) for u, i, v in ratings}.values())
+        d = make_dataset(
+            provenance="synthetic",
+            ratings=ratings,
+            friends=[(short[n], short[(3 * n + 1) % len(short)]) for n in range(len(short))],
+            user_counters={"fans": {u: n for n, u in enumerate(users) if n % 2},
+                           "thx": {"a\x00": 10, "L" * 5000: 3}},
+            review_counters={"useful": {(u, i): 1 + len(u) % 4 for u, i, _ in ratings[::2]}},
+            categories={"": {"t", "t\x00"}, "i\x00": {"ü"}, "x" * 300: {"t", "\x00"}},
+            extra_items=["unrated\x00"],
+        )
+        target = tmp_path / "d"
+        canonical_save(d, target)
+
+        def edit(name, change):
+            path = target / name
+            path.write_bytes(change(path.read_bytes()))
+
+        edit("ratings.tsv", lambda b: b.replace(b"a\tii\t5\n", "a\tii\t٥\n".encode())
+             .replace(b"\n", b"\r\n"))
+        edit("friends.tsv", lambda b: b.replace(b"\n", b"\r").rstrip(b"\r"))
+        edit("user_feedback.tsv", lambda b: b"\n" + b.replace(b"\tthx\t10\n", b"\tthx\t1_0\n\n"))
+        edit("review_feedback.tsv", lambda b: b.rstrip(b"\n"))
+        edit("item_categories.tsv", lambda b: b.replace(b"\n", b"\n\r\n"))
+        assert "٥".encode() in (target / "ratings.tsv").read_bytes()
+        assert b"1_0" in (target / "user_feedback.tsv").read_bytes()
+
+        back = canonical_load(target)
+        assert datasets_equal(back, d)
+        assert list(back.users) == list(d.users) and list(back.items) == list(d.items)
+        assert back.categories.names == d.categories.names
+        for got, want in [
+            (back.ratings.user_idx, d.ratings.user_idx),
+            (back.ratings.item_idx, d.ratings.item_idx),
+            (back.ratings.value, d.ratings.value),
+            (back.social.edge_array(), d.social.edge_array()),
+            (back.categories.keys, d.categories.keys),
+        ] + [(back.feedback.col(n), d.feedback.col(n)) for n in ("fans", "thx")] + [
+            (back.review_feedback.col("useful"), d.review_feedback.col("useful")),
+        ]:
+            np.testing.assert_array_equal(got, want)
 
     def test_wrong_field_count_names_line(self, tiny, tmp_path):
         canonical_save(tiny, tmp_path / "d")
