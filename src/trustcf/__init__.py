@@ -16,7 +16,6 @@ from .dataset import (
 )
 from .errors import (
     AllWeightsZero,
-    EmptyInput,
     IoFailure,
     MalformedRecord,
     MissingFile,

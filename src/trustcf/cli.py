@@ -15,7 +15,7 @@ from itertools import product
 from math import isfinite
 from pathlib import Path
 
-from .canonical import canonical_load, canonical_save, undecodable, write_atomic
+from .canonical import canonical_load, canonical_save, undecodable, unsafe_field, write_atomic
 from .dataset import apply_filters, compute_stats
 from .errors import IoFailure, MissingFile, TrustcfError, UnknownConfiguration
 from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
@@ -117,11 +117,31 @@ def parse_spec(path: Path) -> ExperimentSpec:
                 setattr(spec, name, _parse_int(one(key), key, minimum=minimum))
         if "tau" in values:
             spec.tau = _parse_float(one("tau"), "tau")
-        for token in spec.configs:  # a bad config fails now, not after the dataset loads
-            _build_config(token, spec.betas[0], spec.neighbor_count)
+        _check_configs(spec)
     except UsageError as exc:
         raise UsageError(f"{path}: {exc}") from None
     return spec
+
+
+def _check_configs(spec: ExperimentSpec) -> None:
+    """Build every config of ``spec`` once, so a bad one fails before the
+    dataset loads, and check that each name is one non-empty TSV field
+    naming one configuration (repeating a config's token is allowed)."""
+    named: dict[str, tuple[str, InfluenceConfig]] = {}
+    for token in spec.configs:
+        # at beta 0 a baseline's pinned beta (1) differs from an inline
+        # config's, so two configs equal here are equal at every beta
+        config = _build_config(token, 0.0, spec.neighbor_count)
+        name = config.name
+        if not name:
+            raise UsageError(f"config {token!r} has an empty name")
+        if unsafe_field(name) or "\0" in name:
+            raise UsageError(f"config name {name!r} holds a tab, line break or NUL byte")
+        first, seen = named.setdefault(name, (token, config))
+        if seen != config:
+            raise UsageError(
+                f"config name {name!r} names two configurations: {first!r} and {token!r}"
+            )
 
 
 def _parse_int(raw: str, name: str, minimum: int | None = None) -> int:
@@ -314,14 +334,21 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--beta-grid holds no beta, got {args.beta_grid!r}")
     else:
         betas = [round(0.1 * n, 1) for n in range(11)]
+    names: dict[str, str] = {}  # rmse file -> the config name it is written for
+    for token in spec.configs:
+        name = token.split(";", 1)[0].strip()
+        file = f"rmse_beta_{name.replace('/', '_')}.tsv"
+        if names.setdefault(file, name) != name:
+            raise UsageError(
+                f"{args.spec}: config names {names[file]!r} and {name!r} would both write {file}"
+            )
     report = _run_from_spec(spec, betas)
 
     files = {}
-    for token in spec.configs:
-        name = token.split(";", 1)[0].strip()
+    for file, name in names.items():
         rows = [r for r in report.rows if r.config == name]
         body = "".join(f"{r.beta:.2f}\t{format_metric(r.rmse)}\n" for r in rows)
-        files[f"rmse_beta_{name.replace('/', '_')}.tsv"] = "beta\trmse\n" + body
+        files[file] = "beta\trmse\n" + body
     return _write_report(spec.out, report, files)
 
 

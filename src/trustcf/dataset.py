@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress
+from math import isnan
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -76,6 +77,9 @@ class CounterOverflow(ValueError):
         what = f"the sum {'+'.join(group)}" if len(group) > 1 else f"counter {name!r}"
         super().__init__(f"{what} does not fit in int64")
         self.name, self.table, self.row, self.group = name, table, row, group
+
+    def __reduce__(self):
+        return type(self), (self.name, self.table, self.row, self.group)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -769,18 +773,26 @@ class StatRow:
     mean: float
     median: float
     mode: float
-    defined: bool = True
+
+
+def _shown(value: float, spec: str) -> str:
+    """``value`` formatted by ``spec``, or ``-`` when it is undefined (NaN)."""
+    return "-" if isnan(value) else format(value, spec)
 
 
 @dataclass(frozen=True)
 class StatsReport:
+    """What :func:`compute_stats` reports.  A value the dataset does not
+    define, such as a sparsity of a dataset with no user or any statistic
+    of an empty distribution, is NaN, and :meth:`to_text` prints it as ``-``."""
+
     provenance: str
     num_users: int
     num_items: int
     num_ratings: int
     num_friend_relations: int
-    rating_sparsity: float | None
-    friend_sparsity: float | None
+    rating_sparsity: float
+    friend_sparsity: float
     rows: tuple[StatRow, ...]
 
     def to_text(self) -> str:
@@ -790,29 +802,23 @@ class StatsReport:
             f"items: {self.num_items}",
             f"ratings: {self.num_ratings}",
             f"friend relations: {self.num_friend_relations}",
-            f"rating matrix sparsity: "
-            f"{'-' if self.rating_sparsity is None else f'{self.rating_sparsity:.4f}'}",
-            f"friend matrix sparsity: "
-            f"{'-' if self.friend_sparsity is None else f'{self.friend_sparsity:.4f}'}",
+            f"rating matrix sparsity: {_shown(self.rating_sparsity, '.4f')}",
+            f"friend matrix sparsity: {_shown(self.friend_sparsity, '.4f')}",
             "",
             f"{'distribution':<48}{'min':>8}{'max':>8}{'mean':>12}{'median':>9}{'mode':>7}",
         ]
         for r in self.rows:
-            if not r.defined:
-                out.append(f"{r.name:<48}{'-':>8}{'-':>8}{'-':>12}{'-':>9}{'-':>7}")
-            else:
-                out.append(
-                    f"{r.name:<48}{r.min:>8g}{r.max:>8g}{r.mean:>12.4f}"
-                    f"{r.median:>9g}{r.mode:>7g}"
-                )
+            out.append(
+                f"{r.name:<48}{_shown(r.min, 'g'):>8}{_shown(r.max, 'g'):>8}"
+                f"{_shown(r.mean, '.4f'):>12}{_shown(r.median, 'g'):>9}{_shown(r.mode, 'g'):>7}"
+            )
         return "\n".join(out)
 
 
 def _stat_row(name: str, values: np.ndarray) -> StatRow:
     values = np.asarray(values)
     if values.size == 0:
-        return StatRow(name, float("nan"), float("nan"), float("nan"),
-                       float("nan"), float("nan"), defined=False)
+        return StatRow(name, *[float("nan")] * 5)
     uniq, freq = np.unique(values, return_counts=True)
     mode = uniq[int(np.argmax(freq))]  # smallest value among the most frequent
     return StatRow(
@@ -828,6 +834,9 @@ def _stat_row(name: str, values: np.ndarray) -> StatRow:
 def compute_stats(d: Dataset) -> StatsReport:
     """Population statistics in the layout the ingest command prints.
 
+    An empty distribution gives a row of NaNs, and a sparsity with an empty
+    matrix (no user, or no item) is NaN.
+
     Friend relations are counted as ordered pairs (each undirected edge
     contributes two), which is also the convention behind the friend
     matrix sparsity and the per-user friend-count mean.
@@ -835,8 +844,8 @@ def compute_stats(d: Dataset) -> StatsReport:
     degrees = d.social.degree_array()
     relations = int(degrees.sum())
     nu, ni, nr = d.num_users, d.num_items, len(d.ratings)
-    rating_sparsity = 1.0 - nr / (nu * ni) if nu and ni else None
-    friend_sparsity = 1.0 - relations / (nu * nu) if nu else None
+    rating_sparsity = 1.0 - nr / (nu * ni) if nu and ni else float("nan")
+    friend_sparsity = 1.0 - relations / (nu * nu) if nu else float("nan")
 
     per_review = d.review_feedback.totals()
     per_user_review_fb = np.bincount(d.ratings.user_idx, weights=per_review, minlength=nu)

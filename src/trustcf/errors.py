@@ -2,7 +2,12 @@
 
 Every error raised deliberately by this package derives from
 :class:`TrustcfError`, so callers (in particular the CLI) can separate
-expected data problems from genuine bugs.
+expected data problems from genuine bugs.  Each one survives ``pickle``
+with its type, message and fields, so an error raised in a forked fold
+group reaches the caller as it was raised.
+
+An undefined value is not an error: a metric or statistic with nothing to
+average, such as the RMSE of no prediction, is NaN.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ class MalformedRecord(TrustcfError):
         self.source = source
         self.line_number = line_number
         self.reason = reason
+
+    def __reduce__(self):
+        return type(self), (self.source, self.line_number, self.reason)
 
 
 class IoFailure(TrustcfError):
@@ -48,7 +56,3 @@ class UnknownConfiguration(TrustcfError):
 
 class AllWeightsZero(TrustcfError):
     """Trust fusion was requested but no facet carries positive weight."""
-
-
-class EmptyInput(TrustcfError):
-    """A metric was asked to aggregate an empty collection."""

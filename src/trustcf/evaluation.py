@@ -67,7 +67,6 @@ from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, NoReturn, 
 import numpy as np
 
 from .dataset import Dataset, ItemCategories, RatingStore, check_handles
-from .errors import EmptyInput
 from .recommender import (
     MIN_CORATED,
     CoRatings,
@@ -197,10 +196,9 @@ def _accuracy(sq_sums: np.ndarray, abs_sums: np.ndarray, count: int) -> Accuracy
 
 
 def accuracy_metrics(pairs: Sequence[tuple[float, float]]) -> AccuracyMetrics:
-    """Root-mean-squared and mean-absolute error of (predicted, actual) pairs."""
-    if len(pairs) == 0:
-        raise EmptyInput("no predictions to score")
-    arr = np.asarray(pairs, dtype=np.float64)
+    """Root-mean-squared and mean-absolute error of (predicted, actual) pairs;
+    both NaN when there is no pair."""
+    arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     err = arr[:, 0] - arr[:, 1]
     sq, ab = _error_sums(err, np.zeros(err.size, dtype=np.int64), 1)
     return _accuracy(sq, ab, err.size)
@@ -341,28 +339,16 @@ def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
     return float(_diversities(np.zeros(k, dtype=np.int64), 1, items, cats)[0])
 
 
-class Coverage(NamedTuple):
-    value: float
-    defined: bool
-
-
-def _coverage(model_counts: np.ndarray) -> Coverage:
-    """Share of users with a model-based prediction, from one count per user."""
-    if model_counts.size == 0:
-        return Coverage(0.0, defined=False)
-    return Coverage(np.count_nonzero(model_counts) / model_counts.size, defined=True)
-
-
 def user_coverage(
     results: Mapping[int, Sequence[PredictionKind]],
     test_users: Iterable[int],
-) -> Coverage:
-    """Fraction of test users with at least one model-based prediction."""
+) -> float:
+    """Fraction of test users with at least one model-based prediction; NaN
+    when there is no test user."""
     users = set(int(u) for u in test_users)
-    counts = [
-        sum(kind is PredictionKind.MODEL for kind in results.get(u, ())) for u in users
-    ]
-    return _coverage(np.array(counts, dtype=np.int64))
+    return _mean_defined(
+        [any(kind is PredictionKind.MODEL for kind in results.get(u, ())) for u in users]
+    )
 
 
 @dataclass(frozen=True)
@@ -413,6 +399,11 @@ _TSV_COLUMNS = (
     "diversity",
     "user_coverage",
 )
+
+
+# the ReportRow metrics that average their folds' values; F1 is taken from
+# the averaged precision and recall
+_FOLD_AVERAGED = ("precision", "recall", "rmse", "mae", "mrr", "diversity", "user_coverage")
 
 
 def format_metric(value: float) -> str:
@@ -643,7 +634,6 @@ def _evaluate_folds(
             p, r = _mean_defined(precision[n, mine]), _mean_defined(recall[n, mine])
             predictions = int(model_n[n, mine].sum())
             accuracy = _accuracy(sq_err[n, mine], abs_err[n, mine], predictions)
-            cov = _coverage(model_n[n, mine])
             per_config.append(
                 FoldMetrics(
                     fold=fold,
@@ -654,7 +644,7 @@ def _evaluate_folds(
                     mae=accuracy.mae,
                     mrr=_mean_defined(rr[n, mine]),
                     diversity=_mean_defined(diversity[n, mine]),
-                    user_coverage=cov.value if cov.defined else float("nan"),
+                    user_coverage=_mean_defined(model_n[n, mine] > 0),
                     test_users=mine.size,
                     ranked_users=int(np.count_nonzero(~np.isnan(precision[n, mine]))),
                     recall_users=int(np.count_nonzero(~np.isnan(recall[n, mine]))),
@@ -779,22 +769,16 @@ def run_experiment(
     for c, config in enumerate(configs):
         fold_metrics = tuple(per_fold[fold][c] for fold in folds)
 
-        def mean(name: str) -> float:
-            return _mean_defined([getattr(m, name) for m in fold_metrics])
-
-        precision, recall = mean("precision"), mean("recall")
+        mean = {
+            name: _mean_defined([getattr(m, name) for m in fold_metrics])
+            for name in _FOLD_AVERAGED
+        }
         rows.append(
             ReportRow(
                 config=config.name,
                 beta=config.beta,
-                precision=precision,
-                recall=recall,
-                f1=_f1(precision, recall),
-                rmse=mean("rmse"),
-                mae=mean("mae"),
-                mrr=mean("mrr"),
-                diversity=mean("diversity"),
-                user_coverage=mean("user_coverage"),
+                f1=_f1(mean["precision"], mean["recall"]),
+                **mean,
                 model_predictions=sum(m.model_predictions for m in fold_metrics),
                 fallback_predictions=sum(m.fallback_predictions for m in fold_metrics),
                 folds=fold_metrics,

@@ -298,6 +298,42 @@ class TestEval:
         assert main(["eval", "--spec", str(spec)]) == 3
 
 
+class TestConfigNames:
+    """A config name is one non-empty TSV field that names one configuration,
+    and under sweep no two names write one rmse file; a spec that breaks
+    this exits 1 before the dataset loads, naming the spec and the name."""
+
+    @pytest.mark.parametrize("command, lines, name", [
+        ("eval", ("config=X;sigma=pearson;weights=",
+                  "config=X;sigma=rel_direct;weights=elite:1"), "'X'"),
+        # a baseline pins beta to 1, an inline config takes the spec's
+        ("eval", ("config=U2UCF", "config=U2UCF;sigma=pearson"), "'U2UCF'"),
+        ("eval", ("config=a\tb;sigma=pearson",), "'a\\tb'"),
+        ("sweep", ("config=a\0b;sigma=pearson",), "'a\\x00b'"),
+        ("eval", ("config=;sigma=rel_direct",), "';sigma=rel_direct'"),
+        ("sweep", ("config=a/b;sigma=pearson", "config=a_b;sigma=pearson"), "'a_b'"),
+    ], ids=["two-configs", "baseline-and-inline", "tab", "nul", "empty", "one-rmse-file"])
+    def test_bad_name_is_usage_error(self, tmp_path, canonical_dir, capsys, monkeypatch,
+                                     command, lines, name):
+        import trustcf.cli as cli
+
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, tmp_path / "out", *lines)
+        monkeypatch.setattr(cli, "canonical_load", None)  # rejected before the load
+        assert main([command, "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {spec}: ") and name in err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_repeated_token_gives_one_row(self, tmp_path, canonical_dir, command):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path / "exp.spec", canonical_dir, out, "config=X;sigma=pearson",
+                          "config=X;sigma=pearson", "config=U2UCF", "config=U2UCF", "folds=2")
+        grid = ["--beta-grid", "0.1"] if command == "sweep" else []
+        assert main([command, "--spec", str(spec), *grid]) == 0
+        rows = (out / "report.tsv").read_text().strip().split("\n")[1:]
+        assert [row.split("\t")[:2] for row in rows] == [["X", "0.10"], ["U2UCF", "1.00"]]
+
+
 class TestSweep:
     def test_grid_rows_and_rmse_files(self, tmp_path, canonical_dir):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -726,8 +727,9 @@ class TestComputeStats:
         d = make_dataset(provenance="synthetic", ratings=[])
         report = compute_stats(d)
         assert report.num_users == 0
-        assert report.rating_sparsity is None
-        assert all(not r.defined for r in report.rows)
+        assert math.isnan(report.rating_sparsity) and math.isnan(report.friend_sparsity)
+        assert all(math.isnan(getattr(r, name)) for r in report.rows
+                   for name in ("min", "max", "mean", "median", "mode"))
         assert "-" in report.to_text()
 
     def test_librarything_rows(self):
