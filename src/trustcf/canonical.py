@@ -18,8 +18,8 @@ a bare line), which makes the round trip lossless even for entities that
 carry no other data.
 
 Loading a good file makes no Python object per field.  Each file is read once as
-bytes (:class:`_Table`): checked as UTF-8, ``\\r\\n`` and ``\\r`` read as
-``\\n``, its tabs and newlines found by numpy, and every line's field
+bytes (:class:`_Table`): ``\\r\\n`` and ``\\r`` read as ``\\n``, checked as
+UTF-8, its tabs and newlines found by numpy, and every line's field
 count checked from them.  An id column becomes a fixed-width bytes view
 with each byte one higher, so that NUL bytes and prefixes compare as in
 ``str``; ids of up to 8 bytes become big-endian integers.  Columns are
@@ -34,15 +34,15 @@ is wider than 256 bytes.  Rating and count columns convert their views
 with ``astype``, Python's own ``float`` and ``int`` of ASCII text; a file
 holding a NUL byte, a field too long for a view or one the view rejects
 (``'٥'``, or a bad value) takes the per-field path (:func:`_parsed`).  A
-failed check reads the file again as text to name the first bad line
-(:func:`_bad_line`), so every error keeps its text and line number.
+failed check names its row's line and fields from the same bytes
+(:meth:`_Table.fail`); one found after the build parses that file again.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -257,26 +257,27 @@ def _view_width(lengths: np.ndarray) -> int | None:
 class _Table:
     """The fields of a TSV file's non-blank lines, as byte ranges of its text.
 
-    The file is read once, as bytes: checked as UTF-8, ``\\r\\n`` and ``\\r``
-    read as ``\\n`` (as text mode reads them), and its tabs and newlines found
+    The file is read once, as bytes: ``\\r\\n`` and ``\\r`` read as ``\\n`` (as
+    text mode reads them), checked as UTF-8, and its tabs and newlines found
     by numpy, which also checks the field count of every line.  Field k of
     row r ends at byte ``ends[r, k]``, and starts after the field before it
     (the first field at ``first[r]``).
     """
 
-    __slots__ = ("text", "first", "ends", "nul")
+    __slots__ = ("path", "text", "first", "ends", "nul")
 
     def __init__(self, path: Path, width: int):
         data = path.read_bytes()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self.path = path
+        self.text = data + bytes(_PAD)
         if not data.isascii():
             try:
                 data.decode("utf-8")
-            except UnicodeDecodeError:
-                raise undecodable(path) from None
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(path.name, self.line(exc.start), "not UTF-8 text") from None
         self.nul = b"\0" in data
-        self.text = data + bytes(_PAD)
         text = np.frombuffer(self.text, dtype=np.uint8)
         # tabs and newlines: as unsigned bytes, only 9 and 10 are at most 1 above 9
         seps = np.flatnonzero(text[:len(data)] - np.uint8(9) <= 1)
@@ -294,6 +295,16 @@ class _Table:
         if blank.any():
             seps, first = np.delete(seps, nl[blank]), first[~blank]
         self.first, self.ends = first, seps.reshape(-1, width)
+
+    def line(self, at: int) -> int:
+        """The number of the line that holds byte ``at``, blank lines counted."""
+        return self.text.count(b"\n", 0, at) + 1
+
+    def fail(self, row: int, what: str, shown) -> IoFailure:
+        """The error naming row ``row``'s line and showing ``fields[shown]`` of its fields."""
+        start = int(self.first[row])
+        fields = tuple(self.text[start:int(self.ends[row, -1])].decode("utf-8").split("\t"))
+        return IoFailure(f"{self.path.name}:{self.line(start)}: {what} {fields[shown]!r}")
 
     def span(self, k: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(starts, lengths) of column k's fields, of every row or of ``rows``."""
@@ -429,39 +440,35 @@ class _Counters(NamedTuple):
         return (*handles, {n: np.where(self.codes == k, self.values, 0)
                            for k, n in enumerate(self.names)})
 
-    def check_repeats(self, loaded, *columns: tuple[int, np.ndarray]) -> None:
-        """Raise IoFailure naming the first line that repeats an earlier line's key.
-
-        ``loaded(name)`` is the counter as built, rows of one key added up;
-        ``columns`` are the id columns, each as (interner size, handles).
-        With as many nonzero entries as rows there is no repeat, and the
-        sort of every row's key is skipped.
-        """
-        if self.values.size == sum(np.count_nonzero(loaded(name)) for name in self.names):
-            return
+    def repeated(self, *columns: tuple[int, np.ndarray]) -> IoFailure | None:
+        """The error naming the first line that repeats an earlier line's key,
+        or None; ``columns`` are the id columns as (interner size, handles)."""
         keys = self.codes
         for size, handles in columns:
             keys = keys * size + handles
-        keys = keys[np.argsort(keys, kind="stable")]
-        if (keys[1:] == keys[:-1]).any():
-            raise _bad_line(self.path, _repeats(), "repeated key")
+        row = _first_repeat(keys)
+        return None if row is None else self.fail(row, "repeated key", slice(-1))
+
+    def fail(self, row: int, what: str, shown) -> IoFailure:
+        """:meth:`_Table.fail` of the file, parsed again."""
+        return _Table(self.path, len(self.ids) + 2).fail(row, what, shown)
 
 
 def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     table = _Table(path, width)
-    values = _parsed(path, table, width - 1, int, 0, _INT64_MAX, "count")
+    values = _parsed(table, width - 1, int, 0, _INT64_MAX, "count")
     # the names are few and known: a search among them costs less than a sort
     keys = table.keys(width - 2)
     names, vocabulary = _encode(sorted(known), keys.dtype)
     at, found = search_keys(vocabulary, keys)
     if not found.all():
-        raise _bad_line(path, lambda f: None if f[-2] in known else f[-2], "unknown counter")
+        raise table.fail(int(np.argmin(found)), "unknown counter", -2)
     present = np.bincount(at, minlength=len(names)) > 0
     return _Counters(path, [table.ids(k) for k in range(width - 2)],
                      list(compress(names, present)), (np.cumsum(present) - 1)[at], values)
 
 
-def _parsed(path: Path, table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
+def _parsed(table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
     """Column k as ``kind`` values in [lo, hi]; IoFailure naming the first bad line.
 
     The column's bytes view converts as Python's ``int`` or ``float`` of its
@@ -469,13 +476,6 @@ def _parsed(path: Path, table: _Table, k: int, kind: type, lo, hi, what: str) ->
     field too long for a view, and a field the view rejects, as ``'٥'`` or
     a bad value, take the per-field path: ``kind`` of each field's str.
     """
-
-    def bad(fields: list[str]) -> str | None:
-        try:
-            return None if lo <= kind(fields[-1]) <= hi else fields[-1]  # NaN fails
-        except ValueError:
-            return fields[-1]
-
     dtype = np.float64 if kind is float else np.int64
     width = _view_width(table.span(k)[1])
     values = None
@@ -488,37 +488,24 @@ def _parsed(path: Path, table: _Table, k: int, kind: type, lo, hi, what: str) ->
         try:
             values = np.fromiter(map(kind, table.strs(k)), dtype=dtype, count=len(table.ends))
         except (ValueError, OverflowError):
-            raise _bad_line(path, bad, f"bad {what}") from None
-    if values.size and not (values.min() >= lo and values.max() <= hi):
-        raise _bad_line(path, bad, f"bad {what}")
+            pass
+    if values is None or values.size and not (values.min() >= lo and values.max() <= hi):
+        # the first field that does not convert, or converts out of range (NaN too)
+        for row, field in enumerate(table.strs(k)):
+            try:
+                if lo <= kind(field) <= hi:
+                    continue
+            except ValueError:
+                pass
+            raise table.fail(row, f"bad {what}", -1)
     return values
 
 
-def _bad_line(path: Path, bad, what: str) -> IoFailure:
-    """The error naming the first non-blank line for which ``bad(fields)`` returns
-    what to show (None for a good line).  The file is read again, so that
-    loading a good file pays nothing for line numbers."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            fields = line.rstrip("\n").split("\t")
-            shown = bad(fields) if fields != [""] else None
-            if shown is not None:
-                return IoFailure(f"{path.name}:{line_no}: {what} {shown!r}")
-    return IoFailure(f"{path.name}: {what}")  # the file changed in between
-
-
-def _repeats():
-    """A ``bad`` for :func:`_bad_line`: the key of a line, all fields but the
-    last, if an earlier line has it (``set.add`` returns None)."""
-    seen = set()
-    return lambda f: tuple(f[:-1]) if tuple(f[:-1]) in seen else seen.add(tuple(f[:-1]))
-
-
-def _nth(row: int, width: int | None = None):
-    """A ``bad`` for :func:`_bad_line`: the fields of the ``row``-th
-    non-blank line, counted from 0, or its first ``width`` fields."""
-    rows = count()
-    return lambda f: tuple(f[:width]) if next(rows) == row else None
+def _first_repeat(keys: np.ndarray) -> int | None:
+    """The first row whose key an earlier row has, or None."""
+    order = np.argsort(keys, kind="stable")  # the rows of one key stay in file order
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min()) if later.size else None
 
 
 def canonical_load(directory: str | Path) -> Dataset:
@@ -533,7 +520,7 @@ def canonical_load(directory: str | Path) -> Dataset:
 
     path = directory / "ratings.tsv"
     ratings = _Table(path, 3)
-    values = _parsed(path, ratings, 2, float, RATING_MIN, RATING_MAX, "rating value")
+    values = _parsed(ratings, 2, float, RATING_MIN, RATING_MAX, "rating value")
     r_user, r_item = ratings.ids(0), ratings.ids(1)
     del ratings
 
@@ -553,6 +540,8 @@ def canonical_load(directory: str | Path) -> Dataset:
         r_user, *friend_ids, *uc.ids, rc.ids[0])
     items, (rating_item, rc_item, listed) = _interner(r_item, rc.ids[1], cat_items)
     names, (tag_ids,) = _interner(tags)
+    uc_cols = [(len(users), uc_user)]
+    rc_cols = [(len(users), rc_user), (len(items), rc_item)]
     try:
         d = build_dataset(
             provenance=manifest["provenance"][1],
@@ -567,22 +556,25 @@ def canonical_load(directory: str | Path) -> Dataset:
     except ValueError as exc:
         # the builder rejects a repeated rating pair and a review of an unrated pair
         rated = rating_user * len(items) + rating_item
-        rated = rated[np.argsort(rated, kind="stable")]
-        if (rated[1:] == rated[:-1]).any():
-            raise _bad_line(path, _repeats(), "repeated key") from None
-        found = search_keys(rated, rc_user * len(items) + rc_item)[1]
+        row = _first_repeat(rated)
+        if row is not None:
+            raise _Table(path, 3).fail(row, "repeated key", slice(-1)) from None
+        found = search_keys(np.sort(rated), rc_user * len(items) + rc_item)[1]
         if not found.all():
-            unrated = _nth(int(np.argmin(found)), 2)
-            raise _bad_line(rc.path, unrated, "review of an unrated pair") from None
+            raise rc.fail(int(np.argmin(found)), "review of an unrated pair", slice(2)) from None
+        error = None
         if isinstance(exc, CounterOverflow):
-            path = uc.path if exc.name in uc.names else rc.path
+            counters, cols = (uc, uc_cols) if exc.name in uc.names else (rc, rc_cols)
             if len(exc.group) > 1:  # each counter's rows fit, but the counters' sum does not
-                raise _bad_line(path, _nth(exc.row), str(exc)) from None
-            # each row fits, so rows of one key add up
-            raise _bad_line(path, _repeats(), "repeated key") from None
-        raise IoFailure(f"inconsistent canonical data: {exc}") from None
-    uc.check_repeats(d.feedback.col, (d.num_users, uc_user))
-    rc.check_repeats(d.review_feedback.col, (d.num_users, rc_user), (d.num_items, rc_item))
+                raise counters.fail(exc.row, str(exc), slice(None)) from None
+            error = counters.repeated(*cols)  # each row fits, so rows of one key add up
+        raise error or IoFailure(f"inconsistent canonical data: {exc}") from None
+    for counters, cols, col in ((uc, uc_cols, d.feedback.col),
+                               (rc, rc_cols, d.review_feedback.col)):
+        # as many nonzero entries as rows, rows of one key added up: no repeat, and no sort
+        if counters.values.size != sum(np.count_nonzero(col(n)) for n in counters.names):
+            if (error := counters.repeated(*cols)) is not None:
+                raise error
 
     for key, count in zip(_MANIFEST_KEYS[2:], (d.num_users, d.num_items, len(d.ratings))):
         where, recorded = manifest[key]

@@ -464,10 +464,11 @@ def _corating_index(d: Dataset, configs: Sequence[InfluenceConfig]) -> CoRatings
     return CoRatings(d.ratings, np.arange(d.num_users), MIN_CORATED + 1)
 
 
-# Cells per block of test users: configurations x (slots plus candidate
-# entries).  Every block costs a fixed set of about 430 numpy calls, while
-# its influence, neighbor selection, predictions and lists are
-# (configurations x entries) arrays: a larger block pays the calls less
+# Cells per block of test users, configurations x (slots plus candidate
+# entries); a block's users but its last stay below it, so a block can
+# exceed it by its last user's whole cost (see cost_runs).  A block costs
+# about 430 numpy calls, and its influence, selection, predictions and lists
+# are (configurations x entries) arrays: a larger block pays the calls less
 # often and holds more memory.  On a 2-core Xeon, one configuration over
 # the large-scale corpus took 10.7 s at 2,048 entries per block and about
 # 6 s at 16k-32k, while a 12-configuration sweep was slower and larger at

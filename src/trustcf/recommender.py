@@ -149,8 +149,9 @@ _CORATE_CHUNK = 8192
 
 
 def cost_runs(cost: np.ndarray, limit: int) -> np.ndarray:
-    """Edges of consecutive runs of ``cost`` that each start below ``limit``
-    of cumulative cost; a single entry may exceed it."""
+    """Edges of consecutive runs of ``cost``, cut where an entry starts at or
+    past a multiple of ``limit`` of cumulative cost: a run's entries but its
+    last add up to less than ``limit``, so a run exceeds it by at most its last entry's cost."""
     start = np.cumsum(cost) - cost
     run = start // limit
     return np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [cost.size]))
@@ -589,10 +590,13 @@ class TrainedModel:
         """Influence of candidate v on u's prediction for item i.
 
         v's review score for i counts only when it is a training rating.
+        A user is never their own candidate: ``u == v`` raises ValueError.
         """
         self._check_known(u)
         check_handles(v, self.train.num_users, "user", UnknownUser)
         check_handles(i, self.train.num_items, "item", IndexError)
+        if u == v:
+            raise ValueError("a user is not their own candidate")
         users, cands, items = np.array([u]), np.array([v]), np.array([i])
         zero = np.zeros(1, dtype=np.int64)
         # one slot, one pair, one entry: v's rating of i, which may not exist

@@ -35,7 +35,8 @@ from .social import SocialGraph, relatedness
 
 REL_MODES = ("direct", "intersection", "none")
 
-# facet names understood by fusion, besides "rel" and "frev"
+# facet names understood by fusion, besides "rel" and "frev"; no built-in
+# profile supplies "fendors" or "fcontr", so a weight on them drops out
 UNIDIMENSIONAL_FACETS = (
     "elite", "lup", "opleader", "vis", "fb", "fendors", "fcontr",
 )
@@ -138,10 +139,11 @@ class TrustProfiles:
 class FacetWeights:
     """Fusion weights per facet name, plus how relatedness is measured.
 
-    ``weights`` may mention any unidimensional facet, "frev" and "rel".
-    A positive "rel" weight requires a relatedness mode other than
-    "none".  Equal weights hash equal, so configurations can share the
-    trust they fuse.
+    ``weights`` may mention any unidimensional facet, "frev" and "rel"; a
+    facet the profiles lack, as "fendors" and "fcontr" on every built-in
+    profile, drops out of the fusion.  A positive "rel" weight requires a
+    relatedness mode other than "none".  Equal weights hash equal, so
+    configurations can share the trust they fuse.
     """
 
     weights: Mapping[str, float] = field(default_factory=dict)

@@ -1,6 +1,6 @@
 """Structure checks over the package's source: it runs on the standard
 library and numpy alone, one helper decides whether a handle is in range,
-and one looks ids up row by row."""
+one looks ids up row by row, and one parser reads a canonical TSV file."""
 
 from __future__ import annotations
 
@@ -62,18 +62,21 @@ def test_only_check_handles_raises_handle_out_of_range():
 
 
 def callers(path: Path, wanted) -> set[tuple[str, str | None]]:
-    """(module, innermost function) of each call for which ``wanted(call)`` holds."""
+    """(module, innermost function) of each call for which ``wanted(call)``
+    holds; a method is named with its class, as ``_Table.__init__``."""
     found = set()
 
-    def visit(node: ast.AST, func: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    def visit(node: ast.AST, func: str | None, cls: str | None) -> None:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, cls = (f"{cls}.{node.name}" if cls else node.name), None
         if isinstance(node, ast.Call) and wanted(node):
             found.add((path.name, func))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, func, cls)
 
-    visit(parse(path), None)
+    visit(parse(path), None, None)
     return found
 
 
@@ -102,6 +105,24 @@ def test_only_factorize_looks_ids_up_row_by_row():
     # ids come back from handles only to be written out
     assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == {
         ("canonical.py", "render_canonical")}
+
+
+def reads_a_file(call: ast.Call) -> bool:
+    """``open(...)``, ``x.open(...)``, ``x.read_bytes()`` or ``x.read_text()``."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id == "open"
+    return isinstance(call.func, ast.Attribute) and call.func.attr in (
+        "open", "read_bytes", "read_text")
+
+
+def test_canonical_files_are_read_in_one_place_each():
+    """A canonical TSV file is read by its byte parser alone, errors
+    included; the manifest by ``_read``, a file that is not UTF-8 by
+    ``undecodable``, and ``write_atomic`` opens what it writes."""
+    path = Path(trustcf.__file__).parent / "canonical.py"
+    assert callers(path, reads_a_file) == {
+        ("canonical.py", "undecodable"), ("canonical.py", "_read"),
+        ("canonical.py", "write_atomic"), ("canonical.py", "_Table.__init__")}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -794,6 +794,56 @@ class TestCanonicalFormat:
             path.write_text("\n" + path.read_text().replace("\n", "\n\n", 2))
         assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
 
+    # each error: the file, its appended lines (the last is the one named) and
+    # the message after "file:line: ", from the named line's fields
+    LOAD_ERRORS = {
+        "field-count": ("friends.tsv", ["alice\tzed\tx"], lambda f: "expected 2 fields, got 3"),
+        "rating": ("ratings.tsv", ["alice\tzed\tx"], lambda f: "bad rating value 'x'"),
+        "count": ("user_feedback.tsv", ["alice\tfans\tmany"], lambda f: "bad count 'many'"),
+        "counter": ("user_feedback.tsv", ["erin\tcharm\t1"], lambda f: "unknown counter 'charm'"),
+        "rating-repeat": ("ratings.tsv", ["alice\tapple\t3"], lambda f: f"repeated key {f[:-1]}"),
+        "counter-repeat": ("review_feedback.tsv", ["alice\tapple\tuseful\t3"],
+                           lambda f: f"repeated key {f[:-1]}"),
+        "unrated": ("review_feedback.tsv", ["erin\tapple\tuseful\t1"],
+                    lambda f: f"review of an unrated pair {f[:2]}"),
+        "sum": ("user_feedback.tsv", [f"erin\tmore\t{2 ** 62}", f"erin\tthx\t{2 ** 62}"],
+                lambda f: f"the sum more+thx+gw does not fit in int64 {f}"),
+        "utf8": ("ratings.tsv", ["alice\tz\udcff\t3"], lambda f: "not UTF-8 text"),
+    }
+    LAYOUTS = {
+        "lf": lambda b: b,
+        "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+        "cr": lambda b: b.replace(b"\n", b"\r"),
+        "blank": lambda b: b"\n\r\n" + b.replace(b"\n", b"\n\n"),
+        "unterminated": lambda b: b.rstrip(b"\n"),
+        "nul-id": lambda b: b.replace(b"alice", b"al\x00ice"),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("kind", LOAD_ERRORS)
+    def test_load_error_names_the_line_text_mode_counts(self, tiny, tmp_path, kind, layout):
+        """Every kind of canonical load error names the line of the bad row
+        that reading the file as text counts, whatever its line ends, blank
+        lines, final newline or NUL bytes."""
+        name, extra, message = self.LOAD_ERRORS[kind]
+        change = self.LAYOUTS[layout]
+        canonical_save(tiny, tmp_path / "d")
+        for path in (tmp_path / "d").glob("*.tsv"):
+            data = path.read_bytes()
+            if path.name == name:
+                data += "\n".join(extra + [""]).encode("utf-8", "surrogateescape")
+            path.write_bytes(change(data) if path.name == name or layout == "nul-id" else data)
+        named = change(extra[-1].encode("utf-8", "surrogateescape") + b"\n").strip(b"\r\n")
+        named = named.decode("utf-8", "surrogateescape")
+        with open(tmp_path / "d" / name, encoding="utf-8", errors="surrogateescape") as handle:
+            lines = [line.rstrip("\n") for line in handle]
+        line = lines.index(named) + 1
+        assert layout != "blank" or line > len([n for n in lines if n])
+        with pytest.raises((IoFailure, MalformedRecord)) as caught:
+            canonical_load(tmp_path / "d")
+        fields = tuple(named.split("\t"))
+        assert str(caught.value) == f"{name}:{line}: {message(fields)}"
+
     def test_handles_out_of_id_order_are_rejected(self, tiny):
         """Rendering writes in handle order, which is id order: interners in
         any other order cannot be built."""

@@ -175,6 +175,17 @@ class TestInfluence:
                     continue
                 assert a.influence(u, v, 0) == pytest.approx(b.influence(u, v, 0))
 
+    def test_a_user_is_not_their_own_candidate(self, tiny):
+        """As block_candidates never lists a user as their own candidate,
+        influence(u, u, i) raises under every configuration, also for a
+        user with friends."""
+        profiles = build_yelp_profiles(tiny)
+        for name in config_names():
+            model = TrainedModel(tiny.ratings, profiles, tiny.social, make_config(name))
+            for u in range(tiny.num_users):
+                with pytest.raises(ValueError, match="own candidate"):
+                    model.influence(u, u, 0)
+
 
 class TestNeighborSelection:
     def test_positive_influence_only(self, tiny):
@@ -400,7 +411,8 @@ class TestScoreBlock:
                     v = int(rng.integers(store.num_users))
                     i = int(rng.integers(store.num_items))
                     assert same.select_neighbors(u, i) == equal.select_neighbors(u, i)
-                    assert same.influence(u, v, i) == equal.influence(u, v, i)
+                    if v != u:  # a user is not their own candidate
+                        assert same.influence(u, v, i) == equal.influence(u, v, i)
         assert weighted > 0
 
 

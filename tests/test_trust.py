@@ -22,7 +22,7 @@ from trustcf import (
 )
 from trustcf.errors import AllWeightsZero, WrongProvenance
 from trustcf.recommender import InfluenceConfig, TrainedModel
-from trustcf.trust import UNIDIMENSIONAL_FACETS
+from trustcf.trust import UNIDIMENSIONAL_FACETS, Fusion
 
 import reference
 from conftest import random_dataset
@@ -155,6 +155,13 @@ class TestLibraryThingProfiles:
         assert set(build_profiles(tiny).vectors) == {
             "elite", "lup", "opleader", "vis", "fb"}
         assert set(build_profiles(self.make()).vectors) == {"fb"}
+
+    def test_fendors_and_fcontr_are_never_supplied(self, tiny):
+        """Neither kind of profile supplies fendors or fcontr, so weights on
+        them alone leave fusion with no facet to fuse."""
+        weights = FacetWeights({"fendors": 1.0, "fcontr": 1.0})
+        for d in (tiny, self.make()):
+            assert Fusion(build_profiles(d), d.social, weights).empty
 
 
 class TestFacetWeights:
