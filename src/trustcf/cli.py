@@ -80,7 +80,7 @@ def parse_spec(path: Path) -> ExperimentSpec:
     except UnicodeDecodeError:
         raise UsageError(str(undecodable(path))) from None
     values: dict[str, list[str]] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):  # read_text ends every line "\n"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -90,6 +90,9 @@ class FoldPlan:
     assignment: np.ndarray
 
     def __post_init__(self):
+        if self.assignment.ndim != 1 or self.assignment.dtype.kind not in "iu":
+            raise ValueError("a fold assignment is a 1-d array of integer labels")
+        check_handles(self.assignment, self.num_folds, "fold", ValueError)
         self.assignment.setflags(write=False)
 
     def test_indices(self, fold: int) -> np.ndarray:

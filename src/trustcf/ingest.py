@@ -13,7 +13,9 @@ dict, plus a whitespace-separated friend-pair file.  Both readers:
 * drop reviews without a usable rating (missing, null or outside the
   1..5 scale), counting the drops;
 * reject a rating, a count or a timestamp that is a boolean, and a count
-  that is not a whole number, naming the file and line.
+  that is not a whole number, naming the file and line;
+* name an empty or unsafe id, and a counter beyond int64, by the line the
+  reader recorded for the row as it parsed it: no file is read twice.
 
 Raw field quirks are normalized here and nowhere else: comma-separated
 friend/elite strings vs. real lists, feedback counts nested in a
@@ -26,7 +28,7 @@ from __future__ import annotations
 import ast
 import json
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -35,7 +37,7 @@ import numpy as np
 from .canonical import undecodable, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
 from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IngestWarnings
-from .dataset import build_dataset, factorize
+from .dataset import Interner, build_dataset, factorize
 from .dataset import make_dataset  # noqa: F401
 from .errors import MalformedRecord, MissingFile
 
@@ -147,40 +149,25 @@ def _latest(users: np.ndarray, items: np.ndarray, stamps: list) -> tuple[np.ndar
     return np.flatnonzero(kept), int(dropped.size)
 
 
-def _check_ids(ids: list[str], sources) -> None:
-    """Raise MalformedRecord for the first record holding an unsafe id.
-
-    ``sources`` yields ``(file name, line, [(field, value), ...])`` per
-    record; it is read only when ``ids`` hold an unsafe one, so a good
-    dump pays one scan of its distinct ids.
-    """
+def _check_ids(*files: tuple[Path, list[tuple[str, Interner, np.ndarray, list[int]]]]) -> None:
+    """Raise MalformedRecord for the first record, by file, line and field, that
+    holds an empty or unsafe id.  Each file comes with its id columns in field
+    order, each ``(field, interner, handles, lines)`` with the line the reader
+    recorded for each row; a good dump pays one scan of its distinct ids."""
+    interners = {id(column[1]): column[1] for _, columns in files for column in columns}
+    ids = np.concatenate([interner.ids for interner in interners.values()]).tolist()
     if all(ids) and not unsafe_field("".join(ids)):
         return
-    for source, line_no, fields in sources:
-        for field, value in fields:
-            if not value or unsafe_field(value):
-                raise MalformedRecord(
-                    source, line_no,
-                    f"{field} {value!r} is empty or holds a tab or line break",
-                )
-    bad = sorted(i for i in ids if not i or unsafe_field(i))
-    if bad:  # the files changed while being read
-        raise MalformedRecord("input", 0, f"id {bad[0]!r} is empty or holds a tab or line break")
-
-
-def _yelp_id_fields(business_file: Path, review_file: Path, user_file: Path, tip_file: Path):
-    for line_no, r in _iter_json_lines(business_file):
-        tags = [("category", t) for t in _listish(r, "categories", business_file.name, line_no)]
-        yield business_file.name, line_no, [("business_id", str(r.get("business_id")))] + tags
-    for line_no, r in _iter_json_lines(review_file):
-        yield review_file.name, line_no, [
-            ("user_id", str(r.get("user_id"))), ("business_id", str(r.get("business_id")))
-        ]
-    for line_no, r in _iter_json_lines(user_file):
-        friends = [("friend", f) for f in _listish(r, "friends", user_file.name, line_no)]
-        yield user_file.name, line_no, [("user_id", str(r.get("user_id")))] + friends
-    for line_no, r in _iter_json_lines(tip_file):
-        yield tip_file.name, line_no, [("user_id", str(r.get("user_id")))]
+    for path, columns in files:
+        found = []
+        for at, (_, interner, handles, lines) in enumerate(columns):
+            bad = np.array([not i or unsafe_field(i) for i in interner.ids], dtype=bool)
+            found += [(lines[row], at, row) for row in np.flatnonzero(bad[handles]).tolist()]
+        if found:
+            line_no, at, row = min(found)
+            field, interner, handles, _ = columns[at]
+            raise MalformedRecord(path.name, line_no, f"{field} {interner.ids[handles[row]]!r}"
+                                  " is empty or holds a tab or line break")
 
 
 def ingest_yelp(
@@ -197,16 +184,21 @@ def ingest_yelp(
     counts and the friend graph; tips contribute their count and
     received appreciation per author.
     """
-    files = [_require(Path(f)) for f in (business_file, review_file, user_file, tip_file)]
-    business_file, review_file, user_file, tip_file = files
+    business_file, review_file, user_file, tip_file = (
+        _require(Path(f)) for f in (business_file, review_file, user_file, tip_file))
 
+    # a business listed twice keeps the last line's tags
     source = business_file.name
     categories: dict[str, list[str]] = {}
+    b_first: dict[str, int] = {}
+    b_last: dict[str, int] = {}
     for line_no, record in _iter_json_lines(business_file):
         business = record.get("business_id")
         if not business:
             raise MalformedRecord(source, line_no, "missing business_id")
         categories[str(business)] = _listish(record, "categories", source, line_no)
+        b_first.setdefault(str(business), line_no)
+        b_last[str(business)] = line_no
 
     source = review_file.name
     r_user: list[str] = []
@@ -216,6 +208,7 @@ def ingest_yelp(
     r_useful: list[int] = []
     r_funny: list[int] = []
     r_cool: list[int] = []
+    r_line: list[int] = []
     for line_no, record in _iter_json_lines(review_file):
         user = record.get("user_id")
         business = record.get("business_id")
@@ -237,6 +230,7 @@ def ingest_yelp(
         r_item.append(str(business))
         r_date.append(str(record.get("date") or ""))
         r_stars.append(rating)
+        r_line.append(line_no)
         # a count that is a non-negative int is taken as it is, and _int_field
         # reads or rejects the rest, in the order it would read them all
         useful, funny, cool = votes.get("useful", 0), votes.get("funny", 0), votes.get("cool", 0)
@@ -250,8 +244,11 @@ def ingest_yelp(
     # a user listed twice keeps the last line's profile and every line's friends
     source = user_file.name
     profiles: dict[str, tuple[int, int, int, int, int]] = {}
+    p_first: dict[str, int] = {}
+    p_last: dict[str, int] = {}
     f_user: list[str] = []
     f_friend: list[str] = []
+    f_line: list[int] = []
     for line_no, record in _iter_json_lines(user_file):
         user = record.get("user_id")
         if not user:
@@ -271,13 +268,17 @@ def ingest_yelp(
             fans if type(fans) is int and fans >= 0
             else _int_field(record, "fans", source, line_no),
         )
+        p_first.setdefault(user, line_no)
+        p_last[user] = line_no
         friends = _listish(record, "friends", source, line_no)
         f_friend += friends
         f_user += [user] * len(friends)  # a self-friend is dropped by the graph
+        f_line += [line_no] * len(friends)
 
     source = tip_file.name
     t_user: list[str] = []
     t_likes: list[int] = []
+    t_line: list[int] = []
     for line_no, record in _iter_json_lines(tip_file):
         user = record.get("user_id")
         if not user:
@@ -285,17 +286,25 @@ def ingest_yelp(
         name = "likes" if "likes" in record else "compliment_count"
         likes = record.get(name, 0)
         t_user.append(str(user))
+        t_line.append(line_no)
         t_likes.append(likes if type(likes) is int and likes >= 0
                        else _int_field(record, name, source, line_no))
 
     users, (r_user, p_user, f_user, f_friend, t_user) = factorize(
         r_user, list(profiles), f_user, f_friend, t_user)
-    # a business listed twice keeps the last line's tags
     items, (r_item, business) = factorize(r_item, list(categories))
     tags, (tag_ids,) = factorize(list(chain.from_iterable(categories.values())))
-    tagged = np.repeat(business, list(map(len, categories.values())))
-    ids = np.concatenate((users.ids, items.ids, tags.ids)).tolist()
-    _check_ids(ids, _yelp_id_fields(*files))
+    per_business = list(map(len, categories.values()))
+    tagged = np.repeat(business, per_business)
+    b_first, b_last = list(b_first.values()), list(b_last.values())
+    p_first, p_last = list(p_first.values()), list(p_last.values())
+    _check_ids(  # a business or user by its first line, the tags it keeps by its last
+        (business_file, [("business_id", items, business, b_first),
+                         ("category", tags, tag_ids, np.repeat(b_last, per_business).tolist())]),
+        (review_file, [("user_id", users, r_user, r_line),
+                       ("business_id", items, r_item, r_line)]),
+        (user_file, [("user_id", users, p_user, p_first), ("friend", users, f_friend, f_line)]),
+        (tip_file, [("user_id", users, t_user, t_line)]))
 
     kept, duplicates = _latest(r_user, r_item, r_date)
     k_user, k_item = r_user[kept], r_item[kept]
@@ -320,14 +329,10 @@ def ingest_yelp(
             warnings=IngestWarnings(duplicate_ratings=duplicates),
         )
     except CounterOverflow as exc:
-        # a row is a kept review, a tip, or a user's profile from its last line
-        if exc.name in ("more", "thx", "gw", "fans"):
-            user = list(profiles)[exc.row]
-            rows = [n for n, r in _iter_json_lines(user_file) if str(r.get("user_id")) == user]
-            raise MalformedRecord(user_file.name, rows[-1], str(exc)) from None
-        path, n = ((tip_file, exc.row) if exc.name.startswith("tip_")
-                   else (review_file, int(kept[exc.row])))
-        line_no = next(islice(_iter_json_lines(path), n, None))[0]
+        # a row is a user's profile, from its last line, a tip, or a kept review
+        path, line_no = ((user_file, p_last[exc.row]) if exc.name in ("more", "thx", "gw", "fans")
+                         else (tip_file, t_line[exc.row]) if exc.name.startswith("tip_")
+                         else (review_file, r_line[kept[exc.row]]))
         raise MalformedRecord(path.name, line_no, str(exc)) from None
 
 
@@ -355,19 +360,6 @@ def _iter_librarything(path: Path) -> Iterator[tuple[int, dict]]:
             yield line_no, _parse_librarything_line(path.name, line_no, line)
 
 
-def _lt_rating(record: dict, source: str, line_no: int) -> float | None:
-    """A review's stars, or None when they are missing, null or off the 1..5
-    scale; MalformedRecord when they are not a number, or a boolean."""
-    stars = record.get("stars")
-    try:
-        if isinstance(stars, bool):
-            raise TypeError
-        rating = float(stars) if stars is not None else 0.0
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedRecord(source, line_no, "stars is not numeric") from None
-    return rating if RATING_MIN <= rating <= RATING_MAX else None
-
-
 def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dataset:
     """Read a LibraryThing dump into a Dataset.
 
@@ -384,14 +376,21 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
     r_stamp: list[int | float] = []
     r_stars: list[float] = []
     r_help: list[int] = []
+    r_line: list[int] = []
     dropped = 0
     for line_no, record in _iter_librarything(review_file):
         user = record.get("user")
         work = record.get("work")
         if user is None or work is None:
             raise MalformedRecord(source, line_no, "missing user or work")
-        rating = _lt_rating(record, source, line_no)
-        if rating is None:
+        stars = record.get("stars")
+        try:
+            if isinstance(stars, bool):
+                raise TypeError
+            rating = float(stars) if stars is not None else 0.0
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedRecord(source, line_no, "stars is not numeric") from None
+        if not RATING_MIN <= rating <= RATING_MAX:  # missing, null or off the scale
             dropped += 1
             continue
         raw = record.get("nhelpful")
@@ -409,10 +408,12 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
         r_stamp.append(stamp if stamp - stamp == 0 else 0)  # inf and NaN read 0
         r_stars.append(rating)
         r_help.append(nhelpful)
+        r_line.append(line_no)
 
     # self-loops go in too: the graph drops them, and their user is still interned
     f_a: list[str] = []
     f_b: list[str] = []
+    f_line: list[int] = []
     for line_no, line in _lines(friend_file):
         parts = line.split()
         if not parts:
@@ -421,15 +422,12 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
             raise MalformedRecord(friend_file.name, line_no, "expected two user ids")
         f_a.append(parts[0])
         f_b.append(parts[1])
-
-    def id_fields():
-        for line_no, r in _iter_librarything(review_file):
-            if _lt_rating(r, source, line_no) is not None:
-                yield source, line_no, [("user", str(r.get("user"))), ("work", str(r.get("work")))]
+        f_line.append(line_no)
 
     users, (r_user, f_a, f_b) = factorize(r_user, f_a, f_b)
     items, (r_item,) = factorize(r_item)
-    _check_ids(np.concatenate((users.ids, items.ids)).tolist(), id_fields())
+    _check_ids((review_file, [("user", users, r_user, r_line), ("work", items, r_item, r_line)]),
+               (friend_file, [("friend", users, f_a, f_line), ("friend", users, f_b, f_line)]))
 
     kept, duplicates = _latest(r_user, r_item, r_stamp)
     k_user, k_item = r_user[kept], r_item[kept]
@@ -446,9 +444,8 @@ def ingest_librarything(review_file: str | Path, friend_file: str | Path) -> Dat
             review_counters=[(k_user, k_item, {"nhelpful": helpful})],
             warnings=IngestWarnings(duplicate_ratings=duplicates, dropped_unrated=dropped),
         )
-    except CounterOverflow as exc:  # each row is a kept review, one per id_fields record
-        line_no = next(islice(id_fields(), int(kept[exc.row]), None))[1]
-        raise MalformedRecord(source, line_no, str(exc)) from None
+    except CounterOverflow as exc:  # each row is a kept review
+        raise MalformedRecord(source, r_line[kept[exc.row]], str(exc)) from None
 
 
 def _closure(lines: Iterable[str]) -> frozenset[str]:
@@ -466,4 +463,4 @@ def restaurants_food_closure() -> frozenset[str]:
     text = resources.files("trustcf").joinpath(
         "data/restaurants_food_categories.txt"
     ).read_text(encoding="utf-8")
-    return _closure(text.splitlines())
+    return _closure(text.split("\n"))  # the lines _lines gives: only "\n" ends one

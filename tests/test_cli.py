@@ -64,6 +64,21 @@ class TestSpecParsing:
         assert spec.configs == ["U2UCF", "MTR"]
         assert spec.betas == [0.0, 0.5]
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, char):
+        """A character that str.splitlines breaks at stays in its line: text
+        after it in a comment is comment, and later lines keep the number an
+        editor shows."""
+        p = tmp_path / "exp.spec"
+        p.write_text(f"dataset=d\nout=o\nconfig=U2UCF # a note{char}folds=1\n", encoding="utf-8")
+        spec = parse_spec(p)
+        assert (spec.configs, spec.folds) == (["U2UCF"], 10)
+        p.write_text(p.read_text(encoding="utf-8") + "bogus=1\n", encoding="utf-8")
+        with pytest.raises(UsageError) as caught:
+            parse_spec(p)
+        assert str(caught.value).startswith(f"{p}:4: unknown key 'bogus'")
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "exp.spec"
         p.write_text("dataset=d\nout=o\nconfig=MTR\nbogus=1\n")

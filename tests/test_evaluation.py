@@ -99,6 +99,21 @@ class TestFoldAssignment:
         with pytest.raises(ValueError):
             plan.test_indices(5)
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([0, 1, 2, -1, 1], -1), ([0, 3, 2, -1], 3), ([0, 1, 2, 7], 7),
+    ], ids=["negative", "num-folds", "beyond"])
+    def test_plan_rejects_a_label_out_of_range(self, labels, bad):
+        # -1 would alias the last fold, and a label past it fail in evaluation
+        with pytest.raises(ValueError, match=f"^fold handle out of range: {bad}$"):
+            FoldPlan(seed=0, num_folds=3, assignment=np.array(labels))
+
+    @pytest.mark.parametrize("assignment", [
+        np.array([0.0, 1.0, 2.0]), np.array([[0, 1, 2]]), np.array([True, False, True]),
+    ], ids=["float", "2-d", "bool"])
+    def test_plan_rejects_an_assignment_that_is_not_1d_integer(self, assignment):
+        with pytest.raises(ValueError, match="1-d array of integer labels"):
+            FoldPlan(seed=0, num_folds=3, assignment=assignment)
+
     def test_assignment_is_frozen(self, tiny):
         plan = split_folds(tiny, 5, seed=2)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Structure checks over the package's source: it runs on the standard
 library and numpy alone, one helper decides whether a handle is in range,
-one looks ids up row by row, and one parser reads a canonical TSV file."""
+one looks ids up row by row, one parser reads a canonical TSV file, and
+ingest reads each raw file once."""
 
 from __future__ import annotations
 
@@ -61,10 +62,11 @@ def test_only_check_handles_raises_handle_out_of_range():
 
 
 
-def callers(path: Path, wanted) -> set[tuple[str, str | None]]:
-    """(module, innermost function) of each call for which ``wanted(call)``
-    holds; a method is named with its class, as ``_Table.__init__``."""
-    found = set()
+def calls(path: Path, wanted) -> list[tuple[str | None, ast.Call]]:
+    """(innermost function, call) of each call for which ``wanted(call)``
+    holds, in source order; a method is named with its class, as
+    ``_Table.__init__``."""
+    found = []
 
     def visit(node: ast.AST, func: str | None, cls: str | None) -> None:
         if isinstance(node, ast.ClassDef):
@@ -72,12 +74,17 @@ def callers(path: Path, wanted) -> set[tuple[str, str | None]]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func, cls = (f"{cls}.{node.name}" if cls else node.name), None
         if isinstance(node, ast.Call) and wanted(node):
-            found.add((path.name, func))
+            found.append((func, node))
         for child in ast.iter_child_nodes(node):
             visit(child, func, cls)
 
     visit(parse(path), None, None)
     return found
+
+
+def callers(path: Path, wanted) -> set[tuple[str, str | None]]:
+    """(module, innermost function) of each call for which ``wanted(call)`` holds."""
+    return {(path.name, func) for func, _ in calls(path, wanted)}
 
 
 def calls_method(name: str):
@@ -123,6 +130,25 @@ def test_canonical_files_are_read_in_one_place_each():
     assert callers(path, reads_a_file) == {
         ("canonical.py", "undecodable"), ("canonical.py", "_read"),
         ("canonical.py", "write_atomic"), ("canonical.py", "_Table.__init__")}
+
+
+def test_ingest_reads_each_raw_file_once():
+    """A raw file is parsed by one loop of its reader; an error found after
+    the parse is named from the lines that loop recorded, not by reading the
+    file again."""
+    path = Path(trustcf.__file__).parent / "ingest.py"
+
+    def sites(name: str) -> list[tuple[str | None, str]]:
+        """(caller, first argument) of each call of the function ``name``."""
+        named = lambda call: isinstance(call.func, ast.Name) and call.func.id == name
+        return sorted((func, ast.unparse(call.args[0])) for func, call in calls(path, named))
+
+    assert sites("_iter_json_lines") == [
+        ("ingest_yelp", name) for name in ("business_file", "review_file", "tip_file", "user_file")]
+    assert sites("_iter_librarything") == [("ingest_librarything", "review_file")]
+    assert sites("_lines") == [
+        ("_iter_json_lines", "path"), ("_iter_librarything", "path"),
+        ("ingest_librarything", "friend_file"), ("load_category_closure", "_require(Path(path))")]
 
 
 def unused_imports(source: str) -> list[str]:

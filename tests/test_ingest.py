@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from trustcf import canonical_load, canonical_save, ingest_librarything, ingest_yelp
+from trustcf import canonical_load, canonical_save, ingest, ingest_librarything, ingest_yelp
 from trustcf.canonical import datasets_equal, render_canonical
 from trustcf.dataset import IngestWarnings, Interner
 from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch, TrustcfError
@@ -223,6 +224,22 @@ class TestYelpIngest:
         assert caught.value.reason == f"{field} is not a list or a string"
 
 
+@pytest.fixture
+def each_file_opened_once(monkeypatch):
+    """Count the files ingest opens: an error found after the parse is named
+    from the lines the reader recorded, so no raw file is opened twice."""
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    yield
+    assert opened and max(Counter(opened).values()) == 1, Counter(opened)
+
+
+@pytest.mark.usefixtures("each_file_opened_once")
 class TestCountersBeyondInt64:
     """A counter that does not fit in int64, alone or added up over a user's
     rows, is a data error naming the line that takes it there."""
@@ -406,6 +423,7 @@ def yelp_files(directory):
     return [directory / name for name in ("business.json", "review.json", "user.json", "tip.json")]
 
 
+@pytest.mark.usefixtures("each_file_opened_once")
 class TestUnsafeIds:
     """Ids that could not be written as one canonical TSV field."""
 
@@ -441,6 +459,63 @@ class TestUnsafeIds:
         with pytest.raises(MalformedRecord) as caught:
             ingest_librarything(lt_dir / "reviews.txt", lt_dir / "edges.txt")
         assert (caught.value.source, caught.value.line_number) == ("reviews.txt", 2)
+
+    @pytest.mark.parametrize("name, records, line, reason", [
+        # a business listed twice: its first line
+        ("business.json", [{"business_id": "b1"}, {"business_id": "b\t4"}, {"business_id": "b2"},
+                           {"business_id": "b\t4", "categories": ["Pizza"]}], 2,
+         "business_id 'b\\t4'"),
+        # a user listed twice: its first line
+        ("user.json", [{"user_id": "u1"}, {"user_id": "u\n4", "friends": ["u1"]}, {"user_id": "u2"},
+                       {"user_id": "u\n4", "fans": 2}], 2, "user_id 'u\\n4'"),
+        # two bad fields of one record: its first field, then the first entry of a list
+        ("review.json", [{"user_id": "u\t4", "business_id": "b\t4", "stars": 4}], 1,
+         "user_id 'u\\t4'"),
+        ("business.json", [{"business_id": "b\r4", "categories": ["Tab\tbed"]}], 1,
+         "business_id 'b\\r4'"),
+        ("user.json", [{"user_id": "u1", "friends": ["u\t8", "u\t7"]}], 1, "friend 'u\\t8'"),
+        # a bad tag a business keeps: the line it keeps its tags from
+        ("business.json", [{"business_id": "b1", "categories": ["Tab\tbed"]}, {"business_id": "b2"},
+                           {"business_id": "b1", "categories": ["Tab\tbed"]}], 3,
+         "category 'Tab\\tbed'"),
+    ], ids=["business-twice", "user-twice", "review", "business", "friends", "kept-tag"])
+    def test_first_bad_record_is_named(self, yelp_dir, name, records, line, reason):
+        write_lines(yelp_dir / name, records)
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == (name, line)
+        assert caught.value.reason == f"{reason} is empty or holds a tab or line break"
+
+    def test_a_file_read_earlier_is_named_first(self, yelp_dir):
+        # the id is in review.json's third line and user.json's first
+        write_lines(yelp_dir / "user.json", [{"user_id": "u\t2"}])
+        records = [json.loads(line) for line in (yelp_dir / "review.json").read_text().splitlines()]
+        records[2]["user_id"] = "u\t2"
+        write_lines(yelp_dir / "review.json", records)
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == ("review.json", 3)
+
+    @staticmethod
+    def replace_b1_with_a_bad_tag(yelp_dir):
+        """List b1 twice: its first line holds a bad tag, which its second
+        line's tags replace."""
+        path = yelp_dir / "business.json"
+        path.write_text(json.dumps({"business_id": "b1", "categories": ["Pizza", "Tab\tbed"]})
+                        + "\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+    def test_tags_of_a_replaced_business_line_are_not_checked(self, yelp_dir):
+        self.replace_b1_with_a_bad_tag(yelp_dir)
+        d = ingest_yelp(*yelp_files(yelp_dir))
+        assert d.categories.of(d.items.handle("b1")) == frozenset({"Restaurants", "Pizza"})
+
+    def test_a_replaced_tag_is_not_named_for_a_later_bad_id(self, yelp_dir):
+        self.replace_b1_with_a_bad_tag(yelp_dir)
+        write_lines(yelp_dir / "tip.json", [{"user_id": "u\t1", "business_id": "b1", "likes": 1}])
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == ("tip.json", 1)
+        assert caught.value.reason == "user_id 'u\\t1' is empty or holds a tab or line break"
 
     def test_id_on_a_dropped_review_is_not_checked(self, lt_dir):
         (lt_dir / "reviews.txt").write_text(
