@@ -17,10 +17,12 @@ and every item at least once in item_categories.tsv (untagged items get
 a bare line), which makes the round trip lossless even for entities that
 carry no other data.
 
-Loading a good file makes no Python object per field.  Each file is read once as
-bytes (:class:`_Table`): ``\\r\\n`` and ``\\r`` read as ``\\n``, checked as
-UTF-8, its tabs and newlines found by numpy, and every line's field
-count checked from them.  An id column becomes a fixed-width bytes view
+Every text input, the manifest and the spec file too, is read once, by
+:func:`read_utf8`: ``\\r\\n`` and ``\\r`` read as ``\\n``, and a byte that is
+not UTF-8 is named by the line that holds it.  Loading a good file makes no
+Python object per field: numpy finds each TSV file's tabs and newlines
+(:class:`_Table`), and every line's field count is checked from them.
+An id column becomes a fixed-width bytes view
 with each byte one higher, so that NUL bytes and prefixes compare as in
 ``str``; ids of up to 8 bytes become big-endian integers.  Columns are
 deduplicated by a neighbour compare where they ascend and by a stable
@@ -73,16 +75,20 @@ def unsafe_field(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def undecodable(path: Path) -> MalformedRecord:
-    """The error for a file that is not UTF-8 text, naming the first line that
-    is not, with lines counted as reading the file as text counts them."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return MalformedRecord(path.name, line_no, "not UTF-8 text")
-    return MalformedRecord(path.name, 0, "not UTF-8 text")  # the file changed in between
+def read_utf8(path: Path) -> bytes:
+    """The bytes of a text file, read once: ``\\r\\n`` and ``\\r`` read as ``\\n``
+    (as text mode reads them), checked as UTF-8.  A byte that is not raises
+    MalformedRecord naming the line that holds it."""
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedRecord(path.name, line, "not UTF-8 text") from None
+    return data
 
 
 def _text(lines) -> str:
@@ -206,20 +212,13 @@ def canonical_save(d: Dataset, directory: str | Path) -> None:
         raise IoFailure(f"could not write canonical dataset: {exc}") from None
 
 
-def _read(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
-
-
 def _read_manifest(directory: Path) -> dict[str, tuple[str, str]]:
     """Each manifest key's ``file:line`` and value."""
     path = directory / "manifest.txt"
     if not path.is_file():
         raise IoFailure(f"missing manifest: {path}")
     fields = {}
-    for line_no, line in enumerate(_read(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_utf8(path).decode("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
@@ -257,9 +256,8 @@ def _view_width(lengths: np.ndarray) -> int | None:
 class _Table:
     """The fields of a TSV file's non-blank lines, as byte ranges of its text.
 
-    The file is read once, as bytes: ``\\r\\n`` and ``\\r`` read as ``\\n`` (as
-    text mode reads them), checked as UTF-8, and its tabs and newlines found
-    by numpy, which also checks the field count of every line.  Field k of
+    The file is read once, by :func:`read_utf8`, and its tabs and newlines
+    found by numpy, which also checks the field count of every line.  Field k of
     row r ends at byte ``ends[r, k]``, and starts after the field before it
     (the first field at ``first[r]``).
     """
@@ -267,16 +265,9 @@ class _Table:
     __slots__ = ("path", "text", "first", "ends", "nul")
 
     def __init__(self, path: Path, width: int):
-        data = path.read_bytes()
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        data = read_utf8(path)
         self.path = path
         self.text = data + bytes(_PAD)
-        if not data.isascii():
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedRecord(path.name, self.line(exc.start), "not UTF-8 text") from None
         self.nul = b"\0" in data
         text = np.frombuffer(self.text, dtype=np.uint8)
         # tabs and newlines: as unsigned bytes, only 9 and 10 are at most 1 above 9

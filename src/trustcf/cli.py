@@ -15,9 +15,9 @@ from itertools import product
 from math import isfinite
 from pathlib import Path
 
-from .canonical import canonical_load, canonical_save, undecodable, unsafe_field, write_atomic
+from .canonical import canonical_load, canonical_save, read_utf8, unsafe_field, write_atomic
 from .dataset import apply_filters, compute_stats
-from .errors import IoFailure, MissingFile, TrustcfError, UnknownConfiguration
+from .errors import IoFailure, MalformedRecord, MissingFile, TrustcfError, UnknownConfiguration
 from .evaluation import EvaluationReport, format_metric, run_experiment, split_folds
 from .ingest import (
     ingest_librarything,
@@ -76,11 +76,11 @@ def parse_spec(path: Path) -> ExperimentSpec:
     if not path.is_file():
         raise UsageError(f"spec file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise UsageError(str(undecodable(path))) from None
+        text = read_utf8(path).decode("utf-8")
+    except MalformedRecord as exc:
+        raise UsageError(str(exc)) from None
     values: dict[str, list[str]] = {}
-    for line_no, raw in enumerate(text.split("\n"), 1):  # read_text ends every line "\n"
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

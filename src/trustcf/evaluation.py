@@ -333,13 +333,10 @@ def intra_diversity(rec: RecommendationList, cats: ItemCategories) -> float:
     contribute 0 regardless of tagging, which caps the value at
     (k - 1) / (k + 1) for a list of length k.  Between distinct
     positions, two untagged items count as fully dissimilar.  An empty
-    list scores 0; an item outside ``cats`` raises IndexError.
+    list is NaN; an item outside ``cats`` raises IndexError.
     """
-    k = len(rec.items)
-    if k == 0:
-        return 0.0
     items = check_handles(rec.item_handles(), len(cats), "item", IndexError)
-    return float(_diversities(np.zeros(k, dtype=np.int64), 1, items, cats)[0])
+    return float(_diversities(np.zeros(items.size, dtype=np.int64), 1, items, cats)[0])
 
 
 def user_coverage(

@@ -4,6 +4,8 @@ Yelp dumps are JSON-lines files (business, review, user, tip).  The
 LibraryThing dump stores one review per line as a JSON or Python-literal
 dict, plus a whitespace-separated friend-pair file.  Both readers:
 
+* read each text input once, as a stream of lines (:func:`_lines`): ``\\r\\n``
+  and ``\\r`` read as ``\\n``, and a byte that is not UTF-8 is named by its line;
 * factorize their id columns once, after parsing, into one user and one
   item interner and a column of handles each (``dataset.factorize``), so
   references always resolve and nothing after that looks an id up again:
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import json
+from functools import partial
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canonical import undecodable, unsafe_field
+from .canonical import unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
 from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IngestWarnings
 from .dataset import Interner, build_dataset, factorize
@@ -49,12 +52,20 @@ def _require(path: Path) -> Path:
 
 
 def _lines(path: Path) -> Iterator[tuple[int, str]]:
-    """The numbered lines of a UTF-8 text file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            yield from enumerate(handle, start=1)
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
+    """The numbered lines of a UTF-8 text file, read once in batches of about
+    64 KiB; ``\\r\\n``, ``\\r`` and ``\\n`` end a line.  A byte that is not UTF-8 is
+    a lone surrogate its batch fails to encode: the lines before it come first."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        line_no = 1
+        for lines in iter(partial(handle.readlines, 1 << 16), []):
+            try:
+                "".join(lines).encode()
+            except UnicodeEncodeError as exc:
+                good = exc.object.count("\n", 0, exc.start)
+                yield from enumerate(lines[:good], line_no)
+                raise MalformedRecord(path.name, line_no + good, "not UTF-8 text") from None
+            yield from enumerate(lines, line_no)
+            line_no += len(lines)
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -177,10 +177,11 @@ def naive_list_metrics(items, relevant):
 
 
 def naive_diversity(items, tag_sets):
-    """Mean dissimilarity over position pairs a <= b; self-pairs add 0."""
+    """Mean dissimilarity over position pairs a <= b; self-pairs add 0.
+    An empty list has no pair: NaN."""
     k = len(items)
     if k == 0:
-        return 0.0
+        return math.nan
     total = 0.0
     for a in range(k):
         for b in range(a + 1, k):

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from trustcf import canonical_load, canonical_save
+from trustcf import canonical, canonical_load, canonical_save
 from trustcf.cli import _build_config, main, parse_spec, UsageError
 
 from conftest import build_tiny
-from test_ingest import write_lines
+from test_ingest import LINE_ENDS, count_reads, write_lines
 
 
 @pytest.fixture
@@ -245,6 +247,17 @@ class TestEval:
         spec.write_bytes(spec.read_bytes() + b"# \xff\n")
         assert main(["eval", "--spec", str(spec)]) == 1
         assert "exp.spec:4: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layout", LINE_ENDS)
+    def test_non_utf8_spec_is_read_once(self, tmp_path, monkeypatch, layout):
+        spec = write_spec(tmp_path / "exp.spec", tmp_path / "d", tmp_path / "out", "config=MTR")
+        spec.write_bytes(LINE_ENDS[layout](spec.read_bytes() + b"# \xff\nk=2\n"))
+        opened = count_reads(monkeypatch, (canonical, "open"), (Path, "read_bytes"),
+                             (Path, "read_text"))
+        with pytest.raises(UsageError) as caught:
+            parse_spec(spec)
+        assert str(caught.value) == "exp.spec:4: not UTF-8 text"
+        assert opened == [os.fspath(spec)]
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["eval", "--spec", str(tmp_path / "none.spec")]) == 1

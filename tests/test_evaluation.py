@@ -262,7 +262,7 @@ class TestIntraDiversity:
 
     def test_empty_list(self):
         cats = ItemCategories(1)
-        assert intra_diversity(RecommendationList(0, ()), cats) == 0.0
+        assert math.isnan(intra_diversity(RecommendationList(0, ()), cats))
 
     def test_untagged_items_hit_the_upper_bound(self):
         for k in (2, 3, 5, 8):

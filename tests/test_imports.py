@@ -1,7 +1,7 @@
 """Structure checks over the package's source: it runs on the standard
 library and numpy alone, one helper decides whether a handle is in range,
-one looks ids up row by row, one parser reads a canonical TSV file, and
-ingest reads each raw file once."""
+one looks ids up row by row, one helper reads a text file whole and one
+streams a raw file, and ingest reads each raw file once."""
 
 from __future__ import annotations
 
@@ -122,14 +122,16 @@ def reads_a_file(call: ast.Call) -> bool:
         "open", "read_bytes", "read_text")
 
 
-def test_canonical_files_are_read_in_one_place_each():
-    """A canonical TSV file is read by its byte parser alone, errors
-    included; the manifest by ``_read``, a file that is not UTF-8 by
-    ``undecodable``, and ``write_atomic`` opens what it writes."""
-    path = Path(trustcf.__file__).parent / "canonical.py"
-    assert callers(path, reads_a_file) == {
-        ("canonical.py", "undecodable"), ("canonical.py", "_read"),
-        ("canonical.py", "write_atomic"), ("canonical.py", "_Table.__init__")}
+def test_files_are_read_in_one_place_each():
+    """Every text input, canonical or raw, is read whole by ``read_utf8`` or
+    streamed by ``ingest._lines``; ``write_atomic`` opens what it writes,
+    ``restaurants_food_closure`` reads the packaged closure, and the
+    evaluation's ``_map_groups`` and ``_child`` open the fork pipes.  No
+    other function opens or reads a file, so none can read one twice."""
+    assert set().union(*(callers(path, reads_a_file) for path in MODULES)) == {
+        ("canonical.py", "read_utf8"), ("canonical.py", "write_atomic"),
+        ("ingest.py", "_lines"), ("ingest.py", "restaurants_food_closure"),
+        ("evaluation.py", "_map_groups"), ("evaluation.py", "_child")}
 
 
 def test_ingest_reads_each_raw_file_once():

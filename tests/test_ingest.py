@@ -6,11 +6,13 @@ import json
 import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustcf import canonical_load, canonical_save, ingest, ingest_librarything, ingest_yelp
+from trustcf import canonical, canonical_load, canonical_save, ingest, ingest_librarything
+from trustcf import ingest_yelp
 from trustcf.canonical import datasets_equal, render_canonical
 from trustcf.dataset import IngestWarnings, Interner
 from trustcf.errors import IoFailure, MalformedRecord, SchemaVersionMismatch, TrustcfError
@@ -224,17 +226,28 @@ class TestYelpIngest:
         assert caught.value.reason == f"{field} is not a list or a string"
 
 
-@pytest.fixture
-def each_file_opened_once(monkeypatch):
-    """Count the files ingest opens: an error found after the parse is named
-    from the lines the reader recorded, so no raw file is opened twice."""
+def count_reads(monkeypatch, *readers) -> list[str]:
+    """Wrap each ``(owner, name)`` reader, a module's ``open`` or a ``Path``
+    method, to record the path of every file it reads; return the record."""
     opened = []
 
-    def counting_open(file, *args, **kwargs):
-        opened.append(os.fspath(file))
-        return open(file, *args, **kwargs)
+    def counting(read):
+        def counted(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return read(file, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    for owner, name in readers:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name, open)), raising=False)
+    return opened
+
+
+@pytest.fixture
+def each_file_opened_once(monkeypatch):
+    """Count the files ingest and canonical open: an error is named from the
+    one read of its file, a byte that is not UTF-8 included, so no raw file
+    is opened twice."""
+    opened = count_reads(monkeypatch, (ingest, "open"), (canonical, "open"))
     yield
     assert opened and max(Counter(opened).values()) == 1, Counter(opened)
 
@@ -543,6 +556,105 @@ class TestCategoryClosure:
         bundled = resources.files("trustcf") / "data/restaurants_food_categories.txt"
         with resources.as_file(bundled) as path:
             assert restaurants_food_closure() == load_category_closure(path)
+
+
+LINE_ENDS = {
+    "lf": lambda b: b,
+    "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+    "cr": lambda b: b.replace(b"\n", b"\r"),
+}
+# a byte that is not UTF-8, a truncated multibyte character, an encoded surrogate
+NOT_UTF8 = {"ff": b"\xff", "truncated": "€".encode()[:2], "surrogate": b"\xed\xa0\x80"}
+RAW_FILES = {"business.json": "yelp", "review.json": "yelp", "user.json": "yelp",
+             "tip.json": "yelp", "reviews.txt": "lt", "edges.txt": "lt", "closure.txt": "closure"}
+
+
+def raw_inputs(directory):
+    """A Yelp dump, a LibraryThing dump and a category closure under
+    ``directory``: each file's path, and a reader of each input."""
+    for sub in ("yelp", "lt"):
+        (directory / sub).mkdir()
+    for path, records in zip(yelp_files(directory / "yelp"), random_yelp_dump(random.Random(3))):
+        write_lines(path, records)
+    write_librarything(directory / "lt", *random_librarything_dump(random.Random(3)))
+    (directory / "closure.txt").write_text("# restaurants\nRestaurants\n  Pizza  # a tag\n\n"
+                                           "Food\n", encoding="utf-8")
+    paths = {path.name: path for path in directory.rglob("*.*")}
+    readers = {
+        "yelp": lambda: ingest_yelp(*yelp_files(directory / "yelp")),
+        "lt": lambda: ingest_librarything(paths["reviews.txt"], paths["edges.txt"]),
+        "closure": lambda: load_category_closure(paths["closure.txt"]),
+    }
+    return paths, readers
+
+
+class TestLineEndsAndBadBytes:
+    """Raw files read as a stream of lines: ``\\r\\n``, ``\\r`` and ``\\n`` each
+    end a line, and a byte that is not UTF-8 is named by the line holding it,
+    from the one read of the file."""
+
+    @pytest.mark.parametrize("layout", ["crlf", "cr"])
+    def test_line_ends_read_alike(self, tmp_path, layout):
+        paths, readers = raw_inputs(tmp_path)
+        expected = {name: read() for name, read in readers.items()}
+        for path in paths.values():
+            path.write_bytes(LINE_ENDS[layout](path.read_bytes()))
+        got = {name: read() for name, read in readers.items()}
+        assert got["closure"] == expected["closure"] == {"Restaurants", "Pizza", "Food"}
+        for name in ("yelp", "lt"):
+            assert datasets_equal(got[name], expected[name])
+            assert got[name].warnings == expected[name].warnings
+
+    @pytest.mark.usefixtures("each_file_opened_once")
+    @pytest.mark.parametrize("bad", NOT_UTF8)
+    @pytest.mark.parametrize("layout", LINE_ENDS)
+    @pytest.mark.parametrize("name", RAW_FILES)
+    def test_bad_byte_names_its_line(self, tmp_path, name, layout, bad):
+        paths, readers = raw_inputs(tmp_path)
+        path = paths[name]
+        lines = path.read_bytes().split(b"\n")[:-1]
+        assert len(lines) >= 3
+        line = len(lines) // 2 + 1  # a middle line, not the first nor the last
+        text = lines[line - 1]
+        lines[line - 1] = text[:len(text) // 2] + NOT_UTF8[bad] + text[len(text) // 2:]
+        path.write_bytes(LINE_ENDS[layout](b"\n".join(lines) + b"\n"))
+        with pytest.raises(MalformedRecord) as caught:
+            readers[RAW_FILES[name]]()
+        assert str(caught.value) == f"{name}:{line}: not UTF-8 text"
+
+    @pytest.mark.usefixtures("each_file_opened_once")
+    @pytest.mark.parametrize("layout", LINE_ENDS)
+    def test_bad_byte_beyond_the_first_batch(self, yelp_dir, layout):
+        review = {"user_id": "u1", "business_id": "b1", "stars": 4, "text": "é" * 40}
+        lines = [json.dumps(review, ensure_ascii=False).encode()] * 3000  # about 300 KB
+        lines[2499] = lines[2499].replace(b"\xc3\xa9", b"\xff", 1)
+        (yelp_dir / "review.json").write_bytes(LINE_ENDS[layout](b"\n".join(lines) + b"\n"))
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert str(caught.value) == "review.json:2500: not UTF-8 text"
+
+    def test_an_earlier_bad_line_is_named_first(self, yelp_dir):
+        """Lines are parsed in file order, up to the one holding a bad byte."""
+        with open(yelp_dir / "review.json", "ab") as fh:
+            fh.write(b"not json\n" + b'{"user_id": "u\xff"}\n')
+        with pytest.raises(MalformedRecord) as caught:
+            ingest_yelp(*yelp_files(yelp_dir))
+        assert (caught.value.source, caught.value.line_number) == ("review.json", 5)
+        assert caught.value.reason.startswith("invalid JSON")
+
+    @pytest.mark.parametrize("layout", LINE_ENDS)
+    def test_manifest_is_read_once(self, tiny, tmp_path, monkeypatch, layout):
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / "manifest.txt"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path.write_bytes(LINE_ENDS[layout](b"\n".join(lines)))
+        opened = count_reads(monkeypatch, (canonical, "open"), (Path, "read_bytes"),
+                             (Path, "read_text"))
+        with pytest.raises(MalformedRecord) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value) == "manifest.txt:3: not UTF-8 text"
+        assert opened == [os.fspath(path)]
 
 
 class TestCanonicalFormat:
