@@ -35,9 +35,13 @@ would exceed 4 bytes per byte of the column plus 32 per row, or a field
 is wider than 256 bytes.  Rating and count columns convert their views
 with ``astype``, Python's own ``float`` and ``int`` of ASCII text; a file
 holding a NUL byte, a field too long for a view or one the view rejects
-(``'٥'``, or a bad value) takes the per-field path (:func:`_parsed`).  A
-failed check names its row's line and fields from the same bytes
-(:meth:`_Table.fail`); one found after the build parses that file again.
+(``'٥'``, or a bad value) takes the per-field path (:func:`_parsed`).
+Each file is checked in the pass that parses it, for a repeated key too
+(:meth:`_Table.check_unique`), so errors come in the order the load reads
+its files: ratings, user and review feedback, categories, friends.  A failed
+check names its row's line and fields from the same bytes (:meth:`_Table.fail`);
+only a review of an unrated pair and a counter sum beyond int64, which the
+build finds, parse their file again.
 """
 
 from __future__ import annotations
@@ -287,15 +291,13 @@ class _Table:
             seps, first = np.delete(seps, nl[blank]), first[~blank]
         self.first, self.ends = first, seps.reshape(-1, width)
 
-    def line(self, at: int) -> int:
-        """The number of the line that holds byte ``at``, blank lines counted."""
-        return self.text.count(b"\n", 0, at) + 1
-
     def fail(self, row: int, what: str, shown) -> IoFailure:
-        """The error naming row ``row``'s line and showing ``fields[shown]`` of its fields."""
+        """The error naming row ``row``'s line, blank lines counted, and showing
+        ``fields[shown]`` of its fields."""
         start = int(self.first[row])
         fields = tuple(self.text[start:int(self.ends[row, -1])].decode("utf-8").split("\t"))
-        return IoFailure(f"{self.path.name}:{self.line(start)}: {what} {fields[shown]!r}")
+        line = self.text.count(b"\n", 0, start) + 1
+        return IoFailure(f"{self.path.name}:{line}: {what} {fields[shown]!r}")
 
     def span(self, k: int, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(starts, lengths) of column k's fields, of every row or of ``rows``."""
@@ -345,6 +347,22 @@ class _Table:
     def ids(self, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Column k's distinct keys and each row's index among them."""
         return _unique(self.keys(k, rows))
+
+    def check_unique(self, *columns: tuple[np.ndarray, np.ndarray]) -> None:
+        """Raise the error naming the first line that repeats an earlier
+        line's key, its fields of ``columns`` in field order, each given as
+        distinct values and codes (see :meth:`ids`).  Keys that ascend strictly,
+        as every saved file's do, need one compare; others a stable argsort."""
+        key = np.zeros(len(self.ends), dtype=np.int64)
+        for distinct, codes in columns:
+            key *= len(distinct)
+            key += codes
+        if (key[1:] > key[:-1]).all():
+            return
+        order = np.argsort(key, kind="stable")  # the rows of one key stay in file order
+        later = order[1:][key[order[1:]] == key[order[:-1]]]
+        if later.size:
+            raise self.fail(int(later.min()), "repeated key", slice(-1))
 
 
 def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +430,7 @@ def _interner(*columns: tuple[np.ndarray, np.ndarray]) -> tuple[Interner, list[n
 
 
 class _Counters(NamedTuple):
-    """The rows of a counter file: ids, counter name and value per row.
+    """The rows of a counter file, each key once: ids, counter name and value per row.
 
     ``ids`` holds each id column as distinct ids and codes (see
     :meth:`_Table.ids`), ``names`` the counter names present, sorted, and
@@ -431,15 +449,6 @@ class _Counters(NamedTuple):
         return (*handles, {n: np.where(self.codes == k, self.values, 0)
                            for k, n in enumerate(self.names)})
 
-    def repeated(self, *columns: tuple[int, np.ndarray]) -> IoFailure | None:
-        """The error naming the first line that repeats an earlier line's key,
-        or None; ``columns`` are the id columns as (interner size, handles)."""
-        keys = self.codes
-        for size, handles in columns:
-            keys = keys * size + handles
-        row = _first_repeat(keys)
-        return None if row is None else self.fail(row, "repeated key", slice(-1))
-
     def fail(self, row: int, what: str, shown) -> IoFailure:
         """:meth:`_Table.fail` of the file, parsed again."""
         return _Table(self.path, len(self.ids) + 2).fail(row, what, shown)
@@ -454,9 +463,11 @@ def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     at, found = search_keys(vocabulary, keys)
     if not found.all():
         raise table.fail(int(np.argmin(found)), "unknown counter", -2)
+    ids = [table.ids(k) for k in range(width - 2)]
+    table.check_unique(*ids, (vocabulary, at))
     present = np.bincount(at, minlength=len(names)) > 0
-    return _Counters(path, [table.ids(k) for k in range(width - 2)],
-                     list(compress(names, present)), (np.cumsum(present) - 1)[at], values)
+    return _Counters(path, ids, list(compress(names, present)), (np.cumsum(present) - 1)[at],
+                     values)
 
 
 def _parsed(table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
@@ -469,34 +480,24 @@ def _parsed(table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
     """
     dtype = np.float64 if kind is float else np.int64
     width = _view_width(table.span(k)[1])
-    values = None
     if width is not None and not table.nul:
         try:
             values = table.view(k, width, False).astype(dtype)
         except (ValueError, OverflowError):
             pass
-    if values is None:
+        else:  # NaN fails both comparisons
+            if not values.size or values.min() >= lo and values.max() <= hi:
+                return values
+    out = []
+    for row, field in enumerate(table.strs(k)):
         try:
-            values = np.fromiter(map(kind, table.strs(k)), dtype=dtype, count=len(table.ends))
-        except (ValueError, OverflowError):
-            pass
-    if values is None or values.size and not (values.min() >= lo and values.max() <= hi):
-        # the first field that does not convert, or converts out of range (NaN too)
-        for row, field in enumerate(table.strs(k)):
-            try:
-                if lo <= kind(field) <= hi:
-                    continue
-            except ValueError:
-                pass
+            value = kind(field)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi:
             raise table.fail(row, f"bad {what}", -1)
-    return values
-
-
-def _first_repeat(keys: np.ndarray) -> int | None:
-    """The first row whose key an earlier row has, or None."""
-    order = np.argsort(keys, kind="stable")  # the rows of one key stay in file order
-    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(later.min()) if later.size else None
+        out.append(value)
+    return np.array(out, dtype=dtype)
 
 
 def canonical_load(directory: str | Path) -> Dataset:
@@ -509,10 +510,10 @@ def canonical_load(directory: str | Path) -> Dataset:
         if not (directory / name).is_file():
             raise IoFailure(f"missing canonical file: {directory / name}")
 
-    path = directory / "ratings.tsv"
-    ratings = _Table(path, 3)
+    ratings = _Table(directory / "ratings.tsv", 3)
     values = _parsed(ratings, 2, float, RATING_MIN, RATING_MAX, "rating value")
     r_user, r_item = ratings.ids(0), ratings.ids(1)
+    ratings.check_unique(r_user, r_item)
     del ratings
 
     uc = _read_counters(directory / "user_feedback.tsv", 3, USER_COUNTERS)
@@ -531,8 +532,6 @@ def canonical_load(directory: str | Path) -> Dataset:
         r_user, *friend_ids, *uc.ids, rc.ids[0])
     items, (rating_item, rc_item, listed) = _interner(r_item, rc.ids[1], cat_items)
     names, (tag_ids,) = _interner(tags)
-    uc_cols = [(len(users), uc_user)]
-    rc_cols = [(len(users), rc_user), (len(items), rc_item)]
     try:
         d = build_dataset(
             provenance=manifest["provenance"][1],
@@ -544,28 +543,15 @@ def canonical_load(directory: str | Path) -> Dataset:
             review_counters=[rc.table(rc_user, rc_item)],
             categories=(listed[has_tags], names, tag_ids),
         )
-    except ValueError as exc:
-        # the builder rejects a repeated rating pair and a review of an unrated pair
-        rated = rating_user * len(items) + rating_item
-        row = _first_repeat(rated)
-        if row is not None:
-            raise _Table(path, 3).fail(row, "repeated key", slice(-1)) from None
-        found = search_keys(np.sort(rated), rc_user * len(items) + rc_item)[1]
+    except CounterOverflow as exc:  # no key repeats and each row fits: a sum of counters
+        counters = uc if exc.name in uc.names else rc
+        raise counters.fail(exc.row, str(exc), slice(None)) from None
+    except ValueError as exc:  # a review of an unrated pair
+        rated = np.sort(rating_user * len(items) + rating_item)
+        found = search_keys(rated, rc_user * len(items) + rc_item)[1]
         if not found.all():
             raise rc.fail(int(np.argmin(found)), "review of an unrated pair", slice(2)) from None
-        error = None
-        if isinstance(exc, CounterOverflow):
-            counters, cols = (uc, uc_cols) if exc.name in uc.names else (rc, rc_cols)
-            if len(exc.group) > 1:  # each counter's rows fit, but the counters' sum does not
-                raise counters.fail(exc.row, str(exc), slice(None)) from None
-            error = counters.repeated(*cols)  # each row fits, so rows of one key add up
-        raise error or IoFailure(f"inconsistent canonical data: {exc}") from None
-    for counters, cols, col in ((uc, uc_cols, d.feedback.col),
-                               (rc, rc_cols, d.review_feedback.col)):
-        # as many nonzero entries as rows, rows of one key added up: no repeat, and no sort
-        if counters.values.size != sum(np.count_nonzero(col(n)) for n in counters.names):
-            if (error := counters.repeated(*cols)) is not None:
-                raise error
+        raise IoFailure(f"inconsistent canonical data: {exc}") from None
 
     for key, count in zip(_MANIFEST_KEYS[2:], (d.num_users, d.num_items, len(d.ratings))):
         where, recorded = manifest[key]

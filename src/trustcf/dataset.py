@@ -88,21 +88,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def check_handles(handles, count: int, kind: str, error: type[Exception]) -> np.ndarray:
-    """``handles``, one or an array of them, as int64; raises
-    ``error("<kind> handle out of range: <first bad>")`` for one outside
-    ``[0, count)``, so a negative handle never counts from the end, and
-    for one beyond int64."""
-    try:
-        handles = np.asarray(handles, dtype=np.int64)
-    except OverflowError:
-        bad = next(h for h in np.ravel(np.asarray(handles, dtype=object))
-                   if not -_INT64_MAX - 1 <= h <= _INT64_MAX)
-        raise error(f"{kind} handle out of range: {bad}") from None
+    """``handles``, one or an array of them, as int64; raises ``error("<kind>
+    handle is not an integer: <first bad>")`` where numpy reads them as float,
+    bool or str, and ``error("<kind> handle out of range: <first bad>")`` for
+    one outside ``[0, count)`` (a negative never counts from the end) or beyond int64."""
+    given = np.asarray(handles)
+    if given.size and given.dtype.kind not in "iu":  # Python ints beyond int64 are objects
+        for h in np.ravel(np.asarray(handles, dtype=object)):
+            if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
+                raise error(f"{kind} handle is not an integer: {h!r}")
+            if not -_INT64_MAX - 1 <= h <= _INT64_MAX:
+                raise error(f"{kind} handle out of range: {h}")
+    handles = given.astype(np.int64, copy=False)
     # as unsigned, a negative handle is out of range too
     if handles.size and handles.view(np.uint64).max() >= count:
-        flat = handles.ravel()
-        bad = flat[np.argmax(flat.view(np.uint64) >= count)]
-        raise error(f"{kind} handle out of range: {bad}")
+        at = np.argmax(handles.ravel().view(np.uint64) >= count)
+        raise error(f"{kind} handle out of range: {given.ravel()[at]}")
     return handles
 
 
@@ -528,6 +529,16 @@ class Dataset:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        for part, kind, held in (("rating store", "user", self.ratings.num_users),
+                                 ("social graph", "user", self.social.num_users),
+                                 ("feedback table", "user", self.feedback.num_users),
+                                 ("rating store", "item", self.ratings.num_items),
+                                 ("category table", "item", len(self.categories))):
+            ids = len(self.users if kind == "user" else self.items)
+            if held != ids:
+                raise ValueError(f"{ids} {kind} ids, but the {part} holds {held} {kind}s")
+        if self.review_feedback.store is not self.ratings:
+            raise ValueError("the review feedback is not aligned with the dataset's rating store")
 
     @property
     def num_users(self) -> int:

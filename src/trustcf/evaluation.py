@@ -61,7 +61,7 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass
-from math import isnan, sqrt
+from math import isfinite, isnan, sqrt
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -150,7 +150,7 @@ def top_k(
     """Rank a user's candidate items by predicted rating and keep the top k."""
     if k < 1:
         raise ValueError("k must be positive")
-    items = np.unique(np.fromiter((int(c) for c in candidates), dtype=np.int64))
+    items = np.unique(list(candidates))
     values, is_model = model.predict_items(u, items)
     top = best_k(np.zeros(items.size, dtype=np.int64), values, k)
     return RecommendationList(
@@ -753,6 +753,8 @@ def run_experiment(
 
     if k < 1:
         raise ValueError("k must be positive")
+    if not isfinite(tau):
+        raise ValueError(f"tau must be a finite number, got {tau}")
     if workers < 1:
         raise ValueError("workers must be positive")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -34,12 +35,15 @@ from trustcf.dataset import (
     REVIEW_COUNTERS,
     USER_COUNTERS,
     CounterOverflow,
+    FeedbackTable,
+    ReviewFeedback,
     build_dataset,
+    check_handles,
     search_keys,
 )
 from trustcf.errors import UnknownUser
 from trustcf.recommender import block_candidates, pearson_many
-from trustcf.social import jaccard_many, relatedness
+from trustcf.social import SocialGraph, jaccard_many, relatedness
 
 from conftest import build_tiny, random_dataset
 
@@ -142,16 +146,57 @@ HANDLE_ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["-1", "n", "2**40", "2**64"])
+@pytest.mark.parametrize("bad", ["-1", "n", "2**40", "2**64", "1.7", "'1'"])
 @pytest.mark.parametrize(
     "kind, call", [row[1:] for row in HANDLE_ENTRY_POINTS], ids=[row[0] for row in HANDLE_ENTRY_POINTS]
 )
 def test_every_entry_point_rejects_a_handle_out_of_range(tiny, kind, call, bad):
+    """Out of range or not an integer: a float is not truncated to a handle."""
     error, count = HANDLE_KINDS[kind]
-    h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40, "2**64": 2**64}[bad]
+    h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40, "2**64": 2**64,
+         "1.7": 1.7, "'1'": "1"}[bad]
     model = TrainedModel(tiny.ratings, build_profiles(tiny), tiny.social, make_config("MTR", 0.1))
-    with pytest.raises(error, match="handle out of range"):
+    with pytest.raises(error, match="handle out of range" if isinstance(h, int)
+                       else "handle is not an integer"):
         call(tiny, model, h)
+
+
+@pytest.mark.parametrize("handles, shown", [
+    (1.7, "1.7"), (True, "True"), ("1", "'1'"), ([0, 2.5], "2.5"), ([True, False], "True"),
+    (np.array([0.0]), "0.0"), ([2**64, 0.5], "18446744073709551616"),
+])
+def test_check_handles_rejects_what_is_not_an_integer(handles, shown):
+    """A float, bool or str is not truncated to a handle; the first bad one is
+    named, in the order given."""
+    message = f"item handle {'out of range' if shown.isdigit() else 'is not an integer'}: {shown}"
+    with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+        check_handles(handles, 3, "item", IndexError)
+
+
+def test_check_handles_keeps_empty_and_integer_inputs():
+    for empty in ([], (), np.array([], dtype=np.float64)):
+        assert check_handles(empty, 3, "item", IndexError).dtype == np.int64
+    np.testing.assert_array_equal(check_handles(np.array([0, 2], dtype=object), 3, "item",
+                                                IndexError), [0, 2])
+    assert check_handles(np.uint8(2), 3, "item", IndexError) == 2
+
+
+@pytest.mark.parametrize("parts, message", [
+    # 2 user ids over a 5-user store and a 6-user graph, which a save would
+    # meet only as an IndexError
+    (lambda d: {"users": Interner(["alice", "bob"]), "social": SocialGraph(6)},
+     "2 user ids, but the rating store holds 5 users"),
+    (lambda d: {"social": SocialGraph(6)}, "5 user ids, but the social graph holds 6 users"),
+    (lambda d: {"feedback": FeedbackTable(4)}, "5 user ids, but the feedback table holds 4 users"),
+    (lambda d: {"items": Interner(["apple"])}, "1 item ids, but the rating store holds 4 items"),
+    (lambda d: {"categories": ItemCategories(5)}, "4 item ids, but the category table holds 5 items"),
+    (lambda d: {"review_feedback": ReviewFeedback(RatingStore(
+        5, 4, d.ratings.user_idx, d.ratings.item_idx, d.ratings.value))},
+     "the review feedback is not aligned with the dataset's rating store"),
+], ids=["users", "social", "feedback", "items", "categories", "review-store"])
+def test_dataset_rejects_parts_that_disagree(tiny, parts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(tiny, **parts(tiny))
 
 
 class TestRatingStore:

@@ -139,6 +139,13 @@ class TestTopK:
         with pytest.raises(ValueError):
             top_k(model, 0, [0], k=0)
 
+    def test_a_candidate_that_is_not_an_integer_is_rejected(self):
+        model = micro_model(beta=0.0)
+        for bad, shown in ((1.7, "1.7"), ("1", "'1'"), (True, "True")):
+            with pytest.raises(IndexError, match=f"item handle is not an integer: {shown}"):
+                top_k(model, 0, [bad], k=2)
+        assert top_k(model, 0, iter([]), k=1).items == ()
+
     def test_tie_breaks_ascending(self):
         # two fallback-scored items tie exactly on the user mean
         model = micro_model(beta=0.0)
@@ -350,6 +357,13 @@ class TestRunExperiment:
         for workers in (0, -3):
             with pytest.raises(ValueError, match="workers must be positive"):
                 run_experiment(tiny, [make_config("MTR")], plan, workers=workers)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_tau_must_be_finite(self, tiny, tau):
+        # tau=nan marks no item relevant and reads as precision 0, a real-looking report
+        plan = split_folds(tiny, 3, seed=1)
+        with pytest.raises(ValueError, match=f"tau must be a finite number, got {tau}"):
+            run_experiment(tiny, [make_config("MTR")], plan, tau=tau)
 
     def test_plan_must_match_dataset(self, tiny):
         rng = np.random.default_rng(64)

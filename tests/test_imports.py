@@ -1,7 +1,8 @@
 """Structure checks over the package's source: it runs on the standard
 library and numpy alone, one helper decides whether a handle is in range,
 one looks ids up row by row, one helper reads a text file whole and one
-streams a raw file, and ingest reads each raw file once."""
+streams a raw file, ingest reads each raw file once, and the canonical load
+parses each of its files once."""
 
 from __future__ import annotations
 
@@ -151,6 +152,22 @@ def test_ingest_reads_each_raw_file_once():
     assert sites("_lines") == [
         ("_iter_json_lines", "path"), ("_iter_librarything", "path"),
         ("ingest_librarything", "friend_file"), ("load_category_closure", "_require(Path(path))")]
+
+
+def test_canonical_load_parses_each_file_once():
+    """Each canonical TSV file is parsed by one ``_Table``, which also finds
+    its repeated keys: ``canonical_load`` parses the ratings, categories and
+    friends, ``_read_counters`` each counter file.  Only ``_Counters.fail``
+    parses a file again, for the errors the build finds across files."""
+    path = Path(trustcf.__file__).parent / "canonical.py"
+    named = lambda call: isinstance(call.func, ast.Name) and call.func.id == "_Table"
+    assert sorted((func, ast.unparse(call.args[0])) for func, call in calls(path, named)) == [
+        ("_Counters.fail", "self.path"),
+        ("_read_counters", "path"),
+        ("canonical_load", "directory / 'friends.tsv'"),
+        ("canonical_load", "directory / 'item_categories.tsv'"),
+        ("canonical_load", "directory / 'ratings.tsv'"),
+    ]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -829,6 +829,43 @@ class TestCanonicalFormat:
             canonical_load(tmp_path / "d")
         assert str(caught.value) == f"{name}:{len(lines) + 1}: repeated key {key}"
 
+    @pytest.mark.parametrize("at_end", [False, True], ids=["ascending", "appended"])
+    @pytest.mark.parametrize("name, extra", [
+        ("ratings.tsv", "alice\tapple\t3"),
+        ("user_feedback.tsv", "alice\treview_count\t5"),
+        ("review_feedback.tsv", "alice\tapple\tuseful\t3"),
+    ])
+    def test_repeated_key_is_named_from_one_read(self, tiny, tmp_path, monkeypatch, name, extra,
+                                                 at_end):
+        """The pass that parses a file finds its repeated key, whether the rows
+        still ascend (the repeat follows its twin) or not, and names the line
+        from the bytes it holds: no file is read twice."""
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        key = tuple(extra.split("\t")[:-1])
+        at = len(lines) if at_end else [tuple(n.split("\t")[:-1]) for n in lines].index(key) + 1
+        path.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n")
+        opened = count_reads(monkeypatch, (Path, "read_bytes"))
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        assert str(caught.value) == f"{name}:{at + 1}: repeated key {key}"
+        assert Counter(opened)[os.fspath(path)] == 1
+        assert max(Counter(opened).values()) == 1
+
+    def test_errors_come_in_the_order_the_files_are_read(self, tiny, tmp_path):
+        """A repeated rating is found while ratings.tsv is parsed, before
+        user_feedback.tsv, whose bad count is never reached."""
+        canonical_save(tiny, tmp_path / "d")
+        ratings = tmp_path / "d" / "ratings.tsv"
+        ratings.write_text(ratings.read_text() + "alice\tapple\t3\n")
+        feedback = tmp_path / "d" / "user_feedback.tsv"
+        feedback.write_text("alice\tfans\tmany\n" + feedback.read_text())
+        with pytest.raises(IoFailure) as caught:
+            canonical_load(tmp_path / "d")
+        lines = len(ratings.read_text().splitlines())
+        assert str(caught.value) == f"ratings.tsv:{lines}: repeated key ('alice', 'apple')"
+
     @pytest.mark.parametrize("name, extra, message", [
         ("user_feedback.tsv", "erin\tcharm\t1", "unknown counter 'charm'"),
         ("review_feedback.tsv", "erin\tbread\tcharm\t1", "unknown counter 'charm'"),
