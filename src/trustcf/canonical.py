@@ -29,13 +29,17 @@ deduplicated by a neighbour compare where they ascend and by a stable
 argsort elsewhere, merged per kind of id over their distinct ids, and
 only the distinct ids are decoded (:func:`_interner`).  Counter names,
 few and known, are searched for among the known ones instead of sorted
-(:func:`_read_counters`).  A view costs rows
+(:func:`_read_counters`), and so are review_feedback.tsv's items among
+the rated items (:meth:`_Table.ids_among`).  A view costs rows
 x its widest field, so a column is read one ``str`` per field where that
 would exceed 4 bytes per byte of the column plus 32 per row, or a field
-is wider than 256 bytes.  Rating and count columns convert their views
-with ``astype``, Python's own ``float`` and ``int`` of ASCII text; a file
-holding a NUL byte, a field too long for a view or one the view rejects
-(``'٥'``, or a bad value) takes the per-field path (:func:`_parsed`).
+is wider than 256 bytes.  A rating or count column of 1 to 15 ASCII
+digits per field, a rating with at most one point between two of them,
+is read from its digits by numpy (:func:`_digits`), exactly as Python's
+``float`` and ``int`` read them; any other text (a sign, a blank, ``_``,
+``'٥'``, an exponent, a NUL byte, more digits) and a value out of range
+take the per-field path, ``float`` or ``int`` of each field's str
+(:func:`_parsed`).
 Each file is checked in the pass that parses it, for a repeated key too
 (:meth:`_Table.check_unique`), so errors come in the order the load reads
 its files: ratings, user and review feedback, categories, friends.  A failed
@@ -266,13 +270,12 @@ class _Table:
     (the first field at ``first[r]``).
     """
 
-    __slots__ = ("path", "text", "first", "ends", "nul")
+    __slots__ = ("path", "text", "first", "ends")
 
     def __init__(self, path: Path, width: int):
         data = read_utf8(path)
         self.path = path
         self.text = data + bytes(_PAD)
-        self.nul = b"\0" in data
         text = np.frombuffer(self.text, dtype=np.uint8)
         # tabs and newlines: as unsigned bytes, only 9 and 10 are at most 1 above 9
         seps = np.flatnonzero(text[:len(data)] - np.uint8(9) <= 1)
@@ -307,17 +310,16 @@ class _Table:
             starts, ends = starts[rows], ends[rows]
         return starts, ends - starts
 
-    def view(self, k: int, width: int, shift: bool, rows=None) -> np.ndarray:
+    def view(self, k: int, width: int, rows=None) -> np.ndarray:
         """Column k's fields as ``S<width>`` values: each field's first ``width``
-        bytes, zero-padded.  With ``shift`` each byte is one higher, so that
-        no byte of a field is 0 (UTF-8 has no byte 255): then order and
-        equality are the fields', NUL bytes and prefixes included."""
+        bytes, each one higher, zero-padded.  No byte of a field is then 0
+        (UTF-8 has no byte 255), so order and equality are the fields', NUL
+        bytes and prefixes included."""
         starts, lengths = self.span(k, rows)
         # row n of this view is the text from byte n on
         windows = np.ndarray((len(self.text) - width + 1, width), np.uint8, self.text, 0, (1, 1))
         out = windows[starts]
-        if shift:
-            out += 1
+        out += 1
         if lengths.size and lengths.min() < width:
             out[np.arange(width) >= lengths[:, None]] = 0
         return out.view(f"S{width}").reshape(-1)
@@ -338,7 +340,7 @@ class _Table:
         if width is None:
             return np.array(self.strs(k, rows), dtype=object)
         if width > 8:
-            return self.view(k, width, True, rows)
+            return self.view(k, width, rows)
         # the 8 bytes from each start, each one higher, the bytes past the field zeroed
         words = np.ndarray((len(self.text) - 7,), ">u8", self.text, 0, (1,))[starts]
         past = (8 * (8 - lengths)).astype(np.uint64)
@@ -347,6 +349,23 @@ class _Table:
     def ids(self, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Column k's distinct keys and each row's index among them."""
         return _unique(self.keys(k, rows))
+
+    def ids_among(self, k: int, distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column k as :meth:`ids` gives it, but, where each of its keys is one
+        of the ascending keys ``distinct``, as ``distinct`` and each row's
+        index among them: a run of equal keys is searched for once, and
+        nothing is sorted."""
+        keys = self.keys(k)
+        if distinct.dtype.kind == "S":
+            keys = _as_bytes(keys)
+        if keys.dtype.kind == distinct.dtype.kind != "O":
+            head = np.ones(keys.size, dtype=bool)
+            head[1:] = keys[1:] != keys[:-1]
+            runs = np.flatnonzero(head)
+            at, found = search_keys(distinct, keys[runs])
+            if found.all():
+                return distinct, np.repeat(at, np.diff(runs, append=keys.size))
+        return _unique(keys)
 
     def check_unique(self, *columns: tuple[np.ndarray, np.ndarray]) -> None:
         """Raise the error naming the first line that repeats an earlier
@@ -454,7 +473,10 @@ class _Counters(NamedTuple):
         return _Table(self.path, len(self.ids) + 2).fail(row, what, shown)
 
 
-def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
+def _read_counters(path: Path, width: int, known: tuple[str, ...],
+                   items: np.ndarray | None = None) -> _Counters:
+    """A counter file's rows; its item column, if any, looked up among the
+    distinct keys ``items`` (see :meth:`_Table.ids_among`)."""
     table = _Table(path, width)
     values = _parsed(table, width - 1, int, 0, _INT64_MAX, "count")
     # the names are few and known: a search among them costs less than a sort
@@ -463,31 +485,81 @@ def _read_counters(path: Path, width: int, known: tuple[str, ...]) -> _Counters:
     at, found = search_keys(vocabulary, keys)
     if not found.all():
         raise table.fail(int(np.argmin(found)), "unknown counter", -2)
-    ids = [table.ids(k) for k in range(width - 2)]
+    ids = [table.ids(0)] + ([table.ids_among(1, items)] if width == 4 else [])
     table.check_unique(*ids, (vocabulary, at))
     present = np.bincount(at, minlength=len(names)) > 0
     return _Counters(path, ids, list(compress(names, present)), (np.cumsum(present) - 1)[at],
                      values)
 
 
+# 10**n as floats, each exact: 10**15 < 2**53
+_POW10 = np.array([float(10**n) for n in range(16)])
+
+# the most digits the digit reader takes: any 15 of them read below 2**53
+_DIGITS = 15
+
+
+def _digits(table: _Table, k: int, point: bool) -> np.ndarray | None:
+    """Column k read from its ASCII digits, or None when a field is not 1 to
+    15 of them (with ``point``, one ``.`` may stand between two): int64
+    values, or float64 with ``point``.
+
+    Horner's rule takes one byte column of every field at a time into one
+    int64 accumulator, N, skipping the point.  A field with f digits after
+    the point reads as N / 10**f: both are exact, so the one rounding of the
+    division gives Python's ``float`` of the text, as ``int`` of it is N.
+    """
+    starts, lengths = table.span(k)
+    shortest, width = int(lengths.min(initial=1)), int(lengths.max(initial=0))
+    if shortest < 1 or width > _DIGITS + point:  # an empty field, or too long
+        return None
+    text = np.frombuffer(table.text, dtype=np.uint8)
+    value = np.zeros(lengths.size, dtype=np.int64)
+    points = np.zeros(lengths.size, dtype=np.uint8)
+    after = np.zeros(lengths.size, dtype=np.uint8)  # digits after the point
+    for c in range(width):
+        digit = text[c:][starts] - np.uint8(48)  # any other byte wraps above 9
+        take = seen = digit <= 9
+        if point and c:  # a field's first byte must be a digit
+            is_point = digit == np.uint8(256 + ord(".") - 48)
+            seen = take | is_point
+        if c >= shortest:  # byte c is past the end of some fields
+            inside = lengths > c
+            seen = seen | ~inside
+            take &= inside
+            if point:
+                is_point &= inside
+        if not seen.all():  # a byte of a field is neither
+            return None
+        if point and c:
+            points += is_point
+            after += take & (points > 0)
+        if take.all():
+            value *= 10
+        else:  # times 10 at a digit, times 1 at the point and past the field
+            value *= np.uint8(1) + np.uint8(9) * take
+            digit *= take
+        value += digit
+    if not point:
+        return value
+    # one point at most, with a digit after it, and at most 15 digits
+    if not ((points <= 1).all() and (after >= points).all()
+            and (width <= _DIGITS or (lengths - points <= _DIGITS).all())):
+        return None
+    return value / _POW10[after]
+
+
 def _parsed(table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
     """Column k as ``kind`` values in [lo, hi]; IoFailure naming the first bad line.
 
-    The column's bytes view converts as Python's ``int`` or ``float`` of its
-    ASCII text.  A file holding a NUL byte (the view drops trailing ones), a
-    field too long for a view, and a field the view rejects, as ``'٥'`` or
-    a bad value, take the per-field path: ``kind`` of each field's str.
+    A column of plain digits, with a point for a ``float``, is read from
+    them (:func:`_digits`).  Any other text (a sign, a blank, ``_``,
+    ``'٥'``, an exponent, a NUL byte, more than 15 digits) and a value out
+    of range take the per-field path: ``kind`` of each field's str.
     """
-    dtype = np.float64 if kind is float else np.int64
-    width = _view_width(table.span(k)[1])
-    if width is not None and not table.nul:
-        try:
-            values = table.view(k, width, False).astype(dtype)
-        except (ValueError, OverflowError):
-            pass
-        else:  # NaN fails both comparisons
-            if not values.size or values.min() >= lo and values.max() <= hi:
-                return values
+    values = _digits(table, k, kind is float)
+    if values is not None and (not values.size or values.min() >= lo and values.max() <= hi):
+        return values
     out = []
     for row, field in enumerate(table.strs(k)):
         try:
@@ -497,7 +569,7 @@ def _parsed(table: _Table, k: int, kind: type, lo, hi, what: str) -> np.ndarray:
         if value is None or not lo <= value <= hi:
             raise table.fail(row, f"bad {what}", -1)
         out.append(value)
-    return np.array(out, dtype=dtype)
+    return np.array(out, dtype=np.float64 if kind is float else np.int64)
 
 
 def canonical_load(directory: str | Path) -> Dataset:
@@ -517,7 +589,8 @@ def canonical_load(directory: str | Path) -> Dataset:
     del ratings
 
     uc = _read_counters(directory / "user_feedback.tsv", 3, USER_COUNTERS)
-    rc = _read_counters(directory / "review_feedback.tsv", 4, REVIEW_COUNTERS)
+    # a review is of a rated pair: its item is looked up among the rated items
+    rc = _read_counters(directory / "review_feedback.tsv", 4, REVIEW_COUNTERS, r_item[0])
 
     # a bare line names an item without tags
     cats = _Table(directory / "item_categories.tsv", 2)

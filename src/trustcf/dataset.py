@@ -89,11 +89,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def check_handles(handles, count: int, kind: str, error: type[Exception]) -> np.ndarray:
     """``handles``, one or an array of them, as int64; raises ``error("<kind>
-    handle is not an integer: <first bad>")`` where numpy reads them as float,
-    bool or str, and ``error("<kind> handle out of range: <first bad>")`` for
-    one outside ``[0, count)`` (a negative never counts from the end) or beyond int64."""
+    handle is not an integer: <first bad>")`` for a float, bool or str, and
+    ``error("<kind> handle out of range: <first bad>")`` for one outside
+    ``[0, count)`` (a negative never counts from the end) or beyond int64."""
     given = np.asarray(handles)
-    if given.size and given.dtype.kind not in "iu":  # Python ints beyond int64 are objects
+    # Python ints beyond int64 are objects, and numpy reads [0, True] as
+    # integers: so a list is scanned too, but an array or one integer is not
+    if given.size and (given.dtype.kind not in "iu"
+                       or not isinstance(handles, (np.ndarray, np.integer, int))):
         for h in np.ravel(np.asarray(handles, dtype=object)):
             if isinstance(h, bool) or not isinstance(h, (int, np.integer)):
                 raise error(f"{kind} handle is not an integer: {h!r}")

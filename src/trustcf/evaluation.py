@@ -150,7 +150,8 @@ def top_k(
     """Rank a user's candidate items by predicted rating and keep the top k."""
     if k < 1:
         raise ValueError("k must be positive")
-    items = np.unique(list(candidates))
+    # checked before np.unique, which would make [0, 1.7] floats
+    items = np.unique(check_handles(list(candidates), model.train.num_items, "item", IndexError))
     values, is_model = model.predict_items(u, items)
     top = best_k(np.zeros(items.size, dtype=np.int64), values, k)
     return RecommendationList(

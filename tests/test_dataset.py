@@ -115,7 +115,7 @@ HANDLE_ENTRY_POINTS = [
     ("relatedness(u)", "user",
      lambda d, m, h: relatedness(d.social, h, np.array([1]), "intersection")),
     ("relatedness(v)", "user",
-     lambda d, m, h: relatedness(d.social, 0, np.array([1, h]), "direct")),
+     lambda d, m, h: relatedness(d.social, 0, [1, h], "direct")),
     ("jaccard_many", "user", lambda d, m, h: jaccard_many(d.social, 0, np.array([h]))),
     ("rel_direct", "user", lambda d, m, h: rel_direct(d.social, 0, h)),
     ("TrustProfiles.frev_at(users)", "user",
@@ -129,7 +129,7 @@ HANDLE_ENTRY_POINTS = [
     ("block_candidates(items)", "item",
      lambda d, m, h: block_candidates(d.ratings, [0, 0], [0, h])),
     ("pearson_many(u)", "user", lambda d, m, h: pearson_many(d.ratings, h, np.array([1]))),
-    ("pearson_many(v)", "user", lambda d, m, h: pearson_many(d.ratings, 0, np.array([1, h]))),
+    ("pearson_many(v)", "user", lambda d, m, h: pearson_many(d.ratings, 0, [1, h])),
     ("TrainedModel.influence(u)", "user", lambda d, m, h: m.influence(h, 1, 0)),
     ("TrainedModel.influence(v)", "user", lambda d, m, h: m.influence(0, h, 0)),
     ("TrainedModel.influence(i)", "item", lambda d, m, h: m.influence(0, 1, h)),
@@ -146,7 +146,7 @@ HANDLE_ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("bad", ["-1", "n", "2**40", "2**64", "1.7", "'1'"])
+@pytest.mark.parametrize("bad", ["-1", "n", "2**40", "2**64", "1.7", "'1'", "True"])
 @pytest.mark.parametrize(
     "kind, call", [row[1:] for row in HANDLE_ENTRY_POINTS], ids=[row[0] for row in HANDLE_ENTRY_POINTS]
 )
@@ -154,15 +154,16 @@ def test_every_entry_point_rejects_a_handle_out_of_range(tiny, kind, call, bad):
     """Out of range or not an integer: a float is not truncated to a handle."""
     error, count = HANDLE_KINDS[kind]
     h = {"-1": -1, "n": getattr(tiny, count), "2**40": 2**40, "2**64": 2**64,
-         "1.7": 1.7, "'1'": "1"}[bad]
+         "1.7": 1.7, "'1'": "1", "True": True}[bad]
     model = TrainedModel(tiny.ratings, build_profiles(tiny), tiny.social, make_config("MTR", 0.1))
-    with pytest.raises(error, match="handle out of range" if isinstance(h, int)
-                       else "handle is not an integer"):
+    with pytest.raises(error, match="handle out of range" if type(h) is int
+                       else f"handle is not an integer: {h!r}$"):
         call(tiny, model, h)
 
 
 @pytest.mark.parametrize("handles, shown", [
     (1.7, "1.7"), (True, "True"), ("1", "'1'"), ([0, 2.5], "2.5"), ([True, False], "True"),
+    ([0, True], "True"), ((2, False), "False"),
     (np.array([0.0]), "0.0"), ([2**64, 0.5], "18446744073709551616"),
 ])
 def test_check_handles_rejects_what_is_not_an_integer(handles, shown):

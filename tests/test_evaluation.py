@@ -144,6 +144,9 @@ class TestTopK:
         for bad, shown in ((1.7, "1.7"), ("1", "'1'"), (True, "True")):
             with pytest.raises(IndexError, match=f"item handle is not an integer: {shown}"):
                 top_k(model, 0, [bad], k=2)
+            # beside integers, which np.unique would make floats alike
+            with pytest.raises(IndexError, match=f"^item handle is not an integer: {shown}$"):
+                top_k(model, 0, [0, bad], k=2)
         assert top_k(model, 0, iter([]), k=1).items == ()
 
     def test_tie_breaks_ascending(self):

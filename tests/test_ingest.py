@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,6 +22,25 @@ from trustcf.ingest import load_category_closure, restaurants_food_closure
 
 import reference
 from conftest import build_tiny, random_dataset
+
+# the benchmark's corpora, at the scales its workloads save them
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from corpus import scaled, synth_corpus  # noqa: E402
+from workloads import EVAL_SCALE, ROUNDTRIP_SCALE  # noqa: E402
+
+
+def per_field_reads(monkeypatch) -> list[tuple[str, int]]:
+    """The (file, column) of each column the canonical load reads one str per
+    field, as it is loaded."""
+    seen = []
+    strs = canonical._Table.strs
+
+    def spy(table, k, rows=None):
+        seen.append((table.path.name, k))
+        return strs(table, k, rows)
+
+    monkeypatch.setattr(canonical._Table, "strs", spy)
+    return seen
 
 
 def write_lines(path, records):
@@ -751,6 +772,64 @@ class TestCanonicalFormat:
         with pytest.raises(IoFailure) as caught:
             canonical_load(tmp_path / "d")
         assert str(caught.value) == f"{name}:2: {message}"
+
+    @pytest.mark.parametrize("text", [
+        "0", "007", "1" * 15, "1" * 16, str(2**63), "+4", "1_0", " 4", "\u0665", "-0", "",
+        "4.50", "3.", ".5", "1e0", "3.3333333333333335", "4.00000000000001", "1.2.3",
+    ])
+    @pytest.mark.parametrize("name, key", [
+        ("ratings.tsv", ("alice", "bread")),
+        ("user_feedback.tsv", ("alice", "fans")),
+        ("review_feedback.tsv", ("alice", "bread", "useful")),
+    ])
+    def test_value_reads_as_python_reads_its_text(self, tiny, tmp_path, monkeypatch, name, key,
+                                                  text):
+        """A rating or count of 1 to 15 ASCII digits (a rating with one point
+        between two of them) in range is read from its digits; any other text
+        takes the per-field path.  Either way the value is Python's ``float``
+        or ``int`` of the text, or the error names the field and its line."""
+        canonical_save(tiny, tmp_path / "d")
+        path = tmp_path / "d" / name
+        lines = path.read_text().splitlines()
+        assert tuple(lines[1].split("\t")[:-1]) == key
+        lines[1] = "\t".join(key + (text,))
+        path.write_text("\n".join(lines) + "\n")
+        kind, lo, hi, what = ((float, 1.0, 5.0, "bad rating value") if name == "ratings.tsv"
+                              else (int, 0, 2**63 - 1, "bad count"))
+        try:
+            want = kind(text)
+        except ValueError:
+            want = None
+        seen = per_field_reads(monkeypatch)
+        if want is None or not lo <= want <= hi:
+            with pytest.raises(IoFailure) as caught:
+                canonical_load(tmp_path / "d")
+            assert str(caught.value) == f"{name}:2: {what} {text!r}"
+        else:
+            d = canonical_load(tmp_path / "d")
+            u = d.users.handle("alice")
+            pos = d.ratings.positions([u], [d.items.handle("bread")])[0]
+            got = {"ratings.tsv": lambda: d.ratings.value[pos],
+                   "user_feedback.tsv": lambda: d.feedback.col("fans")[u],
+                   "review_feedback.tsv": lambda: d.review_feedback.col("useful")[pos]}[name]()
+            assert type(got.item()) is kind and got.item() == want
+        pattern = r"[0-9]+(\.[0-9]+)?" if kind is float else r"[0-9]+"
+        digits = re.fullmatch(pattern, text) and len(text.replace(".", "")) <= 15
+        assert bool(seen) == (not digits or want is None or not lo <= want <= hi)
+
+    def test_saved_values_are_read_from_their_digits(self, tmp_path, monkeypatch):
+        """Every rating and count a save writes takes the digit reader: loading
+        saved random datasets and benchmark corpora reads no column one str
+        per field."""
+        rng = np.random.default_rng(41)
+        corpora = [random_dataset(rng) for _ in range(10)] + [
+            synth_corpus(*scaled(scale), seed=seed)
+            for scale in (EVAL_SCALE, ROUNDTRIP_SCALE) for seed in (1, 7919)]
+        seen = per_field_reads(monkeypatch)
+        for n, d in enumerate(corpora):
+            canonical_save(d, tmp_path / str(n))
+            assert datasets_equal(canonical_load(tmp_path / str(n)), d)
+        assert seen == []
 
     @pytest.mark.parametrize("key", ["num_users", "num_items", "num_ratings"])
     def test_manifest_counts_must_match(self, tiny, tmp_path, key):
