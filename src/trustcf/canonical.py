@@ -9,13 +9,27 @@ A dataset directory holds five TSV files plus a manifest:
     review_feedback.tsv    user <TAB> item <TAB> counter <TAB> value
     item_categories.tsv    item <TAB> category
 
-Rows are sorted by their external ids, zero counters are omitted, and
-floats print in shortest form, so serialization is deterministic: equal
-datasets produce byte-identical directories.  Every user appears at
+Rows are in the order of their external ids, zero counters are omitted,
+and floats print in shortest form, so serialization is deterministic:
+equal datasets produce byte-identical directories.  Every user appears at
 least once in user_feedback.tsv (the review_count row is always written)
 and every item at least once in item_categories.tsv (untagged items get
 a bare line), which makes the round trip lossless even for entities that
 carry no other data.
+
+A save makes no Python object per row.  Each distinct id, tag, counter
+name, rating text and count text is encoded once, and each file is one
+buffer: a row gathers the start and length of its fields' texts in a pool
+of them, and numpy copies those ranges, a part of the file at a time
+(:func:`_lines`).  ratings.tsv, friends.tsv and review_feedback.tsv hold
+their lines in the order ``sorted`` gives them, yet no line is sorted: a
+line's first field sorts as ``id + "\\t"``, which is handle order unless an
+id is a prefix of another whose next character is below the tab
+(U+0000 to U+0008).  Only then does one ``np.lexsort`` over the ranks of
+``id + "\\t"`` order the rows (:func:`_line_ranks`).  user_feedback.tsv and
+item_categories.tsv are in handle order.  An id or tag that holds a tab or
+line break, or does not encode as UTF-8 (:func:`unsafe_field`), is refused
+before anything is written.
 
 Every text input, the manifest and the spec file too, is read once, by
 :func:`read_utf8`: ``\\r\\n`` and ``\\r`` read as ``\\n``, and a byte that is
@@ -52,7 +66,7 @@ from __future__ import annotations
 
 import os
 import secrets
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -77,10 +91,20 @@ _FILES = (
 )
 
 
+def is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: it holds no lone surrogate, which a
+    JSON ``"\\ud800"`` escape reads as."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def unsafe_field(text: str) -> bool:
     """Whether an id or tag cannot be one canonical TSV field: it holds a
-    tab or a line break."""
-    return "\t" in text or "\n" in text or "\r" in text
+    tab or a line break, or it does not encode as UTF-8."""
+    return "\t" in text or "\n" in text or "\r" in text or not is_utf8(text)
 
 
 def read_utf8(path: Path) -> bytes:
@@ -99,63 +123,138 @@ def read_utf8(path: Path) -> bytes:
     return data
 
 
-def _text(lines) -> str:
-    """Lines sorted as strings, each ended by a newline."""
-    lines = sorted(lines)
-    return "\n".join(lines) + "\n" if lines else ""
+# bytes of a file built at a time: its index arrays take 16 bytes per byte
+_PART = 1 << 16
 
 
-def render_canonical(d: Dataset) -> dict[str, str]:
-    """Canonical file contents, keyed by file name."""
-    users = d.users
-    items = d.items
+def _lines(*columns: tuple[list[bytes], np.ndarray]) -> bytearray:
+    """One line per row: the texts of the row's fields, joined by tabs.
+
+    A column is its distinct texts, encoded, and each row's index among
+    them.  Each text goes into a pool once, followed by its field's
+    separator (a newline for the last field), and a row gathers the start
+    and length of each field's text there.  The line bytes are then the
+    pool's bytes at those ranges, taken by one ``np.repeat`` per part of
+    about ``_PART`` bytes, so no array grows with the widest field.
+    """
+    pools, starts, sizes = [], [], []
+    for k, (texts, _) in enumerate(columns):
+        sep = b"\n" if k == len(columns) - 1 else b"\t"
+        size = np.fromiter(map(len, texts), np.int64, len(texts)) + 1
+        starts.append(np.cumsum(size) - size + sum(map(len, pools)))
+        sizes.append(size)
+        pools.append(sep.join(texts) + sep)
+    pool = np.frombuffer(b"".join(pools), dtype=np.uint8)
+    ends = np.zeros(len(columns[0][1]), dtype=np.int64)
+    for size, (_, codes) in zip(sizes, columns):
+        ends += size[codes]
+    np.cumsum(ends, out=ends)
+    data = bytearray(int(ends[-1]) if ends.size else 0)
+    out = np.frombuffer(data, dtype=np.uint8)
+    cuts = np.searchsorted(ends, np.arange(_PART, out.size, _PART)).tolist()
+    for a, b in zip([0] + cuts, cuts + [ends.size]):
+        at = [codes[a:b] for _, codes in columns]
+        start = np.column_stack([s[c] for s, c in zip(starts, at)]).ravel()
+        size = np.column_stack([s[c] for s, c in zip(sizes, at)]).ravel()
+        src = np.repeat(start - (np.cumsum(size) - size), size)  # each field's shift
+        src += np.arange(src.size)
+        lo = int(ends[a - 1]) if a else 0
+        out[lo:lo + src.size] = pool[src]
+    return data
+
+
+def _encoded(texts) -> list[bytes]:
+    """Each text's UTF-8 bytes; a lone surrogate keeps its code point's
+    order (only :func:`canonical_save` rejects it)."""
+    return [text.encode("utf-8", "surrogatepass") for text in texts]
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values ascending and each value's index among them.
+    Counts no larger than how many there are take a bincount, not a sort."""
+    small = 0 <= values.min(initial=0) and values.max(initial=0) <= values.size
+    if values.dtype.kind == "i" and small:
+        present = np.bincount(values) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
+    return np.unique(values, return_inverse=True)
+
+
+def _line_ranks(ids: list[bytes]) -> np.ndarray | None:
+    """The rank of each id's ``id + "\\t"`` among its kind's, which is its
+    order as the first field of sorted lines, or None where no id holds a
+    byte below the tab's: only such a byte, after a prefix that is another
+    id, puts that order out of handle order."""
+    if not (np.frombuffer(b"".join(ids), dtype=np.uint8) < 9).any():
+        return None
+    order = np.argsort(np.array([i + b"\t" for i in ids], dtype=object), kind="stable")
+    ranks = np.empty_like(order)
+    ranks[order] = np.arange(order.size)
+    return ranks
+
+
+def _counters(names: list[str], columns: list[np.ndarray], size: int,
+              keep: int | None = None) -> tuple:
+    """The (row, name, count) columns of the nonzero entries of counter
+    columns of ``size`` rows, the zeros of ``names[keep]`` too, row by row
+    and within a row by name."""
+    values = np.zeros((size, len(names)), dtype=np.int64)
+    for k, column in enumerate(columns):
+        values[:, k] = column
+    shown = values != 0
+    if keep is not None:
+        shown[:, keep] = True
+    row, col = np.nonzero(shown)
+    counts, codes = _distinct(values[row, col])
+    return row, (_encoded(names), col), (_encoded(map(str, counts.tolist())), codes)
+
+
+def _render(d: Dataset) -> dict[str, bytes | bytearray]:
+    """Canonical file contents as bytes, keyed by file name.
+
+    ratings.tsv, friends.tsv and review_feedback.tsv are in the order of
+    their sorted lines: store order where :func:`_line_ranks` gives None,
+    else one ``np.lexsort`` over the ranks.  user_feedback.tsv and
+    item_categories.tsv are in handle order.
+    """
+    users, items = _encoded(d.users.ids.tolist()), _encoded(d.items.ids.tolist())
+    user_rank, item_rank = _line_ranks(users), _line_ranks(items)
     store = d.ratings
+    pos = slice(None)  # the store positions in line order
+    if user_rank is not None or item_rank is not None:
+        pos = np.lexsort((store.item_idx if item_rank is None else item_rank[store.item_idx],
+                          store.user_idx if user_rank is None else user_rank[store.user_idx]))
+    r_user, r_item = store.user_idx[pos], store.item_idx[pos]
 
-    ratings = _text(map(
-        "{}\t{}\t{}".format,
-        users.externals(store.user_idx),
-        items.externals(store.item_idx),
-        # shortest text that reads back as the same float, "4" for 4.0
-        map(str.removesuffix, map(repr, store.value.tolist()), repeat(".0")),
-    ))
+    # shortest text that reads back as the same float, "4" for 4.0
+    values, codes = _distinct(store.value[pos])
+    ratings = _lines((users, r_user), (items, r_item),
+                     (_encoded(repr(v).removesuffix(".0") for v in values.tolist()), codes))
 
-    # handle order is id order: the smaller handle of an edge has the smaller id
-    friends = _text(map("{}\t{}".format, *map(users.externals, d.social.edge_array())))
+    # the smaller handle of an edge comes first; the second field sorts by id
+    a, b = d.social.edge_array()
+    if user_rank is not None:
+        order = np.lexsort((b, user_rank[a]))
+        a, b = a[order], b[order]
+    friends = _lines((users, a), (users, b))
 
     # every user gets a review_count row, zero or not
     names = sorted(set(d.feedback.present()) | {"review_count"})
-    table = np.stack([d.feedback.col(name) for name in names], axis=1)
-    shown = table != 0
-    shown[:, names.index("review_count")] = True
-    row, col = np.nonzero(shown)
-    user_feedback = "".join(map(
-        "{}\t{}\t{}\n".format,
-        users.externals(row),
-        map(names.__getitem__, col.tolist()),
-        table[row, col].tolist(),
-    ))
+    row, *rest = _counters(names, [d.feedback.col(n) for n in names], d.num_users,
+                           keep=names.index("review_count"))
+    user_feedback = _lines((users, row), *rest)
 
-    rf_lines: list[str] = []
-    for name in d.review_feedback.present():
-        counts = d.review_feedback.col(name)
-        pos = np.flatnonzero(counts)
-        rf_lines += map(
-            "{}\t{}\t{}\t{}".format,
-            users.externals(store.user_idx[pos]),
-            items.externals(store.item_idx[pos]),
-            repeat(name),
-            counts[pos].tolist(),
-        )
-    review_feedback = _text(rf_lines)
+    # no review counter name is a prefix of another, so names sort as their lines
+    names = list(d.review_feedback.present())
+    row, *rest = _counters(names, [d.review_feedback.col(n)[pos] for n in names], len(store))
+    review_feedback = _lines((users, r_user[row]), (items, r_item[row]), *rest)
 
-    # items by external id, each tag by name; an untagged item gets a bare line
+    # each item by handle, then each of its tags; an untagged item gets a bare line
     cats = d.categories
-    tags = list(map(cats.names.__getitem__, cats.tags.tolist()))
-    ptr = cats.ptr.tolist()
-    item_categories = "".join(
-        "".join(f"{ext}\t{tag}\n" for tag in tags[ptr[i]:ptr[i + 1]]) or f"{ext}\t\n"
-        for i, ext in enumerate(items)
-    )
+    lines = np.maximum(cats.sizes, 1)
+    tags = np.full(int(lines.sum()), len(cats.names))  # the empty text
+    tags[np.repeat(cats.sizes > 0, lines)] = cats.tags
+    item_categories = _lines((items, np.repeat(np.arange(len(items)), lines)),
+                             (_encoded(cats.names) + [b""], tags))
 
     manifest = (
         f"schema_version={SCHEMA_VERSION}\n"
@@ -165,7 +264,7 @@ def render_canonical(d: Dataset) -> dict[str, str]:
         f"num_ratings={len(d.ratings)}\n"
     )
     return {
-        "manifest.txt": manifest,
+        "manifest.txt": manifest.encode(),
         "ratings.tsv": ratings,
         "friends.tsv": friends,
         "user_feedback.tsv": user_feedback,
@@ -174,7 +273,13 @@ def render_canonical(d: Dataset) -> dict[str, str]:
     }
 
 
-def write_atomic(directory: Path, files: Mapping[str, str]) -> None:
+def render_canonical(d: Dataset) -> dict[str, str]:
+    """Canonical file contents, keyed by file name: the bytes
+    :func:`canonical_save` writes, decoded."""
+    return {name: data.decode("utf-8", "surrogatepass") for name, data in _render(d).items()}
+
+
+def write_atomic(directory: Path, files: Mapping[str, bytes | bytearray]) -> None:
     """Write each file beside its target and rename it into place.
 
     A reader sees every file either whole and old or whole and new.
@@ -184,7 +289,7 @@ def write_atomic(directory: Path, files: Mapping[str, str]) -> None:
     for name, content in files.items():
         tmp = directory / f".{name}.{secrets.token_hex(6)}.tmp"
         try:
-            with open(tmp, "x", encoding="utf-8") as handle:
+            with open(tmp, "xb") as handle:
                 handle.write(content)
             os.replace(tmp, directory / name)
         except BaseException:
@@ -202,14 +307,16 @@ def canonical_save(d: Dataset, directory: str | Path) -> None:
     that is not one TSV field (see :func:`unsafe_field`), or an empty tag
     (it would reload as untagged), raises IoFailure before any write.
     """
-    for what, names in (("user id", d.users), ("item id", d.items), ("tag", d.categories.names)):
-        bad = next(filter(unsafe_field, names), None)
-        if bad is not None:
-            raise IoFailure(f"cannot save {what} {bad!r}: it holds a tab or line break")
+    for what, names in (("user id", d.users.ids.tolist()), ("item id", d.items.ids.tolist()),
+                        ("tag", d.categories.names)):
+        if unsafe_field("".join(names)):  # one join per kind of id
+            bad = next(filter(unsafe_field, names))
+            why = "holds a tab or line break" if is_utf8(bad) else "is not UTF-8 text"
+            raise IoFailure(f"cannot save {what} {bad!r}: it {why}")
     if "" in d.categories.names:
         raise IoFailure("cannot save tag '': it would read back as an untagged item")
     directory = Path(directory)
-    files = render_canonical(d)
+    files = _render(d)
     manifest = files.pop("manifest.txt")
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -635,4 +742,4 @@ def canonical_load(directory: str | Path) -> Dataset:
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
     """Structural equality over external ids, ignoring handle assignment."""
-    return render_canonical(a) == render_canonical(b)
+    return _render(a) == _render(b)

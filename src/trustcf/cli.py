@@ -314,7 +314,7 @@ def _write_report(out: Path, report: EvaluationReport, files: dict[str, str]) ->
     """Write the report files and ``files`` to ``out``, then print the report."""
     files = {"report.tsv": report.to_tsv(), "summary.json": report.to_summary_json(), **files}
     try:
-        write_atomic(out, files)
+        write_atomic(out, {name: text.encode("utf-8") for name, text in files.items()})
     except OSError as exc:
         raise IoFailure(f"could not write report to {out}: {exc}") from None
     print(files["report.tsv"], end="")

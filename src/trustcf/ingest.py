@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canonical import unsafe_field
+from .canonical import is_utf8, unsafe_field
 # make_dataset stays importable here: perfbench/spans.py traces this name
 from .dataset import RATING_MAX, RATING_MIN, CounterOverflow, Dataset, IngestWarnings
 from .dataset import Interner, build_dataset, factorize
@@ -177,8 +177,9 @@ def _check_ids(*files: tuple[Path, list[tuple[str, Interner, np.ndarray, list[in
         if found:
             line_no, at, row = min(found)
             field, interner, handles, _ = columns[at]
-            raise MalformedRecord(path.name, line_no, f"{field} {interner.ids[handles[row]]!r}"
-                                  " is empty or holds a tab or line break")
+            bad = interner.ids[handles[row]]
+            why = "is empty or holds a tab or line break" if is_utf8(bad) else "is not UTF-8 text"
+            raise MalformedRecord(path.name, line_no, f"{field} {bad!r} {why}")
 
 
 def ingest_yelp(

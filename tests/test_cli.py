@@ -506,6 +506,33 @@ class TestIngest:
         assert "reviews.txt:2: user" in capsys.readouterr().err
         assert not out.exists()
 
+    # a JSON or Python "\\ud800" escape reads as a lone surrogate, which no
+    # UTF-8 file can hold: the record is named, and nothing is written
+    @pytest.mark.parametrize("name, record, field", [
+        ("review.json", {"user_id": "\ud800x", "business_id": "b1", "stars": 4}, "user_id"),
+        ("review.json", {"user_id": "u1", "business_id": "\ud800x", "stars": 4}, "business_id"),
+        ("business.json", {"business_id": "b3", "categories": ["Restaurants", "\ud800x"]},
+         "category"),
+        ("reviews.txt", {"work": "w1", "user": "\ud800x", "stars": 3.0}, "user"),
+    ], ids=["yelp-user", "yelp-business", "yelp-tag", "librarything-user"])
+    def test_lone_surrogate_id_is_named(self, tmp_path, yelp_raw, capsys, name, record, field):
+        raw, source = yelp_raw, "yelp"
+        if name == "reviews.txt":
+            raw, source = tmp_path / "lt", "librarything"
+            raw.mkdir()
+            (raw / "reviews.txt").write_text("{'work': 'w1', 'user': 'u1', 'stars': 4.0}\n")
+            (raw / "edges.txt").write_text("u1 u2\n")
+        path = raw / name
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "a", encoding="ascii") as fh:  # the escape is ASCII
+            fh.write((json.dumps(record) if name.endswith(".json") else repr(record)) + "\n")
+        out = tmp_path / "canon"
+        rc = main(["ingest", "--source", source, "--in", str(raw), "--out", str(out),
+                   "--min-ratings", "1"])
+        assert rc == 2
+        assert f"{name}:{line}: {field} '\\ud800x' is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, name", [
         ("yelp", "business.json"), ("yelp", "review.json"), ("yelp", "user.json"),
         ("yelp", "tip.json"), ("yelp", "closure.txt"),

@@ -110,9 +110,9 @@ def test_only_factorize_looks_ids_up_row_by_row():
     assert set().union(*(callers(p, maps_a_lookup) for p in MODULES)) == {
         ("dataset.py", "factorize")}
     assert set().union(*(callers(p, calls_method("handles")) for p in MODULES)) == set()
-    # ids come back from handles only to be written out
-    assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == {
-        ("canonical.py", "render_canonical")}
+    # nothing turns a handle column back into ids: the canonical render
+    # encodes each id of Interner.ids once and gathers its bytes by handle
+    assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == set()
 
 
 def reads_a_file(call: ast.Call) -> bool:
@@ -167,6 +167,18 @@ def test_canonical_load_parses_each_file_once():
         ("canonical_load", "directory / 'friends.tsv'"),
         ("canonical_load", "directory / 'item_categories.tsv'"),
         ("canonical_load", "directory / 'ratings.tsv'"),
+    ]
+
+
+def test_canonical_save_sorts_no_lines():
+    """A canonical file is written in handle order, or in the order of one
+    lexsort over id ranks; no line is sorted as a string.  The only
+    ``sorted`` calls in canonical.py order counter names."""
+    path = Path(trustcf.__file__).parent / "canonical.py"
+    named = lambda call: isinstance(call.func, ast.Name) and call.func.id == "sorted"
+    assert sorted((func, ast.unparse(call.args[0])) for func, call in calls(path, named)) == [
+        ("_read_counters", "known"),
+        ("_render", "set(d.feedback.present()) | {'review_count'}"),
     ]
 
 

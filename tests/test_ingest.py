@@ -987,6 +987,8 @@ class TestCanonicalFormat:
         ("x\ny", "t", "item id 'x\\ny'"),
         ("x", "a\tb", "tag 'a\\tb'"),
         ("x", "", "tag ''"),
+        ("x\ud800", "t", "item id 'x\\ud800'"),
+        ("x", "\udcff", "tag '\\udcff'"),
     ])
     def test_save_rejects_a_field_that_would_not_load(self, tiny, tmp_path, item, tag, shown):
         from trustcf import make_dataset
@@ -1021,6 +1023,48 @@ class TestCanonicalFormat:
         path = tmp_path / "d" / name
         path.write_text(path.read_text() + extra + "\n")
         assert datasets_equal(canonical_load(tmp_path / "d"), tiny)
+
+    def test_odd_ids_save_in_sorted_line_order(self, tmp_path):
+        """Ids below the tab, prefixes of one another, empty and non-BMP: a
+        line starting "a\\x01\\t" sorts before one starting "a\\t", although
+        "a" is the smaller id.  ratings.tsv, friends.tsv and
+        review_feedback.tsv hold their lines in ``sorted`` order, the other
+        two files are in handle order, and a reload saves the same bytes."""
+        from trustcf import make_dataset
+
+        users = ["", "\x01", "a", "a\x01", "a\x02b", "a\x08", "a\x08\x08", "ab", "b\x05",
+                 "b\x05\x03", "\U0001F600", "\U0001F600\x04", "\U0001F600a"]
+        items = ["", "\x07", "i", "i\x01", "i\x06x", "ii", "\U00010348", "\U00010348\x02"]
+        ratings = [(u, i, 1.0 + (n * 7 + m * 3) % 9 / 2) for n, u in enumerate(users)
+                   for m, i in enumerate(items) if (n + 2 * m) % 3]
+        d = make_dataset(
+            provenance="synthetic",
+            ratings=ratings,
+            friends=[(users[n], users[(5 * n + 3) % len(users)]) for n in range(len(users))],
+            user_counters={"fans": {u: n for n, u in enumerate(users) if n % 3},
+                           "thx": {"a": 2, "a\x01": 3, "": 4}},
+            review_counters={name: {(u, i): 1 + (len(u) + k) % 3 for u, i, _ in ratings[k::3]}
+                             for k, name in enumerate(("useful", "cool", "funny"))},
+            categories={"": {"t\x01", "t"}, "i": {"\U0001F600"}, "\x07": {"t"}},
+        )
+        files = render_canonical(d)
+        for name in ("ratings.tsv", "friends.tsv", "review_feedback.tsv"):
+            lines = files[name].split("\n")
+            assert lines.pop() == "" and lines == sorted(lines)
+        # the order of sorted lines is not the order of the ids
+        lines = files["ratings.tsv"].split("\n")[:-1]
+        first = [d.users.handle(line.split("\t")[0]) for line in lines]
+        assert first != sorted(first)
+        for name, ids in (("user_feedback.tsv", d.users), ("item_categories.tsv", d.items)):
+            rows = [line.split("\t") for line in files[name].split("\n")[:-1]]
+            keys = [(ids.handle(row[0]), row[1]) for row in rows]
+            assert keys == sorted(keys) and {row[0] for row in rows} == set(ids)
+
+        canonical_save(d, tmp_path / "a")
+        canonical_save(canonical_load(tmp_path / "a"), tmp_path / "b")
+        saved = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+        assert saved == {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+        assert {name: data.decode() for name, data in saved.items()} == files
 
     def test_odd_ids_and_layouts_round_trip(self, tmp_path):
         """Ids with NUL and control bytes, prefixes of each other, non-ASCII,
