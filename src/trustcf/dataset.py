@@ -145,6 +145,11 @@ def search_keys(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndar
     return at, keys[at] == want
 
 
+def bit_of(handles: np.ndarray) -> np.ndarray:
+    """Each handle's bit within its uint64 word of a bitset, word ``handle >> 6``."""
+    return np.left_shift(np.uint64(1), (handles & 63).astype(np.uint64))
+
+
 def packed_csr(keys: np.ndarray, num_rows: int, num_cols: int) -> tuple[np.ndarray, ...]:
     """Frozen (keys, ptr, cols) of packed ``row * num_cols + col`` keys, each once:
     keys ascend, and so do row r's ``cols[ptr[r]:ptr[r + 1]]``.  Not np.unique or
@@ -164,11 +169,10 @@ class Interner:
     dense integer handles.
 
     ``ids`` holds them as a frozen object array: a column of handles
-    becomes its ids with one take (:meth:`externals`), and an id's handle
-    is found by bisection.  An interner holds the ids of one kind without
-    knowing which, so :meth:`external` and :meth:`externals` raise
-    ``IndexError`` for a handle outside ``[0, len)``, -1 included, as a
-    sequence does.
+    becomes its ids with one take, and an id's handle is found by
+    bisection.  An interner holds the ids of one kind without knowing
+    which, so :meth:`external` raises ``IndexError`` for a handle outside
+    ``[0, len)``, -1 included, as a sequence does.
     """
 
     __slots__ = ("ids",)
@@ -189,10 +193,6 @@ class Interner:
     def external(self, handle: int) -> str:
         check_handles(handle, len(self.ids), "interned", IndexError)
         return self.ids[handle]
-
-    def externals(self, handles: np.ndarray) -> np.ndarray:
-        """External ids of a column of handles, as an object array."""
-        return self.ids[check_handles(handles, len(self.ids), "interned", IndexError)]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -457,10 +457,14 @@ class ItemCategories:
 
     A tag's id is its index in ``names``, the distinct tags sorted.  Row
     i, ``tags[ptr[i]:ptr[i + 1]]``, holds item i's ``sizes[i]`` tag ids
-    ascending; ``keys`` holds every ``item * len(names) + tag``, ascending.
+    ascending.  ``bits[i]`` holds the same tags as bits of uint64 words,
+    tag t at bit ``t & 63`` of word ``t >> 6``: ⌈tags / 64⌉ words per
+    item, 8 bytes per item at up to 64 tags.  Two items' shared tags are
+    the set bits of their rows' AND, as friend sets are intersected in
+    :func:`~trustcf.social.jaccard_many`.
     """
 
-    __slots__ = ("names", "sizes", "ptr", "tags", "keys")
+    __slots__ = ("names", "sizes", "ptr", "tags", "bits")
 
     def __init__(self, num_items: int, tags: Mapping[int, Iterable[str]] | None = None):
         tags = tags or {}
@@ -486,9 +490,15 @@ class ItemCategories:
             raise ValueError(f"categories: {tag_ids.size} tag handles "
                              f"for {items.size} item handles")
         self.names = tuple(names)
-        keys = items * len(self.names) + tag_ids
-        self.keys, self.ptr, self.tags = packed_csr(keys, num_items, len(self.names))
+        _, self.ptr, self.tags = packed_csr(items * len(self.names) + tag_ids,
+                                            num_items, len(self.names))
         self.sizes = _frozen(np.diff(self.ptr))
+        words = (len(self.names) + 63) >> 6
+        bits = np.zeros((num_items, words), dtype=np.uint64)
+        # the (item, tag) pairs are distinct, so adding a tag's bit sets it
+        np.add.at(bits.reshape(-1), np.repeat(np.arange(num_items) * words, self.sizes)
+                  + (self.tags >> 6), bit_of(self.tags))
+        self.bits = _frozen(bits)
 
     def of(self, i: int) -> frozenset[str]:
         check_handles(i, len(self), "item", IndexError)
@@ -496,12 +506,11 @@ class ItemCategories:
         return frozenset(map(self.names.__getitem__, row.tolist()))
 
     def shared(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each n."""
+        """Number of tags items ``a[n]`` and ``b[n]`` have in common, for each
+        n, as int64: the set bits of their rows' AND."""
         a = check_handles(a, len(self), "item", IndexError)
         b = check_handles(b, len(self), "item", IndexError)
-        pair_at, flat = csr_rows(self.ptr, a)
-        want = b[pair_at] * len(self.names) + self.tags[flat]
-        return np.bincount(pair_at, weights=search_keys(self.keys, want)[1], minlength=a.size)
+        return np.bitwise_count(self.bits[a] & self.bits[b]).sum(axis=1, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self.sizes.size)

@@ -44,7 +44,9 @@ between the configurations, and selects neighbors and predicts for every
 every configuration: the error sums, the top-k lists and their ranking
 and diversity scores over one list per (configuration, fold, user),
 entries in item order.  Each fold's metrics are reduced at the end over
-its own lists, in user order.  Every
+its own lists, in user order, every configuration at once: each per-list
+score is gathered once per fold as a (configurations x lists) array and
+averaged row by row (see :func:`_mean_defined`).  Every
 value is a per-list or per-pair sum, added in the order of its group's
 entries whatever else shares the batch, so neither the partition into
 blocks, nor the grouping of folds, nor the set of configurations
@@ -61,7 +63,7 @@ import os
 import pickle
 import signal
 from dataclasses import asdict, dataclass
-from math import isfinite, isnan, sqrt
+from math import isfinite, isnan
 from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -182,21 +184,21 @@ def _error_sums(
     )
 
 
-def _running_sum(values: np.ndarray) -> float:
-    """Sum added one value at a time, in order, as a scalar loop adds."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of each row, added one value at a time, in order, as a scalar
+    loop adds; 0 for a row of no value."""
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    return np.cumsum(values, axis=1)[:, -1]
 
 
-def _accuracy(sq_sums: np.ndarray, abs_sums: np.ndarray, count: int) -> AccuracyMetrics:
-    """RMSE and MAE from per-owner error sums over ``count`` predictions.
-
-    Both are NaN when there is no prediction.
-    """
-    if count == 0:
-        return AccuracyMetrics(float("nan"), float("nan"))
-    return AccuracyMetrics(
-        sqrt(_running_sum(sq_sums) / count), _running_sum(abs_sums) / count
-    )
+def _accuracy(sq_sums: np.ndarray, abs_sums: np.ndarray, counts: np.ndarray) -> AccuracyMetrics:
+    """RMSE and MAE of each row of per-owner error sums, over ``counts[row]``
+    predictions; both NaN in a row with no prediction."""
+    with np.errstate(invalid="ignore"):
+        return AccuracyMetrics(
+            np.sqrt(_running_sums(sq_sums) / counts), _running_sums(abs_sums) / counts
+        )
 
 
 def accuracy_metrics(pairs: Sequence[tuple[float, float]]) -> AccuracyMetrics:
@@ -205,7 +207,8 @@ def accuracy_metrics(pairs: Sequence[tuple[float, float]]) -> AccuracyMetrics:
     arr = np.asarray(pairs, dtype=np.float64).reshape(-1, 2)
     err = arr[:, 0] - arr[:, 1]
     sq, ab = _error_sums(err, np.zeros(err.size, dtype=np.int64), 1)
-    return _accuracy(sq, ab, err.size)
+    rmse, mae = _accuracy(sq[None], ab[None], np.array([err.size]))
+    return AccuracyMetrics(float(rmse[0]), float(mae[0]))
 
 
 class RankingMetrics(NamedTuple):
@@ -261,14 +264,26 @@ def _ranking_scores(
     return _ListScores(precision, recall, rr)
 
 
-def _mean_defined(values: np.ndarray | Sequence[float]) -> float:
+def _mean_defined(values: np.ndarray | Sequence[float]) -> float | np.ndarray:
     """Mean over the defined (non-NaN) values; NaN when there are none.
 
     One rule for both levels: over a fold's lists, and over the folds.
+    Given a 2-D array, the mean of each row.  Each row's defined values
+    are added by one 1-D ``np.add.reduce``, in order, and divided by their
+    count, as the 1-D ``np.mean`` of them does; so a row's mean has the
+    same bits whatever other rows share the array.  A 2-D ``mean(axis=1)``
+    would not do: numpy picks its summation order from the array's shape.
     """
     values = np.asarray(values, dtype=np.float64)
-    defined = values[~np.isnan(values)]
-    return float(np.mean(defined)) if defined.size else float("nan")
+    rows = np.atleast_2d(values)
+    defined = ~np.isnan(rows)
+    counts = np.count_nonzero(defined, axis=1)
+    flat = rows[defined]  # row by row, each row's values in order
+    ends = np.cumsum(counts).tolist()
+    sums = np.array([np.add.reduce(flat[e - n:e]) for n, e in zip(counts.tolist(), ends)])
+    with np.errstate(invalid="ignore"):
+        means = sums / counts
+    return float(means[0]) if values.ndim == 1 else means
 
 
 def ranking_metrics(
@@ -310,17 +325,18 @@ def _diversities(
 
     The lists are flat, as for :func:`_ranking_scores`; ``items[n]`` is
     an item handle of ``cats``.  Each list's position pairs (a, b),
-    a < b, are summed in the order a scalar double loop visits them.
+    a < b, are summed in the order a scalar double loop visits them.  A
+    pair's shared tags come from one :meth:`ItemCategories.shared` call
+    over every pair of every list: the set bits of the AND of the two
+    items' tag bitsets.  A pair with an untagged item has cosine 0.
     """
     length, rank = _list_ranks(list_at, num_lists)
     later = length[list_at] - 1 - rank
     a = np.repeat(np.arange(list_at.size), later)
     b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
-    na, nb = cats.sizes[items[a]], cats.sizes[items[b]]
-    tagged = (na > 0) & (nb > 0)
-    shared = cats.shared(items[a[tagged]], items[b[tagged]])
-    cosine = np.zeros(a.size)
-    cosine[tagged] = shared / np.sqrt(na[tagged] * nb[tagged])
+    ia, ib = items[a], items[b]
+    norm = np.sqrt(cats.sizes[ia] * cats.sizes[ib])
+    cosine = np.divide(cats.shared(ia, ib), norm, out=np.zeros(a.size), where=norm > 0)
     total = np.bincount(list_at[a], weights=1.0 - cosine, minlength=num_lists)
     with np.errstate(invalid="ignore"):
         return total / (length * (length + 1) / 2.0)
@@ -631,31 +647,30 @@ def _evaluate_folds(
     out = []
     for f, fold in enumerate(folds):
         mine = np.flatnonzero(slots.list_folds == f)  # the fold's test users, ascending
-        per_config = []
-        for n in range(n_cfg):
-            p, r = _mean_defined(precision[n, mine]), _mean_defined(recall[n, mine])
-            predictions = int(model_n[n, mine].sum())
-            accuracy = _accuracy(sq_err[n, mine], abs_err[n, mine], predictions)
-            per_config.append(
-                FoldMetrics(
-                    fold=fold,
-                    precision=p,
-                    recall=r,
-                    f1=_f1(p, r),
-                    rmse=accuracy.rmse,
-                    mae=accuracy.mae,
-                    mrr=_mean_defined(rr[n, mine]),
-                    diversity=_mean_defined(diversity[n, mine]),
-                    user_coverage=_mean_defined(model_n[n, mine] > 0),
-                    test_users=mine.size,
-                    ranked_users=int(np.count_nonzero(~np.isnan(precision[n, mine]))),
-                    recall_users=int(np.count_nonzero(~np.isnan(recall[n, mine]))),
-                    model_predictions=predictions,
-                    fallback_predictions=int(fold_slots[f]) - predictions,
-                    skipped_users=int(np.count_nonzero(slots.skipped[mine])),
-                )
-            )
-        out.append(per_config)
+        # every configuration's lists of the fold, one row per configuration
+        fold_precision, fold_recall, fold_n = precision[:, mine], recall[:, mine], model_n[:, mine]
+        predictions = fold_n.sum(axis=1).astype(np.int64)
+        rmse, mae = _accuracy(sq_err[:, mine], abs_err[:, mine], predictions)
+        columns = {
+            "precision": _mean_defined(fold_precision),
+            "recall": _mean_defined(fold_recall),
+            "rmse": rmse,
+            "mae": mae,
+            "mrr": _mean_defined(rr[:, mine]),
+            "diversity": _mean_defined(diversity[:, mine]),
+            "user_coverage": _mean_defined(fold_n > 0),
+            "ranked_users": np.count_nonzero(~np.isnan(fold_precision), axis=1),
+            "recall_users": np.count_nonzero(~np.isnan(fold_recall), axis=1),
+            "model_predictions": predictions,
+            "fallback_predictions": fold_slots[f] - predictions,
+        }
+        skipped = int(np.count_nonzero(slots.skipped[mine]))
+        out.append([
+            FoldMetrics(fold=fold, f1=_f1(m["precision"], m["recall"]), test_users=mine.size,
+                        skipped_users=skipped, **m)
+            for m in (dict(zip(columns, row))
+                      for row in zip(*(column.tolist() for column in columns.values())))
+        ])
     return out
 
 
@@ -767,16 +782,17 @@ def run_experiment(
         lambda group: _evaluate_folds(d, profiles, configs, plan, group, k, tau, corating),
         groups,
     )
-    per_fold = [metrics for group in per_group for metrics in group]
+    # per configuration, its folds' metrics in fold order
+    per_config = list(zip(*(metrics for group in per_group for metrics in group)))
+    # per averaged metric, one mean per configuration over its folds
+    means = {
+        name: _mean_defined([[getattr(m, name) for m in row] for row in per_config]).tolist()
+        for name in _FOLD_AVERAGED
+    }
 
     rows = []
-    for c, config in enumerate(configs):
-        fold_metrics = tuple(per_fold[fold][c] for fold in folds)
-
-        mean = {
-            name: _mean_defined([getattr(m, name) for m in fold_metrics])
-            for name in _FOLD_AVERAGED
-        }
+    for c, (config, fold_metrics) in enumerate(zip(configs, per_config)):
+        mean = {name: means[name][c] for name in _FOLD_AVERAGED}
         rows.append(
             ReportRow(
                 config=config.name,

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import check_handles, csr_rows, packed_csr, search_keys
+from .dataset import bit_of, check_handles, csr_rows, packed_csr, search_keys
 from .errors import UnknownUser
 
 
@@ -125,11 +125,11 @@ def jaccard_many(g: SocialGraph, u, v_arr: np.ndarray) -> np.ndarray:
     for a in range(0, rows.size, step):
         f_at, f = g.friends_of_many(rows[a:a + step])
         bits = np.zeros(min(step, rows.size - a) * words, dtype=np.uint64)
-        np.bitwise_or.at(bits, f_at * words + (f >> 6), _bit(f))
+        np.bitwise_or.at(bits, f_at * words + (f >> 6), bit_of(f))
         at = slice(None) if rows.size <= step else np.flatnonzero(
             (row_at >= a) & (row_at < a + step))
         mine = friends[at]
-        common[at] = bits[(row_at[at] - a) * words + (mine >> 6)] & _bit(mine) != 0
+        common[at] = bits[(row_at[at] - a) * words + (mine >> 6)] & bit_of(mine) != 0
     inter = np.bincount(v_at, weights=common, minlength=vs.size)
     degree = g.degree_array()
     union = degree[us] + degree[vs] - inter
@@ -137,11 +137,6 @@ def jaccard_many(g: SocialGraph, u, v_arr: np.ndarray) -> np.ndarray:
     some = union > 0
     out[some] = inter[some] / union[some]
     return out
-
-
-def _bit(handles: np.ndarray) -> np.ndarray:
-    """Each handle's bit within its uint64 word."""
-    return np.left_shift(np.uint64(1), (handles & 63).astype(np.uint64))
 
 
 def jaccard(g: SocialGraph, u: int, v: int) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustcf import Dataset, make_dataset
+from trustcf import Dataset, Interner, ItemCategories, make_dataset
 
 RATING_GRID = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 
@@ -133,3 +133,28 @@ def random_dataset(
         extra_users=users,
         extra_items=items,
     )
+
+
+
+# Tags of wide_categories: three uint64 words of ItemCategories.bits, the
+# last partly used.  Each tagged item draws from both ends of every word, so
+# shared tags fall in every word.
+WIDE_TAGS = 130
+_WIDE_COMMON = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129)
+
+
+def wide_categories(rng: np.random.Generator, num_items: int) -> ItemCategories:
+    """Random tags ``w000`` to ``w129`` (tag id t is ``w{t:03d}``, carried
+    or not) on about four items in five; the others stay untagged."""
+    items, tag_ids = [], []
+    for i in range(num_items):
+        if rng.random() < 0.2:
+            continue
+        common = rng.choice(_WIDE_COMMON, size=int(rng.integers(1, 5)), replace=False)
+        rare = rng.integers(0, WIDE_TAGS, size=int(rng.integers(0, 3)))
+        chosen = np.concatenate((common, rare)).tolist()
+        items += [i] * len(chosen)
+        tag_ids += chosen
+    names = Interner([f"w{t:03d}" for t in range(WIDE_TAGS)])
+    return ItemCategories.from_columns(num_items, np.array(items, dtype=np.int64), names,
+                                       np.array(tag_ids, dtype=np.int64))

@@ -45,7 +45,7 @@ from trustcf.errors import UnknownUser
 from trustcf.recommender import block_candidates, pearson_many
 from trustcf.social import SocialGraph, jaccard_many, relatedness
 
-from conftest import build_tiny, random_dataset
+from conftest import WIDE_TAGS, build_tiny, random_dataset, wide_categories
 
 
 class TestInterner:
@@ -83,7 +83,6 @@ HANDLE_KINDS = {
     "user": (UnknownUser, "num_users"),
     "item": (IndexError, "num_items"),
     "user id": (IndexError, "num_users"),  # an Interner raises as a sequence does
-    "item id": (IndexError, "num_items"),
     "new user": (ValueError, "num_users"),  # constructors reject their input
     "new item": (ValueError, "num_items"),
 }
@@ -106,7 +105,6 @@ HANDLE_ENTRY_POINTS = [
     ("ItemCategories.shared(a)", "item", lambda d, m, h: d.categories.shared([0, h], [0, 1])),
     ("ItemCategories.shared(b)", "item", lambda d, m, h: d.categories.shared([0, 1], [0, h])),
     ("Interner.external", "user id", lambda d, m, h: d.users.external(h)),
-    ("Interner.externals", "item id", lambda d, m, h: d.items.externals([0, h])),
     ("SocialGraph.friends_of", "user", lambda d, m, h: d.social.friends_of(h)),
     ("SocialGraph.degree", "user", lambda d, m, h: d.social.degree(h)),
     ("SocialGraph.friends_of_many", "user", lambda d, m, h: d.social.friends_of_many([0, h])),
@@ -358,7 +356,7 @@ class TestItemCategories:
         mapping = ItemCategories(3, {0: {"x"}, 2: {"y", "x"}})
         columns = ItemCategories.from_columns(
             3, np.array([2, 0, 2, 2]), Interner(["x", "y"]), [1, 0, 0, 1])
-        for name in ("names", "sizes", "ptr", "tags", "keys"):
+        for name in ("names", "sizes", "ptr", "tags", "bits"):
             assert np.array_equal(getattr(mapping, name), getattr(columns, name)), name
 
     def test_shared_counts_the_intersection(self):
@@ -373,6 +371,35 @@ class TestItemCategories:
             a, b = rng.integers(0, n, size=30), rng.integers(0, n, size=30)
             want = [len(cats.of(x) & cats.of(y)) for x, y in zip(a.tolist(), b.tolist())]
             assert cats.shared(a, b).tolist() == want
+
+    def test_shared_counts_common_tags_in_every_word(self):
+        """130 tags take three uint64 words per item: each item's bits are
+        its tag ids, and the shared count is the set intersection's size,
+        whichever words the common tags fall in and with untagged items."""
+        rng = np.random.default_rng(67)
+        seen = dict(untagged=0, word0=0, word1=0, word2=0)
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            cats = wide_categories(rng, n)
+            assert cats.bits.shape == (n, 3) and cats.bits.dtype == np.uint64
+            for i in range(n):
+                row = cats.tags[cats.ptr[i]:cats.ptr[i + 1]].tolist()
+                bits = [t for t in range(WIDE_TAGS) if int(cats.bits[i, t >> 6]) >> (t & 63) & 1]
+                assert bits == row, i
+            seen["untagged"] += int((cats.sizes == 0).sum())
+            a, b = rng.integers(0, n, size=200), rng.integers(0, n, size=200)
+            common = [cats.of(x) & cats.of(y) for x, y in zip(a.tolist(), b.tolist())]
+            got = cats.shared(a, b)
+            assert got.dtype == np.int64 and got.tolist() == [len(c) for c in common]
+            for word in range(3):
+                seen[f"word{word}"] += sum(any(int(t[1:]) >> 6 == word for t in c)
+                                           for c in common)
+        assert min(seen.values()) > 10, seen
+
+    def test_no_tag_takes_no_word(self):
+        cats = ItemCategories(3)
+        assert cats.bits.shape == (3, 0)
+        assert cats.shared([0, 2], [1, 2]).tolist() == [0, 0]
 
     def test_out_of_range_item_rejected(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -49,7 +49,7 @@ from trustcf.errors import MalformedRecord, TrustcfError
 from trustcf.evaluation import FoldMetrics, ReportRow
 
 import reference
-from conftest import build_tiny, random_dataset
+from conftest import build_tiny, random_dataset, wide_categories
 from test_recommender import micro_model, oracle_configs
 
 # the benchmark's workloads, read as they are: corpora, configurations, plan
@@ -725,6 +725,71 @@ def test_shared_work_matches_each_config_alone(monkeypatch):
                 for got, want in zip(mixed.rows, alone):
                     assert _comparable(dataclasses.astuple(got)) == _comparable(
                         dataclasses.astuple(want)), (got.config, got.beta, workers, budget)
+
+
+def _one_row_mean(row: np.ndarray) -> float:
+    """The 1-D rule: np.mean of the row's defined values; NaN when none."""
+    defined = row[~np.isnan(row)]
+    return float(np.mean(defined)) if defined.size else math.nan
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 62, 129, 300])
+def test_row_means_equal_the_one_row_rule_bit_for_bit(width):
+    """Each row of a 2-D _mean_defined is the 1-D np.mean of the row's
+    defined values, bit for bit, whatever the row's NaN pattern, the array's
+    layout or the other rows; NaN where a row defines nothing."""
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        values = rng.random((12, width)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
+        values[rng.random(values.shape) < rng.random((12, 1))] = np.nan
+        values[3] = np.nan
+        want = _comparable(tuple(_one_row_mean(row) for row in values))
+        for layout in (values, np.asfortranarray(values), values[::-1][::-1]):
+            got = evaluation._mean_defined(layout)
+            assert got.shape == (12,) and _comparable(tuple(got.tolist())) == want
+        for row in values:
+            assert _comparable(evaluation._mean_defined(row)) == _comparable(_one_row_mean(row))
+    assert evaluation._mean_defined(np.zeros((0, width))).shape == (0,)
+    assert math.isnan(evaluation._mean_defined(np.full(width, np.nan)))
+
+
+def test_wide_tag_sets_match_the_naive_evaluation():
+    """Items with 130 tags, three bitset words each, shared in every word,
+    and some untagged: intra_diversity equals the naive double loop, every
+    fold's metrics equal the naive oracle's, and twelve configurations
+    evaluated together report what each reports alone, on one worker or two."""
+    rng = np.random.default_rng(79)
+    configs = [make_config("U2UCF")] + [make_config("MTR", beta=b / 10) for b in range(11)]
+    seen = dict(untagged=0, overlap=0, diverse_fold=0)
+    for _ in range(6):
+        d = random_dataset(rng, max_users=25, max_items=15, max_ratings=200)
+        d = dataclasses.replace(d, categories=wide_categories(rng, d.num_items))
+        tag_sets = [d.categories.of(i) for i in range(d.num_items)]
+        seen["untagged"] += tag_sets.count(frozenset())
+        for _ in range(40):
+            size = int(rng.integers(0, min(d.num_items, 10) + 1))
+            items = rng.choice(d.num_items, size=size, replace=False).tolist()
+            got = intra_diversity(rec(0, *items), d.categories)
+            want = reference.naive_diversity(items, tag_sets)
+            assert _comparable(got) == _comparable(want), items
+            seen["overlap"] += 0.0 < want < (size - 1) / (size + 1)
+        plan = split_folds(d, 3, seed=int(rng.integers(1 << 30)))
+        vectors, frev = reference.plain_profiles(build_profiles(d))
+        alone = [run_experiment(d, [c], plan, k=4).rows[0] for c in configs]
+        for row, cfg in zip(alone, configs):
+            for m in row.folds:
+                want = reference.naive_fold(
+                    d, vectors, frev, cfg, plan.test_indices(m.fold).tolist(), 4, 4.0)
+                _assert_same_metrics(m, want, (cfg.name, cfg.beta, m.fold))
+                seen["diverse_fold"] += 0.0 < want["diversity"]
+        for workers in (1, 2):
+            mixed = run_experiment(d, configs, plan, k=4, workers=workers)
+            for got, want in zip(mixed.rows, alone, strict=True):
+                assert [_comparable(dataclasses.astuple(m)) for m in got.folds] == [
+                    _comparable(dataclasses.astuple(m)) for m in want.folds], (got.beta, workers)
+                assert _comparable(dataclasses.astuple(got)) == _comparable(
+                    dataclasses.astuple(want))
+    assert min(seen.values()) > 5, seen
 
 
 def test_block_cells_stay_within_the_budget(monkeypatch):

@@ -1,8 +1,8 @@
 """Structure checks over the package's source: it runs on the standard
 library and numpy alone, one helper decides whether a handle is in range,
-one looks ids up row by row, one helper reads a text file whole and one
-streams a raw file, ingest reads each raw file once, and the canonical load
-parses each of its files once."""
+one looks ids up row by row, one counts shared tags, one helper reads a
+text file whole and one streams a raw file, ingest reads each raw file
+once, and the canonical load parses each of its files once."""
 
 from __future__ import annotations
 
@@ -113,6 +113,17 @@ def test_only_factorize_looks_ids_up_row_by_row():
     # nothing turns a handle column back into ids: the canonical render
     # encodes each id of Interner.ids once and gathers its bytes by handle
     assert set().union(*(callers(p, calls_method("externals")) for p in MODULES)) == set()
+
+
+def test_one_tag_overlap_implementation():
+    """Tag overlap is counted in one place, ``ItemCategories.shared`` over
+    item bitsets, and only the diversity kernel asks for it; the categories
+    keep no packed keys to search."""
+    assert set().union(*(callers(p, calls_method("shared")) for p in MODULES)) == {
+        ("evaluation.py", "_diversities")}
+    named = lambda call: isinstance(call.func, ast.Name) and call.func.id == "search_keys"
+    searchers = {func for p in MODULES for func, _ in calls(p, named)}
+    assert searchers and not {f for f in searchers if f.startswith("ItemCategories.")}
 
 
 def reads_a_file(call: ast.Call) -> bool:

@@ -1120,7 +1120,9 @@ class TestCanonicalFormat:
             (back.ratings.item_idx, d.ratings.item_idx),
             (back.ratings.value, d.ratings.value),
             (back.social.edge_array(), d.social.edge_array()),
-            (back.categories.keys, d.categories.keys),
+            (back.categories.ptr, d.categories.ptr),
+            (back.categories.tags, d.categories.tags),
+            (back.categories.bits, d.categories.bits),
         ] + [(back.feedback.col(n), d.feedback.col(n)) for n in ("fans", "thx")] + [
             (back.review_feedback.col("useful"), d.review_feedback.col("useful")),
         ]:
@@ -1199,7 +1201,7 @@ class TestCanonicalFormat:
         for interner, new_order in ((tiny.users, order), (tiny.items, item_order)):
             assert list(interner) == sorted(interner)
             with pytest.raises(ValueError, match="strictly ascending"):
-                Interner(interner.externals(new_order))
+                Interner(interner.ids[new_order])
         files = render_canonical(tiny)
         for name in ("ratings.tsv", "friends.tsv", "review_feedback.tsv"):
             assert files[name].splitlines() == sorted(files[name].splitlines())
